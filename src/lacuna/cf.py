@@ -13,12 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import DyadicReal
-from .errors import (
-    CfPrecisionExhaustedError,
-    InsufficientDepthError,
-    PrecisionTooLowError,
-)
+from .dyadic import DyadicReal, dist_nearest_int, require_precision
+from .errors import CfPrecisionExhaustedError, InsufficientDepthError
 
 _LN2 = math.log(2)
 
@@ -206,6 +202,14 @@ class QuadraticReal:
         return f"QuadraticReal({self.x} + {self.y}*sqrt({self.d}))"
 
 
+def dist_to_int(x):
+    """||x||, exact and of the same type as x (QuadraticReal or Fraction)."""
+    if isinstance(x, QuadraticReal):
+        return x.dist_nearest_int()
+    f = x - math.floor(x)
+    return min(f, 1 - f)
+
+
 # ---------------------------------------------------------------------------
 # continued fractions
 # ---------------------------------------------------------------------------
@@ -385,13 +389,9 @@ def inhom_distance(beta, n: int, zeta) -> DyadicReal:
         v = beta * n - QuadraticReal(Fraction(z), Fraction(0), beta.d)
         return v.dist_nearest_int().to_dyadic(96)
     if isinstance(beta, DyadicReal):
-        required = int(n).bit_length() + 32
-        if beta.precision_bits < required:
-            raise PrecisionTooLowError(required, beta.precision_bits)
-        from .dyadic import dist_nearest_int as _dni
-
+        require_precision(beta, (n,))
         z = zeta if isinstance(zeta, DyadicReal) else DyadicReal.from_fraction(
             Fraction(zeta), beta.precision_bits
         )
-        return _dni(beta * n - z)
+        return dist_nearest_int(beta * n - z)
     raise TypeError(f"unsupported beta type {type(beta).__name__}")

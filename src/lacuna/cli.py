@@ -22,14 +22,8 @@ from . import littlewood as lw
 from . import metric
 from .dyadic import DyadicReal, dilate, gap_report
 from .errors import LacunaError
-from .nested import build_nested_alpha
-from .sequences import (
-    geometric_sequence,
-    ln_upper,
-    load_sequence,
-    smallest_l,
-    thin,
-)
+from .nested import build_nested_alpha, gap_bound
+from .sequences import geometric_sequence, load_sequence, smallest_l, thin
 from .turan import find_alpha
 
 
@@ -116,14 +110,13 @@ def _cmd_find_alpha(cfg: RunConfig):
     seq = _build_seq(a, a.n)
     cert = find_alpha(seq, a.n)
     rep = gap_report(dilate(cert.alpha, seq, 1, a.n))
-    l = smallest_l(seq.growth_factor_r)
-    bound = Fraction(3 * l) * ln_upper(a.n) / a.n
+    bound = gap_bound(smallest_l(seq.growth_factor_r), a.n)
     payload = cert.to_json_dict()
     payload["verified_max_gap"] = rep.max_gap.decimal_str(30)
     payload["target_bound"] = float(bound)
     payload["bound_met"] = bool(rep.max_gap.to_fraction() <= bound)
     _emit(payload, a.out)
-    return 0
+    return 0 if payload["bound_met"] else 1
 
 
 def _cmd_nested_alpha(cfg: RunConfig):

@@ -5,11 +5,20 @@ representation is unique.  Addition and multiplication of dyadics are exact;
 rounding happens only through explicit round_to() calls (round-to-nearest-even).
 All torus computations (fractional parts, sorting, gap vectors) are exact
 integer arithmetic at a common exponent, so gap vectors sum to one exactly.
+
+A dilated point set {alpha * a_n} has one form, its residue vector: with
+alpha = m * 2^-P, the dilates are the integers m * a_n mod 2^P at the common
+exponent -P.  residues() is the only code that computes them: dilate() wraps
+them in a DilatedSet, gap_report() sorts and differences the integers, and
+the 64-bit scans and float views in lacuna.metric read them as they stream.
+(The 64-bit scan of the doubling sequence 2^n reads windows of alpha's
+binary expansion instead.)
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -96,14 +105,7 @@ class DyadicReal:
         return Fraction(self.mantissa, 1 << -self.exponent)
 
     def to_float(self) -> float:
-        m, e = self.mantissa, self.exponent
-        if m == 0:
-            return 0.0
-        bl = m.bit_length()
-        if bl > 64:
-            m >>= bl - 64
-            e += bl - 64
-        return math.ldexp(m, e)
+        return dyadic_to_float(self.mantissa, self.exponent)
 
     def decimal_str(self, digits: int = 30) -> str:
         return format_decimal(self.to_fraction(), digits)
@@ -217,6 +219,18 @@ class DyadicReal:
         return f"DyadicReal({self.decimal_str(12)})"
 
 
+def dyadic_to_float(m: int, e: int) -> float:
+    """m * 2^e as a float: m cut to its top 64 bits, then rounded once.
+
+    The result depends only on the value, not on trailing zeros of m.
+    """
+    bl = m.bit_length()
+    if bl > 64:
+        m >>= bl - 64
+        e += bl - 64
+    return math.ldexp(m, e)
+
+
 def _coerce(x):
     if isinstance(x, DyadicReal):
         return x
@@ -271,11 +285,19 @@ def dist_nearest_int(x: DyadicReal) -> DyadicReal:
 
 @dataclass(frozen=True)
 class GapReport:
+    """Gaps of a sorted configuration as integers at one exponent: gap i is
+    gap_ints[i] * 2^exponent, the last one wrapping around through 1."""
+
     n_points: int
-    sorted_points: tuple[TorusPoint, ...]
-    gaps: tuple[DyadicReal, ...]
+    gap_ints: tuple[int, ...]
+    exponent: int
+    precision_bits: int
     max_gap: DyadicReal
     normalized: dict
+
+    @property
+    def gaps(self) -> tuple[DyadicReal, ...]:
+        return tuple(DyadicReal(g, self.exponent, self.precision_bits) for g in self.gap_ints)
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {
@@ -302,47 +324,98 @@ def _normalized_map(n: int, max_gap: Fraction, eps: float) -> dict:
 
 
 def gap_report(points, eps: float = 0.05) -> GapReport:
-    """Sorted configuration, exact gap vector including the wrap-around gap."""
-    points = list(points)
-    if not points:
+    """Exact gap vector, including the wrap-around gap, of a DilatedSet (read
+    as its residues) or of any iterable of torus points (first aligned to
+    their smallest exponent)."""
+    if isinstance(points, DilatedSet):
+        ints, e, prec = points.residues, points.exponent, points.precision_bits
+    else:
+        points = list(points)
+        exps = [p.value.exponent for p in points if p.value.mantissa != 0]
+        e = min(min(exps, default=0), 0)
+        ints = [p.value.mantissa << (p.value.exponent - e) for p in points]
+        prec = min((p.value.precision_bits for p in points), default=DEFAULT_PRECISION_BITS)
+    if not ints:
         raise EmptyConfigurationError("empty-configuration")
-    exps = [p.value.exponent for p in points if p.value.mantissa != 0]
-    e = min(exps) if exps else 0
-    e = min(e, 0)
-    ints = sorted(
-        (p.value.mantissa << (p.value.exponent - e)) for p in points
-    )
+    ints = sorted(ints)
     one = 1 << -e
-    gaps_i = [b - a for a, b in zip(ints, ints[1:])]
-    gaps_i.append(one - ints[-1] + ints[0])
-    assert sum(gaps_i) == one
-    max_i = max(gaps_i)
-    prec = min(p.value.precision_bits for p in points)
-    as_dy = lambda m: DyadicReal(m, e, prec)
-    n = len(points)
-    report = GapReport(
-        n_points=n,
-        sorted_points=tuple(TorusPoint(as_dy(m)) for m in ints),
-        gaps=tuple(as_dy(g) for g in gaps_i),
-        max_gap=as_dy(max_i),
-        normalized=_normalized_map(n, Fraction(max_i, one), eps),
+    gaps = [b - a for a, b in zip(ints, ints[1:])]
+    gaps.append(one - ints[-1] + ints[0])
+    assert sum(gaps) == one
+    max_i = max(gaps)
+    return GapReport(
+        n_points=len(ints),
+        gap_ints=tuple(gaps),
+        exponent=e,
+        precision_bits=prec,
+        max_gap=DyadicReal(max_i, e, prec),
+        normalized=_normalized_map(len(ints), Fraction(max_i, one), eps),
     )
-    return report
 
 
-def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None):
+# ---------------------------------------------------------------------------
+# dilated point sets
+# ---------------------------------------------------------------------------
+
+GUARD_BITS = 32
+
+
+def require_precision(x: DyadicReal, terms) -> None:
+    """The precision gate of every dilation: x must carry at least
+    bit_length(max |a|) + 32 bits over the terms a, so each gap of {x * a}
+    is resolved at least 32 fractional bits past 1/a_max."""
+    required = max(int(t).bit_length() for t in terms) + GUARD_BITS
+    if x.precision_bits < required:
+        raise PrecisionTooLowError(required, x.precision_bits)
+
+
+def residue_bits(alpha: DyadicReal) -> int:
+    """P with alpha * 2^P an integer; 0 when alpha is an integer."""
+    return max(-alpha.exponent, 0)
+
+
+def residues(alpha: DyadicReal, terms) -> Iterator[int]:
+    """The dilates {alpha * a} of the terms, scaled by 2^P, one at a time:
+    m * a mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).  Exact."""
+    mask = (1 << residue_bits(alpha)) - 1
+    m = alpha.mantissa
+    for a in terms:
+        yield (m * int(a)) & mask
+
+
+@dataclass(frozen=True)
+class DilatedSet(Sequence):
+    """A dilated point set as residues at one exponent: point i is
+    residues[i] * 2^exponent.  Indexing builds that TorusPoint on demand;
+    slicing keeps the residue form."""
+
+    residues: tuple[int, ...]
+    exponent: int
+    precision_bits: int
+
+    def __len__(self) -> int:
+        return len(self.residues)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DilatedSet(self.residues[i], self.exponent, self.precision_bits)
+        return TorusPoint(DyadicReal(self.residues[i], self.exponent, self.precision_bits))
+
+
+def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> DilatedSet:
     """Fractional parts {alpha * a_n} for n in [start, stop] (1-based, inclusive).
 
-    Demands alpha carry at least bit_length(a_max) + 32 bits so every gap of the
-    dilated set is resolved to >= 32 fractional bits beyond 1/a_max.
+    Passes the window through require_precision first.  The points carry
+    min(alpha's precision, 96) bits, as frac(alpha * a_n) does.
     """
     terms = seq.terms if hasattr(seq, "terms") else seq
     if stop is None:
         stop = len(terms)
     window = terms[start - 1 : stop]
-    if not window:
-        return []
-    required = max(int(t).bit_length() for t in window) + 32
-    if alpha.precision_bits < required:
-        raise PrecisionTooLowError(required, alpha.precision_bits)
-    return [frac(alpha * int(a)) for a in window]
+    if window:
+        require_precision(alpha, window)
+    return DilatedSet(
+        tuple(residues(alpha, window)),
+        -residue_bits(alpha),
+        min(alpha.precision_bits, DEFAULT_PRECISION_BITS),
+    )

@@ -68,6 +68,17 @@ class NestingViolatedError(LacunaError):
         super().__init__(f"nesting-violated at k={k}")
 
 
+class GapBoundExceededError(LacunaError):
+    code = "gap-bound-exceeded"
+
+    def __init__(self, k, gap, bound):
+        super().__init__(
+            f"gap-bound-exceeded at k={k}: verified gap {float(gap):.6e} "
+            f"above 3l ln(N_k)/N_k = {float(bound):.6e}",
+            k=k, gap=gap, bound=bound,
+        )
+
+
 class NOutOfRangeError(LacunaError):
     code = "N-out-of-range"
 

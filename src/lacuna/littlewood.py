@@ -19,10 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cf import ContinuedFraction, QuadraticReal, expand, lambda_estimate
-from .dyadic import DyadicReal
-from .errors import CzPoolExhaustedError, PrecisionTooLowError
-from .sequences import _mpf_fraction
+from .cf import ContinuedFraction, QuadraticReal, dist_to_int, expand, lambda_estimate
+from .dyadic import DyadicReal, require_precision
+from .errors import CzPoolExhaustedError
+from .sequences import mpf_fraction
 
 import mpmath as mp
 
@@ -42,14 +42,6 @@ def _as_exact(value):
     return Fraction(value)
 
 
-def _dist_to_int(x):
-    """||x|| with the same exact type as x (QuadraticReal or Fraction)."""
-    if isinstance(x, QuadraticReal):
-        return x.dist_nearest_int()
-    f = x - math.floor(x)
-    return min(f, 1 - f)
-
-
 def _to_float(x) -> float:
     return x.to_float() if isinstance(x, QuadraticReal) else float(x)
 
@@ -62,7 +54,7 @@ def exact_product(value, n: int, shift) -> tuple[object, float]:
         s = QuadraticReal(Fraction(s), Fraction(0), v.d)
     elif isinstance(s, QuadraticReal) and not isinstance(v, QuadraticReal):
         v = QuadraticReal(Fraction(v), Fraction(0), s.d)
-    d = _dist_to_int(v * n - s)
+    d = dist_to_int(v * n - s)
     prod = d * n
     return prod, _to_float(prod)
 
@@ -74,7 +66,7 @@ def littlewood_threshold_bounds(n: int, epsilon: Fraction) -> tuple[Fraction, Fr
     epsilon = Fraction(epsilon)
     with mp.workdps(40):
         e = 2 + mp.mpf(epsilon.numerator) / epsilon.denominator
-        v = _mpf_fraction(mp.log(mp.log(n)) ** e / mp.log(n))
+        v = mpf_fraction(mp.log(mp.log(n)) ** e / mp.log(n))
     return v - _THR_GUARD, v + _THR_GUARD
 
 
@@ -307,9 +299,7 @@ def dispersion_to_littlewood(alpha, eta, seq: CZSequence, epsilon) -> list[dict]
     """Per dyadic index block (N, 2N]: the term minimizing ||alpha a_n - eta||
     and whether the minimum meets (ln n)^(2+eps)/n at the achieving index."""
     if isinstance(alpha, DyadicReal):
-        required = max(int(t).bit_length() for t in seq.terms) + 32
-        if alpha.precision_bits < required:
-            raise PrecisionTooLowError(required, alpha.precision_bits)
+        require_precision(alpha, seq.terms)
     e = 2 + float(Fraction(epsilon))
     rows = []
     big_n = 1
@@ -320,7 +310,7 @@ def dispersion_to_littlewood(alpha, eta, seq: CZSequence, epsilon) -> list[dict]
             continue
         best = None
         for n in idxs:
-            val = _dist_to_int(_mul_exact(alpha, seq.terms[n - 1], eta))
+            val = dist_to_int(_mul_exact(alpha, seq.terms[n - 1], eta))
             fv = _to_float(val)
             if best is None or fv < best[1]:
                 best = (n, fv)

@@ -13,7 +13,10 @@ Three layers:
 
 Scan tables use 64-bit truncated points by default: the maximal gap survives
 truncation up to 2^-63, far below every tolerance used here, and the run cost
-drops by orders of magnitude.  Exact mode is a flag away.
+drops by orders of magnitude.  Exact mode is a flag away.  Every view of the
+dilates here (exact, truncated, float) reads the residue stream of
+lacuna.dyadic.residues; only the doubling sequence 2^e0, 2^(e0+1), ... takes
+its truncated points from byte windows of alpha's binary expansion instead.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import simpson
 
 from .bump import BumpFunction
-from .dyadic import DyadicReal, dilate, frac, gap_report
+from .dyadic import DyadicReal, dilate, dyadic_to_float, gap_report, residue_bits, residues
 from .errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
     QuadratureUnderresolvedError,
 )
-from .sequences import LacunarySequence, ThinnedSequence, _mpf_fraction
+from .sequences import LacunarySequence, ThinnedSequence, mpf_fraction
 import mpmath as mp
 
 _TRUNC_SLACK = Fraction(1, 1 << 60)
@@ -72,8 +75,8 @@ class MetricParameters:
         with mp.workdps(60):
             ln_n = mp.log(n)
             e = mp.mpf(epsilon.numerator) / epsilon.denominator
-            q = DyadicReal.from_fraction(_mpf_fraction(ln_n ** (1 + 2 * e)), precision_bits)
-            p = DyadicReal.from_fraction(_mpf_fraction(ln_n ** (2 + 3 * e)), precision_bits)
+            q = DyadicReal.from_fraction(mpf_fraction(ln_n ** (1 + 2 * e)), precision_bits)
+            p = DyadicReal.from_fraction(mpf_fraction(ln_n ** (2 + 3 * e)), precision_bits)
         m = q * q
         r_exact = m.to_fraction() / p.to_fraction()
         return cls(n=n, epsilon=epsilon, q=q, m=m, p=p, r_exact=r_exact)
@@ -207,15 +210,15 @@ def _pow2_truncated_points(alpha: DyadicReal, e0: int, n_max: int) -> np.ndarray
     return vals
 
 
-def _generic_truncated_points(alpha: DyadicReal, terms) -> np.ndarray:
-    a = alpha.to_fraction()
-    s = max(int(t).bit_length() for t in terms) + 72
-    big = (a.numerator << s) // a.denominator
-    mask = (1 << s) - 1
-    out = np.empty(len(terms), dtype=np.uint64)
-    for i, t in enumerate(terms):
-        out[i] = ((big * int(t)) & mask) >> (s - 64)
-    return out
+def _truncated_points(alpha: DyadicReal, terms) -> np.ndarray:
+    """floor({alpha * a} * 2^64) for each term: the top 64 bits of each exact
+    residue, taken as it streams, so the exact vector is never held."""
+    shift = residue_bits(alpha) - 64
+    if shift >= 0:
+        tops = (r >> shift for r in residues(alpha, terms))
+    else:
+        tops = (r << -shift for r in residues(alpha, terms))
+    return np.fromiter(tops, dtype=np.uint64, count=len(terms))
 
 
 def _max_gap_u64(sorted_vals: np.ndarray) -> int:
@@ -240,8 +243,11 @@ def dispersion_scan(
 
     With truncate_bits=64 the dilates are truncated to 64 fractional bits
     before sorting, which perturbs the maximal gap by at most 2^-63; pass
-    truncate_bits=None for the exact dyadic pipeline.
+    truncate_bits=None for the exact dyadic pipeline.  No other value is
+    supported.
     """
+    if truncate_bits not in (None, 64):
+        raise ValueError(f"truncate_bits must be None or 64, got {truncate_bits!r}")
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("N values must be positive")
@@ -261,7 +267,7 @@ def dispersion_scan(
                 e0 = seq.terms[0].bit_length() - 1
                 vals = _pow2_truncated_points(alpha, e0, n_list[-1])
             else:
-                vals = _generic_truncated_points(alpha, seq.terms[: n_list[-1]])
+                vals = _truncated_points(alpha, seq.terms[: n_list[-1]])
             for n in n_list:
                 g = Fraction(_max_gap_u64(np.sort(vals[:n])), 1 << 64)
                 rows.append(_mk_row(aid, n, g, eps))
@@ -312,8 +318,11 @@ def iid_baseline(n: int, trials: int, rng_seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _dilate_floats(alpha: DyadicReal, terms) -> np.ndarray:
-    return np.array([frac(alpha * int(a)).value.to_float() for a in terms])
+def _residue_floats(alpha: DyadicReal, terms) -> np.ndarray:
+    """{alpha * a} as floats, rounded as DyadicReal.to_float rounds them."""
+    e = -residue_bits(alpha)
+    floats = (dyadic_to_float(r, e) for r in residues(alpha, terms))
+    return np.fromiter(floats, dtype=np.float64, count=len(terms))
 
 
 def smooth_count_direct(
@@ -329,7 +338,7 @@ def smooth_count_direct(
     one shift u contributes per point.
     """
     width = params.m.to_float() / params.n
-    x = _dilate_floats(alpha, thinned.terms)
+    x = _residue_floats(alpha, thinned.terms)
     d = x - (t % 1.0)
     d -= np.round(d)  # representative in [-1/2, 1/2): the only candidate shift
     return float(np.sum(bump.value(d / width)))
@@ -347,7 +356,7 @@ def smooth_count_fourier(
     if k_max < params.k_cut:
         raise ValueError(f"k_max {k_max} below truncation floor N/P = {params.k_cut}")
     width = params.m.to_float() / params.n
-    x = _dilate_floats(alpha, thinned.terms) - (t % 1.0)
+    x = _residue_floats(alpha, thinned.terms) - (t % 1.0)
     k = np.arange(1, k_max + 1)
     coeffs = bump.fourier(width * k)
     cos_sums = np.cos(2.0 * np.pi * np.outer(k, x)).sum(axis=1)
@@ -457,12 +466,12 @@ def _moment_simpson(terms, t, weights, ten_r, n_q):
         n_q += 1
     # alpha = i/n_q makes every dilate an exact grid rational:
     # {alpha * a~_n} = (i * (a~_n mod n_q) mod n_q) / n_q
-    residues = np.array([int(a) % n_q for a in terms], dtype=np.int64)
+    mods = np.array([int(a) % n_q for a in terms], dtype=np.int64)
     i = np.arange(n_q + 1, dtype=np.int64)
     k = np.arange(1, len(weights) + 1)
     vals = np.zeros(n_q + 1)
-    for rcount in np.unique(residues):
-        mult = int((residues == rcount).sum())
+    for rcount in np.unique(mods):
+        mult = int((mods == rcount).sum())
         theta = ((i * int(rcount)) % n_q) / n_q - t
         vals += mult * 2.0 * (
             weights[:, None] * np.cos(2.0 * np.pi * np.outer(k, theta))

@@ -6,7 +6,8 @@ interval of radius tau_k = ln(N_k)/(N_k * a_{N_k}); the next block is searched
 inside a centered subinterval of length 4/a_{N_{k+1}}, which must fit in half
 the current stability interval (reported as nesting-violated otherwise).  The
 midpoint of the final interval works for every block simultaneously, and every
-block gap is re-verified directly rather than trusted from the construction.
+block gap is re-verified directly rather than trusted from the construction:
+a block whose verified gap exceeds 3l*ln(N_k)/N_k raises gap-bound-exceeded.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import DyadicReal, GapReport, dilate, gap_report
-from .errors import NestingViolatedError, NOutOfRangeError
+from .dyadic import DyadicReal, dilate, gap_report
+from .errors import GapBoundExceededError, NestingViolatedError, NOutOfRangeError
 from .sequences import LacunarySequence, ln_lower, ln_upper, smallest_l
 from .turan import DilationCertificate, find_alpha, find_dilation_block
 
@@ -81,15 +82,19 @@ def _tau(seq: LacunarySequence, n: int) -> Fraction:
     return ln_lower(n) / (n * seq.term(n))
 
 
+def gap_bound(l: int, n: int) -> Fraction:
+    """The certified gap bound 3*l*ln(N)/N at N = n, logarithm rounded upward."""
+    return Fraction(3 * l) * ln_upper(n) / n
+
+
 def _verified_gap(seq, alpha, start, stop) -> Fraction:
-    pts = dilate(alpha, seq, start, stop)
-    rep = gap_report(pts)
-    return rep.max_gap.to_fraction()
+    return gap_report(dilate(alpha, seq, start, stop)).max_gap.to_fraction()
 
 
 def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> NestedChain:
     """Nested-interval chain over blocks N_k = 4^k; returns the final midpoint
-    with directly verified per-block gaps."""
+    with directly verified per-block gaps.  Raises GapBoundExceededError when
+    a block's verified gap exceeds gap_bound(l, N_k)."""
     if not (1 <= k_start <= k_end):
         raise ValueError("need 1 <= k_start <= k_end")
     if len(seq.terms) < 2 * 4**k_end:
@@ -130,6 +135,9 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
         else:
             start, stop = n + 1, 2 * n
         gap = _verified_gap(seq, alpha_final, start, stop)
+        bound = gap_bound(l, n)
+        if gap > bound:
+            raise GapBoundExceededError(k, gap, bound)
         blocks.append(
             NestedBlock(
                 k=k,
@@ -157,5 +165,4 @@ def interpolate_gap_bound(chain: NestedChain, N: int) -> Fraction:
     m = chain.k_start
     while m + 1 <= chain.k_end and 2 * 4 ** (m + 1) <= N:
         m += 1
-    n_m = 4**m
-    return Fraction(3 * chain.growth_l) * ln_upper(n_m) / n_m
+    return gap_bound(chain.growth_l, 4**m)

@@ -21,7 +21,8 @@ _LN_DPS = 40
 _LN_GUARD = Fraction(1, 1 << 60)
 
 
-def _mpf_fraction(x) -> Fraction:
+def mpf_fraction(x) -> Fraction:
+    """The exact rational value of an mpmath number."""
     sign, man, exp, _ = mp.mpf(x)._mpf_
     man, exp = int(man), int(exp)  # may be gmpy2 types; keep Fractions pure
     val = Fraction(man) * Fraction(2) ** exp
@@ -34,7 +35,7 @@ def ln_bounds(x: Fraction | int) -> tuple[Fraction, Fraction]:
     if x <= 0:
         raise ValueError("ln of non-positive value")
     with mp.workdps(_LN_DPS):
-        v = _mpf_fraction(mp.log(mp.mpf(x.numerator) / x.denominator))
+        v = mpf_fraction(mp.log(mp.mpf(x.numerator) / x.denominator))
     return v - _LN_GUARD, v + _LN_GUARD
 
 
@@ -151,8 +152,18 @@ def thin(seq: LacunarySequence, N: int, exponent: Fraction = Fraction(1)) -> Thi
     exponent = Fraction(exponent)
     if exponent < 1:
         raise ValueError("thinning exponent must be >= 1")
-    if len(seq.terms) < N:
-        raise ValueError(f"sequence provides {len(seq.terms)} terms, need {N}")
+    return _thin(seq, N, exponent, 0)
+
+
+def thin_block(seq: LacunarySequence, N: int) -> ThinnedSequence:
+    """Thinning of the translated block (N, 2N]: a~_n = a_{N + n*step}."""
+    return _thin(seq, N, Fraction(1), N)
+
+
+def _thin(seq: LacunarySequence, N: int, exponent: Fraction, offset: int) -> ThinnedSequence:
+    """a~_n = a_{offset + n*step} for n = 1..K, both sizes set by N alone."""
+    if len(seq.terms) < offset + N:
+        raise ValueError(f"sequence provides {len(seq.terms)} terms, need {offset + N}")
     l = smallest_l(seq.growth_factor_r)
     if N < 3:
         raise NBelowThresholdError(f"N-below-threshold: N={N}")
@@ -160,25 +171,9 @@ def thin(seq: LacunarySequence, N: int, exponent: Fraction = Fraction(1)) -> Thi
     K = _floor_quotient(N, l, exponent)
     if step < 1 or K < 1:
         raise NBelowThresholdError(f"N-below-threshold: N={N} gives step={step}, K={K}")
-    terms = tuple(seq.term(n * step) for n in range(1, K + 1))
+    terms = tuple(seq.term(offset + n * step) for n in range(1, K + 1))
     xi = l * float(ln_lower(seq.growth_factor_r))
-    return ThinnedSequence(seq, l, step, K, terms, xi)
-
-
-def thin_block(seq: LacunarySequence, N: int) -> ThinnedSequence:
-    """Thinning of the translated block (N, 2N]: a~_n = a_{N + n*step}."""
-    if len(seq.terms) < 2 * N:
-        raise ValueError(f"sequence provides {len(seq.terms)} terms, need {2 * N}")
-    l = smallest_l(seq.growth_factor_r)
-    if N < 3:
-        raise NBelowThresholdError(f"N-below-threshold: N={N}")
-    step = l * _floor_log_power(N, Fraction(1))
-    K = _floor_quotient(N, l, Fraction(1))
-    if step < 1 or K < 1:
-        raise NBelowThresholdError(f"N-below-threshold: N={N} gives step={step}, K={K}")
-    terms = tuple(seq.term(N + n * step) for n in range(1, K + 1))
-    xi = l * float(ln_lower(seq.growth_factor_r))
-    return ThinnedSequence(seq, l, step, K, terms, xi, index_offset=N)
+    return ThinnedSequence(seq, l, step, K, terms, xi, index_offset=offset)
 
 
 def save_sequence(path, seq: LacunarySequence) -> None:

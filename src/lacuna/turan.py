@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .cf import dist_to_int
 from .dyadic import DyadicReal, TorusPoint, format_decimal
 from .errors import (
     DeltaUncertifiableError,
@@ -182,11 +183,6 @@ def _target_fractions(targets) -> list[Fraction]:
     return out
 
 
-def _dist_to_int(x: Fraction) -> Fraction:
-    f = x - math.floor(x)
-    return min(f, 1 - f)
-
-
 def find_dilation(
     thinned: ThinnedSequence,
     targets,
@@ -243,7 +239,7 @@ def find_dilation(
     av = alpha.to_fraction()
     constraints = []
     for a, x in zip(freqs, xs):
-        achieved = _dist_to_int(av * a - x)
+        achieved = dist_to_int(av * a - x)
         if achieved > epsilon:
             raise InfeasibleAtStepError(
                 0, f"postcondition violated: achieved {achieved} > eps {epsilon}"

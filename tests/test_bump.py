@@ -91,6 +91,12 @@ class TestFourierTransform:
         assert y % bump.grid_step != 0.0
         assert abs(bump.fourier(y) - mpmath_fourier(y)) < 1e-12
 
+    def test_first_cell_uses_even_symmetry(self, bump):
+        # the spline is clamped to Ff'(0) = 0; a not-a-knot end is off by 3.1e-11
+        y = 1 / 1024
+        assert y % bump.grid_step != 0.0
+        assert abs(bump.fourier(y) - mpmath_fourier(y)) < 5e-12
+
 
 class TestSelfCheck:
     def test_underresolved_table_raises_coded_error(self, bump):

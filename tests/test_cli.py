@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from lacuna import bump as bump_mod
+from lacuna import cli
 from lacuna.cli import main
 from lacuna.dyadic import DyadicReal
 
@@ -45,6 +47,19 @@ class TestFindAlpha:
         _, out1 = run(capsys, "find-alpha", "--r", "3", "--n", "256")
         _, out2 = run(capsys, "find-alpha", "--r", "3", "--n", "256")
         assert out1 == out2
+
+    def test_unmet_bound_prints_payload_and_exits_1(self, capsys, monkeypatch):
+        found = cli.find_alpha
+
+        def zero_alpha(seq, n):
+            cert = found(seq, n)
+            return dataclasses.replace(cert, alpha=DyadicReal(0, 0, cert.alpha.precision_bits))
+
+        monkeypatch.setattr(cli, "find_alpha", zero_alpha)
+        code, out = run(capsys, "find-alpha", "--r", "2", "--n", "256")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["bound_met"] is False and float(payload["verified_max_gap"]) == 1.0
 
 
 class TestNestedAlpha:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lacuna.dyadic import (
     ONE,
     ZERO,
+    DilatedSet,
     DyadicReal,
     TorusPoint,
     dilate,
@@ -210,6 +211,39 @@ class TestDilate:
         g1 = gap_report(dilate(DyadicReal.from_fraction(Fraction(7, 10), p), seq)).max_gap
         g2 = gap_report(dilate(DyadicReal.from_fraction(Fraction(7, 10), 2 * p), seq)).max_gap
         assert abs(g1.to_fraction() - g2.to_fraction()) < 2 * a_n * Fraction(2) ** (-p)
+
+
+class TestResidueForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-(1 << 200), 1 << 200),
+        st.integers(-300, 8),
+        st.lists(st.integers(1, 1 << 256), min_size=1, max_size=20),
+        st.integers(0, 21),
+        st.integers(0, 21),
+    )
+    def test_matches_frac_oracle(self, m, e, terms, i, j):
+        alpha = DyadicReal(m, e, 512)
+        pts = dilate(alpha, terms)
+        oracle = [frac(alpha * a) for a in terms]
+        assert isinstance(pts, DilatedSet) and len(pts) == len(terms)
+        assert list(pts) == oracle
+        assert [p.value.precision_bits for p in pts] == [p.value.precision_bits for p in oracle]
+        assert list(pts[i:j]) == oracle[i:j]
+        if oracle[i:j]:
+            assert gap_report(pts[i:j]).gaps == gap_report(oracle[i:j]).gaps
+
+    def test_alpha_zero_slices(self):
+        pts = dilate(DyadicReal(0, 0, 128), geometric_sequence(3, 8))
+        assert pts.residues == (0,) * 8 and pts.exponent == 0
+        assert list(pts[2:5]) == [TorusPoint(ZERO)] * 3
+        assert gap_report(pts[2:5]).max_gap == ONE
+
+    def test_indexing_and_slicing(self):
+        pts = dilate(dy(7, 10, 128), geometric_sequence(2, 5))
+        assert isinstance(pts[1], TorusPoint) and isinstance(pts[1:3], DilatedSet)
+        assert pts[-1] == pts[4] == frac(dy(7, 10, 128) * 32)
+        assert len(pts[1:3]) == 2 and len(dilate(dy(7, 10, 128), [])) == 0
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna.bump import standard_bump
-from lacuna.dyadic import DyadicReal
+from lacuna.dyadic import DyadicReal, dilate, frac
 from lacuna.errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
@@ -95,11 +95,38 @@ class TestDispersionScan:
     def test_pow2_fast_path_matches_generic(self):
         seq = geometric_sequence(Fraction(2), 2048)
         alpha = sample_alpha("lebesgue", 42, 128)
-        from lacuna.metric import _generic_truncated_points, _pow2_truncated_points
+        from lacuna.metric import _pow2_truncated_points, _truncated_points
 
         fast = _pow2_truncated_points(alpha, 1, 2048)
-        slow = _generic_truncated_points(alpha, seq.terms[:2048])
+        slow = _truncated_points(alpha, seq.terms[:2048])
         assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2)])
+    def test_truncated_stream_is_top_bits_of_exact_residues(self, r):
+        from lacuna.metric import _truncated_points
+
+        seq = geometric_sequence(r, 300)
+        alpha = sample_alpha("lebesgue", 5, 600)
+        exact = dilate(alpha, seq)
+        shift = -exact.exponent - 64
+        assert shift > 0
+        want = [v >> shift for v in exact.residues]
+        assert _truncated_points(alpha, seq.terms).tolist() == want
+
+    def test_truncated_stream_of_short_alpha(self):
+        from lacuna.metric import _truncated_points
+
+        # alpha = 5/1024 has fewer than 64 fractional bits: residues move up
+        alpha = DyadicReal(5, -10, 128)
+        terms = geometric_sequence(Fraction(3), 40).terms
+        want = [math.floor(Fraction(5 * a, 1024) % 1 * (1 << 64)) for a in terms]
+        assert _truncated_points(alpha, terms).tolist() == want
+
+    def test_truncate_bits_other_than_64_rejected(self, seq2):
+        alpha = sample_alpha("lebesgue", 1, 128)
+        for bits in (0, 32, 63, 65, 128):
+            with pytest.raises(ValueError, match="truncate_bits"):
+                dispersion_scan(seq2, [alpha], [64], truncate_bits=bits)
 
     def test_pigeonhole(self, seq2):
         alphas = [sample_alpha("lebesgue", s, 128) for s in range(5)]
@@ -142,6 +169,27 @@ class TestIidBaseline:
 
 
 class TestSmoothCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(-(1 << 300), 1 << 300),
+        st.integers(-1200, 4),
+        st.lists(st.integers(1, 1 << 1024), min_size=1, max_size=20),
+    )
+    def test_residue_floats_bit_identical_to_frac(self, m, e, terms):
+        from lacuna.metric import _residue_floats
+
+        alpha = DyadicReal(m, e, 128)
+        want = np.array([frac(alpha * a).value.to_float() for a in terms])
+        assert _residue_floats(alpha, terms).tobytes() == want.tobytes()
+
+    def test_thinned_floats_bit_identical_to_frac(self, seq2):
+        from lacuna.metric import _residue_floats
+
+        th = thin(seq2, 4096)
+        alpha = sample_alpha("lebesgue", 13, 128)
+        want = np.array([frac(alpha * int(a)).value.to_float() for a in th.terms])
+        assert _residue_floats(alpha, th.terms).tobytes() == want.tobytes()
+
     def test_direct_counts_all_when_window_wide(self, seq2, bump):
         # widen artificially: every dilate within half-width contributes
         par = MetricParameters.for_n(4096)

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from lacuna.dyadic import dilate, gap_report
-from lacuna.errors import NOutOfRangeError
-from lacuna.nested import build_nested_alpha, interpolate_gap_bound
+from lacuna import nested
+from lacuna.dyadic import DyadicReal, dilate, gap_report
+from lacuna.errors import GapBoundExceededError, NOutOfRangeError
+from lacuna.nested import build_nested_alpha, gap_bound, interpolate_gap_bound
 from lacuna.sequences import geometric_sequence, ln_upper, smallest_l
 
 
@@ -51,6 +52,21 @@ class TestChainStructure:
         start, stop = chain.block_indices(b.k)
         rep = gap_report(dilate(chain.alpha_final, seq, start, stop))
         assert rep.max_gap.to_fraction() == b.verified_gap
+
+
+    def test_violated_block_bound_raises_coded_error(self, monkeypatch):
+        # verify every block at alpha = 0 instead of the chain's alpha: gap 1
+        zero = lambda alpha, seq, start, stop: dilate(
+            DyadicReal(0, 0, alpha.precision_bits), seq, start, stop
+        )
+        monkeypatch.setattr(nested, "dilate", zero)
+        seq = geometric_sequence(Fraction(3), 2 * 4**3)
+        with pytest.raises(GapBoundExceededError) as info:
+            build_nested_alpha(seq, 3, 3)
+        assert info.value.code == "gap-bound-exceeded"
+        detail = info.value.detail
+        assert detail["k"] == 3 and detail["gap"] == 1
+        assert detail["bound"] == gap_bound(smallest_l(Fraction(3)), 64) < 1
 
 
 class TestDegenerateChain:
