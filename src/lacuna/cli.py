@@ -20,7 +20,7 @@ from . import bump as bump_mod
 from . import cf as cf_mod
 from . import littlewood as lw
 from . import metric
-from .dyadic import DyadicReal, dilate, gap_report
+from .dyadic import DyadicReal, alpha_precision, dilate, gap_report
 from .errors import LacunaError
 from .nested import build_nested_alpha, gap_bound
 from .sequences import geometric_sequence, load_sequence, smallest_l, thin
@@ -84,11 +84,6 @@ def _parse_real(spec: str):
         return Fraction(spec)
 
 
-def _alpha_precision(seq, n: int, override: int | None) -> int:
-    need = max(int(t).bit_length() for t in seq.terms[:n]) + 64
-    return max(need, override or 0)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -97,7 +92,7 @@ def _alpha_precision(seq, n: int, override: int | None) -> int:
 def _cmd_gaps(cfg: RunConfig):
     a = cfg.args
     seq = _build_seq(a, a.n)
-    prec = _alpha_precision(seq, a.n, cfg.precision_override)
+    prec = max(alpha_precision(seq.terms[: a.n]), cfg.precision_override or 0)
     alpha = DyadicReal.from_fraction(Fraction(a.alpha), prec)
     rep = gap_report(dilate(alpha, seq, 1, a.n), a.eps)
     payload = {"alpha": _dyadic_json(alpha), **rep.to_json_dict()}
@@ -136,7 +131,7 @@ def _cmd_metric_scan(cfg: RunConfig):
         n_list.append(n)
         n *= 2
     seq = _build_seq(a, n_list[-1])
-    prec = _alpha_precision(seq, n_list[-1], cfg.precision_override)
+    prec = max(alpha_precision(seq.terms[: n_list[-1]]), cfg.precision_override or 0)
     alphas = [
         metric.sample_alpha(a.measure, a.seed * 1000003 + i, prec)
         for i in range(a.alphas)

@@ -245,9 +245,16 @@ ONE = DyadicReal(1, 0)
 
 def format_decimal(fr: Fraction, digits: int = 30) -> str:
     """Decimal string of a rational with the given number of significant digits."""
+    return format_ratio(fr.numerator, fr.denominator, digits)
+
+
+def format_ratio(num: int, den: int, digits: int = 30) -> str:
+    """format_decimal of num/den, den > 0; the pair need not be reduced (the
+    correctly rounded quotient, and an exact one's exponent, depend only on
+    the value)."""
     with localcontext() as ctx:
         ctx.prec = digits
-        d = Decimal(fr.numerator) / Decimal(fr.denominator)
+        d = Decimal(num) / Decimal(den)
     return str(d)
 
 
@@ -369,18 +376,46 @@ def require_precision(x: DyadicReal, terms) -> None:
         raise PrecisionTooLowError(required, x.precision_bits)
 
 
+ALPHA_GUARD_BITS = 64
+
+
+def alpha_precision(terms) -> int:
+    """The precision policy of every alpha built for a window of terms:
+    bit_length(max |a|) + 64, which passes require_precision with 32 bits
+    to spare."""
+    return max(int(t).bit_length() for t in terms) + ALPHA_GUARD_BITS
+
+
 def residue_bits(alpha: DyadicReal) -> int:
     """P with alpha * 2^P an integer; 0 when alpha is an integer."""
     return max(-alpha.exponent, 0)
 
 
+# a_{n+1} = b * a_n is tested only when b fits this many bits, so the test
+# is one short (linear-time) division
+_RATIO_BITS = 64
+
+
 def residues(alpha: DyadicReal, terms) -> Iterator[int]:
     """The dilates {alpha * a} of the terms, scaled by 2^P, one at a time:
-    m * a mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).  Exact."""
+    m * a mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).  Exact.
+
+    Where a term is an integer multiple b * a of the one before, its residue
+    is b * (m * a mod 2^P) mod 2^P, a short product instead of a wide one;
+    elsewhere (ratios that are not integers, or wider than 64 bits) it is
+    m * a mod 2^P."""
     mask = (1 << residue_bits(alpha)) - 1
     m = alpha.mantissa
+    prev = res = 0
     for a in terms:
-        yield (m * int(a)) & mask
+        a = int(a)
+        if prev and a.bit_length() - prev.bit_length() <= _RATIO_BITS:
+            b, rem = divmod(a, prev)
+            res = (b * res if rem == 0 else m * a) & mask
+        else:
+            res = (m * a) & mask
+        prev = a
+        yield res
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import DyadicReal, dilate, gap_report
+from .dyadic import DyadicReal, alpha_precision, dilate, gap_report
 from .errors import GapBoundExceededError, NestingViolatedError, NOutOfRangeError
 from .sequences import LacunarySequence, ln_lower, ln_upper, smallest_l
 from .turan import DilationCertificate, find_alpha, find_dilation_block
@@ -100,7 +100,7 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
     if len(seq.terms) < 2 * 4**k_end:
         raise ValueError(f"sequence provides {len(seq.terms)} terms, need {2 * 4**k_end}")
     l = smallest_l(seq.growth_factor_r)
-    precision = max(t.bit_length() for t in seq.terms[: 2 * 4**k_end]) + 64
+    precision = alpha_precision(seq.terms[: 2 * 4**k_end])
 
     records = []  # (k, n_k, cert, tilde, next_interval)
     n0 = 4**k_start

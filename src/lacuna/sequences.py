@@ -102,28 +102,23 @@ def verify_hadamard(terms, r: Fraction) -> tuple[bool, int | None]:
 
 
 def geometric_sequence(r: Fraction, n_terms: int) -> LacunarySequence:
-    """Terms ceil(r^n), bumped minimally so the Hadamard condition holds exactly."""
+    """Terms t_n = ceil(r * t_{n-1}) for n = 1..n_terms, t_0 = 1.
+
+    This is the smallest sequence with t_n >= ceil(r^n) and the Hadamard
+    condition t_n >= r * t_{n-1}, i.e. max(ceil(r^n), ceil(r * t_{n-1})):
+    t_{n-1} >= r^{n-1} gives r * t_{n-1} >= r^n, so ceil(r * t_{n-1}) >=
+    ceil(r^n), and t_n >= r * t_{n-1} >= r^n carries the induction on.  For
+    an integer r the terms are exactly r^n.
+    """
     r = Fraction(r)
     if r <= 1:
         raise NotLacunaryError(f"growth factor {r} is not > 1")
+    p, q = r.numerator, r.denominator
     terms = []
-    if r.denominator == 1:
-        b = r.numerator
-        power = 1
-        for _ in range(n_terms):
-            power *= b
-            terms.append(power)
-    else:
-        power = Fraction(1)
-        prev = None
-        for _ in range(n_terms):
-            power *= r
-            t = -((-power.numerator) // power.denominator)  # ceil
-            if prev is not None:
-                need = -((-r.numerator * prev) // r.denominator)  # ceil(r*prev)
-                t = max(t, need)
-            terms.append(t)
-            prev = t
+    t = 1
+    for _ in range(n_terms):
+        t = -((-p * t) // q)  # ceil(r * t)
+        terms.append(t)
     ok, bad = verify_hadamard(terms, r)
     assert ok, f"construction violated Hadamard at {bad}"
     return LacunarySequence(tuple(terms), r, True)

@@ -9,6 +9,27 @@ bands of width 2*eps/a~_n, and because consecutive frequency ratios dominate
 1/eps + 2, every feasible interval contains a full band of the next constraint.
 Every returned alpha is re-verified at full precision; nothing is trusted from
 the construction.
+
+Every decision is an integer comparison; no Fraction is built per step.
+
+- The ratio precondition a_{n+1}/a_n >= 1/eps + 2 is cross-multiplied:
+  a_{n+1}*e_num >= a_n*(e_den + 2*e_num) for eps = e_num/e_den, a_n > 0.
+- The band search carries the interval as integers L, H over one shared,
+  unreduced denominator Q > 0.  With x = p/q, eps' = e_num/e_den (eps less
+  the search slack) and R = Q*q*e_den, the quantities lo*a - x - eps',
+  hi*a - x + eps' and the centre's c*a - x are integers over R or 2R, so the
+  band indices j_min, j_max come from floor division, j_best from the same
+  half-to-even rounding round(Fraction) applies, and the tie toward lower
+  alpha from comparing two integers scaled by 2R.  The chosen band is
+  (p*e_den + j*q*e_den -+ e_num*q) / (q*e_den*a), and clipping the interval
+  to it compares cross-products.  Scaling by a positive integer preserves
+  every floor, ceiling, rounding and order, so each decision is the one the
+  rational arithmetic makes, and alpha is the same.
+- The postcondition reads the residue stream: for alpha = m*2^-P and
+  res = m*a mod 2^P, {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P),
+  exact because q*m*a and q*res agree mod q*2^P.  Its distance to the
+  nearest integer is compared with eps by cross-multiplication and kept
+  unreduced in each Constraint.
 """
 
 from __future__ import annotations
@@ -17,10 +38,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
-
-from .cf import dist_to_int
-from .dyadic import DyadicReal, TorusPoint, format_decimal
+from .dyadic import (
+    DyadicReal,
+    TorusPoint,
+    alpha_precision,
+    format_decimal,
+    format_ratio,
+    residue_bits,
+    residues,
+)
 from .errors import (
     DeltaUncertifiableError,
     EpsilonDomainError,
@@ -55,9 +81,17 @@ class TuranParameters:
 
 @dataclass(frozen=True)
 class Constraint:
+    """||alpha*frequency - target|| = achieved_num/achieved_den, kept
+    unreduced; the Fraction is built only when read."""
+
     frequency: int
     target: Fraction
-    achieved: Fraction
+    achieved_num: int
+    achieved_den: int
+
+    @property
+    def achieved(self) -> Fraction:
+        return Fraction(self.achieved_num, self.achieved_den)
 
 
 @dataclass(frozen=True)
@@ -89,7 +123,7 @@ class DilationCertificate:
                 {
                     "frequency": str(c.frequency),
                     "target": str(c.target),
-                    "achieved": format_decimal(c.achieved, 40),
+                    "achieved": format_ratio(c.achieved_num, c.achieved_den, 40),
                 }
                 for c in self.constraints
             ],
@@ -146,29 +180,61 @@ def _greedy_band_search(
 ):
     """Intersect per-frequency bands ||alpha*a - x|| <= eps', keeping at each
     step the band whose center is nearest the current interval's center (ties
-    toward lower alpha).  Returns the final feasible (lo, hi)."""
+    toward lower alpha).  Returns the final feasible (lo, hi).
+
+    lo and hi are carried as integers L, H over one shared, unreduced
+    denominator Q > 0; after a step whose band lies inside the interval, Q is
+    that band's q*e_den*a for x = p/q and eps' = e_num/e_den.  Every decision
+    is an exact integer comparison (see the module docstring)."""
     eps = epsilon * (1 - _SEARCH_SLACK)
+    en, ed = eps.numerator, eps.denominator
+    L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    Q = lo.denominator * hi.denominator
     for n, (a, x) in enumerate(zip(frequencies, targets), start=1):
-        j_min = math.ceil(lo * a - x - eps)
-        j_max = math.floor(hi * a - x + eps)
+        p, q = x.numerator, x.denominator
+        # Scaled by R = Q*q*ed: lo*a - x - eps is s_lo and hi*a - x + eps is
+        # s_lo + w.  A = q*ed*a is also the denominator of this step's band.
+        R = Q * q * ed
+        A = q * ed * a
+        E = en * q * Q
+        LA, dA = L * A, (H - L) * A
+        s_lo = LA - (p * ed + en * q) * Q
+        w = dA + 2 * E
+        # the one wide division; every other quotient below is short
+        base, rem = divmod(s_lo, R)
+        j_min = base + (rem != 0)
+        j_max = base + (rem + w) // R
         if j_min > j_max:
             raise InfeasibleAtStepError(n)
-        c = (lo + hi) / 2
-        j_best = round(c * a - x)
+        # c*a - x = base + t/(2R) for the centre c = (lo + hi)/2
+        t = 2 * rem + w
+        two_r = 2 * R
+        f, t_rem = divmod(t, two_r)
+        j_best = base + f
+        if 2 * t_rem > two_r or (2 * t_rem == two_r and j_best % 2 == 1):
+            j_best += 1  # half to even, as round(Fraction) does
         j_best = min(max(j_best, j_min), j_max)
-        # ties toward lower alpha: prefer j_best-1 when equally close
+        # ties toward lower alpha: prefer j_best-1 when equally close, i.e.
+        # |u - 2R| <= |u| for u = 2R*(j_best - (c*a - x))
         if j_best - 1 >= j_min:
-            d_lo = abs((x + j_best - 1) / a - c)
-            d_hi = abs((x + j_best) / a - c)
-            if d_lo <= d_hi:
+            u = two_r * (j_best - base) - t
+            if abs(u - two_r) <= abs(u):
                 j_best -= 1
-        band_lo = (x + j_best - eps) / a
-        band_hi = (x + j_best + eps) / a
-        lo = max(lo, band_lo)
-        hi = min(hi, band_hi)
-        if lo > hi:
+        # band [(x + j - eps)/a, (x + j + eps)/a] = [BL, BL + 2*en*q] / A
+        BL = (p + j_best * q) * ed - en * q
+        BLQ = BL * Q
+        keep_lo = LA >= BLQ  # lo >= band_lo
+        keep_hi = LA + dA <= BLQ + 2 * E  # hi <= band_hi
+        if not (keep_lo or keep_hi):
+            L, H, Q = BL, BL + 2 * en * q, A
+        elif keep_lo != keep_hi:
+            # one end clipped: bring both ends over Q*A (rare)
+            L = LA if keep_lo else BLQ
+            H = LA + dA if keep_hi else BLQ + 2 * E
+            Q = Q * A
+        if L > H:
             raise InfeasibleAtStepError(n)
-    return lo, hi
+    return Fraction(L, Q), Fraction(H, Q)
 
 
 def _target_fractions(targets) -> list[Fraction]:
@@ -203,10 +269,13 @@ def find_dilation(
     if len(xs) != thinned.K:
         raise ValueError(f"need {thinned.K} targets, got {len(xs)}")
     freqs = thinned.terms
-    # ratio precondition for greedy feasibility
-    need = 1 / epsilon + 2
+    if any(a <= 0 for a in freqs):
+        raise ValueError("frequencies must be positive")
+    # ratio precondition for greedy feasibility: a_{n+1}/a_n >= 1/eps + 2,
+    # i.e. a_{n+1}*e_num >= a_n*(e_den + 2*e_num)
+    en, ed = epsilon.numerator, epsilon.denominator
     for n in range(len(freqs) - 1):
-        if Fraction(freqs[n + 1], freqs[n]) < need:
+        if freqs[n + 1] * en < freqs[n] * (ed + 2 * en):
             raise InfeasibleAtStepError(
                 n + 2, f"frequency ratio at step {n + 2} below 1/eps + 2"
             )
@@ -230,21 +299,23 @@ def find_dilation(
     flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi)
     alpha_frac = (flo + fhi) / 2
     if precision_bits is None:
-        precision_bits = max(int(f).bit_length() for f in freqs) + 64
-        if thinned.parent is not None:
-            precision_bits = max(
-                precision_bits, max(t.bit_length() for t in thinned.parent.terms) + 64
-            )
+        parent_terms = thinned.parent.terms if thinned.parent is not None else ()
+        precision_bits = alpha_precision((*freqs, *parent_terms))
     alpha = DyadicReal.from_fraction(alpha_frac, precision_bits)
-    av = alpha.to_fraction()
+    # postcondition on the residue stream: with alpha = m*2^-P and x = p/q,
+    # {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), res = m*a mod 2^P
+    P = residue_bits(alpha)
     constraints = []
-    for a, x in zip(freqs, xs):
-        achieved = dist_to_int(av * a - x)
-        if achieved > epsilon:
+    for a, x, res in zip(freqs, xs, residues(alpha, freqs)):
+        p, q = x.numerator, x.denominator
+        den = q << P
+        f = (q * res - (p << P)) % den
+        dist = min(f, den - f)
+        if dist * ed > en * den:
             raise InfeasibleAtStepError(
-                0, f"postcondition violated: achieved {achieved} > eps {epsilon}"
+                0, f"postcondition violated: achieved {Fraction(dist, den)} > eps {epsilon}"
             )
-        constraints.append(Constraint(a, x, achieved))
+        constraints.append(Constraint(a, x, dist, den))
     bound = Fraction(1, thinned.K) + 2 * epsilon
     return DilationCertificate(
         alpha=alpha,
@@ -335,7 +406,7 @@ def find_dilation_dense(
         targets,
         eps,
         search_interval,
-        precision_bits=max(t.bit_length() for t in terms) + 64,
+        precision_bits=alpha_precision(terms),
     )
     assert cert.max_gap_bound == Fraction(3, N)
     return cert

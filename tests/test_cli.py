@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -70,6 +71,47 @@ class TestNestedAlpha:
         payload = json.loads(out)
         assert code == 0
         assert len(payload["blocks"]) == 2
+
+
+class TestByteIdentity:
+    """sha256 of stdout, recorded before the certify path moved from Fraction
+    to integer arithmetic; every decision and digit must stay the same."""
+
+    @pytest.mark.parametrize(
+        "argv,code,sha",
+        [
+            (
+                ("find-alpha", "--r", "3", "--n", "1024"),
+                0,
+                "744987c4ca655c44ef3a1cf62fbc2dd9c744ba7f54198cbd49b70e1a5f4e880b",
+            ),
+            (
+                ("find-alpha", "--r", "5/2", "--n", "512"),
+                0,
+                "b80b178dabba95e1b11e729f6dcc4ab765e0c180533c8c7b8494913aca15379d",
+            ),
+            (
+                ("nested-alpha", "--r", "3", "--k-start", "3", "--k-end", "4"),
+                0,
+                "245bcc41dff107c6a88d374c446f5010e6af3a030560e28485cb28c2225ca0c6",
+            ),
+            (
+                # fails the ratio precondition: nothing on stdout
+                ("nested-alpha", "--r", "3", "--k-start", "2", "--k-end", "3"),
+                1,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, code, sha):
+        got_code = main(list(argv))
+        captured = capsys.readouterr()
+        assert got_code == code
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
+        if code:
+            assert captured.err == (
+                "error [infeasible-at-step]: frequency ratio at step 2 below 1/eps + 2\n"
+            )
 
 
 class TestMetricScan:

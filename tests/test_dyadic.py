@@ -11,13 +11,25 @@ from lacuna.dyadic import (
     DilatedSet,
     DyadicReal,
     TorusPoint,
+    alpha_precision,
     dilate,
     dist_nearest_int,
+    format_decimal,
+    format_ratio,
     frac,
     gap_report,
+    require_precision,
+    residue_bits,
+    residues,
 )
 from lacuna.errors import EmptyConfigurationError, PrecisionTooLowError
-from lacuna.sequences import geometric_sequence
+from lacuna.sequences import (
+    geometric_sequence,
+    load_sequence,
+    save_sequence,
+    thin,
+    thin_block,
+)
 
 
 def dy(num, den=1, bits=96):
@@ -246,7 +258,79 @@ class TestResidueForm:
         assert len(pts[1:3]) == 2 and len(dilate(dy(7, 10, 128), [])) == 0
 
 
+def product_residues(alpha, terms):
+    mask = (1 << residue_bits(alpha)) - 1
+    return [(alpha.mantissa * int(a)) & mask for a in terms]
+
+
+class TestResidueRecurrence:
+    """residues() advances by b * x where a_{n+1} = b * a_n and falls back to
+    m * a elsewhere; both must give m * a & mask."""
+
+    ALPHA = DyadicReal.from_fraction(Fraction(7, 10), 4000)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [3, 9, 27, 28, 84, 7, 21],
+            [5, 0, 0, 10, 20, -40, 80, 1 << 100, 1 << 164, 1 << 165],
+            geometric_sequence(Fraction(5, 2), 300).terms,
+            geometric_sequence(Fraction(3), 300).terms,
+            thin(geometric_sequence(Fraction(3), 2048), 2048).terms,
+            thin_block(geometric_sequence(Fraction(2), 1024), 512).terms,
+        ],
+    )
+    def test_matches_products(self, terms):
+        assert list(residues(self.ALPHA, terms)) == product_residues(self.ALPHA, terms)
+
+    def test_loaded_file_with_one_bumped_term(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        save_sequence(path, geometric_sequence(Fraction(3), 200))
+        lines = path.read_text().splitlines()
+        lines[101] = str(int(lines[101]) + 1)  # header is line 0: bumps a_101
+        path.write_text("\n".join(lines) + "\n")
+        seq = load_sequence(path)
+        assert seq.terms[100] % seq.terms[99] != 0
+        got = list(residues(self.ALPHA, seq.terms))
+        assert got == product_residues(self.ALPHA, seq.terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-(1 << 300), 1 << 300),
+        st.integers(-400, 4),
+        st.integers(1, 1 << 80),
+        st.lists(
+            st.one_of(
+                st.integers(-3, 1 << 70).map(lambda b: ("times", b)),
+                st.integers(-(1 << 200), 1 << 200).map(lambda a: ("new", a)),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_chains_match_products(self, m, e, first, steps):
+        terms = [first]
+        for kind, v in steps:
+            terms.append(terms[-1] * v if kind == "times" else v)
+        alpha = DyadicReal(m, e, 1024)
+        assert list(residues(alpha, terms)) == product_residues(alpha, terms)
+
+
+class TestPrecisionPolicy:
+    def test_alpha_precision_passes_the_dilation_gate(self):
+        terms = geometric_sequence(Fraction(3), 100).terms
+        bits = alpha_precision(terms)
+        assert bits == terms[-1].bit_length() + 64
+        require_precision(DyadicReal.from_fraction(Fraction(1, 3), bits), terms)
+        assert alpha_precision([-(1 << 10), 3]) == 11 + 64
+
+
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "num,den", [(0, 8), (2, 8), (10, 4), (-6, 9), (1, 3), (7 << 200, 21 << 150)]
+    )
+    def test_unreduced_ratio_formats_as_its_value(self, num, den):
+        assert format_ratio(num, den, 40) == format_decimal(Fraction(num, den), 40)
+
     def test_json_dict_shape(self):
         rep = gap_report([TorusPoint(dy(1, 4)), TorusPoint(dy(3, 4))])
         d = rep.to_json_dict()

@@ -69,6 +69,36 @@ class TestGeometric:
         assert ok and bad is None and seq.verified
 
 
+def power_loop_geometric(r, n_terms):
+    """The earlier construction: max(ceil(r^n), ceil(r * t_{n-1})) from a
+    Fraction power loop, r^n itself for an integer r."""
+    terms = []
+    if r.denominator == 1:
+        power = 1
+        for _ in range(n_terms):
+            power *= r.numerator
+            terms.append(power)
+        return terms
+    power, prev = Fraction(1), None
+    for _ in range(n_terms):
+        power *= r
+        t = -((-power.numerator) // power.denominator)
+        if prev is not None:
+            t = max(t, -((-r.numerator * prev) // r.denominator))
+        terms.append(t)
+        prev = t
+    return terms
+
+
+class TestGeometricRecurrence:
+    @pytest.mark.parametrize(
+        "r",
+        [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3), Fraction(11, 10)],
+    )
+    def test_matches_power_loop(self, r):
+        assert list(geometric_sequence(r, 2000).terms) == power_loop_geometric(r, 2000)
+
+
 class TestVerifyHadamard:
     def test_good(self):
         assert verify_hadamard([2, 4, 8], Fraction(2)) == (True, None)

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacuna import turan
+from lacuna.cf import dist_to_int
 from lacuna.dyadic import DyadicReal, dilate, gap_report
 from lacuna.errors import (
     DeltaUncertifiableError,
     EpsilonDomainError,
+    InfeasibleAtStepError,
     IntervalTooShortError,
     NotSuperLacunaryError,
 )
 from lacuna.sequences import ThinnedSequence, geometric_sequence, thin
 from lacuna.turan import (
+    _greedy_band_search,
     delta_lower_bound,
     equidistant_targets,
     find_alpha,
@@ -23,6 +27,39 @@ from lacuna.turan import (
     find_dilation_dense,
     turan_M,
 )
+
+
+def fraction_band_search(frequencies, targets, epsilon, lo, hi):
+    """Reference band search in Fraction arithmetic (the construction the
+    integer search must reproduce decision for decision)."""
+    eps = epsilon * (1 - Fraction(1, 1 << 12))
+    for n, (a, x) in enumerate(zip(frequencies, targets), start=1):
+        j_min = math.ceil(lo * a - x - eps)
+        j_max = math.floor(hi * a - x + eps)
+        if j_min > j_max:
+            raise InfeasibleAtStepError(n)
+        c = (lo + hi) / 2
+        j_best = round(c * a - x)
+        j_best = min(max(j_best, j_min), j_max)
+        if j_best - 1 >= j_min:
+            d_lo = abs((x + j_best - 1) / a - c)
+            d_hi = abs((x + j_best) / a - c)
+            if d_lo <= d_hi:
+                j_best -= 1
+        band_lo = (x + j_best - eps) / a
+        band_hi = (x + j_best + eps) / a
+        lo = max(lo, band_lo)
+        hi = min(hi, band_hi)
+        if lo > hi:
+            raise InfeasibleAtStepError(n)
+    return lo, hi
+
+
+def search_outcome(search, *args):
+    try:
+        return search(*args)
+    except InfeasibleAtStepError as exc:
+        return ("infeasible", exc.step)
 
 
 def pseudo_thinned(terms, K=None):
@@ -206,3 +243,118 @@ class TestFindDilationDense:
     def test_plain_powers_rejected(self):
         with pytest.raises(NotSuperLacunaryError):
             find_dilation_dense([2**n for n in range(1, 17)], 16, Fraction(2))
+
+
+small_fractions = st.fractions(
+    min_value=Fraction(-3, 2), max_value=Fraction(5, 2), max_denominator=12
+)
+
+
+class TestIntegerBandSearch:
+    """The integer band search against the Fraction reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 80), small_fractions), min_size=1, max_size=5
+        ),
+        st.fractions(
+            min_value=Fraction(1, 60), max_value=Fraction(1, 2), max_denominator=60
+        ),
+        small_fractions,
+        st.fractions(min_value=Fraction(0), max_value=Fraction(2), max_denominator=12),
+    )
+    def test_matches_fraction_reference(self, steps, eps, lo, width):
+        freqs = [a for a, _ in steps]
+        xs = [x for _, x in steps]
+        hi = lo + width
+        want = search_outcome(fraction_band_search, freqs, xs, eps, lo, hi)
+        got = search_outcome(_greedy_band_search, freqs, xs, eps, lo, hi)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "freqs,xs,eps,lo,hi",
+        [
+            # c*a - x = 3/2: round() gives 2, the tie rule moves to the band at 1
+            ((1,), (Fraction(0),), Fraction(1, 10), Fraction(0), Fraction(3)),
+            # c*a - x = 5/2: round() gives 2, already the lower of the tie
+            ((1,), (Fraction(0),), Fraction(1, 10), Fraction(0), Fraction(5)),
+            # the band holds the whole interval: both ends kept
+            ((4,), (Fraction(1, 3),), Fraction(1, 5), Fraction(3, 10), Fraction(7, 20)),
+            # the band sticks out below lo: lo is kept, hi clipped
+            ((1,), (Fraction(0),), Fraction(1, 10), Fraction(1, 20), Fraction(1, 2)),
+            # the bands stick out above hi: lo clipped, hi kept, twice
+            ((3, 7), (Fraction(0), Fraction(1, 2)), Fraction(1, 4), Fraction(1, 10), Fraction(1, 3)),
+            # eps' = 1/10 exactly: the band at 1 touches hi in one point
+            ((1,), (Fraction(0),), Fraction(4096, 40950), Fraction(17, 20), Fraction(9, 10)),
+            # ... and the band at 0 touches lo in one point
+            ((1,), (Fraction(0),), Fraction(4096, 40950), Fraction(1, 10), Fraction(3, 20)),
+            # no band of the second frequency meets the first band
+            ((5, 6), (Fraction(0), Fraction(1, 2)), Fraction(1, 40), Fraction(0), Fraction(1)),
+            # the interval holds no band at all
+            ((2,), (Fraction(1, 4),), Fraction(1, 100), Fraction(0), Fraction(1, 10)),
+        ],
+    )
+    def test_ties_clips_and_failures(self, freqs, xs, eps, lo, hi):
+        want = search_outcome(fraction_band_search, freqs, xs, eps, lo, hi)
+        assert search_outcome(_greedy_band_search, freqs, xs, eps, lo, hi) == want
+
+    def test_tie_goes_to_lower_alpha(self):
+        lo, hi = _greedy_band_search((1,), (Fraction(0),), Fraction(1, 10), Fraction(0), Fraction(3))
+        assert lo < 1 < hi
+
+    @pytest.mark.parametrize("r,N", [(Fraction(3), 512), (Fraction(5, 2), 512), (Fraction(2), 256)])
+    def test_find_alpha_bands_match_reference(self, r, N):
+        seq = geometric_sequence(r, N)
+        th = thin(seq, N)
+        xs = [Fraction(j, th.K) for j in range(th.K)]
+        eps = turan.block_epsilon(seq, N)
+        args = (th.terms, xs, eps, Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2))
+        assert _greedy_band_search(*args) == fraction_band_search(*args)
+
+
+class TestRatioPrecondition:
+    @pytest.mark.parametrize("second,ok", [(120, True), (119, False), (121, True)])
+    def test_boundary_is_exact(self, second, ok):
+        # a_2/a_1 against 1/eps + 2 = 12 exactly, for eps = 1/10
+        th = pseudo_thinned((10, second))
+        if ok:
+            find_dilation(th, [Fraction(0), Fraction(1, 2)], Fraction(1, 10))
+        else:
+            with pytest.raises(InfeasibleAtStepError, match="frequency ratio") as exc:
+                find_dilation(th, [Fraction(0), Fraction(1, 2)], Fraction(1, 10))
+            assert exc.value.step == 2
+
+    def test_nonpositive_frequency_rejected(self):
+        with pytest.raises(ValueError):
+            find_dilation(pseudo_thinned((0, 100)), [Fraction(0)] * 2, Fraction(1, 10))
+
+
+class TestResiduePostcondition:
+    @pytest.mark.parametrize("r,N", [(Fraction(3), 512), (Fraction(5, 2), 512), (Fraction(2), 256)])
+    def test_achieved_is_distance_to_target(self, r, N):
+        cert = find_alpha(geometric_sequence(r, N), N)
+        av = cert.alpha.to_fraction()
+        for c in cert.constraints:
+            assert c.achieved == dist_to_int(av * c.frequency - c.target)
+            assert c.achieved <= cert.parameters.epsilon
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_fractions, min_size=3, max_size=3))
+    def test_arbitrary_targets(self, xs):
+        th = pseudo_thinned((1000, 10**6, 10**9))
+        cert = find_dilation(th, xs, Fraction(1, 100))
+        av = cert.alpha.to_fraction()
+        for c, a, x in zip(cert.constraints, th.terms, xs):
+            assert (c.frequency, c.target) == (a, x)
+            assert c.achieved == dist_to_int(av * a - x) <= Fraction(1, 100)
+
+    def test_out_of_band_search_result_raises(self, monkeypatch):
+        # a search that lands far from every band must fail the postcondition
+        monkeypatch.setattr(
+            turan, "_greedy_band_search", lambda *args: (Fraction(1, 7), Fraction(1, 7))
+        )
+        th = pseudo_thinned((1000, 10**6, 10**9))
+        with pytest.raises(InfeasibleAtStepError) as exc:
+            find_dilation(th, [Fraction(0), Fraction(1, 3), Fraction(2, 3)], Fraction(1, 100))
+        assert exc.value.step == 0 and "postcondition violated" in str(exc.value)
