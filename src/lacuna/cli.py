@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bump as bump_mod
@@ -27,17 +26,9 @@ from .sequences import geometric_sequence, load_sequence, smallest_l, thin
 from .turan import find_alpha
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    args: argparse.Namespace
-
-    @property
-    def precision_override(self) -> int | None:
-        if self.args.precision:
-            return self.args.precision
-        env = os.environ.get("LACUNA_PRECISION_BITS")
-        return int(env) if env else None
+def _precision_override(args) -> int:
+    """--precision, else LACUNA_PRECISION_BITS, else 0 (no override)."""
+    return args.precision or int(os.environ.get("LACUNA_PRECISION_BITS") or 0)
 
 
 def _dyadic_json(x: DyadicReal) -> dict:
@@ -89,10 +80,9 @@ def _parse_real(spec: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gaps(cfg: RunConfig):
-    a = cfg.args
+def _cmd_gaps(a):
     seq = _build_seq(a, a.n)
-    prec = max(alpha_precision(seq.terms[: a.n]), cfg.precision_override or 0)
+    prec = max(alpha_precision(seq.terms[: a.n]), _precision_override(a))
     alpha = DyadicReal.from_fraction(Fraction(a.alpha), prec)
     rep = gap_report(dilate(alpha, seq, 1, a.n), a.eps)
     payload = {"alpha": _dyadic_json(alpha), **rep.to_json_dict()}
@@ -100,8 +90,7 @@ def _cmd_gaps(cfg: RunConfig):
     return 0
 
 
-def _cmd_find_alpha(cfg: RunConfig):
-    a = cfg.args
+def _cmd_find_alpha(a):
     seq = _build_seq(a, a.n)
     cert = find_alpha(seq, a.n)
     rep = gap_report(dilate(cert.alpha, seq, 1, a.n))
@@ -114,8 +103,7 @@ def _cmd_find_alpha(cfg: RunConfig):
     return 0 if payload["bound_met"] else 1
 
 
-def _cmd_nested_alpha(cfg: RunConfig):
-    a = cfg.args
+def _cmd_nested_alpha(a):
     seq = _build_seq(a, 2 * 4**a.k_end)
     chain = build_nested_alpha(seq, a.k_start, a.k_end)
     payload = chain.to_json_dict()
@@ -123,15 +111,14 @@ def _cmd_nested_alpha(cfg: RunConfig):
     return 0
 
 
-def _cmd_metric_scan(cfg: RunConfig):
-    a = cfg.args
+def _cmd_metric_scan(a):
     n_list = []
     n = a.n_min
     while n <= a.n_max:
         n_list.append(n)
         n *= 2
     seq = _build_seq(a, n_list[-1])
-    prec = max(alpha_precision(seq.terms[: n_list[-1]]), cfg.precision_override or 0)
+    prec = max(alpha_precision(seq.terms[: n_list[-1]]), _precision_override(a))
     alphas = [
         metric.sample_alpha(a.measure, a.seed * 1000003 + i, prec)
         for i in range(a.alphas)
@@ -156,8 +143,7 @@ def _cmd_metric_scan(cfg: RunConfig):
     return 0
 
 
-def _cmd_moment_check(cfg: RunConfig):
-    a = cfg.args
+def _cmd_moment_check(a):
     seq = _build_seq(a, a.n)
     thinned = thin(seq, a.n)
     params = metric.MetricParameters.for_n(a.n, Fraction(a.eps).limit_denominator(1000))
@@ -182,8 +168,7 @@ def _cmd_moment_check(cfg: RunConfig):
     return 0 if res.passed else 1
 
 
-def _cmd_cf(cfg: RunConfig):
-    a = cfg.args
+def _cmd_cf(a):
     value = _parse_real(a.value)
     expansion = cf_mod.expand(value, a.depth)
     payload = expansion.to_json_dict()
@@ -194,8 +179,7 @@ def _cmd_cf(cfg: RunConfig):
     return 0
 
 
-def _cmd_littlewood(cfg: RunConfig):
-    a = cfg.args
+def _cmd_littlewood(a):
     beta = _parse_real(a.beta)
     alpha = (
         _parse_real(a.alpha)
@@ -222,104 +206,95 @@ def _cmd_littlewood(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; a flag whose key (dashes as underscores) is in
+    ``config`` takes the config string as its default and is not required."""
+    config = config or {}
     p = argparse.ArgumentParser(prog="lacuna")
     p.add_argument("--config", help="key=value defaults file; flags win")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--precision", type=int, default=0)
-        sp.add_argument("--out")
+    def subcommand(name, func):
+        sp = sub.add_parser(name)
+        sp.set_defaults(func=func)
 
-    g = sub.add_parser("gaps")
-    g.add_argument("--r", default="2")
-    g.add_argument("--seq")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--alpha", required=True)
-    g.add_argument("--eps", type=float, default=0.05)
+        def flag(name, **kw):
+            key = name[2:].replace("-", "_")
+            if key in config:
+                kw.update(default=config[key], required=False)
+            sp.add_argument(name, **kw)
+
+        return flag
+
+    def common(flag):
+        flag("--precision", type=int, default=0)
+        flag("--out")
+
+    g = subcommand("gaps", _cmd_gaps)
+    g("--r", default="2")
+    g("--seq")
+    g("--n", type=int, required=True)
+    g("--alpha", required=True)
+    g("--eps", type=float, default=0.05)
     common(g)
-    g.set_defaults(func=_cmd_gaps)
 
-    f = sub.add_parser("find-alpha")
-    f.add_argument("--r", default="2")
-    f.add_argument("--seq")
-    f.add_argument("--n", type=int, required=True)
+    f = subcommand("find-alpha", _cmd_find_alpha)
+    f("--r", default="2")
+    f("--seq")
+    f("--n", type=int, required=True)
     common(f)
-    f.set_defaults(func=_cmd_find_alpha)
 
-    na = sub.add_parser("nested-alpha")
-    na.add_argument("--r", default="3")
-    na.add_argument("--seq")
-    na.add_argument("--k-start", type=int, default=3)
-    na.add_argument("--k-end", type=int, default=5)
+    na = subcommand("nested-alpha", _cmd_nested_alpha)
+    na("--r", default="3")
+    na("--seq")
+    na("--k-start", type=int, default=3)
+    na("--k-end", type=int, default=5)
     common(na)
-    na.set_defaults(func=_cmd_nested_alpha)
 
-    ms = sub.add_parser("metric-scan")
-    ms.add_argument("--r", default="2")
-    ms.add_argument("--seq")
-    ms.add_argument("--n-min", type=int, default=1024)
-    ms.add_argument("--n-max", type=int, default=65536)
-    ms.add_argument("--alphas", type=int, default=100)
-    ms.add_argument("--measure", default="lebesgue")
-    ms.add_argument("--seed", type=int, default=0)
-    ms.add_argument("--eps", type=float, default=0.05)
+    ms = subcommand("metric-scan", _cmd_metric_scan)
+    ms("--r", default="2")
+    ms("--seq")
+    ms("--n-min", type=int, default=1024)
+    ms("--n-max", type=int, default=65536)
+    ms("--alphas", type=int, default=100)
+    ms("--measure", default="lebesgue")
+    ms("--seed", type=int, default=0)
+    ms("--eps", type=float, default=0.05)
     common(ms)
-    ms.set_defaults(func=_cmd_metric_scan)
 
-    mc = sub.add_parser("moment-check")
-    mc.add_argument("--r", default="3")
-    mc.add_argument("--seq")
-    mc.add_argument("--n", type=int, required=True)
-    mc.add_argument("--t", default="0")
-    mc.add_argument("--eps", default="1/20")
-    mc.add_argument("--points", type=int, default=1 << 14)
-    mc.add_argument("--method", default="auto")
+    mc = subcommand("moment-check", _cmd_moment_check)
+    mc("--r", default="3")
+    mc("--seq")
+    mc("--n", type=int, required=True)
+    mc("--t", default="0")
+    mc("--eps", default="1/20")
+    mc("--points", type=int, default=1 << 14)
+    mc("--method", default="auto")
     common(mc)
-    mc.set_defaults(func=_cmd_moment_check)
 
-    cfp = sub.add_parser("cf")
-    cfp.add_argument("--value", required=True)
-    cfp.add_argument("--depth", type=int, default=100)
+    cfp = subcommand("cf", _cmd_cf)
+    cfp("--value", required=True)
+    cfp("--depth", type=int, default=100)
     common(cfp)
-    cfp.set_defaults(func=_cmd_cf)
 
-    lwp = sub.add_parser("littlewood")
-    lwp.add_argument("--alpha")
-    lwp.add_argument("--beta", required=True)
-    lwp.add_argument("--eta", default="0")
-    lwp.add_argument("--zeta", default="0")
-    lwp.add_argument("--epsilon", default="1/10")
-    lwp.add_argument("--terms", type=int, default=30)
-    lwp.add_argument("--brute-n", type=int, default=0)
-    lwp.add_argument("--seed", type=int, default=0)
+    lwp = subcommand("littlewood", _cmd_littlewood)
+    lwp("--alpha")
+    lwp("--beta", required=True)
+    lwp("--eta", default="0")
+    lwp("--zeta", default="0")
+    lwp("--epsilon", default="1/10")
+    lwp("--terms", type=int, default=30)
+    lwp("--brute-n", type=int, default=0)
+    lwp("--seed", type=int, default=0)
     common(lwp)
-    lwp.set_defaults(func=_cmd_littlewood)
     return p
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    defaults = _load_config_defaults(argv)
-    if defaults:
-        # config file supplies defaults for every subparser that knows the key
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {
-                k: v for k, v in defaults.items() if action.get_default(k) is not None
-                or any(k == a.dest for a in action._actions)
-            }
-            typed = {}
-            for k, v in known.items():
-                for act in action._actions:
-                    if act.dest == k:
-                        typed[k] = act.type(v) if act.type else v
-                        act.required = False
-            action.set_defaults(**typed)
-    args = parser.parse_args(argv)
-    cfg = RunConfig(subcommand=args.subcommand, args=args)
+    args = build_parser(_load_config_defaults(argv)).parse_args(argv)
     try:
-        return args.func(cfg)
+        return args.func(args)
     except LacunaError as exc:
         sys.stderr.write(f"error [{exc.code}]: {exc}\n")
         return 1

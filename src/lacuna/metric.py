@@ -28,7 +28,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import simpson
 
 from .bump import BumpFunction
 from .dyadic import DyadicReal, dilate, dyadic_to_float, gap_report, residue_bits, residues
@@ -364,8 +363,8 @@ def smooth_count_fourier(
 
 
 def fourier_tail_bound(params: MetricParameters, bump: BumpFunction, k_max: int, count: int) -> float:
-    """Rigorous bound on the direct-vs-Fourier discrepancy from the transform
-    envelope: (M/N) * count * 2 * sum_{k > k_max} |Ff(Mk/N)|."""
+    """Bound on the direct-vs-Fourier discrepancy from the transform envelope
+    ``bump.tail_bound``: (M/N) * count * 2 * sum_{k > k_max} |Ff(Mk/N)|."""
     width = params.m.to_float() / params.n
     total = 0.0
     k = k_max + 1
@@ -476,8 +475,7 @@ def _moment_simpson(terms, t, weights, ten_r, n_q):
         vals += mult * 2.0 * (
             weights[:, None] * np.cos(2.0 * np.pi * np.outer(k, theta))
         ).sum(axis=0)
-    integrand = np.exp(vals / ten_r)
-    return float(simpson(integrand, dx=1.0 / n_q))
+    return _simpson(np.exp(vals / ten_r), 1.0 / n_q)
 
 
 def _moment_factorized(count, weights, ten_r, k_cut):
@@ -485,8 +483,12 @@ def _moment_factorized(count, weights, ten_r, k_cut):
     theta = np.arange(m + 1) / m
     k = np.arange(1, len(weights) + 1)
     g = 2.0 * (weights[:, None] * np.cos(2.0 * np.pi * np.outer(k, theta))).sum(axis=0)
-    c0 = float(simpson(np.exp(g / ten_r), dx=1.0 / m))
-    return c0**count
+    return _simpson(np.exp(g / ten_r), 1.0 / m) ** count
+
+
+def _simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson on an odd number of samples spaced dx apart."""
+    return float(np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from lacuna.errors import BumpUncertifiedError
 
 def mpmath_fourier(y: float) -> float:
     """Ff(y) from 30-digit tanh-sinh quadrature, split at quarter periods,
-    normalized by its own mass; shares nothing with the tabulation."""
+    normalized by its own mass; shares nothing with the trapezoid rule."""
     def g(x):
         return mp.exp(-1 / (1 - x**2))
 
@@ -81,21 +81,14 @@ class TestFourierTransform:
     def test_tail_actually_small(self, bump):
         assert bump.tail_bound(60.0) < 1e-7
 
-    @pytest.mark.parametrize("y", [0.0, 0.5, 10.0, 50.0])
+    def test_tail_bound_holds_beyond_the_sampled_range(self, bump):
+        # the envelope constant is sampled on [1, 96] only; past it the bound
+        # rests on the decay rate, which must match Ff's (|Ff(120)| = 4.05e-14)
+        assert abs(mpmath_fourier(120.0)) <= bump.tail_bound(120.0)
+
+    @pytest.mark.parametrize("y", [0.0, 1 / 1024, 0.5, 1.7, 10.0, 50.0])
     def test_grid_matches_mpmath_reference(self, bump, y):
-        assert y % bump.grid_step == 0.0
         assert abs(bump.fourier(y) - mpmath_fourier(y)) < 1e-13
-
-    def test_off_grid_within_interpolation_budget(self, bump):
-        y = 1.7
-        assert y % bump.grid_step != 0.0
-        assert abs(bump.fourier(y) - mpmath_fourier(y)) < 1e-12
-
-    def test_first_cell_uses_even_symmetry(self, bump):
-        # the spline is clamped to Ff'(0) = 0; a not-a-knot end is off by 3.1e-11
-        y = 1 / 1024
-        assert y % bump.grid_step != 0.0
-        assert abs(bump.fourier(y) - mpmath_fourier(y)) < 5e-12
 
 
 class TestSelfCheck:

@@ -36,6 +36,14 @@ class TestGaps:
         x = DyadicReal(int(a["hex_mantissa"], 16), a["exponent"])
         assert abs(x.to_float() - 0.7) < 1e-15
 
+    def test_precision_from_env_then_flag(self, capsys, monkeypatch):
+        argv = ["gaps", "--r", "2", "--n", "5", "--alpha", "7/10"]
+        monkeypatch.setenv("LACUNA_PRECISION_BITS", "200")
+        _, out = run(capsys, *argv)
+        assert json.loads(out)["alpha"]["exponent"] == -200
+        _, out = run(capsys, *argv, "--precision", "300")
+        assert json.loads(out)["alpha"]["exponent"] == -300
+
 
 class TestFindAlpha:
     def test_bound_met(self, capsys):
@@ -209,6 +217,22 @@ class TestConfigFile:
             capsys, "--config", str(cfg), "gaps", "--n", "4"
         )
         assert json.loads(out)["n"] == 4
+
+    def test_typed_key_on_metric_scan(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alphas = 2\nn-min = 64\nn_max = 128\n")
+        code, out = run(capsys, "--config", str(cfg), "metric-scan")
+        assert code == 0
+        csv_text, _, summary = out.partition("\n{")
+        assert csv_text.count("\n") == 2 * 2  # 2 alphas at N = 64, 128
+        assert json.loads("{" + summary)["rows"] == 4
+
+    def test_unknown_key_is_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 5\nalpha = 7/10\nno-such-key = 3\n")
+        code, out = run(capsys, "--config", str(cfg), "gaps")
+        assert code == 0
+        assert json.loads(out)["n"] == 5
 
 
 class TestErrors:
