@@ -7,7 +7,6 @@ from .dyadic import (
     GapReport,
     TorusPoint,
     dilate,
-    dist_nearest_int,
     frac,
     gap_report,
 )

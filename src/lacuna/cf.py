@@ -3,7 +3,10 @@ exact arithmetic for quadratic irrationals.
 
 Quadratic irrationals are carried symbolically as x + y*sqrt(d) with rational
 x, y, so expansions and nearest-integer distances never hit a precision
-horizon.  Dyadic inputs are expanded by the Euclidean algorithm with an
+horizon.  dist_to_int is the one nearest-integer distance on exact scalars
+(Fraction or QuadraticReal): |x - j| with j = floor(x + 1/2), where a
+QuadraticReal's floor is one integer floor over the common denominator of
+x and y.  Dyadic inputs are expanded by the Euclidean algorithm with an
 explicit horizon: quotients are only trusted while the convergent denominator
 stays well below sqrt(2^precision)."""
 
@@ -13,10 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import DyadicReal, dist_nearest_int, require_precision
+from .dyadic import DyadicReal
 from .errors import CfPrecisionExhaustedError, InsufficientDepthError
 
 _LN2 = math.log(2)
+_HALF = Fraction(1, 2)
 
 
 def log_int(n: int) -> float:
@@ -163,34 +167,31 @@ class QuadraticReal:
         return xa
 
     def to_float(self) -> float:
-        m = self._scaled_int(64)
-        if m == 0:
+        """The float nearest floor(self * 2^s) / 2^s, s = 64.  Where s = 64
+        leaves fewer than 53 significant bits (below about 2^-11), s is
+        raised until the scaled integer carries 64."""
+        if not (self.x or self.y):
             return 0.0
-        bl = abs(m).bit_length()
-        if bl <= 512:
-            return math.ldexp(m, -64)
-        sh = bl - 64
-        return math.ldexp(m >> sh, sh - 64)
+        shift, m = 64, self._scaled_int(64)
+        if abs(m).bit_length() < 53:
+            while (bl := abs(m).bit_length()) < 64:
+                shift += 65 - bl if bl > 1 else shift
+                m = self._scaled_int(shift)
+        return m / (1 << shift)  # int / int rounds correctly
 
     def floor(self) -> int:
-        if self.y == 0:
-            return math.floor(self.x)
-        # integer estimate at 64 fractional bits via isqrt, then an exact fix
-        # (off by at most a couple of units, never more)
-        est = self._scaled_int(64) >> 64
-        while self._cmp(est + 1) >= 0:
-            est += 1
-        while self._cmp(est) < 0:
-            est -= 1
-        return est
+        """floor((A + B*sqrt(d)) / C) over the common denominator C = b*e of
+        x = a/b and y = c/e.  B*sqrt(d) is irrational unless B = 0, so its
+        floor is one isqrt, and floor((A + floor(B*sqrt(d))) / C) is exact."""
+        a, b = self.x.numerator, self.x.denominator
+        c, e = self.y.numerator, self.y.denominator
+        s = math.isqrt(c * c * b * b * self.d)
+        return (a * e + (-s - 1 if c < 0 else s)) // (b * e)
 
-    def frac(self) -> "QuadraticReal":
-        return self - self.floor()
+    __floor__ = floor
 
-    def dist_nearest_int(self) -> "QuadraticReal":
-        f = self.frac()
-        g = QuadraticReal(Fraction(1), Fraction(0), self.d) - f
-        return f if f <= g else g
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
 
     def to_dyadic(self, precision_bits: int) -> DyadicReal:
         scaled = QuadraticReal(
@@ -203,11 +204,10 @@ class QuadraticReal:
 
 
 def dist_to_int(x):
-    """||x||, exact and of the same type as x (QuadraticReal or Fraction)."""
-    if isinstance(x, QuadraticReal):
-        return x.dist_nearest_int()
-    f = x - math.floor(x)
-    return min(f, 1 - f)
+    """||x||, the distance to the nearest integer: |x - j| with j =
+    floor(x + 1/2).  Exact, and of the same type as x (QuadraticReal or
+    Fraction)."""
+    return abs(x - math.floor(x + _HALF))
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +380,3 @@ def is_bad_proxy(cf: ContinuedFraction, bound: int) -> bool:
     if cf.rational_terminated:
         return False
     return all(c <= bound for c in cf.partial_quotients)
-
-
-def inhom_distance(beta, n: int, zeta) -> DyadicReal:
-    """||beta*n - zeta||, exact for quadratic beta, precision-checked for dyadic."""
-    if isinstance(beta, QuadraticReal):
-        z = zeta if isinstance(zeta, (Fraction, int)) else Fraction(zeta)
-        v = beta * n - QuadraticReal(Fraction(z), Fraction(0), beta.d)
-        return v.dist_nearest_int().to_dyadic(96)
-    if isinstance(beta, DyadicReal):
-        require_precision(beta, (n,))
-        z = zeta if isinstance(zeta, DyadicReal) else DyadicReal.from_fraction(
-            Fraction(zeta), beta.precision_bits
-        )
-        return dist_nearest_int(beta * n - z)
-    raise TypeError(f"unsupported beta type {type(beta).__name__}")

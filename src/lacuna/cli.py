@@ -226,30 +226,27 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
         return flag
 
-    def common(flag):
-        flag("--precision", type=int, default=0)
-        flag("--out")
-
     g = subcommand("gaps", _cmd_gaps)
     g("--r", default="2")
     g("--seq")
     g("--n", type=int, required=True)
     g("--alpha", required=True)
     g("--eps", type=float, default=0.05)
-    common(g)
+    g("--precision", type=int, default=0)
+    g("--out")
 
     f = subcommand("find-alpha", _cmd_find_alpha)
     f("--r", default="2")
     f("--seq")
     f("--n", type=int, required=True)
-    common(f)
+    f("--out")
 
     na = subcommand("nested-alpha", _cmd_nested_alpha)
     na("--r", default="3")
     na("--seq")
     na("--k-start", type=int, default=3)
     na("--k-end", type=int, default=5)
-    common(na)
+    na("--out")
 
     ms = subcommand("metric-scan", _cmd_metric_scan)
     ms("--r", default="2")
@@ -260,7 +257,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     ms("--measure", default="lebesgue")
     ms("--seed", type=int, default=0)
     ms("--eps", type=float, default=0.05)
-    common(ms)
+    ms("--precision", type=int, default=0)
+    ms("--out")
 
     mc = subcommand("moment-check", _cmd_moment_check)
     mc("--r", default="3")
@@ -270,12 +268,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     mc("--eps", default="1/20")
     mc("--points", type=int, default=1 << 14)
     mc("--method", default="auto")
-    common(mc)
+    mc("--out")
 
     cfp = subcommand("cf", _cmd_cf)
     cfp("--value", required=True)
     cfp("--depth", type=int, default=100)
-    common(cfp)
+    cfp("--out")
 
     lwp = subcommand("littlewood", _cmd_littlewood)
     lwp("--alpha")
@@ -286,7 +284,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     lwp("--terms", type=int, default=30)
     lwp("--brute-n", type=int, default=0)
     lwp("--seed", type=int, default=0)
-    common(lwp)
+    lwp("--out")
     return p
 
 

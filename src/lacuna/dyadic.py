@@ -55,10 +55,6 @@ class DyadicReal:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int, precision_bits: int = DEFAULT_PRECISION_BITS):
-        return cls(n, 0, precision_bits)
-
-    @classmethod
     def from_float(cls, x: float, precision_bits: int = DEFAULT_PRECISION_BITS):
         if x != x or x in (float("inf"), float("-inf")):
             raise ValueError("non-finite float")
@@ -283,13 +279,6 @@ def frac(x: DyadicReal) -> TorusPoint:
     return TorusPoint(x - fl)
 
 
-def dist_nearest_int(x: DyadicReal) -> DyadicReal:
-    """Distance to the nearest integer; exact, in [0, 1/2]."""
-    f = frac(x).value
-    other = ONE - f
-    return f if f <= other else other
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Gaps of a sorted configuration as integers at one exponent: gap i is
@@ -313,10 +302,6 @@ class GapReport:
             "normalized_log1": format_decimal(self.normalized.get(1.0, Fraction(0)), digits),
             "normalized_log2": format_decimal(self.normalized.get(2.0, Fraction(0)), digits),
         }
-
-    def to_csv_row(self, digits: int = 30) -> str:
-        d = self.to_json_dict(digits)
-        return f"{d['n']},{d['max_gap']},{d['normalized_log1']},{d['normalized_log2']}"
 
 
 def _normalized_map(n: int, max_gap: Fraction, eps: float) -> dict:

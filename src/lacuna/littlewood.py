@@ -9,6 +9,12 @@ n p_m = round(zeta q_m) (mod q_m) has ||beta n - zeta|| <= 1/(2 q_m) +
 after an exact recomputation of every emitted term; growth is forced into
 the window 8^n < a_n (with a_{n+1} >= 8 a_n) and checked against the
 4^(6 Lambda n) ceiling from the continuant growth rate.
+
+Every distance ||v n - s|| is one exact cf.dist_to_int(v n - s), with v and
+s read as Fractions or QuadraticReals (a DyadicReal as its rational value).
+Products in one quadratic field, or rational, are decided exactly; products
+across two fields on one-sided rational bounds tight to 2^-256.  Float
+views are built from factors that stay O(1), never from n itself.
 """
 
 from __future__ import annotations
@@ -46,16 +52,14 @@ def _to_float(x) -> float:
     return x.to_float() if isinstance(x, QuadraticReal) else float(x)
 
 
+def _distance(value, n: int, shift):
+    """||value * n - shift||, exact."""
+    return dist_to_int(_as_exact(value) * n - _as_exact(shift))
+
+
 def exact_product(value, n: int, shift) -> tuple[object, float]:
     """n * ||value * n - shift||, exact; returns (exact object, float view)."""
-    v = _as_exact(value)
-    s = _as_exact(shift)
-    if isinstance(v, QuadraticReal) and not isinstance(s, QuadraticReal):
-        s = QuadraticReal(Fraction(s), Fraction(0), v.d)
-    elif isinstance(s, QuadraticReal) and not isinstance(v, QuadraticReal):
-        v = QuadraticReal(Fraction(v), Fraction(0), s.d)
-    d = dist_to_int(v * n - s)
-    prod = d * n
+    prod = _distance(value, n, shift) * n
     return prod, _to_float(prod)
 
 
@@ -223,18 +227,20 @@ def _upper_fraction(x, bits: int = 256) -> Fraction:
 
 
 def _confirm_solution(alpha, beta, eta, zeta, n, thr_lo: Fraction) -> tuple[bool, float]:
-    pa, fa = exact_product(alpha, n, eta)
-    pb, _ = exact_product(beta, n, zeta)
-    # n ||an-e|| ||bn-z|| = (n ||an-e||) * ||bn-z|| = pa * pb / n
+    """Whether n ||an-e|| ||bn-z|| <= thr_lo, decided exactly, and a float
+    view built from ||an-e|| <= 1/2 and n ||bn-z|| only, so it never
+    converts n itself."""
+    da = _distance(alpha, n, eta)
+    pa = da * n
+    pb, fb = exact_product(beta, n, zeta)
+    # n ||an-e|| ||bn-z|| = (n ||an-e||) * (n ||bn-z||) / n
     try:
-        prod = pa * pb
-        ok = bool(prod <= thr_lo * n)
+        ok = bool(pa * pb <= thr_lo * n)
     except ValueError:
         # factors live in different quadratic fields; certify through tight
         # one-sided rational bounds instead
         ok = bool(_upper_fraction(pa) * _upper_fraction(pb) <= thr_lo * n)
-    fb = _to_float(pb) / n if n else 0.0
-    return ok, fa * fb
+    return ok, _to_float(da) * fb
 
 
 def littlewood_scan(
@@ -249,9 +255,12 @@ def littlewood_scan(
     """Solutions of n*||alpha n - eta||*||beta n - zeta|| <= (ln ln n)^(2+eps)/ln n.
 
     Either along an explicit term list (CZ mode) or over every n <= n_limit
-    (brute mode, float-prefiltered with exact confirmation of each hit; the
-    confirmation compares exact rationals, so no solution can flip under any
-    precision increase).
+    (brute mode, float-prefiltered with exact confirmation of each hit).
+    When both distances are rational or lie in one quadratic field the
+    confirmation is exact, so no solution can flip under any precision
+    increase.  Across two quadratic fields it compares one-sided 256-bit
+    rational upper bounds: every reported solution is sound, but a true
+    solution within about 2^-250 of the threshold can be rejected.
     """
     epsilon = Fraction(epsilon)
     if (n_values is None) == (n_limit is None):
@@ -310,7 +319,7 @@ def dispersion_to_littlewood(alpha, eta, seq: CZSequence, epsilon) -> list[dict]
             continue
         best = None
         for n in idxs:
-            val = dist_to_int(_mul_exact(alpha, seq.terms[n - 1], eta))
+            val = _distance(alpha, seq.terms[n - 1], eta)
             fv = _to_float(val)
             if best is None or fv < best[1]:
                 best = (n, fv)
@@ -321,11 +330,3 @@ def dispersion_to_littlewood(alpha, eta, seq: CZSequence, epsilon) -> list[dict]
         )
         big_n *= 2
     return rows
-
-
-def _mul_exact(alpha, a: int, eta):
-    v = _as_exact(alpha)
-    s = _as_exact(eta)
-    if isinstance(v, QuadraticReal) and not isinstance(s, QuadraticReal):
-        s = QuadraticReal(Fraction(s), Fraction(0), v.d)
-    return v * a - s

@@ -81,10 +81,6 @@ class MetricParameters:
         return cls(n=n, epsilon=epsilon, q=q, m=m, p=p, r_exact=r_exact)
 
     @property
-    def r_value(self) -> DyadicReal:
-        return DyadicReal.from_fraction(self.r_exact, self.q.precision_bits)
-
-    @property
     def k_cut(self) -> int:
         """Truncation index floor(N/P) for the Fourier window count."""
         return int(Fraction(self.n) / self.p.to_fraction())
@@ -435,8 +431,8 @@ def exp_moment_check(
     if not terms or k_cut == 0:
         return MomentCheck(1.0, rhs, True, "empty", k_cut, quadrature_points, 0)
 
-    required = 8 * k_cut * int(terms[-1]) if int(terms[-1]).bit_length() < 62 else -1
-    can_simpson = 0 < required <= quadrature_points
+    required = 8 * k_cut * int(terms[-1])
+    can_simpson = required <= quadrature_points
     if method == "auto":
         method = "simpson" if can_simpson else "factorized"
     if method == "simpson":
@@ -445,7 +441,7 @@ def exp_moment_check(
         lhs = _moment_simpson(terms, t, weights, ten_r, quadrature_points)
     elif method == "factorized":
         if not linear_independence_bound(terms, k_cut):
-            raise QuadratureUnderresolvedError(max(required, 0), quadrature_points)
+            raise QuadratureUnderresolvedError(required, quadrature_points)
         lhs = _moment_factorized(len(terms), weights, ten_r, k_cut)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -456,7 +452,7 @@ def exp_moment_check(
         method=method,
         k_cut=k_cut,
         quadrature_points=quadrature_points,
-        required_points=max(required, 0),
+        required_points=required,
     )
 
 

@@ -73,20 +73,14 @@ class ThinnedSequence:
 
 
 def smallest_l(r: Fraction) -> int:
-    """Smallest positive integer l with r^l > e."""
+    """Smallest positive integer l with l * lo > 1, lo a positive lower
+    bound on ln r, so r^l > e: lo = max(ln_lower(r), 1 - 1/r), since
+    ln r >= 1 - 1/r > 0 keeps lo positive however close r is to 1."""
+    r = Fraction(r)
     if r <= 1:
         raise NotLacunaryError(f"growth factor {r} is not > 1")
-    lo = ln_lower(r)
-    if lo <= 0:
-        # r barely above 1 at our guard resolution; fall back to search
-        l = 1
-        while ln_lower(r) * l <= 1:
-            l += 1
-        return l
-    l = 1
-    while lo * l <= 1:
-        l += 1
-    return l
+    lo = max(ln_lower(r), 1 - 1 / r)
+    return math.floor(1 / lo) + 1
 
 
 def verify_hadamard(terms, r: Fraction) -> tuple[bool, int | None]:

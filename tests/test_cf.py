@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 from lacuna.cf import (
     ContinuedFraction,
     QuadraticReal,
+    dist_to_int,
     expand,
-    inhom_distance,
     is_bad_proxy,
     lambda_estimate,
     levy_rate,
     parse_value_spec,
 )
 from lacuna.dyadic import DyadicReal
-from lacuna.errors import (
-    CfPrecisionExhaustedError,
-    InsufficientDepthError,
-    PrecisionTooLowError,
-)
+from lacuna.errors import CfPrecisionExhaustedError, InsufficientDepthError
+from lacuna.littlewood import exact_product
 
 PHI = QuadraticReal(Fraction(1, 2), Fraction(1, 2), 5)
 PHI_M1 = QuadraticReal(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -59,7 +56,7 @@ class TestQuadraticReal:
 
     def test_to_float_cancellation(self):
         n = 10**20
-        v = (SQRT2 * n).frac()
+        v = SQRT2 * n - (SQRT2 * n).floor()
         # exact fractional part to ~2^-64; a naive float evaluation returns 0
         assert 0 < v.to_float() < 1
         assert abs(v.to_float() - float((SQRT2 * n - (SQRT2 * n).floor()).to_dyadic(96).to_fraction())) < 1e-15
@@ -67,6 +64,96 @@ class TestQuadraticReal:
     def test_to_dyadic(self):
         d = SQRT2.to_dyadic(96)
         assert abs(d.to_fraction() ** 2 - 2) < Fraction(1, 1 << 90)
+
+
+def reference_floor(v: QuadraticReal) -> int:
+    """The earlier QuadraticReal.floor: a 64-fractional-bit isqrt estimate,
+    then corrected by exact comparisons (which never call floor)."""
+    if v.y == 0:
+        return math.floor(v.x)
+    est = v._scaled_int(64) >> 64
+    while v >= est + 1:
+        est += 1
+    while v < est:
+        est -= 1
+    return est
+
+
+def reference_dist(x):
+    """The earlier nearest-integer distance min(frac, 1 - frac)."""
+    f = x - (reference_floor(x) if isinstance(x, QuadraticReal) else math.floor(x))
+    g = 1 - f
+    return f if f <= g else g
+
+
+NON_SQUARES = st.sampled_from([2, 3, 5, 6, 7, 13, 19, 10**6 + 3])
+RATIONALS = st.builds(
+    Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12)
+)
+QUADRATICS = st.builds(QuadraticReal, RATIONALS, RATIONALS, NON_SQUARES)
+HALF_INTEGERS = st.integers(-(10**20), 10**20).map(lambda k: Fraction(2 * k + 1, 2))
+
+
+class TestNearestIntegerDistance:
+    @settings(max_examples=300)
+    @given(QUADRATICS)
+    def test_quadratic_matches_reference(self, x):
+        d = dist_to_int(x)
+        assert isinstance(d, QuadraticReal)
+        assert d == reference_dist(x)
+        assert 0 <= d <= Fraction(1, 2)
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.fractions(), HALF_INTEGERS, RATIONALS))
+    def test_fraction_matches_reference(self, x):
+        d = dist_to_int(x)
+        assert isinstance(d, Fraction)
+        assert d == reference_dist(x)
+
+    @given(HALF_INTEGERS, NON_SQUARES)
+    def test_half_integers(self, x, d):
+        assert dist_to_int(x) == Fraction(1, 2)
+        assert dist_to_int(QuadraticReal.rational(x, d)) == Fraction(1, 2)
+
+    @settings(max_examples=300)
+    @given(QUADRATICS)
+    def test_floor_matches_reference(self, v):
+        fl = v.floor()
+        assert fl == reference_floor(v) == math.floor(v)
+        assert fl <= v < fl + 1
+
+    @pytest.mark.parametrize("e", [40, 300, 2000])
+    def test_floor_huge_coordinates_negative_y(self, e):
+        big = 10**e
+        for v in (
+            Fraction(big) - SQRT2 * big,
+            QuadraticReal(Fraction(big, 3), Fraction(-big, 7), 3),
+            QuadraticReal(Fraction(-big + 1, 11), Fraction(big - 1, 13), 10**6 + 3),
+            -(SQRT2 * big) + Fraction(1, 2),
+        ):
+            fl = v.floor()
+            assert fl <= v < fl + 1
+            assert fl == reference_floor(v)
+
+    def test_to_float_at_small_magnitudes(self):
+        import mpmath as mp
+
+        cf = expand(SQRT2, 60)
+        with mp.workdps(120):  # q_60 ~ 1e23 and ||sqrt(2) q_60|| ~ 4e-24
+            for k in range(10, 61):
+                q = cf.q[k]
+                d = dist_to_int(SQRT2 * q)
+                exact = abs(mp.sqrt(2) * q - mp.nint(mp.sqrt(2) * q))
+                for v, ref in ((d, exact), (-d, -exact)):
+                    assert abs(v.to_float() - ref) <= 1e-15 * exact
+
+    @settings(max_examples=300)
+    @given(QUADRATICS)
+    def test_to_float_unchanged_from_2_to_the_minus_11(self, v):
+        # the earlier conversion: the float nearest floor(v * 2^64) / 2^64
+        m = v._scaled_int(64)
+        if abs(v) >= Fraction(1, 1 << 11) and m.bit_length() <= 512:
+            assert v.to_float() == math.ldexp(m, -64)
 
 
 class TestExpansion:
@@ -126,7 +213,7 @@ class TestConvergentProperties:
         cf = expand(x, 25)
         for k in range(1, len(cf.q)):
             q = cf.q[k]
-            dist = (x * q).dist_nearest_int()
+            dist = dist_to_int(x * q)
             assert dist * q < 1  # q_k ||q_k x|| < 1, exact comparison
 
     def test_continuants_strictly_increasing(self):
@@ -177,17 +264,18 @@ class TestBadProxy:
 
 
 class TestInhomDistance:
+    """||beta n - zeta|| through dist_to_int, and n times it through
+    exact_product."""
+
     def test_fibonacci_denominators(self):
         cf = expand(PHI, 20)
         for k in range(2, 15):
-            d = inhom_distance(PHI, cf.q[k], 0)
-            assert d.to_fraction() <= Fraction(1, cf.q[k + 1])
+            q = cf.q[k]
+            assert dist_to_int(PHI * q - 0) <= Fraction(1, cf.q[k + 1])
+            prod, _ = exact_product(PHI, q, 0)
+            assert prod <= Fraction(q, cf.q[k + 1])
 
     def test_n_zero(self):
-        d = inhom_distance(PHI, 0, Fraction(1, 4))
-        assert d.to_fraction() == Fraction(1, 4)
-
-    def test_dyadic_precision_gate(self):
-        beta = DyadicReal.from_fraction(Fraction(7, 10), 40)
-        with pytest.raises(PrecisionTooLowError):
-            inhom_distance(beta, 1 << 60, 0)
+        assert dist_to_int(PHI * 0 - Fraction(1, 4)) == Fraction(1, 4)
+        prod, f = exact_product(PHI, 0, Fraction(1, 4))
+        assert prod == 0 and f == 0.0

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import time
 
+import mpmath as mp
 import pytest
 
 from lacuna import bump as bump_mod
@@ -205,6 +207,27 @@ class TestLittlewood:
         assert payload["cz_recheck"]["all_ok"] is True
         assert len(payload["cz_terms"]) == 6
 
+    def test_cz_terms_past_float_range(self, capsys):
+        # terms pass 2^1024 near term 269; the solution products must not
+        # convert them to floats
+        code, out = run(
+            capsys, "littlewood", "--beta", "sqrt:2", "--alpha", "quad:-1,5,2",
+            "--terms", "400",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["cz_recheck"]["all_ok"] is True
+        assert int(payload["cz_terms"][-1]).bit_length() > 1024
+        assert payload["solutions"]
+        for sol in payload["solutions"]:
+            n = sol["n"]
+            with mp.workdps(2 * len(str(n)) + 40):
+                alpha, beta = (mp.sqrt(5) - 1) / 2, mp.sqrt(2)
+                da = abs(alpha * n - mp.nint(alpha * n))
+                db = abs(beta * n - mp.nint(beta * n))
+                exact = n * da * db
+                assert abs(sol["product"] - exact) <= 1e-15 * exact
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path):
@@ -243,6 +266,31 @@ class TestErrors:
             "--precision", "0",
         )
         assert code == 0  # precision floor is computed from the sequence
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find-alpha", "--n", "64"],
+            ["nested-alpha"],
+            ["moment-check", "--n", "256"],
+            ["cf", "--value", "sqrt:2"],
+            ["littlewood", "--beta", "sqrt:2"],
+        ],
+    )
+    def test_precision_only_where_read(self, argv):
+        # --precision sizes alphas for gaps and metric-scan only
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--precision", "3"])
+        assert exc.value.code == 2
+
+    def test_ratio_near_one_fails_fast(self, capsys):
+        r = f"{2**70 + 1}/{2**70}"
+        t0 = time.perf_counter()
+        code = main(["find-alpha", "--r", r, "--n", "64"])
+        err = capsys.readouterr().err
+        assert time.perf_counter() - t0 < 5
+        assert code == 1
+        assert "N-below-threshold" in err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,6 @@ from lacuna.dyadic import (
     TorusPoint,
     alpha_precision,
     dilate,
-    dist_nearest_int,
     format_decimal,
     format_ratio,
     frac,
@@ -22,6 +21,7 @@ from lacuna.dyadic import (
     residue_bits,
     residues,
 )
+from lacuna.cf import dist_to_int
 from lacuna.errors import EmptyConfigurationError, PrecisionTooLowError
 from lacuna.sequences import (
     geometric_sequence,
@@ -120,9 +120,10 @@ class TestFracAndDistance:
         assert frac(dy(-1, 4)).value == dy(3, 4)
 
     def test_dist_examples(self):
-        assert dist_nearest_int(dy(11, 4)) == dy(1, 4)  # 2.75
-        assert dist_nearest_int(dy(5)) == ZERO
-        assert dist_nearest_int(dy(1, 2)) == dy(1, 2)
+        # a dyadic's distance is that of its exact rational value
+        assert dist_to_int(dy(11, 4).to_fraction()) == Fraction(1, 4)  # 2.75
+        assert dist_to_int(dy(5).to_fraction()) == 0
+        assert dist_to_int(dy(1, 2).to_fraction()) == Fraction(1, 2)
 
     @given(st.integers(-(10**9), 10**9), st.integers(-40, 0))
     def test_frac_in_unit_interval(self, m, e):

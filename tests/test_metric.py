@@ -249,8 +249,11 @@ class TestExpMoment:
         par = MetricParameters.for_n(1024)
         seq = geometric_sequence(Fraction(2), 1024)
         th = thin(seq, 1024)
-        with pytest.raises(QuadratureUnderresolvedError):
+        with pytest.raises(QuadratureUnderresolvedError) as exc:
             exp_moment_check(th, 0.0, par, bump, method="simpson")
+        # 8 points per oscillation of the fastest frequency k_cut * a~_K
+        assert exc.value.required_points == 8 * par.k_cut * th.terms[-1]
+        assert th.terms[-1].bit_length() >= 62
 
     def test_dependent_terms_rejected_by_factorized(self, bump):
         from lacuna.sequences import ThinnedSequence

@@ -10,6 +10,7 @@ from lacuna.sequences import (
     LacunarySequence,
     geometric_sequence,
     ln_bounds,
+    ln_lower,
     load_sequence,
     save_sequence,
     smallest_l,
@@ -36,6 +37,29 @@ class TestSmallestL:
     def test_rejects_non_lacunary(self):
         with pytest.raises(NotLacunaryError):
             smallest_l(Fraction(1))
+
+    @staticmethod
+    def loop_reference(r):
+        """The earlier linear search: the first l with l * ln_lower(r) > 1."""
+        lo, l = ln_lower(r), 1
+        p, q = lo.numerator, lo.denominator  # l * lo <= 1 as l * p <= q
+        while l * p <= q:
+            l += 1
+        return l
+
+    @pytest.mark.parametrize(
+        "r",
+        [Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3),
+         1 + Fraction(1, 1 << 20)],
+    )
+    def test_matches_linear_search(self, r):
+        assert smallest_l(r) == self.loop_reference(r)
+
+    def test_ratio_below_log_resolution(self):
+        # ln_lower(r) <= 0 here; 1 - 1/r still bounds ln r from below
+        r = 1 + Fraction(1, 1 << 70)
+        assert ln_lower(r) <= 0
+        assert smallest_l(r) == (1 << 70) + 2
 
     @given(st.fractions(min_value=Fraction(11, 10), max_value=Fraction(50)))
     def test_defining_property(self, r):
