@@ -13,6 +13,14 @@ them in a DilatedSet, gap_report() sorts and differences the integers, and
 the 64-bit scans and float views in lacuna.metric read them as they stream.
 (The 64-bit scan of the doubling sequence 2^n reads windows of alpha's
 binary expansion instead.)
+
+residues() takes one recurrence for every ratio.  Given the denominator q of
+the sequence's ratio (1 for integer ratios and raw term lists), each step
+reads q * a_{n+1} = p_n * a_n + delta_n off one short division, and where
+p_n and delta_n are short the next residue follows from the last by a short
+multiply-add and an exact division by q.  Blocks of about sqrt(P) steps
+start from one full product m * a; any step that is not short (a zero, a
+negative or bumped term, a wrong q) falls back to that product.
 """
 
 from __future__ import annotations
@@ -332,8 +340,7 @@ def gap_report(points, eps: float = 0.05) -> GapReport:
     ints = sorted(ints)
     one = 1 << -e
     gaps = [b - a for a, b in zip(ints, ints[1:])]
-    gaps.append(one - ints[-1] + ints[0])
-    assert sum(gaps) == one
+    gaps.append(one - ints[-1] + ints[0])  # the gaps telescope to one
     max_i = max(gaps)
     return GapReport(
         n_points=len(ints),
@@ -376,31 +383,66 @@ def residue_bits(alpha: DyadicReal) -> int:
     return max(-alpha.exponent, 0)
 
 
-# a_{n+1} = b * a_n is tested only when b fits this many bits, so the test
-# is one short (linear-time) division
+# a step takes the recurrence only when q * a_{n+1} has at most this many
+# bits more than a_n and delta_n fits them, so the step's test is one short
+# division and the step a short multiply-add
 _RATIO_BITS = 64
 
 
-def residues(alpha: DyadicReal, terms) -> Iterator[int]:
+def residues(alpha: DyadicReal, terms, q: int = 1) -> Iterator[int]:
     """The dilates {alpha * a} of the terms, scaled by 2^P, one at a time:
-    m * a mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).  Exact.
+    m * a mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).  Exact for
+    every positive integer q.
 
-    Where a term is an integer multiple b * a of the one before, its residue
-    is b * (m * a mod 2^P) mod 2^P, a short product instead of a wide one;
-    elsewhere (ratios that are not integers, or wider than 64 bits) it is
-    m * a mod 2^P."""
-    mask = (1 << residue_bits(alpha)) - 1
+    Each step reads p_n, delta_n = divmod(q * a_{n+1}, a_n), one short
+    division, so q * a_{n+1} = p_n * a_n + delta_n and, with X_n = m * a_n,
+    q * X_{n+1} = p_n * X_n + delta_n * m.  Where a_n > 0 and p_n, delta_n
+    are short (every step of geometric_sequence when q is the denominator of
+    its ratio, as 0 <= delta_n < q), X_{n+1} follows from X_n by a short
+    multiply-add and an exact division by q = 2^s * q', q' odd: a shift by s,
+    and for q' > 1 divmod(W, q) = (Q, R) and X_{n+1} = Q + (R >> s) * q'^-1
+    mod 2^K, a short division and a short multiple.  Each shift loses s low
+    bits of the modulus, so X is carried mod 2^K, K = P + s * b, and each
+    block of b = max(isqrt(P) // s, 1) steps starts from one product
+    m * a mod 2^K; that product is a small share of the block's cost.  Odd q
+    (q = 1 for integer ratios) loses no bit and runs as one block.  Any
+    other step (a_n <= 0, or a wide p_n or delta_n: after a zero, a negative
+    or bumped term, or with a q that is not the ratio's denominator) takes
+    the product and starts a new block."""
+    P = residue_bits(alpha)
+    mask = (1 << P) - 1
     m = alpha.mantissa
-    prev = res = 0
-    for a in terms:
-        a = int(a)
-        if prev and a.bit_length() - prev.bit_length() <= _RATIO_BITS:
-            b, rem = divmod(a, prev)
-            res = (b * res if rem == 0 else m * a) & mask
+    s = _ctz(q)
+    odd = q >> s
+    block = max(math.isqrt(P) // s, 1) if s else -1  # -1: the block never ends
+    K = P + s * max(block, 0)
+    wide = (1 << K) - 1
+    inv = pow(odd, -1, 1 << K)
+    limit = 1 << _RATIO_BITS
+    scaled = q > 1
+    prev = x = left = 0
+    for a in map(int, terms):
+        d = limit  # the step is short only if the test below finds it so
+        if prev > 0 and left:
+            qa = q * a if scaled else a
+            if qa.bit_length() - prev.bit_length() <= _RATIO_BITS:
+                p, d = divmod(qa, prev)
+        if d < limit:
+            # X is now valid mod 2^(K - s * steps so far); the bits above it
+            # are never read
+            x = (p * x + d * m if d else p * x) & wide
+            if scaled:
+                if odd > 1:
+                    x, r = divmod(x, q)
+                    x += (r >> s) * inv
+                else:
+                    x >>= s
+                left -= 1
         else:
-            res = (m * a) & mask
+            x = (m * a) & wide
+            left = block
         prev = a
-        yield res
+        yield x & mask if scaled else x
 
 
 @dataclass(frozen=True)
@@ -426,16 +468,18 @@ def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> D
     """Fractional parts {alpha * a_n} for n in [start, stop] (1-based, inclusive).
 
     Passes the window through require_precision first.  The points carry
-    min(alpha's precision, 96) bits, as frac(alpha * a_n) does.
+    min(alpha's precision, 96) bits, as frac(alpha * a_n) does.  A
+    LacunarySequence's residues follow the denominator of its ratio.
     """
     terms = seq.terms if hasattr(seq, "terms") else seq
+    q = getattr(seq, "growth_factor_r", Fraction(1)).denominator
     if stop is None:
         stop = len(terms)
     window = terms[start - 1 : stop]
     if window:
         require_precision(alpha, window)
     return DilatedSet(
-        tuple(residues(alpha, window)),
+        tuple(residues(alpha, window, q)),
         -residue_bits(alpha),
         min(alpha.precision_bits, DEFAULT_PRECISION_BITS),
     )

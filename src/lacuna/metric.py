@@ -205,14 +205,16 @@ def _pow2_truncated_points(alpha: DyadicReal, e0: int, n_max: int) -> np.ndarray
     return vals
 
 
-def _truncated_points(alpha: DyadicReal, terms) -> np.ndarray:
+def _truncated_points(alpha: DyadicReal, terms, q: int = 1) -> np.ndarray:
     """floor({alpha * a} * 2^64) for each term: the top 64 bits of each exact
-    residue, taken as it streams, so the exact vector is never held."""
+    residue, taken as it streams, so the exact vector is never held.  q is
+    the ratio's denominator, passed on to residues."""
     shift = residue_bits(alpha) - 64
+    stream = residues(alpha, terms, q)
     if shift >= 0:
-        tops = (r >> shift for r in residues(alpha, terms))
+        tops = (r >> shift for r in stream)
     else:
-        tops = (r << -shift for r in residues(alpha, terms))
+        tops = (r << -shift for r in stream)
     return np.fromiter(tops, dtype=np.uint64, count=len(terms))
 
 
@@ -262,7 +264,9 @@ def dispersion_scan(
                 e0 = seq.terms[0].bit_length() - 1
                 vals = _pow2_truncated_points(alpha, e0, n_list[-1])
             else:
-                vals = _truncated_points(alpha, seq.terms[: n_list[-1]])
+                vals = _truncated_points(
+                    alpha, seq.terms[: n_list[-1]], seq.growth_factor_r.denominator
+                )
             for n in n_list:
                 g = Fraction(_max_gap_u64(np.sort(vals[:n])), 1 << 64)
                 rows.append(_mk_row(aid, n, g, eps))

@@ -114,7 +114,8 @@ def geometric_sequence(r: Fraction, n_terms: int) -> LacunarySequence:
         t = -((-p * t) // q)  # ceil(r * t)
         terms.append(t)
     ok, bad = verify_hadamard(terms, r)
-    assert ok, f"construction violated Hadamard at {bad}"
+    if not ok:  # backs verified=True, so it is checked, not assumed
+        raise NotLacunaryError(f"not-lacunary: construction violated Hadamard at {bad}")
     return LacunarySequence(tuple(terms), r, True)
 
 

@@ -161,16 +161,6 @@ def delta_lower_bound(thinned: ThinnedSequence, M: int) -> int:
     return best
 
 
-def equidistant_targets(K: int, precision_bits: int = 96) -> list[TorusPoint]:
-    """{j/K : j = 0..K-1} rounded to dyadics at the given precision."""
-    if K < 1:
-        raise ValueError("K must be positive")
-    return [
-        TorusPoint(DyadicReal.from_fraction(Fraction(j, K), precision_bits))
-        for j in range(K)
-    ]
-
-
 def _greedy_band_search(
     frequencies,
     targets,
@@ -302,11 +292,14 @@ def find_dilation(
         parent_terms = thinned.parent.terms if thinned.parent is not None else ()
         precision_bits = alpha_precision((*freqs, *parent_terms))
     alpha = DyadicReal.from_fraction(alpha_frac, precision_bits)
+    # a thinning of a sequence whose ratio has denominator d steps by d^step
+    parent = thinned.parent
+    ratio_q = parent.growth_factor_r.denominator ** thinned.step if parent is not None else 1
     # postcondition on the residue stream: with alpha = m*2^-P and x = p/q,
     # {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), res = m*a mod 2^P
     P = residue_bits(alpha)
     constraints = []
-    for a, x, res in zip(freqs, xs, residues(alpha, freqs)):
+    for a, x, res in zip(freqs, xs, residues(alpha, freqs, ratio_q)):
         p, q = x.numerator, x.denominator
         den = q << P
         f = (q * res - (p << P)) % den
@@ -408,5 +401,8 @@ def find_dilation_dense(
         search_interval,
         precision_bits=alpha_precision(terms),
     )
-    assert cert.max_gap_bound == Fraction(3, N)
+    if cert.max_gap_bound != Fraction(3, N):
+        raise InfeasibleAtStepError(
+            0, f"postcondition violated: gap bound {cert.max_gap_bound} is not 3/{N}"
+        )
     return cert

@@ -85,7 +85,9 @@ class TestNestedAlpha:
 
 class TestByteIdentity:
     """sha256 of stdout, recorded before the certify path moved from Fraction
-    to integer arithmetic; every decision and digit must stay the same."""
+    to integer arithmetic (the r = 5/2 find-alpha at N = 2048 and metric-scan
+    pins: before residues took the rational-ratio recurrence); every decision
+    and digit must stay the same."""
 
     @pytest.mark.parametrize(
         "argv,code,sha",
@@ -110,6 +112,19 @@ class TestByteIdentity:
                 ("nested-alpha", "--r", "3", "--k-start", "2", "--k-end", "3"),
                 1,
                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                ("find-alpha", "--r", "5/2", "--n", "2048"),
+                0,
+                "c75d1312d4251a8eed0d21d2048232cc5ecfc9cc7d09048a60ee193e2c4fbf98",
+            ),
+            (
+                (
+                    "metric-scan", "--r", "5/2", "--n-min", "1024", "--n-max", "8192",
+                    "--alphas", "4", "--seed", "0",
+                ),
+                0,
+                "886fdeb601005830759412ea5e54631d9b1bcb4bd0ea638b8d8ea88dc47032b7",
             ),
         ],
     )

@@ -316,6 +316,96 @@ class TestResidueRecurrence:
         assert list(residues(alpha, terms)) == product_residues(alpha, terms)
 
 
+RATIOS = [Fraction(5, 2), Fraction(3, 2), Fraction(7, 3), Fraction(11, 10), Fraction(3), Fraction(2)]
+
+odd_mantissas = st.integers(-(1 << 900), 1 << 900).map(lambda m: m | 1)
+
+
+class TestOneRecurrence:
+    """residues(alpha, terms, q) steps by q * X_{n+1} = p_n * X_n + delta_n * m
+    in blocks of isqrt(P) // s steps (q = 2^s * q', q' odd) and falls back to
+    m * a wherever a step is not short; every value must be m * a & mask,
+    for the ratio's denominator, for a wrong q and on broken chains."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(RATIOS),
+        st.integers(1, 400),
+        odd_mantissas,
+        st.one_of(st.just(0), st.integers(1, 63), st.integers(64, 900)),
+        st.integers(1, 60),
+    )
+    def test_geometric_matches_products(self, r, n, m, P, wrong_q):
+        terms = geometric_sequence(r, n).terms
+        alpha = DyadicReal(m, -P, 4096)
+        assert residue_bits(alpha) == P
+        want = product_residues(alpha, terms)
+        assert list(residues(alpha, terms, r.denominator)) == want
+        assert list(residues(alpha, terms, wrong_q)) == want
+
+    @pytest.mark.parametrize("r", RATIOS)
+    def test_several_blocks_at_the_dilation_precision(self, r):
+        terms = geometric_sequence(r, 1200).terms
+        P = alpha_precision(terms)
+        s = (r.denominator & -r.denominator).bit_length() - 1
+        if s:  # blocks of isqrt(P) // s steps: many boundaries crossed
+            assert len(terms) > 5 * (math.isqrt(P) // s)
+        alpha = DyadicReal.from_fraction(Fraction(7, 10), P)
+        want = product_residues(alpha, terms)
+        assert list(residues(alpha, terms, r.denominator)) == want
+        assert list(residues(alpha, terms, 1)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(RATIOS),
+        st.integers(2, 150),
+        odd_mantissas,
+        st.integers(0, 900),
+        st.integers(1, 12),
+        st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from(["bump", "zero", "negate", "new"]),
+                st.integers(-(1 << 300), 1 << 300),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_broken_chains_match_products(self, r, n, m, P, q, edits):
+        terms = list(geometric_sequence(r, n).terms)
+        for i, kind, v in edits:
+            i %= n
+            if kind == "bump":
+                terms[i] += 1 + abs(v) % 3
+            elif kind == "zero":
+                terms[i] = 0
+            elif kind == "negate":
+                terms[i] = -terms[i]
+            else:
+                terms[i] = v
+        alpha = DyadicReal(m, -P, 4096)
+        want = product_residues(alpha, terms)
+        assert list(residues(alpha, terms, r.denominator)) == want
+        assert list(residues(alpha, terms, q)) == want
+
+    def test_dilate_passes_the_ratio_denominator(self, monkeypatch):
+        import lacuna.dyadic as dyadic
+
+        seen = []
+        real = dyadic.residues
+
+        def spy(alpha, terms, q=1):
+            seen.append(q)
+            return real(alpha, terms, q)
+
+        monkeypatch.setattr(dyadic, "residues", spy)
+        seq = geometric_sequence(Fraction(9, 4), 50)
+        alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
+        dilate(alpha, seq)
+        dilate(alpha, seq.terms)
+        assert seen == [4, 1]
+
+
 class TestPrecisionPolicy:
     def test_alpha_precision_passes_the_dilation_gate(self):
         terms = geometric_sequence(Fraction(3), 100).terms

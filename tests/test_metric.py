@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna.bump import standard_bump
-from lacuna.dyadic import DyadicReal, dilate, frac
+from lacuna.dyadic import DyadicReal, alpha_precision, dilate, frac
 from lacuna.errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
@@ -112,6 +112,32 @@ class TestDispersionScan:
         assert shift > 0
         want = [v >> shift for v in exact.residues]
         assert _truncated_points(alpha, seq.terms).tolist() == want
+
+    def test_five_halves_scan_reads_top_bits_of_exact_residues(self, monkeypatch):
+        # dispersion_scan streams r = 5/2 through the q = 2 recurrence; every
+        # truncated point must be the top 64 bits of m * a & mask
+        from lacuna import metric
+
+        seq = geometric_sequence(Fraction(5, 2), 1500)
+        alphas = [sample_alpha("lebesgue", s, alpha_precision(seq.terms)) for s in (3, 4)]
+        streams = []
+        real = metric._truncated_points
+
+        def spy(alpha, terms, q=1):
+            streams.append((alpha, q, real(alpha, terms, q)))
+            return streams[-1][2]
+
+        monkeypatch.setattr(metric, "_truncated_points", spy)
+        table = dispersion_scan(seq, alphas, [500, 1500])
+        assert [q for _, q, _ in streams] == [2, 2]
+        for alpha, _, vals in streams:
+            P = -alpha.exponent
+            want = [((alpha.mantissa * a) & ((1 << P) - 1)) >> (P - 64) for a in seq.terms]
+            assert vals.tolist() == want
+        for row in table.rows:
+            tops = sorted(streams[row.alpha_id][2][: row.n].tolist())
+            gaps = [b - a for a, b in zip(tops, tops[1:])] + [(1 << 64) - tops[-1] + tops[0]]
+            assert row.max_gap == Fraction(max(gaps), 1 << 64)
 
     def test_truncated_stream_of_short_alpha(self):
         from lacuna.metric import _truncated_points

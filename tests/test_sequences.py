@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,6 +94,26 @@ class TestGeometric:
         seq = geometric_sequence(r, n)
         ok, bad = verify_hadamard(seq.terms, r)
         assert ok and bad is None and seq.verified
+
+    def test_hadamard_check_survives_optimized_mode(self):
+        # verified=True rests on the check: a failing one raises a coded
+        # error, also under python -O
+        code = (
+            "from lacuna import sequences\n"
+            "from lacuna.errors import NotLacunaryError\n"
+            "sequences.verify_hadamard = lambda terms, r: (False, 3)\n"
+            "try:\n"
+            "    sequences.geometric_sequence(3, 5)\n"
+            "except NotLacunaryError as exc:\n"
+            "    print(exc.code, exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            "not-lacunary not-lacunary: construction violated Hadamard at 3"
+        )
 
 
 def power_loop_geometric(r, n_terms):

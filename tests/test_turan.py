@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,6 @@ from lacuna.sequences import ThinnedSequence, geometric_sequence, thin
 from lacuna.turan import (
     _greedy_band_search,
     delta_lower_bound,
-    equidistant_targets,
     find_alpha,
     find_dilation,
     find_dilation_block,
@@ -123,18 +125,6 @@ class TestDeltaLowerBound:
             if any(vec)
         )
         assert 0 < delta <= true_min
-
-
-class TestEquidistantTargets:
-    def test_small(self):
-        assert [t.value.to_fraction() for t in equidistant_targets(1)] == [0]
-        assert [t.value.to_fraction() for t in equidistant_targets(4)] == [
-            Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)
-        ]
-
-    def test_thirds_are_rounded(self):
-        pts = equidistant_targets(3, 96)
-        assert abs(pts[1].value.to_fraction() - Fraction(1, 3)) < Fraction(1, 1 << 90)
 
 
 class TestFindDilation:
@@ -243,6 +233,28 @@ class TestFindDilationDense:
     def test_plain_powers_rejected(self):
         with pytest.raises(NotSuperLacunaryError):
             find_dilation_dense([2**n for n in range(1, 17)], 16, Fraction(2))
+
+    def test_bound_check_survives_optimized_mode(self):
+        # a certificate whose bound is not 3/N raises a coded error, also
+        # under python -O
+        code = (
+            "import dataclasses\n"
+            "from fractions import Fraction\n"
+            "from lacuna import turan\n"
+            "from lacuna.errors import InfeasibleAtStepError\n"
+            "real = turan.find_dilation\n"
+            "turan.find_dilation = lambda *a, **k: dataclasses.replace(\n"
+            "    real(*a, **k), max_gap_bound=Fraction(1))\n"
+            "try:\n"
+            "    turan.find_dilation_dense([256**n for n in range(1, 17)], 16, Fraction(2))\n"
+            "except InfeasibleAtStepError as exc:\n"
+            "    print(exc.code, exc.step)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "infeasible-at-step 0"
 
 
 small_fractions = st.fractions(
