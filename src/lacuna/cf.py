@@ -372,11 +372,3 @@ def levy_rate(cf: ContinuedFraction) -> float:
         raise InsufficientDepthError("insufficient-depth: need >= 2 convergents")
     k = len(cf.q) - 1
     return log_int(cf.q[k]) / k
-
-
-def is_bad_proxy(cf: ContinuedFraction, bound: int) -> bool:
-    """Bounded-partial-quotient proxy for bad approximability.  Rationals are
-    never badly approximable."""
-    if cf.rational_terminated:
-        return False
-    return all(c <= bound for c in cf.partial_quotients)

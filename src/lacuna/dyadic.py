@@ -2,7 +2,8 @@
 
 A dyadic real is mantissa * 2**exponent with an odd (or zero) mantissa, so the
 representation is unique.  Addition and multiplication of dyadics are exact;
-rounding happens only through explicit round_to() calls (round-to-nearest-even).
+rounding happens only where a rational becomes a dyadic, in from_fraction()
+(round-to-nearest-even).
 All torus computations (fractional parts, sorting, gap vectors) are exact
 integer arithmetic at a common exponent, so gap vectors sum to one exactly.
 
@@ -61,14 +62,6 @@ class DyadicReal:
             raise ValueError("precision_bits must be positive")
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_float(cls, x: float, precision_bits: int = DEFAULT_PRECISION_BITS):
-        if x != x or x in (float("inf"), float("-inf")):
-            raise ValueError("non-finite float")
-        m, e = math.frexp(x)
-        m = int(m * (1 << 53))
-        return cls(m, e - 53, precision_bits)
 
     @classmethod
     def from_fraction(cls, fr: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -199,25 +192,6 @@ class DyadicReal:
         if self.exponent >= 0:
             return self.mantissa << self.exponent
         return self.mantissa >> -self.exponent  # arithmetic shift: floor
-
-    def round_to(self, precision_bits: int) -> "DyadicReal":
-        """Round to precision_bits significant bits, ties to even."""
-        if precision_bits <= 0:
-            raise ValueError("precision_bits must be positive")
-        m, e = self.mantissa, self.exponent
-        if m == 0:
-            return DyadicReal(0, 0, precision_bits)
-        sign = -1 if m < 0 else 1
-        m = abs(m)
-        drop = m.bit_length() - precision_bits
-        if drop <= 0:
-            return DyadicReal(sign * m, e, precision_bits)
-        keep = m >> drop
-        rem = m - (keep << drop)
-        half = 1 << (drop - 1)
-        if rem > half or (rem == half and keep % 2 == 1):
-            keep += 1
-        return DyadicReal(sign * keep, e + drop, precision_bits)
 
     def __repr__(self):
         return f"DyadicReal({self.decimal_str(12)})"

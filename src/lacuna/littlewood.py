@@ -105,51 +105,51 @@ def _steered_candidate(cf: ContinuedFraction, m: int, zeta: Fraction) -> int:
     return n if n else q
 
 
-def cz_build(beta, zeta, n_max: int, depth: int = 128) -> CZSequence:
+def cz_build(beta, zeta, n_max: int) -> CZSequence:
     """Greedy selection of steered candidates into the 8^n growth window.
 
     Every accepted term passes an exact product recheck <= 8; candidates that
-    fail it or fall below the window are skipped, and the expansion depth is
-    doubled until n_max terms are found or the pool is truly exhausted.
+    fail it or fall below the window are skipped.  One pass walks the
+    convergent index m; when it reaches the end of the expansion the depth
+    doubles (up to 2^14) and the walk carries on at m, since a deeper
+    expansion keeps every earlier convergent.
     """
     zeta = Fraction(zeta)
     if isinstance(beta, QuadraticReal) and beta.is_rational():
         raise ValueError("beta must be irrational")
-    max_depth = 1 << 14
-    while True:
-        cf = expand(beta, depth)
-        lam = lambda_estimate(cf)
-        terms, products, ub_ok, idxs = [], [], [], []
-        floor_next = 8  # strict lower bound 8^(n+1) for the next term
-        for m in range(1, len(cf.q)):
-            if len(terms) >= n_max:
-                break
-            a = _steered_candidate(cf, m, zeta)
-            lo = max(floor_next, 8 * terms[-1] if terms else 1)
-            if a <= lo:
-                continue
+    depth, max_depth = 128, 1 << 14
+    cf = expand(beta, depth)
+    terms, products, idxs = [], [], []
+    m = 1
+    while len(terms) < n_max:
+        if m == len(cf.q):
+            if depth >= max_depth:
+                raise CzPoolExhaustedError(len(terms))
+            depth *= 2
+            cf = expand(beta, depth)
+            continue
+        a = _steered_candidate(cf, m, zeta)
+        # strict lower bounds: the window 8^(n+1) and the step 8*a_n
+        if a > max(8 ** (len(terms) + 1), 8 * terms[-1] if terms else 1):
             prod, prod_f = exact_product(beta, a, zeta)
-            if not prod <= 8:
-                continue
-            n1 = len(terms) + 1
-            terms.append(a)
-            products.append(prod_f)
-            ub_ok.append(math.log(a) <= 6 * lam * n1 * math.log(4) + 1e-12)
-            idxs.append(m)
-            floor_next = 8 ** (n1 + 1)
-        if len(terms) >= n_max:
-            return CZSequence(
-                beta=beta,
-                zeta=zeta,
-                terms=tuple(terms),
-                lambda_beta=lam,
-                products=tuple(products),
-                upper_bound_ok=tuple(ub_ok),
-                convergent_indices=tuple(idxs),
-            )
-        if depth >= max_depth:
-            raise CzPoolExhaustedError(len(terms))
-        depth *= 2
+            if prod <= 8:
+                terms.append(a)
+                products.append(prod_f)
+                idxs.append(m)
+        m += 1
+    lam = lambda_estimate(cf)
+    return CZSequence(
+        beta=beta,
+        zeta=zeta,
+        terms=tuple(terms),
+        lambda_beta=lam,
+        products=tuple(products),
+        upper_bound_ok=tuple(
+            math.log(a) <= 6 * lam * n * math.log(4) + 1e-12
+            for n, a in enumerate(terms, start=1)
+        ),
+        convergent_indices=tuple(idxs),
+    )
 
 
 def cz_recheck(seq: CZSequence) -> dict:

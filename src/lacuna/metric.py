@@ -11,12 +11,13 @@ Three layers:
     factor, by composite Simpson when the oscillation budget allows and by an
     independence-justified factorization otherwise.
 
-Scan tables use 64-bit truncated points by default: the maximal gap survives
-truncation up to 2^-63, far below every tolerance used here, and the run cost
-drops by orders of magnitude.  Exact mode is a flag away.  Every view of the
-dilates here (exact, truncated, float) reads the residue stream of
-lacuna.dyadic.residues; only the doubling sequence 2^e0, 2^(e0+1), ... takes
-its truncated points from byte windows of alpha's binary expansion instead.
+Scan tables use 64-bit truncated points: the maximal gap survives truncation
+up to 2^-63, far below every tolerance used here, and the run cost drops by
+orders of magnitude.  The exact gap of the first n dilates is
+gap_report(dilate(alpha, seq, 1, n)).  Every view of the dilates here
+(truncated, float) reads the residue stream of lacuna.dyadic.residues; only
+the doubling sequence 2^e0, 2^(e0+1), ... takes its truncated points from
+byte windows of alpha's binary expansion instead.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bump import BumpFunction
-from .dyadic import DyadicReal, dilate, dyadic_to_float, gap_report, residue_bits, residues
+from .dyadic import DyadicReal, dyadic_to_float, residue_bits, residues
 from .errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
@@ -65,7 +66,7 @@ class MetricParameters:
     r_exact: Fraction
 
     @classmethod
-    def for_n(cls, n: int, epsilon=Fraction(1, 20), precision_bits: int = 192):
+    def for_n(cls, n: int, epsilon=Fraction(1, 20)):
         if n < 3:
             raise ValueError("need n >= 3 so ln n > 1")
         epsilon = Fraction(epsilon)
@@ -74,8 +75,8 @@ class MetricParameters:
         with mp.workdps(60):
             ln_n = mp.log(n)
             e = mp.mpf(epsilon.numerator) / epsilon.denominator
-            q = DyadicReal.from_fraction(mpf_fraction(ln_n ** (1 + 2 * e)), precision_bits)
-            p = DyadicReal.from_fraction(mpf_fraction(ln_n ** (2 + 3 * e)), precision_bits)
+            q = DyadicReal.from_fraction(mpf_fraction(ln_n ** (1 + 2 * e)), 192)
+            p = DyadicReal.from_fraction(mpf_fraction(ln_n ** (2 + 3 * e)), 192)
         m = q * q
         r_exact = m.to_fraction() / p.to_fraction()
         return cls(n=n, epsilon=epsilon, q=q, m=m, p=p, r_exact=r_exact)
@@ -161,12 +162,10 @@ class ScanTable:
     rng_seed: int | None
     measure_label: str
     epsilon: float
-    truncated: bool
 
     def check_pigeonhole(self) -> bool:
-        """Every max_gap at least 1/N (minus truncation slack if truncated)."""
-        slack = _TRUNC_SLACK if self.truncated else 0
-        return all(r.max_gap >= Fraction(1, r.n) - slack for r in self.rows)
+        """Every max_gap at least 1/N, less the truncation slack."""
+        return all(r.max_gap >= Fraction(1, r.n) - _TRUNC_SLACK for r in self.rows)
 
     def to_csv(self) -> str:
         lines = ["alpha_id,N,max_gap,norm_log1,norm_log2e"]
@@ -232,19 +231,14 @@ def dispersion_scan(
     alphas,
     n_list,
     eps: float = 0.05,
-    truncate_bits: int | None = 64,
     rng_seed: int | None = None,
     measure_label: str = "explicit",
 ) -> ScanTable:
     """Gap table over (alpha, N) pairs with normalized columns N*G/(ln N)^kappa.
 
-    With truncate_bits=64 the dilates are truncated to 64 fractional bits
-    before sorting, which perturbs the maximal gap by at most 2^-63; pass
-    truncate_bits=None for the exact dyadic pipeline.  No other value is
-    supported.
+    The dilates are truncated to 64 fractional bits before sorting, which
+    perturbs the maximal gap by at most 2^-63.
     """
-    if truncate_bits not in (None, 64):
-        raise ValueError(f"truncate_bits must be None or 64, got {truncate_bits!r}")
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("N values must be positive")
@@ -253,29 +247,21 @@ def dispersion_scan(
     pow2 = _is_doubling_pow2(seq.terms[: n_list[-1]])
     rows = []
     for aid, alpha in enumerate(alphas):
-        if truncate_bits is None:
-            pts = dilate(alpha, seq, 1, n_list[-1])
-            for n in n_list:
-                rep = gap_report(pts[:n], eps)
-                g = rep.max_gap.to_fraction()
-                rows.append(_mk_row(aid, n, g, eps))
+        if pow2:
+            e0 = seq.terms[0].bit_length() - 1
+            vals = _pow2_truncated_points(alpha, e0, n_list[-1])
         else:
-            if pow2:
-                e0 = seq.terms[0].bit_length() - 1
-                vals = _pow2_truncated_points(alpha, e0, n_list[-1])
-            else:
-                vals = _truncated_points(
-                    alpha, seq.terms[: n_list[-1]], seq.growth_factor_r.denominator
-                )
-            for n in n_list:
-                g = Fraction(_max_gap_u64(np.sort(vals[:n])), 1 << 64)
-                rows.append(_mk_row(aid, n, g, eps))
+            vals = _truncated_points(
+                alpha, seq.terms[: n_list[-1]], seq.growth_factor_r.denominator
+            )
+        for n in n_list:
+            g = Fraction(_max_gap_u64(np.sort(vals[:n])), 1 << 64)
+            rows.append(_mk_row(aid, n, g, eps))
     return ScanTable(
         rows=tuple(rows),
         rng_seed=rng_seed,
         measure_label=measure_label,
         epsilon=eps,
-        truncated=truncate_bits is not None,
     )
 
 

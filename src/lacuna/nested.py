@@ -51,12 +51,7 @@ class NestedChain:
         def hx(iv):
             if iv is None:
                 return None
-            return [
-                [DyadicReal.from_fraction(iv[0], 192).hex_pair()[0],
-                 DyadicReal.from_fraction(iv[0], 192).hex_pair()[1]],
-                [DyadicReal.from_fraction(iv[1], 192).hex_pair()[0],
-                 DyadicReal.from_fraction(iv[1], 192).hex_pair()[1]],
-            ]
+            return [list(DyadicReal.from_fraction(end, 192).hex_pair()) for end in iv]
         return {
             "k_start": self.k_start,
             "k_end": self.k_end,

@@ -1,8 +1,8 @@
 """Lacunary (Hadamard) integer sequences and step-strided thinnings.
 
 A sequence is lacunary with growth factor r > 1 when a_{n+1} >= r * a_n for all
-n.  The thinned subsequence a~_n = a_{n*step} with step = l * floor((ln N)^kappa)
-(l the smallest integer with r^l > e) has consecutive ratios exceeding N^xi with
+n.  The thinned subsequence a~_n = a_{n*step} with step = l * floor(ln N) (l the
+smallest integer with r^l > e) has consecutive ratios exceeding N^xi with
 xi = l*ln r > 1, which is what makes small integer combinations of its terms
 linearly independent.
 """
@@ -51,7 +51,6 @@ def ln_upper(x) -> Fraction:
 class LacunarySequence:
     terms: tuple[int, ...]
     growth_factor_r: Fraction
-    verified: bool
 
     def __len__(self):
         return len(self.terms)
@@ -114,51 +113,46 @@ def geometric_sequence(r: Fraction, n_terms: int) -> LacunarySequence:
         t = -((-p * t) // q)  # ceil(r * t)
         terms.append(t)
     ok, bad = verify_hadamard(terms, r)
-    if not ok:  # backs verified=True, so it is checked, not assumed
+    if not ok:  # the construction is checked, not assumed
         raise NotLacunaryError(f"not-lacunary: construction violated Hadamard at {bad}")
-    return LacunarySequence(tuple(terms), r, True)
+    return LacunarySequence(tuple(terms), r)
 
 
-def _floor_log_power(n: int, exponent: Fraction) -> int:
-    """floor((ln n)^exponent), via high-precision evaluation."""
+def _floor_log(n: int) -> int:
+    """floor(ln n), via high-precision evaluation."""
     with mp.workdps(_LN_DPS):
-        v = mp.power(mp.log(n), mp.mpf(exponent.numerator) / exponent.denominator)
-        return int(mp.floor(v))
+        return int(mp.floor(mp.log(n)))
 
 
-def _floor_quotient(n: int, l: int, exponent: Fraction) -> int:
-    """floor(N / (l * (ln N)^exponent))."""
+def _floor_quotient(n: int, l: int) -> int:
+    """floor(N / (l * ln N))."""
     with mp.workdps(_LN_DPS):
-        v = n / (l * mp.power(mp.log(n), mp.mpf(exponent.numerator) / exponent.denominator))
-        return int(mp.floor(v))
+        return int(mp.floor(n / (l * mp.log(n))))
 
 
-def thin(seq: LacunarySequence, N: int, exponent: Fraction = Fraction(1)) -> ThinnedSequence:
-    """Step-strided subsequence a~_n = a_{n*step}, step = l*floor((ln N)^exponent).
+def thin(seq: LacunarySequence, N: int) -> ThinnedSequence:
+    """Step-strided subsequence a~_n = a_{n*step}, step = l*floor(ln N).
 
-    K = floor(N / (l*(ln N)^exponent)); rejects N too small for a positive step
-    or a positive K instead of clamping.
+    K = floor(N / (l*ln N)); rejects N too small for a positive step or a
+    positive K instead of clamping.
     """
-    exponent = Fraction(exponent)
-    if exponent < 1:
-        raise ValueError("thinning exponent must be >= 1")
-    return _thin(seq, N, exponent, 0)
+    return _thin(seq, N, 0)
 
 
 def thin_block(seq: LacunarySequence, N: int) -> ThinnedSequence:
     """Thinning of the translated block (N, 2N]: a~_n = a_{N + n*step}."""
-    return _thin(seq, N, Fraction(1), N)
+    return _thin(seq, N, N)
 
 
-def _thin(seq: LacunarySequence, N: int, exponent: Fraction, offset: int) -> ThinnedSequence:
+def _thin(seq: LacunarySequence, N: int, offset: int) -> ThinnedSequence:
     """a~_n = a_{offset + n*step} for n = 1..K, both sizes set by N alone."""
     if len(seq.terms) < offset + N:
         raise ValueError(f"sequence provides {len(seq.terms)} terms, need {offset + N}")
     l = smallest_l(seq.growth_factor_r)
     if N < 3:
         raise NBelowThresholdError(f"N-below-threshold: N={N}")
-    step = l * _floor_log_power(N, exponent)
-    K = _floor_quotient(N, l, exponent)
+    step = l * _floor_log(N)
+    K = _floor_quotient(N, l)
     if step < 1 or K < 1:
         raise NBelowThresholdError(f"N-below-threshold: N={N} gives step={step}, K={K}")
     terms = tuple(seq.term(offset + n * step) for n in range(1, K + 1))
@@ -175,11 +169,17 @@ def save_sequence(path, seq: LacunarySequence) -> None:
 
 
 def load_sequence(path) -> LacunarySequence:
+    """Read a file written by save_sequence; raises NotLacunaryError unless
+    the header ratio exceeds 1 and every term keeps it."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# r="):
             raise ValueError("missing '# r=<rational>' header")
         r = Fraction(header[4:])
         terms = tuple(int(line) for line in fh if line.strip())
-    ok, _ = verify_hadamard(terms, r)
-    return LacunarySequence(terms, r, ok)
+    if r <= 1:
+        raise NotLacunaryError(f"growth factor {r} is not > 1")
+    ok, bad = verify_hadamard(terms, r)
+    if not ok:
+        raise NotLacunaryError(f"a_{bad} < {r} * a_{bad - 1} in {path}")
+    return LacunarySequence(terms, r)

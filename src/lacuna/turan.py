@@ -40,7 +40,6 @@ from fractions import Fraction
 
 from .dyadic import (
     DyadicReal,
-    TorusPoint,
     alpha_precision,
     format_decimal,
     format_ratio,
@@ -227,24 +226,11 @@ def _greedy_band_search(
     return Fraction(L, Q), Fraction(H, Q)
 
 
-def _target_fractions(targets) -> list[Fraction]:
-    out = []
-    for t in targets:
-        if isinstance(t, TorusPoint):
-            out.append(t.value.to_fraction())
-        elif isinstance(t, DyadicReal):
-            out.append(t.to_fraction())
-        else:
-            out.append(Fraction(t))
-    return out
-
-
 def find_dilation(
     thinned: ThinnedSequence,
     targets,
     epsilon: Fraction,
     search_interval: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
-    precision_bits: int | None = None,
 ) -> DilationCertificate:
     """Greedy interval refinement realizing ||alpha*a~_n - x_n|| <= eps for all n.
 
@@ -255,7 +241,7 @@ def find_dilation(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise EpsilonDomainError(f"epsilon-domain: {epsilon}")
-    xs = _target_fractions(targets)
+    xs = [Fraction(t) for t in targets]
     if len(xs) != thinned.K:
         raise ValueError(f"need {thinned.K} targets, got {len(xs)}")
     freqs = thinned.terms
@@ -287,13 +273,11 @@ def find_dilation(
             f"interval length {hi - lo} below (1+2*eps)/a~_1"
         )
     flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi)
-    alpha_frac = (flo + fhi) / 2
-    if precision_bits is None:
-        parent_terms = thinned.parent.terms if thinned.parent is not None else ()
-        precision_bits = alpha_precision((*freqs, *parent_terms))
-    alpha = DyadicReal.from_fraction(alpha_frac, precision_bits)
-    # a thinning of a sequence whose ratio has denominator d steps by d^step
     parent = thinned.parent
+    parent_terms = parent.terms if parent is not None else ()
+    precision = alpha_precision((*freqs, *parent_terms))
+    alpha = DyadicReal.from_fraction((flo + fhi) / 2, precision)
+    # a thinning of a sequence whose ratio has denominator d steps by d^step
     ratio_q = parent.growth_factor_r.denominator ** thinned.step if parent is not None else 1
     # postcondition on the residue stream: with alpha = m*2^-P and x = p/q,
     # {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), res = m*a mod 2^P
@@ -394,13 +378,7 @@ def find_dilation_dense(
     )
     eps = Fraction(1, N)
     targets = [Fraction(j, N) for j in range(N)]
-    cert = find_dilation(
-        pseudo,
-        targets,
-        eps,
-        search_interval,
-        precision_bits=alpha_precision(terms),
-    )
+    cert = find_dilation(pseudo, targets, eps, search_interval)
     if cert.max_gap_bound != Fraction(3, N):
         raise InfeasibleAtStepError(
             0, f"postcondition violated: gap bound {cert.max_gap_bound} is not 3/{N}"

@@ -10,7 +10,6 @@ from lacuna.cf import (
     QuadraticReal,
     dist_to_int,
     expand,
-    is_bad_proxy,
     lambda_estimate,
     levy_rate,
     parse_value_spec,
@@ -248,19 +247,6 @@ class TestLambda:
     def test_levy_rate_equals_last_slope(self):
         cf = expand(PHI, 50)
         assert levy_rate(cf) == pytest.approx(math.log(cf.q[50]) / 50)
-
-
-class TestBadProxy:
-    def test_golden_bound_one(self):
-        assert is_bad_proxy(expand(PHI, 30), 1)
-
-    def test_sqrt2_bounds(self):
-        cf = expand(SQRT2, 30)
-        assert not is_bad_proxy(cf, 1)
-        assert is_bad_proxy(cf, 2)
-
-    def test_rational_never_bad(self):
-        assert not is_bad_proxy(expand(Fraction(3, 7), 10), 100)
 
 
 class TestInhomDistance:

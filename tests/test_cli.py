@@ -46,6 +46,14 @@ class TestGaps:
         _, out = run(capsys, *argv, "--precision", "300")
         assert json.loads(out)["alpha"]["exponent"] == -300
 
+    def test_non_lacunary_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# r=2\n1\n3\n4\n")
+        code = main(["gaps", "--seq", str(path), "--n", "3", "--alpha", "7/10"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error [not-lacunary]: a_3 < 2 * a_2")
+
 
 class TestFindAlpha:
     def test_bound_met(self, capsys):
@@ -86,7 +94,8 @@ class TestNestedAlpha:
 class TestByteIdentity:
     """sha256 of stdout, recorded before the certify path moved from Fraction
     to integer arithmetic (the r = 5/2 find-alpha at N = 2048 and metric-scan
-    pins: before residues took the rational-ratio recurrence); every decision
+    pins: before residues took the rational-ratio recurrence; the littlewood
+    pin: before cz_build walked its expansion in one pass); every decision
     and digit must stay the same."""
 
     @pytest.mark.parametrize(
@@ -125,6 +134,15 @@ class TestByteIdentity:
                 ),
                 0,
                 "886fdeb601005830759412ea5e54631d9b1bcb4bd0ea638b8d8ea88dc47032b7",
+            ),
+            (
+                # the steered path: cz_build, then the Littlewood scan on it
+                (
+                    "littlewood", "--beta", "sqrt:2", "--alpha", "quad:-1,5,2",
+                    "--terms", "300",
+                ),
+                0,
+                "64465a174740a496724498e90a79bf2eed443af5833232bcc596572c4ea9f417",
             ),
         ],
     )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna.bump import standard_bump
-from lacuna.dyadic import DyadicReal, alpha_precision, dilate, frac
+from lacuna.dyadic import DyadicReal, alpha_precision, dilate, frac, gap_report
 from lacuna.errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
@@ -85,12 +85,13 @@ class TestDispersionScan:
     def test_truncated_matches_exact(self, seq2):
         alphas = [sample_alpha("lebesgue", s, 1100) for s in range(3)]
         ns = [256, 1024]
-        t_tr = dispersion_scan(seq2, alphas, ns, truncate_bits=64)
-        t_ex = dispersion_scan(seq2, alphas, ns, truncate_bits=None)
-        assert t_tr.truncated and not t_ex.truncated
-        for a, b in zip(t_tr.rows, t_ex.rows):
-            assert (a.alpha_id, a.n) == (b.alpha_id, b.n)
-            assert abs(a.max_gap - b.max_gap) <= Fraction(1, 1 << 62)
+        table = dispersion_scan(seq2, alphas, ns)
+        assert [(r.alpha_id, r.n) for r in table.rows] == [
+            (aid, n) for aid in range(3) for n in ns
+        ]
+        for row in table.rows:
+            exact = gap_report(dilate(alphas[row.alpha_id], seq2, 1, row.n))
+            assert abs(row.max_gap - exact.max_gap.to_fraction()) <= Fraction(1, 1 << 62)
 
     def test_pow2_fast_path_matches_generic(self):
         seq = geometric_sequence(Fraction(2), 2048)
@@ -147,12 +148,6 @@ class TestDispersionScan:
         terms = geometric_sequence(Fraction(3), 40).terms
         want = [math.floor(Fraction(5 * a, 1024) % 1 * (1 << 64)) for a in terms]
         assert _truncated_points(alpha, terms).tolist() == want
-
-    def test_truncate_bits_other_than_64_rejected(self, seq2):
-        alpha = sample_alpha("lebesgue", 1, 128)
-        for bits in (0, 32, 63, 65, 128):
-            with pytest.raises(ValueError, match="truncate_bits"):
-                dispersion_scan(seq2, [alpha], [64], truncate_bits=bits)
 
     def test_pigeonhole(self, seq2):
         alphas = [sample_alpha("lebesgue", s, 128) for s in range(5)]

@@ -93,10 +93,10 @@ class TestGeometric:
     def test_always_hadamard(self, r, n):
         seq = geometric_sequence(r, n)
         ok, bad = verify_hadamard(seq.terms, r)
-        assert ok and bad is None and seq.verified
+        assert ok and bad is None
 
     def test_hadamard_check_survives_optimized_mode(self):
-        # verified=True rests on the check: a failing one raises a coded
+        # the construction rests on the check: a failing one raises a coded
         # error, also under python -O
         code = (
             "from lacuna import sequences\n"
@@ -223,7 +223,12 @@ class TestSerialization:
         back = load_sequence(path)
         assert back.terms == seq.terms
         assert back.growth_factor_r == Fraction(3, 2)
-        assert back.verified
+
+    def test_ratio_at_most_one_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# r=1\n1\n2\n4\n")
+        with pytest.raises(NotLacunaryError, match="growth factor 1 is not > 1"):
+            load_sequence(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
