@@ -1,26 +1,30 @@
 """Continued fractions: expansions, continuants, growth-rate estimates, and
 exact arithmetic for quadratic irrationals.
 
-Quadratic irrationals are carried symbolically as x + y*sqrt(d) with rational
-x, y, so expansions and nearest-integer distances never hit a precision
-horizon.  dist_to_int is the one nearest-integer distance on exact scalars
-(Fraction or QuadraticReal): |x - j| with j = floor(x + 1/2), where a
-QuadraticReal's floor is one integer floor over the common denominator of
-x and y.  Dyadic inputs are expanded by the Euclidean algorithm with an
-explicit horizon: quotients are only trusted while the convergent denominator
-stays well below sqrt(2^precision)."""
+Every expansion is an integer loop.  Fractions and DyadicReals share one
+Euclid loop; a DyadicReal's quotients are then trusted only while the
+continuant stays well below sqrt(2^precision), one check on the finished
+continuants.  A quadratic irrational x + y*sqrt(d) (rational x, y) is written
+(P + sqrt(D)) / Q with Q dividing D - P^2 and expanded by the classical
+recurrence on (P, Q), so its expansion never hits a precision horizon.
+
+QuadraticReal has one exact scaled floor, floor(v * 2^s) by one isqrt over
+the common denominator of x and y; floor, sign, to_float and to_dyadic all
+read it.  dist_to_int is the one nearest-integer distance on exact scalars
+(Fraction or QuadraticReal): |x - j| with j = floor(x + 1/2), read with its
+sign from one floor of 2x."""
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .dyadic import DyadicReal
 from .errors import CfPrecisionExhaustedError, InsufficientDepthError
 
 _LN2 = math.log(2)
-_HALF = Fraction(1, 2)
 
 
 def log_int(n: int) -> float:
@@ -116,21 +120,11 @@ class QuadraticReal:
         return QuadraticReal(num.x / norm, num.y / norm, self.d)
 
     def sign(self) -> int:
-        x, y = self.x, self.y
-        if y == 0:
-            return (x > 0) - (x < 0)
-        if x == 0:
-            return (y > 0) - (y < 0)
-        if x > 0 and y > 0:
-            return 1
-        if x < 0 and y < 0:
-            return -1
-        # opposite signs: compare x^2 with y^2*d
-        lhs, rhs = x * x, y * y * self.d
-        if lhs == rhs:
+        """The sign of v: 0 only when x = y = 0, as sqrt(d) is irrational;
+        otherwise -1 exactly when floor(v) < 0."""
+        if not (self.x or self.y):
             return 0
-        big_x = lhs > rhs
-        return (1 if x > 0 else -1) if big_x else (1 if y > 0 else -1)
+        return -1 if self._scaled_int(0) < 0 else 1
 
     def _cmp(self, other) -> int:
         return (self - other).sign()
@@ -156,15 +150,16 @@ class QuadraticReal:
     def __hash__(self):
         return hash((self.x, self.y, self.d))
 
-    def _scaled_int(self, shift: int = 64) -> int:
-        """floor-accurate integer approximation of self * 2**shift; exact
-        integer arithmetic, so no cancellation between x and y*sqrt(d)."""
-        xa = (self.x.numerator << shift) // self.x.denominator
+    def _scaled_int(self, shift: int) -> int:
+        """floor(self * 2^shift), exact.  Over the common denominator C = b*e
+        of x = a/b and y = c/e this is floor((A + B*sqrt(d)) / C) with
+        A = a*e*2^shift, B = c*b*2^shift.  B*sqrt(d) is irrational unless
+        B = 0, so its floor is one isqrt (less one when B < 0), and
+        floor((A + floor(B*sqrt(d))) / C) is exact."""
+        a, b = self.x.numerator, self.x.denominator
         c, e = self.y.numerator, self.y.denominator
-        if c:
-            s = math.isqrt(((c * c * self.d) << (2 * shift)) // (e * e))
-            xa += -s - 1 if c < 0 else s
-        return xa
+        s = math.isqrt((c * c * b * b * self.d) << (2 * shift))
+        return ((a * e << shift) + (-s - 1 if c < 0 else s)) // (b * e)
 
     def to_float(self) -> float:
         """The float nearest floor(self * 2^s) / 2^s, s = 64.  Where s = 64
@@ -180,13 +175,8 @@ class QuadraticReal:
         return m / (1 << shift)  # int / int rounds correctly
 
     def floor(self) -> int:
-        """floor((A + B*sqrt(d)) / C) over the common denominator C = b*e of
-        x = a/b and y = c/e.  B*sqrt(d) is irrational unless B = 0, so its
-        floor is one isqrt, and floor((A + floor(B*sqrt(d))) / C) is exact."""
-        a, b = self.x.numerator, self.x.denominator
-        c, e = self.y.numerator, self.y.denominator
-        s = math.isqrt(c * c * b * b * self.d)
-        return (a * e + (-s - 1 if c < 0 else s)) // (b * e)
+        """floor(v), exact."""
+        return self._scaled_int(0)
 
     __floor__ = floor
 
@@ -194,10 +184,8 @@ class QuadraticReal:
         return -self if self.sign() < 0 else self
 
     def to_dyadic(self, precision_bits: int) -> DyadicReal:
-        scaled = QuadraticReal(
-            self.x * (1 << precision_bits), self.y * (1 << precision_bits), self.d
-        )
-        return DyadicReal(scaled.floor(), -precision_bits, precision_bits)
+        """floor(self * 2^precision_bits) / 2^precision_bits."""
+        return DyadicReal(self._scaled_int(precision_bits), -precision_bits, precision_bits)
 
     def __repr__(self):
         return f"QuadraticReal({self.x} + {self.y}*sqrt({self.d}))"
@@ -206,8 +194,11 @@ class QuadraticReal:
 def dist_to_int(x):
     """||x||, the distance to the nearest integer: |x - j| with j =
     floor(x + 1/2).  Exact, and of the same type as x (QuadraticReal or
-    Fraction)."""
-    return abs(x - math.floor(x + _HALF))
+    Fraction).  One floor t = floor(2x) gives both j = floor((t + 1) / 2)
+    and the sign of x - j, which is >= 0 exactly when t is even."""
+    t = math.floor(2 * x)
+    j = (t + 1) // 2
+    return x - j if t % 2 == 0 else j - x
 
 
 # ---------------------------------------------------------------------------
@@ -255,71 +246,58 @@ def _from_quotients(a0: int, quotients, rational_terminated=False) -> ContinuedF
 
 
 def _expand_fraction(fr: Fraction, depth: int) -> ContinuedFraction:
+    """The Euclidean algorithm on the fractional part of fr, stopped at depth
+    quotients or when it terminates."""
     a0 = math.floor(fr)
-    num, den = (fr - a0).numerator, (fr - a0).denominator
+    num, den = (fr - a0).denominator, (fr - a0).numerator
     quotients = []
-    # quotients of 1/x via Euclid
-    num, den = den, num
-    while den != 0 and len(quotients) < depth:
-        a, num = divmod(num, den)
-        num, den = den, num
+    while den and len(quotients) < depth:
+        a, r = divmod(num, den)
+        num, den = den, r
         quotients.append(a)
-    # canonical form: avoid a trailing quotient 1 ambiguity only if present and
-    # expansion is complete; keep the raw Euclid output (unique for rationals
-    # with last quotient >= 2, except x integer)
     return _from_quotients(a0, quotients, rational_terminated=(den == 0))
 
 
 def _expand_dyadic(x: DyadicReal, depth: int) -> ContinuedFraction:
-    fr = x.to_fraction()
-    a0 = math.floor(fr)
-    rem = fr - a0
+    """The Euclid expansion of x's exact value, checked once against the
+    horizon 2^((precision - 32) / 2): quotient k + 1 is trusted while q_k
+    stays within it and the Euclid loop has not ended.  x stands for a real
+    it only approximates, so the result is never rational_terminated."""
+    cf = _expand_fraction(x.to_fraction(), depth)
     horizon = 1 << max((x.precision_bits - 32) // 2, 1)
-    num, den = rem.denominator, rem.numerator
-    quotients = []
-    qk, qk1 = 1, 0
-    while len(quotients) < depth:
-        if den == 0 or qk > horizon:
-            raise CfPrecisionExhaustedError(
-                f"cf-precision-exhausted after {len(quotients)} quotients "
-                f"(precision {x.precision_bits} bits)"
-            )
-        a, r = divmod(num, den)
-        num, den = den, r
-        quotients.append(a)
-        qk, qk1 = a * qk + qk1, qk
-    return _from_quotients(a0, quotients)
+    trusted = min(bisect.bisect_right(cf.q, horizon), cf.depth)
+    if trusted < depth:
+        raise CfPrecisionExhaustedError(
+            f"cf-precision-exhausted after {trusted} quotients "
+            f"(precision {x.precision_bits} bits)"
+        )
+    return replace(cf, rational_terminated=False)
 
 
 def _expand_quadratic(x: QuadraticReal, depth: int) -> ContinuedFraction:
+    """The classical integer recurrence on x_k = (P + sqrt(D)) / Q with Q
+    dividing D - P^2: c = floor(x_k), P <- c*Q - P, Q <- (D - P^2) / Q, so
+    x_{k+1} = 1 / (x_k - c) in the same form.  D is not a square, so with
+    r = isqrt(D) the floor is (P + r) // Q for Q > 0 and (P + r + 1) // Q
+    for Q < 0."""
     if x.is_rational():
         return _expand_fraction(x.x, depth)
-    a0 = x.floor()
+    a, b = x.x.numerator, x.x.denominator
+    c, e = x.y.numerator, x.y.denominator
+    # x = (a*e + c*b*sqrt(d)) / C with C = b*e; moving the sign s of c into
+    # Q and scaling by C gives (P + sqrt(D)) / Q with Q = s*C^2 dividing
+    # D - P^2 = C^2 ((a*e)^2 - (c*b)^2 d)
+    s = 1 if c > 0 else -1
+    C = b * e
+    P, Q, D = s * a * e * C, s * C * C, (c * b * C) ** 2 * x.d
+    r = math.isqrt(D)
     quotients = []
-    cur = x - a0
-    # Gauss map with exact field arithmetic; quotient sizes stay bounded for a
-    # quadratic irrational so this is cheap at any depth
-    one = QuadraticReal(Fraction(1), Fraction(0), x.d)
-    seen = {}
-    cycle = None
-    for _ in range(depth):
-        cur = one / cur
-        key = (cur.x, cur.y)
-        if key in seen and cycle is None:
-            cycle = (seen[key], len(quotients))
-        seen[key] = len(quotients)
-        a = cur.floor()
-        quotients.append(a)
-        cur = cur - a
-        if cycle is not None:
-            # periodic from here; replay the cycle without field arithmetic
-            start, end = cycle
-            period = quotients[start:end] or quotients[start:]
-            if period:
-                while len(quotients) < depth:
-                    quotients.append(period[len(quotients) % len(period)])
-                break
-    return _from_quotients(a0, quotients[:depth])
+    for _ in range(depth + 1):
+        k = (P + r + (Q < 0)) // Q
+        P = k * Q - P
+        Q = (D - P * P) // Q
+        quotients.append(k)
+    return _from_quotients(quotients[0], quotients[1:])
 
 
 def parse_value_spec(spec: str):

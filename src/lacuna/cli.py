@@ -84,7 +84,7 @@ def _cmd_gaps(a):
     seq = _build_seq(a, a.n)
     prec = max(alpha_precision(seq.terms[: a.n]), _precision_override(a))
     alpha = DyadicReal.from_fraction(Fraction(a.alpha), prec)
-    rep = gap_report(dilate(alpha, seq, 1, a.n), a.eps)
+    rep = gap_report(dilate(alpha, seq, 1, a.n))
     payload = {"alpha": _dyadic_json(alpha), **rep.to_json_dict()}
     _emit(payload, a.out)
     return 0
@@ -152,8 +152,6 @@ def _cmd_moment_check(a):
         float(Fraction(a.t)),
         params,
         bump_mod.standard_bump(),
-        quadrature_points=a.points,
-        method=a.method,
     )
     payload = {
         "n": a.n,
@@ -231,7 +229,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     g("--seq")
     g("--n", type=int, required=True)
     g("--alpha", required=True)
-    g("--eps", type=float, default=0.05)
     g("--precision", type=int, default=0)
     g("--out")
 
@@ -266,8 +263,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     mc("--n", type=int, required=True)
     mc("--t", default="0")
     mc("--eps", default="1/20")
-    mc("--points", type=int, default=1 << 14)
-    mc("--method", default="auto")
     mc("--out")
 
     cfp = subcommand("cf", _cmd_cf)

@@ -286,18 +286,18 @@ class GapReport:
         }
 
 
-def _normalized_map(n: int, max_gap: Fraction, eps: float) -> dict:
-    """N*G / (ln N)^kappa for kappa in {1, 2, 2+eps}; empty when ln N == 0."""
+def _normalized_map(n: int, max_gap: Fraction) -> dict:
+    """N*G / (ln N)^kappa for kappa in {1, 2}; empty when ln N == 0."""
     if n < 2:
         return {}
     ln_n = math.log(n)
     out = {}
-    for kappa in (1.0, 2.0, 2.0 + eps):
+    for kappa in (1.0, 2.0):
         out[kappa] = Fraction(n) * max_gap / Fraction.from_float(ln_n**kappa)
     return out
 
 
-def gap_report(points, eps: float = 0.05) -> GapReport:
+def gap_report(points) -> GapReport:
     """Exact gap vector, including the wrap-around gap, of a DilatedSet (read
     as its residues) or of any iterable of torus points (first aligned to
     their smallest exponent)."""
@@ -322,7 +322,7 @@ def gap_report(points, eps: float = 0.05) -> GapReport:
         exponent=e,
         precision_bits=prec,
         max_gap=DyadicReal(max_i, e, prec),
-        normalized=_normalized_map(len(ints), Fraction(max_i, one), eps),
+        normalized=_normalized_map(len(ints), Fraction(max_i, one)),
     )
 
 

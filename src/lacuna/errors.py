@@ -28,6 +28,10 @@ class NotLacunaryError(LacunaError):
     code = "not-lacunary"
 
 
+class MalformedSequenceFileError(LacunaError):
+    code = "malformed-sequence-file"
+
+
 class NBelowThresholdError(LacunaError):
     code = "N-below-threshold"
 

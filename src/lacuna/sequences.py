@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import NBelowThresholdError, NotLacunaryError
+from .errors import MalformedSequenceFileError, NBelowThresholdError, NotLacunaryError
 
 _LN_DPS = 40
 _LN_GUARD = Fraction(1, 1 << 60)
@@ -86,7 +86,7 @@ def verify_hadamard(terms, r: Fraction) -> tuple[bool, int | None]:
     """Check a_{n+1} >= r*a_n for every pair; returns (ok, first bad 1-based n+1)."""
     terms = list(terms)
     if not terms or any(t <= 0 for t in terms):
-        raise ValueError("terms must be nonempty and positive")
+        raise NotLacunaryError("not-lacunary: terms must be nonempty and positive")
     r = Fraction(r)
     for i in range(len(terms) - 1):
         if terms[i + 1] * r.denominator < r.numerator * terms[i]:
@@ -169,14 +169,21 @@ def save_sequence(path, seq: LacunarySequence) -> None:
 
 
 def load_sequence(path) -> LacunarySequence:
-    """Read a file written by save_sequence; raises NotLacunaryError unless
-    the header ratio exceeds 1 and every term keeps it."""
+    """Read a file written by save_sequence.  Raises MalformedSequenceFileError
+    when the '# r=<rational>' header or a term does not parse, and
+    NotLacunaryError unless the ratio exceeds 1 and the terms are nonempty,
+    positive and keep it."""
     with open(path) as fh:
         header = fh.readline().strip()
-        if not header.startswith("# r="):
-            raise ValueError("missing '# r=<rational>' header")
-        r = Fraction(header[4:])
-        terms = tuple(int(line) for line in fh if line.strip())
+        try:
+            if not header.startswith("# r="):
+                raise ValueError("missing '# r=<rational>' header")
+            r = Fraction(header[4:])
+            terms = tuple(int(line) for line in fh if line.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedSequenceFileError(
+                f"malformed-sequence-file: {path}: {exc}"
+            ) from None
     if r <= 1:
         raise NotLacunaryError(f"growth factor {r} is not > 1")
     ok, bad = verify_hadamard(terms, r)

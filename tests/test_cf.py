@@ -1,6 +1,8 @@
 import math
+import re
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,8 +137,6 @@ class TestNearestIntegerDistance:
             assert fl == reference_floor(v)
 
     def test_to_float_at_small_magnitudes(self):
-        import mpmath as mp
-
         cf = expand(SQRT2, 60)
         with mp.workdps(120):  # q_60 ~ 1e23 and ||sqrt(2) q_60|| ~ 4e-24
             for k in range(10, 61):
@@ -155,7 +155,131 @@ class TestNearestIntegerDistance:
             assert v.to_float() == math.ldexp(m, -64)
 
 
+def reference_sign(v: QuadraticReal) -> int:
+    """The earlier QuadraticReal.sign: a case analysis on the signs of x and
+    y, comparing x^2 with y^2 d when they differ."""
+    x, y = v.x, v.y
+    if y == 0:
+        return (x > 0) - (x < 0)
+    if x == 0:
+        return (y > 0) - (y < 0)
+    if x > 0 and y > 0:
+        return 1
+    if x < 0 and y < 0:
+        return -1
+    lhs, rhs = x * x, y * y * v.d
+    if lhs == rhs:
+        return 0
+    big_x = lhs > rhs
+    return (1 if x > 0 else -1) if big_x else (1 if y > 0 else -1)
+
+
+def reference_expansion(v: QuadraticReal, depth: int) -> list[int]:
+    """a0 and depth quotients of the Gauss map v -> 1 / (v - floor v) in
+    field arithmetic; each floor is a 60-digit mpmath estimate corrected by
+    reference_sign, so nothing here calls QuadraticReal's own floor."""
+    one = QuadraticReal.rational(1, v.d)
+    out = []
+    for _ in range(depth + 1):
+        with mp.workdps(60):
+            a = int(mp.floor(mp.mpf(v.x.numerator) / v.x.denominator
+                             + mp.mpf(v.y.numerator) / v.y.denominator * mp.sqrt(v.d)))
+        while reference_sign(v - a) < 0:
+            a -= 1
+        while reference_sign(v - (a + 1)) >= 0:
+            a += 1
+        out.append(a)
+        v = one / (v - a)
+    return out
+
+
+def reference_dyadic_count(x: DyadicReal, depth: int) -> int:
+    """Quotients the earlier dyadic loop produced before it raised: it
+    stopped at quotient k + 1 once its running continuant q_k passed the
+    horizon or Euclid ended."""
+    fr = x.to_fraction()
+    rem = fr - math.floor(fr)
+    horizon = 1 << max((x.precision_bits - 32) // 2, 1)
+    num, den = rem.denominator, rem.numerator
+    count, qk, qk1 = 0, 1, 0
+    while count < depth and den != 0 and qk <= horizon:
+        a, r = divmod(num, den)
+        num, den = den, r
+        count += 1
+        qk, qk1 = a * qk + qk1, qk
+    return count
+
+
+SMALL_RATIONALS = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4)
+)
+NONZERO_RATIONALS = SMALL_RATIONALS.filter(lambda f: f != 0)
+SMALL_NON_SQUARES = st.integers(2, 1000).filter(lambda d: math.isqrt(d) ** 2 != d)
+
+
+class TestSign:
+    @settings(max_examples=300)
+    @given(QUADRATICS)
+    def test_matches_reference(self, v):
+        assert v.sign() == reference_sign(v)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            QuadraticReal.rational(0, 2),
+            QuadraticReal.rational(Fraction(-1, 10**30), 3),
+            QuadraticReal(Fraction(0), Fraction(-1, 7), 5),
+            SQRT2 * 10**40 - Fraction(141421356237309504880168872420969807857, 1000),
+            Fraction(10**40) - SQRT2 * 10**40,
+        ],
+    )
+    def test_edge_cases(self, v):
+        assert v.sign() == reference_sign(v)
+
+
 class TestExpansion:
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_RATIONALS, NONZERO_RATIONALS, SMALL_NON_SQUARES)
+    def test_quadratic_matches_reference_gauss_map(self, x, y, d):
+        v = QuadraticReal(x, y, d)
+        cf = expand(v, 64)
+        assert [cf.a0, *cf.partial_quotients] == reference_expansion(v, 64)
+
+    @pytest.mark.parametrize(
+        "x, quotients",
+        [
+            (SQRT2 / 3, (2, 8, 4, 8, 4, 8, 4, 8, 4, 8, 4, 8)),
+            (parse_value_spec("quad:1,7,5"), (1, 2, 1, 2, 4, 26, 4, 2, 1, 2, 4, 26)),
+            (QuadraticReal.sqrt(3) * Fraction(2, 7), (2, 48, 4, 48, 4, 48, 4, 48, 4, 48, 4, 48)),
+        ],
+        ids=["sqrt2/3", "(1+sqrt7)/5", "2sqrt3/7"],
+    )
+    def test_period_after_a_preperiod(self, x, quotients):
+        cf = expand(x, 12)
+        assert cf.a0 == 0 and cf.partial_quotients == quotients
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            SQRT2.to_dyadic(48),
+            SQRT2.to_dyadic(96),
+            PHI_M1.to_dyadic(64),
+            DyadicReal.from_fraction(Fraction(1, 2), 40),
+            DyadicReal.from_fraction(Fraction(3, 8), 40),
+            DyadicReal.from_fraction(Fraction(7, 10), 256),
+        ],
+    )
+    def test_precision_exhausted_count(self, x):
+        for depth in (1, 2, 3, 10, 40, 200):
+            count = reference_dyadic_count(x, depth)
+            if count == depth:
+                cf = expand(x, depth)
+                assert cf.depth == depth and not cf.rational_terminated
+                continue
+            with pytest.raises(CfPrecisionExhaustedError) as exc:
+                expand(x, depth)
+            assert re.search(r"after (\d+) quotients", str(exc.value)).group(1) == str(count)
+
     def test_golden_ratio_minus_one(self):
         cf = expand(PHI_M1, 6)
         assert cf.a0 == 0

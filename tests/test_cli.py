@@ -54,6 +54,26 @@ class TestGaps:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error [not-lacunary]: a_3 < 2 * a_2")
 
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("2\n4\n8\n", "malformed-sequence-file"),
+            ("# r=two\n2\n4\n", "malformed-sequence-file"),
+            ("# r=2\n2\nfour\n", "malformed-sequence-file"),
+            ("# r=2\n", "not-lacunary"),
+            ("# r=2\n0\n1\n", "not-lacunary"),
+            ("# r=2\n-4\n-2\n", "not-lacunary"),
+        ],
+        ids=["no-header", "bad-ratio", "bad-term", "no-terms", "zero-term", "negative-term"],
+    )
+    def test_bad_file_is_a_coded_error(self, capsys, tmp_path, text, code):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        exit_code = main(["gaps", "--seq", str(path), "--n", "2", "--alpha", "7/10"])
+        captured = capsys.readouterr()
+        assert exit_code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error [{code}]")
+
 
 class TestFindAlpha:
     def test_bound_met(self, capsys):
@@ -314,6 +334,19 @@ class TestErrors:
         # --precision sizes alphas for gaps and metric-scan only
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--precision", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaps", "--n", "5", "--alpha", "7/10", "--eps", "0.05"],
+            ["moment-check", "--n", "256", "--points", "16384"],
+            ["moment-check", "--n", "256", "--method", "simpson"],
+        ],
+    )
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_ratio_near_one_fails_fast(self, capsys):

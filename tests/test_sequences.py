@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lacuna.errors import NBelowThresholdError, NotLacunaryError
+from lacuna.errors import MalformedSequenceFileError, NBelowThresholdError, NotLacunaryError
 from lacuna.sequences import (
     LacunarySequence,
     geometric_sequence,
@@ -158,9 +158,9 @@ class TestVerifyHadamard:
         assert verify_hadamard([2, 3, 5, 8], Fraction(3, 2)) == (True, None)
 
     def test_rejects_empty_or_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotLacunaryError):
             verify_hadamard([], Fraction(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(NotLacunaryError):
             verify_hadamard([1, 0], Fraction(2))
 
 
@@ -233,5 +233,5 @@ class TestSerialization:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n4\n8\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedSequenceFileError):
             load_sequence(path)
