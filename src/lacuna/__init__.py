@@ -2,14 +2,7 @@
 on the unit torus: exact gap statistics, certified dilation factors, metric
 scans, and continued-fraction machinery."""
 
-from .dyadic import (
-    DyadicReal,
-    GapReport,
-    TorusPoint,
-    dilate,
-    frac,
-    gap_report,
-)
+from .dyadic import DyadicReal, GapReport, dilate, gap_report
 from .errors import LacunaError
 from .sequences import (
     LacunarySequence,

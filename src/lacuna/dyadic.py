@@ -1,11 +1,11 @@
-"""Exact dyadic arithmetic on the unit torus, and gap statistics.
+"""Dyadic reals, dilated point sets on the unit torus, and gap statistics.
 
-A dyadic real is mantissa * 2**exponent with an odd (or zero) mantissa, so the
-representation is unique.  Addition and multiplication of dyadics are exact;
-rounding happens only where a rational becomes a dyadic, in from_fraction()
-(round-to-nearest-even).
-All torus computations (fractional parts, sorting, gap vectors) are exact
-integer arithmetic at a common exponent, so gap vectors sum to one exactly.
+A dyadic real is a value, mantissa * 2**exponent with an odd (or zero)
+mantissa, so the representation is unique; two dyadics are equal when their
+values are, whatever precision_bits they carry.  Rounding happens only where
+a rational becomes a dyadic, in from_fraction() (round-to-nearest-even).
+Sorting and gap vectors are exact integer arithmetic at a common exponent,
+so gap vectors sum to one exactly.
 
 A dilated point set {alpha * a_n} has one form, its residue vector: with
 alpha = m * 2^-P, the dilates are the integers m * a_n mod 2^P at the common
@@ -27,8 +27,8 @@ negative or bumped term, a wrong q) falls back to that product.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -42,11 +42,13 @@ def _ctz(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DyadicReal:
+    """mantissa * 2^exponent; equality and hash read the value only."""
+
     mantissa: int
     exponent: int
-    precision_bits: int = DEFAULT_PRECISION_BITS
+    precision_bits: int = field(default=DEFAULT_PRECISION_BITS, compare=False)
 
     def __post_init__(self):
         m, e = self.mantissa, self.exponent
@@ -113,86 +115,6 @@ class DyadicReal:
         s = ("-" if m < 0 else "") + hex(abs(m))
         return s, self.exponent
 
-    # -- arithmetic (exact) -------------------------------------------------
-
-    def _with(self, m, e):
-        return DyadicReal(m, e, self.precision_bits)
-
-    def __neg__(self):
-        return self._with(-self.mantissa, self.exponent)
-
-    def __abs__(self):
-        return self._with(abs(self.mantissa), self.exponent)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        e = min(self.exponent, other.exponent)
-        m = (self.mantissa << (self.exponent - e)) + (
-            other.mantissa << (other.exponent - e)
-        )
-        return DyadicReal(m, e, min(self.precision_bits, other.precision_bits))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DyadicReal(
-            self.mantissa * other.mantissa,
-            self.exponent + other.exponent,
-            min(self.precision_bits, other.precision_bits),
-        )
-
-    __rmul__ = __mul__
-
-    def _cmp(self, other) -> int:
-        other = _coerce(other)
-        e = min(self.exponent, other.exponent)
-        a = self.mantissa << (self.exponent - e)
-        b = other.mantissa << (other.exponent - e)
-        return (a > b) - (a < b)
-
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._cmp(o) == 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __hash__(self):
-        return hash((self.mantissa, self.exponent))
-
-    def floor(self) -> int:
-        if self.exponent >= 0:
-            return self.mantissa << self.exponent
-        return self.mantissa >> -self.exponent  # arithmetic shift: floor
-
     def __repr__(self):
         return f"DyadicReal({self.decimal_str(12)})"
 
@@ -207,18 +129,6 @@ def dyadic_to_float(m: int, e: int) -> float:
         m >>= bl - 64
         e += bl - 64
     return math.ldexp(m, e)
-
-
-def _coerce(x):
-    if isinstance(x, DyadicReal):
-        return x
-    if isinstance(x, int):
-        return DyadicReal(x, 0)
-    return NotImplemented
-
-
-ZERO = DyadicReal(0, 0)
-ONE = DyadicReal(1, 0)
 
 
 def format_decimal(fr: Fraction, digits: int = 30) -> str:
@@ -237,28 +147,8 @@ def format_ratio(num: int, den: int, digits: int = 30) -> str:
 
 
 # ---------------------------------------------------------------------------
-# torus points and gaps
+# gaps
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    value: DyadicReal
-
-    def __post_init__(self):
-        # 0 <= m * 2^e < 1 on the normalized mantissa, without building dyadics
-        m, e = self.value.mantissa, self.value.exponent
-        if not (m == 0 or (m > 0 and e < 0 and m.bit_length() <= -e)):
-            raise ValueError("torus point must lie in [0, 1)")
-
-    def to_float(self):
-        return self.value.to_float()
-
-
-def frac(x: DyadicReal) -> TorusPoint:
-    """Fractional part, always in [0, 1) (also for negative arguments)."""
-    fl = x.floor()
-    return TorusPoint(x - fl)
 
 
 @dataclass(frozen=True)
@@ -269,13 +159,8 @@ class GapReport:
     n_points: int
     gap_ints: tuple[int, ...]
     exponent: int
-    precision_bits: int
     max_gap: DyadicReal
     normalized: dict
-
-    @property
-    def gaps(self) -> tuple[DyadicReal, ...]:
-        return tuple(DyadicReal(g, self.exponent, self.precision_bits) for g in self.gap_ints)
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {
@@ -297,21 +182,13 @@ def _normalized_map(n: int, max_gap: Fraction) -> dict:
     return out
 
 
-def gap_report(points) -> GapReport:
-    """Exact gap vector, including the wrap-around gap, of a DilatedSet (read
-    as its residues) or of any iterable of torus points (first aligned to
-    their smallest exponent)."""
-    if isinstance(points, DilatedSet):
-        ints, e, prec = points.residues, points.exponent, points.precision_bits
-    else:
-        points = list(points)
-        exps = [p.value.exponent for p in points if p.value.mantissa != 0]
-        e = min(min(exps, default=0), 0)
-        ints = [p.value.mantissa << (p.value.exponent - e) for p in points]
-        prec = min((p.value.precision_bits for p in points), default=DEFAULT_PRECISION_BITS)
-    if not ints:
+def gap_report(points: DilatedSet) -> GapReport:
+    """Exact gap vector, including the wrap-around gap, of a DilatedSet, read
+    as its residues."""
+    if not points.residues:
         raise EmptyConfigurationError("empty-configuration")
-    ints = sorted(ints)
+    ints = sorted(points.residues)
+    e = points.exponent
     one = 1 << -e
     gaps = [b - a for a, b in zip(ints, ints[1:])]
     gaps.append(one - ints[-1] + ints[0])  # the gaps telescope to one
@@ -320,8 +197,7 @@ def gap_report(points) -> GapReport:
         n_points=len(ints),
         gap_ints=tuple(gaps),
         exponent=e,
-        precision_bits=prec,
-        max_gap=DyadicReal(max_i, e, prec),
+        max_gap=DyadicReal(max_i, e),
         normalized=_normalized_map(len(ints), Fraction(max_i, one)),
     )
 
@@ -420,29 +296,21 @@ def residues(alpha: DyadicReal, terms, q: int = 1) -> Iterator[int]:
 
 
 @dataclass(frozen=True)
-class DilatedSet(Sequence):
+class DilatedSet:
     """A dilated point set as residues at one exponent: point i is
-    residues[i] * 2^exponent.  Indexing builds that TorusPoint on demand;
-    slicing keeps the residue form."""
+    residues[i] * 2^exponent, with 0 <= residues[i] < 2^-exponent."""
 
     residues: tuple[int, ...]
     exponent: int
-    precision_bits: int
 
     def __len__(self) -> int:
         return len(self.residues)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return DilatedSet(self.residues[i], self.exponent, self.precision_bits)
-        return TorusPoint(DyadicReal(self.residues[i], self.exponent, self.precision_bits))
 
 
 def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> DilatedSet:
     """Fractional parts {alpha * a_n} for n in [start, stop] (1-based, inclusive).
 
-    Passes the window through require_precision first.  The points carry
-    min(alpha's precision, 96) bits, as frac(alpha * a_n) does.  A
+    Passes the window through require_precision first.  A
     LacunarySequence's residues follow the denominator of its ratio.
     """
     terms = seq.terms if hasattr(seq, "terms") else seq
@@ -452,8 +320,4 @@ def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> D
     window = terms[start - 1 : stop]
     if window:
         require_precision(alpha, window)
-    return DilatedSet(
-        tuple(residues(alpha, window, q)),
-        -residue_bits(alpha),
-        min(alpha.precision_bits, DEFAULT_PRECISION_BITS),
-    )
+    return DilatedSet(tuple(residues(alpha, window, q)), -residue_bits(alpha))

@@ -12,9 +12,9 @@ the window 8^n < a_n (with a_{n+1} >= 8 a_n) and checked against the
 
 Every distance ||v n - s|| is one exact cf.dist_to_int(v n - s), with v and
 s read as Fractions or QuadraticReals (a DyadicReal as its rational value).
-Products in one quadratic field, or rational, are decided exactly; products
-across two fields on one-sided rational bounds tight to 2^-256.  Float
-views are built from factors that stay O(1), never from n itself.
+Every product is decided exactly: in one quadratic field, or rational, by
+one sign; across two fields by signs in one field each.  Float views are
+built from factors that stay O(1), never from n itself.
 """
 
 from __future__ import annotations
@@ -219,11 +219,28 @@ class LittlewoodReport:
         }
 
 
-def _upper_fraction(x, bits: int = 256) -> Fraction:
-    """Rational upper bound on a nonnegative exact scalar, tight to 2^-bits."""
-    if isinstance(x, QuadraticReal):
-        return x.to_dyadic(bits).to_fraction() + Fraction(1, 1 << bits)
-    return Fraction(x)
+def _product_at_most(pa, pb, t: Fraction) -> bool:
+    """pa * pb <= t, exact.  When pa and pb lie in different quadratic
+    fields and pb > 0 (a negative pb is made positive by negating both),
+    write t / pb = x + y sqrt(d) in pb's field: pa * pb <= t iff v = pa - x,
+    in pa's field, is at most y sqrt(d).  Where the two sides' signs differ
+    they decide it; where they agree, so does the sign of v^2 - y^2 d, again
+    in pa's field."""
+    if not (isinstance(pa, QuadraticReal) and isinstance(pb, QuadraticReal) and pa.d != pb.d):
+        return bool(pa * pb <= t)
+    sb = pb.sign()
+    if sb == 0:
+        return t >= 0
+    if sb < 0:
+        pa, pb = -pa, -pb
+    # t / pb = t * conj(pb) / norm(pb)
+    norm = pb.x * pb.x - pb.y * pb.y * pb.d
+    x, y = t * pb.x / norm, -t * pb.y / norm
+    v = pa - x
+    sv, sy = v.sign(), (y > 0) - (y < 0)
+    if sv != sy:
+        return sv < sy
+    return sv * (v * v - y * y * pb.d).sign() <= 0
 
 
 def _confirm_solution(alpha, beta, eta, zeta, n, thr_lo: Fraction) -> tuple[bool, float]:
@@ -234,13 +251,7 @@ def _confirm_solution(alpha, beta, eta, zeta, n, thr_lo: Fraction) -> tuple[bool
     pa = da * n
     pb, fb = exact_product(beta, n, zeta)
     # n ||an-e|| ||bn-z|| = (n ||an-e||) * (n ||bn-z||) / n
-    try:
-        ok = bool(pa * pb <= thr_lo * n)
-    except ValueError:
-        # factors live in different quadratic fields; certify through tight
-        # one-sided rational bounds instead
-        ok = bool(_upper_fraction(pa) * _upper_fraction(pb) <= thr_lo * n)
-    return ok, _to_float(da) * fb
+    return _product_at_most(pa, pb, thr_lo * n), _to_float(da) * fb
 
 
 def littlewood_scan(
@@ -256,11 +267,8 @@ def littlewood_scan(
 
     Either along an explicit term list (CZ mode) or over every n <= n_limit
     (brute mode, float-prefiltered with exact confirmation of each hit).
-    When both distances are rational or lie in one quadratic field the
-    confirmation is exact, so no solution can flip under any precision
-    increase.  Across two quadratic fields it compares one-sided 256-bit
-    rational upper bounds: every reported solution is sound, but a true
-    solution within about 2^-250 of the threshold can be rejected.
+    The confirmation is exact, also across two quadratic fields, so no
+    solution can flip under any precision increase.
     """
     epsilon = Fraction(epsilon)
     if (n_values is None) == (n_limit is None):

@@ -77,7 +77,7 @@ class MetricParameters:
             e = mp.mpf(epsilon.numerator) / epsilon.denominator
             q = DyadicReal.from_fraction(mpf_fraction(ln_n ** (1 + 2 * e)), 192)
             p = DyadicReal.from_fraction(mpf_fraction(ln_n ** (2 + 3 * e)), 192)
-        m = q * q
+        m = DyadicReal(q.mantissa**2, 2 * q.exponent, q.precision_bits)
         r_exact = m.to_fraction() / p.to_fraction()
         return cls(n=n, epsilon=epsilon, q=q, m=m, p=p, r_exact=r_exact)
 

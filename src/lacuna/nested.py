@@ -42,9 +42,7 @@ class NestedChain:
 
     def block_indices(self, k: int) -> tuple[int, int]:
         """1-based (start, stop) term indices verified for level k."""
-        if k == self.k_start:
-            return 1, 4**k
-        return 4**k + 1, 2 * 4**k
+        return _block_window(self.k_start, k)
 
     def to_json_dict(self) -> dict:
         hex_m, exp = self.alpha_final.hex_pair()
@@ -70,6 +68,13 @@ class NestedChain:
                 for b in self.blocks
             ],
         }
+
+
+def _block_window(k_start: int, k: int) -> tuple[int, int]:
+    """The first 4^k_start terms at level k_start, (4^k, 2*4^k] above it."""
+    if k == k_start:
+        return 1, 4**k
+    return 4**k + 1, 2 * 4**k
 
 
 def _tau(seq: LacunarySequence, n: int) -> Fraction:
@@ -125,11 +130,7 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
 
     blocks = []
     for k, n, cert, tl, nxt in records:
-        if k == k_start:
-            start, stop = 1, n
-        else:
-            start, stop = n + 1, 2 * n
-        gap = _verified_gap(seq, alpha_final, start, stop)
+        gap = _verified_gap(seq, alpha_final, *_block_window(k_start, k))
         bound = gap_bound(l, n)
         if gap > bound:
             raise GapBoundExceededError(k, gap, bound)

@@ -18,9 +18,8 @@ import pytest
 from lacuna.bump import standard_bump
 from lacuna.cf import QuadraticReal, expand, lambda_estimate, levy_rate
 from lacuna.cli import main as cli_main
-from lacuna.dyadic import DyadicReal, TorusPoint, dilate, gap_report
+from lacuna.dyadic import DilatedSet, dilate, gap_report
 from lacuna.littlewood import (
-    _upper_fraction,
     cz_build,
     cz_recheck,
     exact_product,
@@ -76,9 +75,9 @@ def test_01_gap_oracle_equivalence():
     ok = True
     for _ in range(500):
         n = rng.randint(1, 1000)
-        pts = [TorusPoint(DyadicReal(rng.getrandbits(48), -48)) for _ in range(n)]
+        pts = DilatedSet(tuple(rng.getrandbits(48) for _ in range(n)), -48)
         rep = gap_report(pts)
-        fr = sorted(p.value.to_fraction() for p in pts)
+        fr = sorted(Fraction(r, 1 << 48) for r in pts.residues)
         oracle = max(
             [b - a for a, b in zip(fr, fr[1:])] + [1 - fr[-1] + fr[0]]
         ) if n > 1 else Fraction(1)
@@ -270,7 +269,8 @@ def test_11_littlewood_brute_demo():
         thr_lo, _ = littlewood_threshold_bounds(n, eps)
         pa, _ = exact_product(PHI - 1, n, 0)
         # doubled-precision confirmation: 512-bit one-sided rational bounds
-        if _upper_fraction(pa, 512) ** 2 <= (thr_lo + Fraction(1, 1 << 128)) * n:
+        upper = pa.to_dyadic(512).to_fraction() + Fraction(1, 1 << 512)
+        if upper**2 <= (thr_lo + Fraction(1, 1 << 128)) * n:
             confirmed += 1
     elapsed = time.time() - t0
     ok = rep.solution_count >= 20 and confirmed == rep.solution_count and elapsed < 60

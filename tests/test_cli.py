@@ -164,6 +164,21 @@ class TestByteIdentity:
                 0,
                 "64465a174740a496724498e90a79bf2eed443af5833232bcc596572c4ea9f417",
             ),
+            (
+                # gap_report of a DilatedSet: the alpha, its gaps and bound
+                ("gaps", "--r", "3", "--n", "4096", "--alpha", "7/10"),
+                0,
+                "56ac53ef7502b445bd5ebd6afb6970154eec2c6f5c909aa9baabc386f7e0864c",
+            ),
+            (
+                # the brute Littlewood scan across two quadratic fields
+                (
+                    "littlewood", "--beta", "sqrt:2", "--alpha", "quad:-1,5,2",
+                    "--brute-n", "100000",
+                ),
+                0,
+                "20bb0733446eb287a533a38bc5652018da8679debd5a201a14a4e20a56a0c1b8",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, code, sha):

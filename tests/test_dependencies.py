@@ -14,3 +14,25 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_private_names_imported_across_modules():
+    """No lacuna module imports a leading-underscore name from another."""
+    import ast
+    from pathlib import Path
+
+    import lacuna
+
+    offenders = []
+    for path in sorted(Path(lacuna.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("lacuna"):
+                continue
+            offenders += [
+                f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert offenders == []

@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna.dyadic import (
-    ONE,
-    ZERO,
     DilatedSet,
     DyadicReal,
-    TorusPoint,
     alpha_precision,
     dilate,
     format_decimal,
     format_ratio,
-    frac,
     gap_report,
     require_precision,
     residue_bits,
@@ -36,6 +32,15 @@ def dy(num, den=1, bits=96):
     return DyadicReal.from_fraction(Fraction(num, den), bits)
 
 
+ONE = DyadicReal(1, 0)
+
+
+def fraction_gaps(points):
+    """Sorted gaps, the wrap-around gap last, of a list of Fractions in [0, 1)."""
+    fr = sorted(points)
+    return [b - a for a, b in zip(fr, fr[1:])] + [1 - fr[-1] + fr[0]]
+
+
 class TestCanonicalForm:
     def test_even_mantissa_normalized(self):
         x = DyadicReal(12, 0)
@@ -48,6 +53,12 @@ class TestCanonicalForm:
     def test_uniqueness(self):
         assert DyadicReal(6, -1) == DyadicReal(3, 0)
         assert DyadicReal(6, -1).mantissa == DyadicReal(3, 0).mantissa
+
+    def test_equality_ignores_precision(self):
+        # a dyadic is its value: equality and hash read (mantissa, exponent)
+        assert DyadicReal(1, 0, 8) == DyadicReal(4, -2, 200)
+        assert hash(DyadicReal(1, 0, 8)) == hash(DyadicReal(4, -2, 200))
+        assert DyadicReal(1, -1) != DyadicReal(3, -2)
 
     @given(st.integers(-(10**12), 10**12), st.integers(-64, 64))
     def test_value_preserved(self, m, e):
@@ -83,68 +94,26 @@ class TestRounding:
         assert abs(x.to_fraction() - fr) <= ulp
 
 
-class TestArithmetic:
-    @given(
-        st.integers(-(10**9), 10**9),
-        st.integers(-40, 40),
-        st.integers(-(10**9), 10**9),
-        st.integers(-40, 40),
-    )
-    def test_add_mul_exact(self, m1, e1, m2, e2):
-        a, b = DyadicReal(m1, e1), DyadicReal(m2, e2)
-        assert (a + b).to_fraction() == a.to_fraction() + b.to_fraction()
-        assert (a * b).to_fraction() == a.to_fraction() * b.to_fraction()
-        assert (a - b).to_fraction() == a.to_fraction() - b.to_fraction()
-
-    def test_comparisons_by_value(self):
-        assert DyadicReal(1, -1) < DyadicReal(3, -2)
-        assert DyadicReal(1, 0) == DyadicReal(4, -2)
-        assert dy(-1, 2) < ZERO < ONE
-
-    def test_floor_negative(self):
-        assert dy(-1, 4).floor() == -1
-        assert dy(-5, 4).floor() == -2
-        assert dy(5, 4).floor() == 1
-        assert dy(8, 4).floor() == 2
-
-
 class TestFracAndDistance:
-    def test_frac_examples(self):
-        assert frac(dy(13, 4)).value == dy(1, 4)  # 3.25 -> 0.25
-        assert frac(dy(7)).value == ZERO
-        # negative argument lands in [0,1): frac(-0.25) = 0.75
-        assert frac(dy(-1, 4)).value == dy(3, 4)
-
     def test_dist_examples(self):
         # a dyadic's distance is that of its exact rational value
         assert dist_to_int(dy(11, 4).to_fraction()) == Fraction(1, 4)  # 2.75
         assert dist_to_int(dy(5).to_fraction()) == 0
         assert dist_to_int(dy(1, 2).to_fraction()) == Fraction(1, 2)
 
-    @given(st.integers(-(10**9), 10**9), st.integers(-40, 0))
-    def test_frac_in_unit_interval(self, m, e):
-        f = frac(DyadicReal(m, e)).value
-        assert ZERO <= f < ONE
-
-    def test_torus_point_rejects_outside(self):
-        with pytest.raises(ValueError):
-            TorusPoint(dy(5, 4))
-        with pytest.raises(ValueError):
-            TorusPoint(dy(-1, 4))
-
 
 class TestGapReport:
     def test_single_point(self):
-        rep = gap_report([TorusPoint(dy(1, 4))])
+        rep = gap_report(DilatedSet((1,), -2))
         assert rep.max_gap == ONE
 
     def test_two_antipodal(self):
-        rep = gap_report([TorusPoint(ZERO), TorusPoint(dy(1, 2))])
+        rep = gap_report(DilatedSet((0, 1), -1))
         assert rep.max_gap == dy(1, 2)
 
     def test_five_dilates_of_seven_tenths(self):
         # {0.4, 0.8, 0.6, 0.2, 0.4}: wrap gap 0.8 -> 1.2 is maximal
-        pts = [TorusPoint(dy(n, 10)) for n in (4, 8, 6, 2, 4)]
+        pts = DilatedSet(tuple(round(Fraction(n, 10) * 2**96) for n in (4, 8, 6, 2, 4)), -96)
         rep = gap_report(pts)
         # each point is a 96-bit rounding of n/10, so the wrap gap is 2/5 up
         # to two roundings
@@ -152,13 +121,12 @@ class TestGapReport:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyConfigurationError):
-            gap_report([])
+            gap_report(DilatedSet((), 0))
 
     def test_duplicates_give_zero_gaps(self):
-        pts = [TorusPoint(dy(1, 4))] * 3
-        rep = gap_report(pts)
+        rep = gap_report(DilatedSet((1, 1, 1), -2))
         assert rep.max_gap == ONE
-        assert sum(g.to_fraction() for g in rep.gaps) == 1
+        assert rep.gap_ints == (0, 0, 4) and rep.exponent == -2
 
     @given(
         st.lists(
@@ -166,45 +134,50 @@ class TestGapReport:
         )
     )
     def test_gaps_sum_to_one_and_match_oracle(self, raw):
-        pts = [TorusPoint(DyadicReal(v, -20)) for v in raw]
-        rep = gap_report(pts)
-        total = sum(g.to_fraction() for g in rep.gaps)
-        assert total == 1
-        assert rep.max_gap.to_fraction() == max(g.to_fraction() for g in rep.gaps)
-        fr = sorted(p.value.to_fraction() for p in pts)
-        oracle = max(
-            [b - a for a, b in zip(fr, fr[1:])] + [1 - fr[-1] + fr[0]]
-        )
-        assert rep.max_gap.to_fraction() == oracle
+        rep = gap_report(DilatedSet(tuple(raw), -20))
+        assert sum(rep.gap_ints) == 1 << 20 and rep.exponent == -20
+        assert rep.max_gap == DyadicReal(max(rep.gap_ints), -20)
+        oracle = fraction_gaps([Fraction(v, 1 << 20) for v in raw])
+        assert [Fraction(g, 1 << 20) for g in rep.gap_ints] == oracle
+        assert rep.max_gap.to_fraction() == max(oracle)
 
     @given(st.lists(st.integers(0, 1023), min_size=2, max_size=30, unique=True))
     def test_adding_point_never_increases_gap(self, raw):
-        pts = [TorusPoint(DyadicReal(v, -10)) for v in raw]
-        g_all = gap_report(pts).max_gap
-        g_less = gap_report(pts[:-1]).max_gap
-        assert g_all <= g_less
+        g_all = gap_report(DilatedSet(tuple(raw), -10)).max_gap
+        g_less = gap_report(DilatedSet(tuple(raw[:-1]), -10)).max_gap
+        assert g_all.to_fraction() <= g_less.to_fraction()
 
     def test_pigeonhole(self):
-        pts = [TorusPoint(DyadicReal(i * 37 % 256, -8)) for i in range(20)]
-        rep = gap_report(pts)
+        rep = gap_report(DilatedSet(tuple(i * 37 % 256 for i in range(20)), -8))
         assert rep.max_gap.to_fraction() >= Fraction(1, 20)
 
 
 class TestDilate:
     def test_alpha_zero(self):
         seq = geometric_sequence(2, 6)
-        assert all(p.value == ZERO for p in dilate(dy(0, 1, 128), seq))
+        assert dilate(dy(0, 1, 128), seq).residues == (0,) * 6
+        assert len(dilate(dy(7, 10, 128), [])) == 0
 
     def test_alpha_half_powers_of_two(self):
         seq = geometric_sequence(2, 4)
         pts = dilate(dy(1, 2, 128), seq)
-        assert all(p.value == ZERO for p in pts)
+        assert pts.residues == (0,) * 4
 
     def test_seven_tenths_matches_gap_example(self):
         seq = geometric_sequence(2, 5)
         alpha = dy(7, 10, 128)
         rep = gap_report(dilate(alpha, seq))
         assert abs(rep.max_gap.to_float() - 0.4) < 1e-30
+
+    @pytest.mark.parametrize("r", [Fraction(5, 2), Fraction(3)])
+    def test_window_is_a_slice_of_the_residues(self, r):
+        # a window starts its recurrence at its own first term
+        seq = geometric_sequence(r, 300)
+        alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
+        full = dilate(alpha, seq)
+        for start, stop in [(1, 300), (2, 2), (57, 211), (120, 300)]:
+            got = dilate(alpha, seq, start, stop)
+            assert got == DilatedSet(full.residues[start - 1 : stop], full.exponent)
 
     def test_precision_gate(self):
         seq = geometric_sequence(2, 100)
@@ -232,27 +205,26 @@ class TestResidueForm:
         st.integers(0, 21),
     )
     def test_matches_frac_oracle(self, m, e, terms, i, j):
+        # the oracle is the fractional part {alpha * a} in Fractions
         alpha = DyadicReal(m, e, 512)
+        oracle = [alpha.to_fraction() * a % 1 for a in terms]
         pts = dilate(alpha, terms)
-        oracle = [frac(alpha * a) for a in terms]
+        one = 1 << -pts.exponent
         assert isinstance(pts, DilatedSet) and len(pts) == len(terms)
-        assert list(pts) == oracle
-        assert [p.value.precision_bits for p in pts] == [p.value.precision_bits for p in oracle]
-        assert list(pts[i:j]) == oracle[i:j]
+        assert [Fraction(r, one) for r in pts.residues] == oracle
+        window = dilate(alpha, terms, i + 1, j)
+        assert window == DilatedSet(pts.residues[i:j], pts.exponent)
         if oracle[i:j]:
-            assert gap_report(pts[i:j]).gaps == gap_report(oracle[i:j]).gaps
+            gaps = [Fraction(g, one) for g in gap_report(window).gap_ints]
+            assert gaps == fraction_gaps(oracle[i:j])
 
     def test_alpha_zero_slices(self):
-        pts = dilate(DyadicReal(0, 0, 128), geometric_sequence(3, 8))
+        seq = geometric_sequence(3, 8)
+        pts = dilate(DyadicReal(0, 0, 128), seq)
         assert pts.residues == (0,) * 8 and pts.exponent == 0
-        assert list(pts[2:5]) == [TorusPoint(ZERO)] * 3
-        assert gap_report(pts[2:5]).max_gap == ONE
-
-    def test_indexing_and_slicing(self):
-        pts = dilate(dy(7, 10, 128), geometric_sequence(2, 5))
-        assert isinstance(pts[1], TorusPoint) and isinstance(pts[1:3], DilatedSet)
-        assert pts[-1] == pts[4] == frac(dy(7, 10, 128) * 32)
-        assert len(pts[1:3]) == 2 and len(dilate(dy(7, 10, 128), [])) == 0
+        window = dilate(DyadicReal(0, 0, 128), seq, 3, 5)
+        assert window.residues == (0,) * 3
+        assert gap_report(window).max_gap == ONE
 
 
 def product_residues(alpha, terms):
@@ -425,7 +397,7 @@ class TestSerialization:
         assert format_ratio(num, den, 40) == format_decimal(Fraction(num, den), 40)
 
     def test_json_dict_shape(self):
-        rep = gap_report([TorusPoint(dy(1, 4)), TorusPoint(dy(3, 4))])
+        rep = gap_report(DilatedSet((1, 3), -2))
         d = rep.to_json_dict()
         assert set(d) == {"n", "max_gap", "normalized_log1", "normalized_log2"}
         assert d["n"] == 2

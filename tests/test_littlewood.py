@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lacuna.cf import QuadraticReal, expand
 from lacuna.dyadic import DyadicReal
 from lacuna.errors import CzPoolExhaustedError, PrecisionTooLowError
 from lacuna.littlewood import (
+    _product_at_most,
     cz_build,
     cz_chain_constant,
     cz_recheck,
@@ -18,6 +22,18 @@ from lacuna.littlewood import (
 
 SQRT2 = QuadraticReal.sqrt(2)
 PHI = QuadraticReal(Fraction(1, 2), Fraction(1, 2), 5)
+
+
+def upper_fraction(x: QuadraticReal, bits: int) -> Fraction:
+    """A rational upper bound on x, tight to 2^-bits."""
+    return x.to_dyadic(bits).to_fraction() + Fraction(1, 1 << bits)
+
+
+def mp_value(x: QuadraticReal):
+    """x at the working precision of mpmath."""
+    return mp.mpf(x.x.numerator) / x.x.denominator + mp.mpf(
+        x.y.numerator
+    ) / x.y.denominator * mp.sqrt(x.d)
 
 
 class TestExactProduct:
@@ -138,9 +154,7 @@ class TestLittlewoodScan:
             thr_lo, _ = littlewood_threshold_bounds(n, Fraction(1, 20))
             pa, _ = exact_product(PHI - 1, n, 0)
             pb, _ = exact_product(SQRT2 - 1, n, 0)
-            from lacuna.littlewood import _upper_fraction
-
-            assert _upper_fraction(pa) * _upper_fraction(pb) <= thr_lo * n * (
+            assert upper_fraction(pa, 256) * upper_fraction(pb, 256) <= thr_lo * n * (
                 1 + Fraction(1, 1 << 40)
             )
 
@@ -149,6 +163,58 @@ class TestLittlewoodScan:
         d = rep.to_json_dict()
         assert d["mode"] == "brute"
         assert d["solution_count"] == len(d["solutions"])
+
+
+SMALL_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=50)
+FIELDS = st.sampled_from([2, 3, 5, 6, 7, 8, 13])
+
+
+class TestMixedFields:
+    """Products across two quadratic fields are decided exactly."""
+
+    def test_true_solution_just_below_threshold(self):
+        pa, pb = SQRT2 - 1, QuadraticReal.sqrt(3) - 1
+        with mp.workdps(250):
+            scaled = mp_value(pa) * mp_value(pb) * mp.mpf(2) ** 310
+            k = int(mp.floor(scaled))
+            assert min(scaled - k, k + 1 - scaled) > mp.mpf(2) ** -100
+        # 0 < t - pa * pb < 2^-310
+        t = Fraction(k + 1, 1 << 310)
+        assert upper_fraction(pa, 256) * upper_fraction(pb, 256) > t
+        assert _product_at_most(pa, pb, t)
+        assert not _product_at_most(pa, pb, Fraction(k, 1 << 310))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        SMALL_RATIONALS, SMALL_RATIONALS, FIELDS,
+        SMALL_RATIONALS, SMALL_RATIONALS, FIELDS,
+        st.integers(1, 900), st.integers(-2, 2),
+    )
+    def test_matches_mpmath(self, xa, ya, da, xb, yb, db, bits, offset):
+        pa, pb = QuadraticReal(xa, ya, da), QuadraticReal(xb, yb, db)
+        with mp.workdps(300):
+            prod = mp_value(pa) * mp_value(pb)
+            # t within a few 2^-bits of the product, on either side
+            t = Fraction(int(mp.floor(prod * mp.mpf(2) ** bits)) + offset, 1 << bits)
+            diff = prod - mp.mpf(t.numerator) / t.denominator
+            assume(diff == 0 or abs(diff) > mp.mpf(10) ** -280)
+            want = bool(diff <= 0)
+        assert _product_at_most(pa, pb, t) == want
+
+
+    def test_brute_scan_across_fields_matches_mpmath(self):
+        eps = Fraction(1, 20)
+        alpha, beta = SQRT2 - 1, QuadraticReal.sqrt(3) - 1
+        rep = littlewood_scan(alpha, beta, 0, 0, eps, n_limit=3000)
+        want = []
+        with mp.workdps(60):
+            a, b = mp_value(alpha), mp_value(beta)
+            for n in range(3, 3001):
+                thr_lo, _ = littlewood_threshold_bounds(n, eps)
+                prod = n * abs(a * n - mp.nint(a * n)) * abs(b * n - mp.nint(b * n))
+                if prod <= mp.mpf(thr_lo.numerator) / thr_lo.denominator:
+                    want.append(n)
+        assert [n for n, _, _ in rep.solutions] == want and want
 
 
 class TestDispersionBridge:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna.bump import standard_bump
-from lacuna.dyadic import DyadicReal, alpha_precision, dilate, frac, gap_report
+from lacuna.dyadic import DyadicReal, alpha_precision, dilate, dyadic_to_float, gap_report
 from lacuna.errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
@@ -26,6 +26,12 @@ from lacuna.metric import (
     smooth_count_fourier,
 )
 from lacuna.sequences import geometric_sequence, thin
+
+
+def frac_float(alpha, a):
+    """The float view of the fractional part {alpha * a}, from Fractions."""
+    v = alpha.to_fraction() * a % 1
+    return dyadic_to_float(v.numerator, 1 - v.denominator.bit_length())
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +56,10 @@ class TestMetricParameters:
 
     def test_taylor_premise_exact(self):
         for n in (64, 1024, 10**6):
-            assert MetricParameters.for_n(n).taylor_premise() == Fraction(1, 5)
+            par = MetricParameters.for_n(n)
+            assert par.taylor_premise() == Fraction(1, 5)
+            assert par.m.to_fraction() == par.q.to_fraction() ** 2
+            assert par.m.precision_bits == par.q.precision_bits
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -200,7 +209,7 @@ class TestSmoothCounts:
         from lacuna.metric import _residue_floats
 
         alpha = DyadicReal(m, e, 128)
-        want = np.array([frac(alpha * a).value.to_float() for a in terms])
+        want = np.array([frac_float(alpha, a) for a in terms])
         assert _residue_floats(alpha, terms).tobytes() == want.tobytes()
 
     def test_thinned_floats_bit_identical_to_frac(self, seq2):
@@ -208,7 +217,7 @@ class TestSmoothCounts:
 
         th = thin(seq2, 4096)
         alpha = sample_alpha("lebesgue", 13, 128)
-        want = np.array([frac(alpha * int(a)).value.to_float() for a in th.terms])
+        want = np.array([frac_float(alpha, int(a)) for a in th.terms])
         assert _residue_floats(alpha, th.terms).tobytes() == want.tobytes()
 
     def test_direct_counts_all_when_window_wide(self, seq2, bump):
