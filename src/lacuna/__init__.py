@@ -43,7 +43,6 @@ from .littlewood import (
     LittlewoodReport,
     cz_build,
     cz_recheck,
-    dispersion_to_littlewood,
     littlewood_scan,
 )
 

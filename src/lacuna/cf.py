@@ -218,9 +218,6 @@ class ContinuedFraction:
     def depth(self) -> int:
         return len(self.partial_quotients)
 
-    def convergent(self, k: int) -> Fraction:
-        return Fraction(self.p[k], self.q[k])
-
     def to_json_dict(self) -> dict:
         return {
             "a0": self.a0,
@@ -340,7 +337,7 @@ def lambda_estimate(cf: ContinuedFraction) -> float:
     in depth, dominated by small k for typical inputs)."""
     if len(cf.q) < 2:
         raise InsufficientDepthError("insufficient-depth: need >= 2 convergents")
-    return max(log_int(qk) / k for k, qk in enumerate(cf.q[1:], start=1) if qk > 1 or k > 0)
+    return max(log_int(qk) / k for k, qk in enumerate(cf.q[1:], start=1))
 
 
 def levy_rate(cf: ContinuedFraction) -> float:

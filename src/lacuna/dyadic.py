@@ -4,8 +4,8 @@ A dyadic real is a value, mantissa * 2**exponent with an odd (or zero)
 mantissa, so the representation is unique; two dyadics are equal when their
 values are, whatever precision_bits they carry.  Rounding happens only where
 a rational becomes a dyadic, in from_fraction() (round-to-nearest-even).
-Sorting and gap vectors are exact integer arithmetic at a common exponent,
-so gap vectors sum to one exactly.
+Sorting and the maximal gap are exact integer arithmetic at a common
+exponent.
 
 A dilated point set {alpha * a_n} has one form, its residue vector: with
 alpha = m * 2^-P, the dilates are the integers m * a_n mod 2^P at the common
@@ -27,6 +27,7 @@ negative or bumped term, a wrong q) falls back to that product.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -153,12 +154,10 @@ def format_ratio(num: int, den: int, digits: int = 30) -> str:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Gaps of a sorted configuration as integers at one exponent: gap i is
-    gap_ints[i] * 2^exponent, the last one wrapping around through 1."""
+    """The maximal gap of a configuration on the torus, the wrap-around gap
+    through 1 included, and its normalizations."""
 
     n_points: int
-    gap_ints: tuple[int, ...]
-    exponent: int
     max_gap: DyadicReal
     normalized: dict
 
@@ -183,20 +182,17 @@ def _normalized_map(n: int, max_gap: Fraction) -> dict:
 
 
 def gap_report(points: DilatedSet) -> GapReport:
-    """Exact gap vector, including the wrap-around gap, of a DilatedSet, read
-    as its residues."""
+    """Exact maximal gap, the wrap-around gap through 1 included, of a
+    DilatedSet, read as its residues in one pass over the sorted integers."""
     if not points.residues:
         raise EmptyConfigurationError("empty-configuration")
     ints = sorted(points.residues)
     e = points.exponent
     one = 1 << -e
-    gaps = [b - a for a, b in zip(ints, ints[1:])]
-    gaps.append(one - ints[-1] + ints[0])  # the gaps telescope to one
-    max_i = max(gaps)
+    inner = max(map(operator.sub, ints[1:], ints), default=0)
+    max_i = max(inner, one - ints[-1] + ints[0])
     return GapReport(
         n_points=len(ints),
-        gap_ints=tuple(gaps),
-        exponent=e,
         max_gap=DyadicReal(max_i, e),
         normalized=_normalized_map(len(ints), Fraction(max_i, one)),
     )

@@ -7,8 +7,7 @@ p_m/q_m + theta_m/q_m with theta_m = q_m beta - p_m, any n <= q_m with
 n p_m = round(zeta q_m) (mod q_m) has ||beta n - zeta|| <= 1/(2 q_m) +
 |theta_m|, so n * ||beta n - zeta|| < 3/2.  The builder only trusts this
 after an exact recomputation of every emitted term; growth is forced into
-the window 8^n < a_n (with a_{n+1} >= 8 a_n) and checked against the
-4^(6 Lambda n) ceiling from the continuant growth rate.
+the window 8^n < a_n (with a_{n+1} >= 8 a_n).
 
 Every distance ||v n - s|| is one exact cf.dist_to_int(v n - s), with v and
 s read as Fractions or QuadraticReals (a DyadicReal as its rational value).
@@ -19,14 +18,13 @@ built from factors that stay O(1), never from n itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cf import ContinuedFraction, QuadraticReal, dist_to_int, expand, lambda_estimate
-from .dyadic import DyadicReal, require_precision
+from .cf import ContinuedFraction, QuadraticReal, dist_to_int, expand
+from .dyadic import DyadicReal
 from .errors import CzPoolExhaustedError
 from .sequences import mpf_fraction
 
@@ -57,10 +55,9 @@ def _distance(value, n: int, shift):
     return dist_to_int(_as_exact(value) * n - _as_exact(shift))
 
 
-def exact_product(value, n: int, shift) -> tuple[object, float]:
-    """n * ||value * n - shift||, exact; returns (exact object, float view)."""
-    prod = _distance(value, n, shift) * n
-    return prod, _to_float(prod)
+def exact_product(value, n: int, shift):
+    """n * ||value * n - shift||, exact."""
+    return _distance(value, n, shift) * n
 
 
 def littlewood_threshold_bounds(n: int, epsilon: Fraction) -> tuple[Fraction, Fraction]:
@@ -84,10 +81,6 @@ class CZSequence:
     beta: object
     zeta: Fraction
     terms: tuple[int, ...]
-    lambda_beta: float
-    products: tuple[float, ...]
-    upper_bound_ok: tuple[bool, ...]
-    convergent_indices: tuple[int, ...]
 
     def __len__(self):
         return len(self.terms)
@@ -119,7 +112,7 @@ def cz_build(beta, zeta, n_max: int) -> CZSequence:
         raise ValueError("beta must be irrational")
     depth, max_depth = 128, 1 << 14
     cf = expand(beta, depth)
-    terms, products, idxs = [], [], []
+    terms = []
     m = 1
     while len(terms) < n_max:
         if m == len(cf.q):
@@ -131,25 +124,10 @@ def cz_build(beta, zeta, n_max: int) -> CZSequence:
         a = _steered_candidate(cf, m, zeta)
         # strict lower bounds: the window 8^(n+1) and the step 8*a_n
         if a > max(8 ** (len(terms) + 1), 8 * terms[-1] if terms else 1):
-            prod, prod_f = exact_product(beta, a, zeta)
-            if prod <= 8:
+            if exact_product(beta, a, zeta) <= 8:
                 terms.append(a)
-                products.append(prod_f)
-                idxs.append(m)
         m += 1
-    lam = lambda_estimate(cf)
-    return CZSequence(
-        beta=beta,
-        zeta=zeta,
-        terms=tuple(terms),
-        lambda_beta=lam,
-        products=tuple(products),
-        upper_bound_ok=tuple(
-            math.log(a) <= 6 * lam * n * math.log(4) + 1e-12
-            for n, a in enumerate(terms, start=1)
-        ),
-        convergent_indices=tuple(idxs),
-    )
+    return CZSequence(beta=beta, zeta=zeta, terms=tuple(terms))
 
 
 def cz_recheck(seq: CZSequence) -> dict:
@@ -160,8 +138,7 @@ def cz_recheck(seq: CZSequence) -> dict:
     """
     product_ok, window_ok = [], []
     for i, a in enumerate(seq.terms):
-        prod, _ = exact_product(seq.beta, a, seq.zeta)
-        product_ok.append(bool(prod <= 8))
+        product_ok.append(bool(exact_product(seq.beta, a, seq.zeta) <= 8))
         window_ok.append(8 ** (i + 1) < a)
     step_ok = all(
         seq.terms[i + 1] >= 8 * seq.terms[i] for i in range(len(seq.terms) - 1)
@@ -172,21 +149,6 @@ def cz_recheck(seq: CZSequence) -> dict:
         "step_ok": step_ok,
         "all_ok": all(product_ok) and all(window_ok) and step_ok,
     }
-
-
-def cz_chain_constant(seq: CZSequence, epsilon: Fraction) -> list[tuple[int, float]]:
-    """Per-term ratio of (ln n)^(2+eps)/n to (ln ln a_n)^(2+eps)/ln a_n,
-    finite uniformly when ln a_n grows linearly in n."""
-    e = 2 + float(Fraction(epsilon))
-    out = []
-    for i, a in enumerate(seq.terms):
-        n = i + 1
-        if n < 2 or a < 16:
-            continue
-        lhs = math.log(n) ** e / n if n >= 2 else 0.0
-        rhs = math.log(math.log(a)) ** e / math.log(a)
-        out.append((n, lhs / rhs if rhs > 0 else float("inf")))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +211,9 @@ def _confirm_solution(alpha, beta, eta, zeta, n, thr_lo: Fraction) -> tuple[bool
     converts n itself."""
     da = _distance(alpha, n, eta)
     pa = da * n
-    pb, fb = exact_product(beta, n, zeta)
+    pb = exact_product(beta, n, zeta)
     # n ||an-e|| ||bn-z|| = (n ||an-e||) * (n ||bn-z||) / n
-    return _product_at_most(pa, pb, thr_lo * n), _to_float(da) * fb
+    return _product_at_most(pa, pb, thr_lo * n), _to_float(da) * _to_float(pb)
 
 
 def littlewood_scan(
@@ -310,31 +272,3 @@ def _brute_candidates(alpha, beta, eta, zeta, epsilon, n_limit: int) -> list[int
     thr = lln ** (2 + float(Fraction(epsilon))) / np.log(n)
     keep = prod <= thr * (1 + 1e-6) + 1e-7
     return [int(v) for v in n[keep]]
-
-
-def dispersion_to_littlewood(alpha, eta, seq: CZSequence, epsilon) -> list[dict]:
-    """Per dyadic index block (N, 2N]: the term minimizing ||alpha a_n - eta||
-    and whether the minimum meets (ln n)^(2+eps)/n at the achieving index."""
-    if isinstance(alpha, DyadicReal):
-        require_precision(alpha, seq.terms)
-    e = 2 + float(Fraction(epsilon))
-    rows = []
-    big_n = 1
-    while big_n < len(seq.terms):
-        idxs = range(big_n + 1, min(2 * big_n, len(seq.terms)) + 1)
-        if not idxs:
-            big_n *= 2
-            continue
-        best = None
-        for n in idxs:
-            val = _distance(alpha, seq.terms[n - 1], eta)
-            fv = _to_float(val)
-            if best is None or fv < best[1]:
-                best = (n, fv)
-        n_star, dist = best
-        bound = math.log(n_star) ** e / n_star if n_star >= 2 else float("inf")
-        rows.append(
-            {"N": big_n, "n": n_star, "distance": dist, "bound": bound, "meets": dist <= bound}
-        )
-        big_n *= 2
-    return rows

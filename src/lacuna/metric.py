@@ -285,8 +285,7 @@ def iid_baseline(n: int, trials: int, rng_seed: int) -> dict:
     ratios = np.empty(trials)
     for t in range(trials):
         u = np.sort(rng.random(n))
-        inner = np.diff(u).max() if n > 1 else 0.0
-        g = max(inner, 1.0 - u[-1] + u[0])
+        g = max(np.diff(u).max(), 1.0 - u[-1] + u[0])
         ratios[t] = n * g / ln_n
     return {
         "n": n,
@@ -385,8 +384,6 @@ class MomentCheck:
     passed: bool
     method: str
     k_cut: int
-    quadrature_points: int
-    required_points: int
 
 
 def _omega_weights(params: MetricParameters, bump: BumpFunction) -> np.ndarray:
@@ -419,7 +416,7 @@ def exp_moment_check(
     rhs = math.exp(params.q.to_float() / (50.0 * float(params.r_exact)))
     terms = thinned.terms
     if not terms or k_cut == 0:
-        return MomentCheck(1.0, rhs, True, "empty", k_cut, quadrature_points, 0)
+        return MomentCheck(1.0, rhs, True, "empty", k_cut)
 
     required = 8 * k_cut * int(terms[-1])
     can_simpson = required <= quadrature_points
@@ -441,8 +438,6 @@ def exp_moment_check(
         passed=lhs <= 1.1 * rhs,
         method=method,
         k_cut=k_cut,
-        quadrature_points=quadrature_points,
-        required_points=required,
     )
 
 

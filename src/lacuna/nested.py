@@ -18,7 +18,7 @@ from fractions import Fraction
 from .dyadic import DyadicReal, alpha_precision, dilate, gap_report
 from .errors import GapBoundExceededError, NestingViolatedError, NOutOfRangeError
 from .sequences import LacunarySequence, ln_lower, ln_upper, smallest_l
-from .turan import DilationCertificate, find_alpha, find_dilation_block
+from .turan import find_alpha, find_dilation_block
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class NestedBlock:
     alpha_k: DyadicReal
     tilde_interval: tuple[Fraction, Fraction]
     next_interval: tuple[Fraction, Fraction] | None
-    certificate: DilationCertificate
     verified_gap: Fraction
 
 
@@ -46,10 +45,12 @@ class NestedChain:
 
     def to_json_dict(self) -> dict:
         hex_m, exp = self.alpha_final.hex_pair()
+        bits = self.alpha_final.precision_bits
+
         def hx(iv):
             if iv is None:
                 return None
-            return [list(DyadicReal.from_fraction(end, 192).hex_pair()) for end in iv]
+            return [list(DyadicReal.from_fraction(end, bits).hex_pair()) for end in iv]
         return {
             "k_start": self.k_start,
             "k_end": self.k_end,
@@ -102,13 +103,13 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
     l = smallest_l(seq.growth_factor_r)
     precision = alpha_precision(seq.terms[: 2 * 4**k_end])
 
-    records = []  # (k, n_k, cert, tilde, next_interval)
+    records = []  # (k, n_k, alpha_k, tilde, next_interval)
     n0 = 4**k_start
     cert = find_alpha(seq, n0)
     alpha_f = cert.alpha.to_fraction()
     tau = _tau(seq, n0)
     tilde = (max(alpha_f - tau, Fraction(0)), min(alpha_f + tau, Fraction(1)))
-    records.append([k_start, n0, cert, tilde, None])
+    records.append([k_start, n0, cert.alpha, tilde, None])
 
     for k in range(k_start + 1, k_end + 1):
         n = 4**k
@@ -123,13 +124,13 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
         alpha_f = cert.alpha.to_fraction()
         tau = _tau(seq, n)
         tilde = (max(alpha_f - tau, nxt[0]), min(alpha_f + tau, nxt[1]))
-        records.append([k, n, cert, tilde, None])
+        records.append([k, n, cert.alpha, tilde, None])
 
     final_lo, final_hi = tilde
     alpha_final = DyadicReal.from_fraction((final_lo + final_hi) / 2, precision)
 
     blocks = []
-    for k, n, cert, tl, nxt in records:
+    for k, n, alpha_k, tl, nxt in records:
         gap = _verified_gap(seq, alpha_final, *_block_window(k_start, k))
         bound = gap_bound(l, n)
         if gap > bound:
@@ -138,10 +139,9 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
             NestedBlock(
                 k=k,
                 n_k=n,
-                alpha_k=cert.alpha,
+                alpha_k=alpha_k,
                 tilde_interval=tl,
                 next_interval=nxt,
-                certificate=cert,
                 verified_gap=gap,
             )
         )

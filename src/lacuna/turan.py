@@ -35,7 +35,7 @@ Every decision is an integer comparison; no Fraction is built per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import (
@@ -100,10 +100,15 @@ class DilationCertificate:
     constraints: tuple[Constraint, ...]
     max_gap_bound: Fraction
     parameters: TuranParameters
-    thinning: dict = field(default_factory=dict)
+    thinning: dict
 
     def to_json_dict(self) -> dict:
         hex_m, exp = self.alpha.hex_pair()
+        # constraint n is the parent's term index_offset + n*step (1-based);
+        # frequencies and delta can pass str(int)'s 4300-digit limit, so
+        # neither goes through str()
+        step, offset = self.thinning["step"], self.thinning["index_offset"]
+        delta = self.parameters.delta_lower
         return {
             "alpha_hex_mantissa": hex_m,
             "alpha_exponent": exp,
@@ -115,16 +120,16 @@ class DilationCertificate:
             "epsilon": str(self.parameters.epsilon),
             "K": self.parameters.K,
             "M": self.parameters.M,
-            "delta_lower": str(self.parameters.delta_lower),
+            "delta_lower": "None" if delta is None else format_ratio(delta, 1, 40),
             "max_gap_bound": format_decimal(self.max_gap_bound, 40),
             "thinning": {k: str(v) for k, v in self.thinning.items()},
             "constraints": [
                 {
-                    "frequency": str(c.frequency),
+                    "index": offset + n * step,
                     "target": str(c.target),
                     "achieved": format_ratio(c.achieved_num, c.achieved_den, 40),
                 }
-                for c in self.constraints
+                for n, c in enumerate(self.constraints, start=1)
             ],
         }
 

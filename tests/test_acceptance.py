@@ -267,7 +267,7 @@ def test_11_littlewood_brute_demo():
     confirmed = 0
     for n, _, _ in rep.solutions:
         thr_lo, _ = littlewood_threshold_bounds(n, eps)
-        pa, _ = exact_product(PHI - 1, n, 0)
+        pa = exact_product(PHI - 1, n, 0)
         # doubled-precision confirmation: 512-bit one-sided rational bounds
         upper = pa.to_dyadic(512).to_fraction() + Fraction(1, 1 << 512)
         if upper**2 <= (thr_lo + Fraction(1, 1 << 128)) * n:

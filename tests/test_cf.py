@@ -382,10 +382,8 @@ class TestInhomDistance:
         for k in range(2, 15):
             q = cf.q[k]
             assert dist_to_int(PHI * q - 0) <= Fraction(1, cf.q[k + 1])
-            prod, _ = exact_product(PHI, q, 0)
-            assert prod <= Fraction(q, cf.q[k + 1])
+            assert exact_product(PHI, q, 0) <= Fraction(q, cf.q[k + 1])
 
     def test_n_zero(self):
         assert dist_to_int(PHI * 0 - Fraction(1, 4)) == Fraction(1, 4)
-        prod, f = exact_product(PHI, 0, Fraction(1, 4))
-        assert prod == 0 and f == 0.0
+        assert exact_product(PHI, 0, Fraction(1, 4)) == 0

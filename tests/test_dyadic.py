@@ -124,9 +124,15 @@ class TestGapReport:
             gap_report(DilatedSet((), 0))
 
     def test_duplicates_give_zero_gaps(self):
+        # the inner gaps are zero; the wrap-around gap is the whole circle
         rep = gap_report(DilatedSet((1, 1, 1), -2))
         assert rep.max_gap == ONE
-        assert rep.gap_ints == (0, 0, 4) and rep.exponent == -2
+        assert rep.max_gap.to_fraction() == max(fraction_gaps([Fraction(1, 4)] * 3))
+
+    def test_single_point_gap_is_one(self):
+        rep = gap_report(DilatedSet((5,), -3))
+        assert rep.n_points == 1 and rep.max_gap == ONE
+        assert rep.normalized == {}
 
     @given(
         st.lists(
@@ -134,12 +140,12 @@ class TestGapReport:
         )
     )
     def test_gaps_sum_to_one_and_match_oracle(self, raw):
+        # duplicates (zero gaps) and n = 1 (the wrap gap alone) included
         rep = gap_report(DilatedSet(tuple(raw), -20))
-        assert sum(rep.gap_ints) == 1 << 20 and rep.exponent == -20
-        assert rep.max_gap == DyadicReal(max(rep.gap_ints), -20)
         oracle = fraction_gaps([Fraction(v, 1 << 20) for v in raw])
-        assert [Fraction(g, 1 << 20) for g in rep.gap_ints] == oracle
+        assert sum(oracle) == 1
         assert rep.max_gap.to_fraction() == max(oracle)
+        assert rep.n_points == len(raw)
 
     @given(st.lists(st.integers(0, 1023), min_size=2, max_size=30, unique=True))
     def test_adding_point_never_increases_gap(self, raw):
@@ -215,8 +221,7 @@ class TestResidueForm:
         window = dilate(alpha, terms, i + 1, j)
         assert window == DilatedSet(pts.residues[i:j], pts.exponent)
         if oracle[i:j]:
-            gaps = [Fraction(g, one) for g in gap_report(window).gap_ints]
-            assert gaps == fraction_gaps(oracle[i:j])
+            assert gap_report(window).max_gap.to_fraction() == max(fraction_gaps(oracle[i:j]))
 
     def test_alpha_zero_slices(self):
         seq = geometric_sequence(3, 8)

@@ -116,3 +116,24 @@ class TestSerialization:
         assert d["k_start"] == 3 and d["k_end"] == 4
         assert len(d["blocks"]) == 2
         assert all("tilde_interval_hex" in b for b in d["blocks"])
+
+    def test_printed_intervals_are_proper(self, chain_r3):
+        # every printed interval keeps two distinct ends around alpha_final,
+        # also where it is far narrower than 2^-192
+        _, chain = chain_r3
+        d = chain.to_json_dict()
+        alpha = chain.alpha_final.to_fraction()
+
+        def decode(end):
+            m, e = end
+            return int(m, 16) * Fraction(2) ** e
+
+        printed = []
+        for b in d["blocks"]:
+            printed.append(b["tilde_interval_hex"])
+            if b["next_interval_hex"] is not None:
+                printed.append(b["next_interval_hex"])
+        assert len(printed) == 3
+        for iv in printed:
+            lo, hi = map(decode, iv)
+            assert lo < alpha < hi

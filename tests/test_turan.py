@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -370,3 +371,30 @@ class TestResiduePostcondition:
         with pytest.raises(InfeasibleAtStepError) as exc:
             find_dilation(th, [Fraction(0), Fraction(1, 3), Fraction(2, 3)], Fraction(1, 100))
         assert exc.value.step == 0 and "postcondition violated" in str(exc.value)
+
+
+class TestCertificateJson:
+    @pytest.mark.parametrize("r,N", [(Fraction(3), 512), (Fraction(5, 2), 512)])
+    def test_index_names_the_term(self, r, N):
+        seq = geometric_sequence(r, N)
+        cert = find_alpha(seq, N)
+        rows = cert.to_json_dict()["constraints"]
+        assert [seq.term(row["index"]) for row in rows] == [c.frequency for c in cert.constraints]
+        assert [row["target"] for row in rows] == [str(c.target) for c in cert.constraints]
+
+    def test_block_index_is_offset(self):
+        seq = geometric_sequence(Fraction(3), 512)
+        cert = find_dilation_block(seq, 256, (Fraction(0), Fraction(1)))
+        rows = cert.to_json_dict()["constraints"]
+        assert rows[0]["index"] > 256
+        assert [seq.term(row["index"]) for row in rows] == [c.frequency for c in cert.constraints]
+
+    def test_frequencies_past_the_int_to_str_limit(self):
+        # 2^14300 has 4305 decimal digits, past Python's default limit of
+        # 4300 for str(int); so has the lattice gap delta
+        cert = find_dilation_dense([1 << 14300, 1 << 14310, 1 << 14320], 3, Fraction(2))
+        d = cert.to_json_dict()
+        assert [row["index"] for row in d["constraints"]] == [1, 2, 3]
+        delta = cert.parameters.delta_lower
+        assert delta.bit_length() > 14300
+        assert abs(Fraction(Decimal(d["delta_lower"])) - delta) * 10**39 <= delta
