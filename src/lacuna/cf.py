@@ -1,18 +1,18 @@
 """Continued fractions: expansions, continuants, growth-rate estimates, and
 exact arithmetic for quadratic irrationals.
 
-Every expansion is an integer loop.  Fractions and DyadicReals share one
-Euclid loop; a DyadicReal's quotients are then trusted only while the
-continuant stays well below sqrt(2^precision), one check on the finished
-continuants.  A quadratic irrational x + y*sqrt(d) (rational x, y) is written
-(P + sqrt(D)) / Q with Q dividing D - P^2 and expanded by the classical
-recurrence on (P, Q), so its expansion never hits a precision horizon.
+A QuadraticReal is the integers (a + b*sqrt(d)) / c, c > 0 and
+gcd(a, b, c) = 1, with d tested for a square once, when built from
+rationals.  Arithmetic is integer products and one gcd; sign compares a^2
+with b^2 d; floor, to_float and to_dyadic read one isqrt, floor(v * 2^s).
+dist_to_int is the one nearest-integer distance on exact scalars: |x - j|
+with j = floor(x + 1/2), its sign read from one floor of 2x.
 
-QuadraticReal has one exact scaled floor, floor(v * 2^s) by one isqrt over
-the common denominator of x and y; floor, sign, to_float and to_dyadic all
-read it.  dist_to_int is the one nearest-integer distance on exact scalars
-(Fraction or QuadraticReal): |x - j| with j = floor(x + 1/2), read with its
-sign from one floor of 2x."""
+Every expansion is an integer loop.  Fractions and DyadicReals share one
+Euclid loop, a DyadicReal's quotients trusted only while the continuant
+stays well below sqrt(2^precision); a QuadraticReal is (P + sqrt(D)) / Q
+with Q dividing D - P^2 under the classical recurrence on (P, Q), so its
+expansion never hits a precision horizon."""
 
 from __future__ import annotations
 
@@ -43,88 +43,83 @@ def log_int(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadraticReal:
-    """Exact element x + y*sqrt(d) of a real quadratic field (d > 0 non-square)."""
+    """Exact element (a + b*sqrt(d)) / c of a real quadratic field: integers
+    with c > 0, gcd(a, b, c) = 1 and d > 0 not a square.  The form is
+    canonical, so the dataclass hash and repr of the fields are the value's."""
 
-    x: Fraction
-    y: Fraction
+    a: int
+    b: int
+    c: int
     d: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-        if self.d <= 0 or _is_square(self.d):
+    def __new__(cls, x, y, d: int):
+        """x + y*sqrt(d) for rational x and y: the one square test of d."""
+        if d <= 0 or math.isqrt(d) ** 2 == d:
             raise ValueError("d must be a positive non-square integer")
+        x, y = Fraction(x), Fraction(y)
+        return _reduced(x.numerator * y.denominator, y.numerator * x.denominator,
+                        x.denominator * y.denominator, d)
 
     @classmethod
     def sqrt(cls, d: int) -> "QuadraticReal":
-        return cls(Fraction(0), Fraction(1), d)
+        return cls(0, 1, d)
 
-    @classmethod
-    def rational(cls, q, d: int) -> "QuadraticReal":
-        return cls(Fraction(q), Fraction(0), d)
+    def __reduce__(self):  # copy and pickle rebuild from the stored integers
+        return _reduced, (self.a, self.b, self.c, self.d)
 
-    def is_rational(self) -> bool:
-        return self.y == 0
+    x = property(lambda self: Fraction(self.a, self.c))  # v = x + y*sqrt(d)
+    y = property(lambda self: Fraction(self.b, self.c))
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _lift(self, other):
+    def _parts(self, other) -> tuple[int, int, int]:
         if isinstance(other, QuadraticReal):
             if other.d != self.d:
                 raise ValueError("mixed quadratic fields")
-            return other
-        return QuadraticReal(Fraction(other), Fraction(0), self.d)
+            return other.a, other.b, other.c
+        q = other if isinstance(other, (int, Fraction)) else Fraction(other)
+        return q.numerator, 0, q.denominator
 
     def __add__(self, other):
-        o = self._lift(other)
-        return QuadraticReal(self.x + o.x, self.y + o.y, self.d)
+        a, b, c = self._parts(other)
+        return _reduced(self.a * c + a * self.c, self.b * c + b * self.c, self.c * c, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return QuadraticReal(self.x - o.x, self.y - o.y, self.d)
+        a, b, c = self._parts(other)
+        return _reduced(self.a * c - a * self.c, self.b * c - b * self.c, self.c * c, self.d)
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return -(self - other)
 
     def __neg__(self):
-        return QuadraticReal(-self.x, -self.y, self.d)
+        return _reduced(-self.a, -self.b, self.c, self.d)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        return QuadraticReal(
-            self.x * o.x + self.y * o.y * self.d,
-            self.x * o.y + self.y * o.x,
-            self.d,
-        )
+        a, b, c = self._parts(other)
+        return _reduced(self.a * a + self.b * b * self.d, self.a * b + self.b * a, self.c * c, self.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        norm = o.x * o.x - o.y * o.y * o.d
+        a, b, c = self._parts(other)
+        norm = a * a - b * b * self.d
         if norm == 0:
             raise ZeroDivisionError
-        conj = QuadraticReal(o.x, -o.y, self.d)
-        num = self * conj
-        return QuadraticReal(num.x / norm, num.y / norm, self.d)
+        return _reduced(c * (self.a * a - self.b * b * self.d), c * (self.b * a - self.a * b),
+                        self.c * norm, self.d)
 
     def sign(self) -> int:
-        """The sign of v: 0 only when x = y = 0, as sqrt(d) is irrational;
-        otherwise -1 exactly when floor(v) < 0."""
-        if not (self.x or self.y):
-            return 0
-        return -1 if self._scaled_int(0) < 0 else 1
+        """The sign of a + b*sqrt(d): the common sign of a and b, else that of
+        the larger of a^2 and b^2 d (never equal, as d is not a square)."""
+        a, b = self.a, self.b
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa == sb or not sb:
+            return sa
+        return sb if not sa or a * a < b * b * self.d else sa
 
     def _cmp(self, other) -> int:
         return (self - other).sign()
@@ -147,25 +142,18 @@ class QuadraticReal:
         except (ValueError, TypeError):
             return NotImplemented
 
-    def __hash__(self):
-        return hash((self.x, self.y, self.d))
-
     def _scaled_int(self, shift: int) -> int:
-        """floor(self * 2^shift), exact.  Over the common denominator C = b*e
-        of x = a/b and y = c/e this is floor((A + B*sqrt(d)) / C) with
-        A = a*e*2^shift, B = c*b*2^shift.  B*sqrt(d) is irrational unless
-        B = 0, so its floor is one isqrt (less one when B < 0), and
-        floor((A + floor(B*sqrt(d))) / C) is exact."""
-        a, b = self.x.numerator, self.x.denominator
-        c, e = self.y.numerator, self.y.denominator
-        s = math.isqrt((c * c * b * b * self.d) << (2 * shift))
-        return ((a * e << shift) + (-s - 1 if c < 0 else s)) // (b * e)
+        """floor(self * 2^shift), exact.  b*sqrt(d)*2^shift is irrational
+        unless b = 0, so its floor is one isqrt (less one when b < 0), and
+        floor((a*2^shift + that floor) / c) is exact."""
+        s = math.isqrt((self.b * self.b * self.d) << (2 * shift))
+        return ((self.a << shift) + (-s - 1 if self.b < 0 else s)) // self.c
 
     def to_float(self) -> float:
         """The float nearest floor(self * 2^s) / 2^s, s = 64.  Where s = 64
         leaves fewer than 53 significant bits (below about 2^-11), s is
         raised until the scaled integer carries 64."""
-        if not (self.x or self.y):
+        if not (self.a or self.b):
             return 0.0
         shift, m = 64, self._scaled_int(64)
         if abs(m).bit_length() < 53:
@@ -173,6 +161,8 @@ class QuadraticReal:
                 shift += 65 - bl if bl > 1 else shift
                 m = self._scaled_int(shift)
         return m / (1 << shift)  # int / int rounds correctly
+
+    __float__ = to_float
 
     def floor(self) -> int:
         """floor(v), exact."""
@@ -187,8 +177,17 @@ class QuadraticReal:
         """floor(self * 2^precision_bits) / 2^precision_bits."""
         return DyadicReal(self._scaled_int(precision_bits), -precision_bits, precision_bits)
 
-    def __repr__(self):
-        return f"QuadraticReal({self.x} + {self.y}*sqrt({self.d}))"
+
+def _reduced(a: int, b: int, c: int, d: int) -> QuadraticReal:
+    """(a + b*sqrt(d)) / c for c != 0, reduced to c > 0 and gcd(a, b, c) = 1."""
+    g = math.gcd(c, a, b)  # the short c first: gcd(a, b, c) is far slower
+    if c < 0:
+        g = -g
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    v = object.__new__(QuadraticReal)
+    v.__dict__.update(a=a, b=b, c=c, d=d)  # past the frozen dataclass guard
+    return v
 
 
 def dist_to_int(x):
@@ -277,16 +276,12 @@ def _expand_quadratic(x: QuadraticReal, depth: int) -> ContinuedFraction:
     x_{k+1} = 1 / (x_k - c) in the same form.  D is not a square, so with
     r = isqrt(D) the floor is (P + r) // Q for Q > 0 and (P + r + 1) // Q
     for Q < 0."""
-    if x.is_rational():
+    if x.b == 0:
         return _expand_fraction(x.x, depth)
-    a, b = x.x.numerator, x.x.denominator
-    c, e = x.y.numerator, x.y.denominator
-    # x = (a*e + c*b*sqrt(d)) / C with C = b*e; moving the sign s of c into
-    # Q and scaling by C gives (P + sqrt(D)) / Q with Q = s*C^2 dividing
-    # D - P^2 = C^2 ((a*e)^2 - (c*b)^2 d)
-    s = 1 if c > 0 else -1
-    C = b * e
-    P, Q, D = s * a * e * C, s * C * C, (c * b * C) ** 2 * x.d
+    # x = (a + b*sqrt(d)) / c; moving the sign s of b into Q and scaling by c
+    # gives (P + sqrt(D)) / Q with Q = s*c^2 dividing D - P^2 = c^2 (b^2 d - a^2)
+    s = 1 if x.b > 0 else -1
+    P, Q, D = s * x.a * x.c, s * x.c * x.c, (x.b * x.c) ** 2 * x.d
     r = math.isqrt(D)
     quotients = []
     for _ in range(depth + 1):

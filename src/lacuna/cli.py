@@ -20,7 +20,7 @@ from . import cf as cf_mod
 from . import littlewood as lw
 from . import metric
 from .dyadic import DyadicReal, alpha_precision, dilate, gap_report
-from .errors import LacunaError
+from .errors import LacunaError, MalformedValueError
 from .nested import build_nested_alpha, gap_bound
 from .sequences import geometric_sequence, load_sequence, smallest_l, thin
 from .turan import find_alpha
@@ -65,14 +65,16 @@ def _load_config_defaults(argv):
 def _build_seq(args, n_terms: int):
     if getattr(args, "seq", None):
         return load_sequence(args.seq)
-    return geometric_sequence(Fraction(args.r), n_terms)
+    return geometric_sequence(_value(args.r), n_terms)
 
 
-def _parse_real(spec: str):
+def _value(spec: str, real: bool = False):
+    """A rational flag ('7/10', '0.25'); with real=True also a 'kind:' spec
+    of cf.parse_value_spec.  A bad one raises malformed-value with its cause."""
     try:
-        return cf_mod.parse_value_spec(spec)
-    except ValueError:
-        return Fraction(spec)
+        return cf_mod.parse_value_spec(spec) if real and ":" in spec else Fraction(spec)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedValueError(f"malformed-value {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +85,7 @@ def _parse_real(spec: str):
 def _cmd_gaps(a):
     seq = _build_seq(a, a.n)
     prec = max(alpha_precision(seq.terms[: a.n]), _precision_override(a))
-    alpha = DyadicReal.from_fraction(Fraction(a.alpha), prec)
+    alpha = DyadicReal.from_fraction(_value(a.alpha), prec)
     rep = gap_report(dilate(alpha, seq, 1, a.n))
     payload = {"alpha": _dyadic_json(alpha), **rep.to_json_dict()}
     _emit(payload, a.out)
@@ -146,10 +148,10 @@ def _cmd_metric_scan(a):
 def _cmd_moment_check(a):
     seq = _build_seq(a, a.n)
     thinned = thin(seq, a.n)
-    params = metric.MetricParameters.for_n(a.n, Fraction(a.eps).limit_denominator(1000))
+    params = metric.MetricParameters.for_n(a.n, _value(a.eps).limit_denominator(1000))
     res = metric.exp_moment_check(
         thinned,
-        float(Fraction(a.t)),
+        float(_value(a.t)),
         params,
         bump_mod.standard_bump(),
     )
@@ -167,7 +169,7 @@ def _cmd_moment_check(a):
 
 
 def _cmd_cf(a):
-    value = _parse_real(a.value)
+    value = _value(a.value, real=True)
     expansion = cf_mod.expand(value, a.depth)
     payload = expansion.to_json_dict()
     if expansion.depth >= 2:
@@ -178,14 +180,13 @@ def _cmd_cf(a):
 
 
 def _cmd_littlewood(a):
-    beta = _parse_real(a.beta)
+    beta = _value(a.beta, real=True)
     alpha = (
-        _parse_real(a.alpha)
+        _value(a.alpha, real=True)
         if a.alpha
         else metric.sample_alpha("bounded-cf:5", a.seed, 192).to_fraction()
     )
-    eta, zeta = Fraction(a.eta), Fraction(a.zeta)
-    eps = Fraction(a.epsilon)
+    eta, zeta, eps = _value(a.eta), _value(a.zeta), _value(a.epsilon)
     if a.brute_n:
         report = lw.littlewood_scan(alpha, beta, eta, zeta, eps, n_limit=a.brute_n)
         payload = report.to_json_dict()

@@ -121,6 +121,14 @@ class CfPrecisionExhaustedError(LacunaError):
     code = "cf-precision-exhausted"
 
 
+class MalformedValueError(LacunaError):
+    code = "malformed-value"
+
+
+class RationalBetaError(LacunaError):
+    code = "rational-beta"
+
+
 class InsufficientDepthError(LacunaError):
     code = "insufficient-depth"
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cf import ContinuedFraction, QuadraticReal, dist_to_int, expand
 from .dyadic import DyadicReal
-from .errors import CzPoolExhaustedError
+from .errors import CzPoolExhaustedError, RationalBetaError
 from .sequences import mpf_fraction
 
 import mpmath as mp
@@ -44,10 +44,6 @@ def _as_exact(value):
     if isinstance(value, DyadicReal):
         return value.to_fraction()
     return Fraction(value)
-
-
-def _to_float(x) -> float:
-    return x.to_float() if isinstance(x, QuadraticReal) else float(x)
 
 
 def _distance(value, n: int, shift):
@@ -107,9 +103,9 @@ def cz_build(beta, zeta, n_max: int) -> CZSequence:
     doubles (up to 2^14) and the walk carries on at m, since a deeper
     expansion keeps every earlier convergent.
     """
+    if isinstance(beta, (int, Fraction)) or (isinstance(beta, QuadraticReal) and beta.b == 0):
+        raise RationalBetaError(f"rational-beta: steering needs an irrational beta, not {beta}")
     zeta = Fraction(zeta)
-    if isinstance(beta, QuadraticReal) and beta.is_rational():
-        raise ValueError("beta must be irrational")
     depth, max_depth = 128, 1 << 14
     cf = expand(beta, depth)
     terms = []
@@ -195,9 +191,9 @@ def _product_at_most(pa, pb, t: Fraction) -> bool:
         return t >= 0
     if sb < 0:
         pa, pb = -pa, -pb
-    # t / pb = t * conj(pb) / norm(pb)
-    norm = pb.x * pb.x - pb.y * pb.y * pb.d
-    x, y = t * pb.x / norm, -t * pb.y / norm
+    # t / pb = k * (a - b sqrt(d)) with k = t * c / (a^2 - b^2 d)
+    k = t * pb.c / (pb.a * pb.a - pb.b * pb.b * pb.d)
+    x, y = k * pb.a, -k * pb.b
     v = pa - x
     sv, sy = v.sign(), (y > 0) - (y < 0)
     if sv != sy:
@@ -213,7 +209,7 @@ def _confirm_solution(alpha, beta, eta, zeta, n, thr_lo: Fraction) -> tuple[bool
     pa = da * n
     pb = exact_product(beta, n, zeta)
     # n ||an-e|| ||bn-z|| = (n ||an-e||) * (n ||bn-z||) / n
-    return _product_at_most(pa, pb, thr_lo * n), _to_float(da) * _to_float(pb)
+    return _product_at_most(pa, pb, thr_lo * n), float(da) * float(pb)
 
 
 def littlewood_scan(
@@ -262,8 +258,8 @@ def littlewood_scan(
 def _brute_candidates(alpha, beta, eta, zeta, epsilon, n_limit: int) -> list[int]:
     """Float sweep over all n <= n_limit; keeps everything within a generous
     margin of the threshold for exact confirmation."""
-    af, bf = _to_float(_as_exact(alpha)), _to_float(_as_exact(beta))
-    ef, zf = _to_float(_as_exact(eta)), _to_float(_as_exact(zeta))
+    af, bf = float(_as_exact(alpha)), float(_as_exact(beta))
+    ef, zf = float(_as_exact(eta)), float(_as_exact(zeta))
     n = np.arange(3, n_limit + 1, dtype=np.float64)
     da = np.abs((n * af - ef) - np.round(n * af - ef))
     db = np.abs((n * bf - zf) - np.round(n * bf - zf))

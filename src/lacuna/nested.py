@@ -61,7 +61,7 @@ class NestedChain:
                 {
                     "k": b.k,
                     "n_k": b.n_k,
-                    "alpha_k": b.alpha_k.decimal_str(40),
+                    "alpha_k_hex": list(b.alpha_k.hex_pair()),
                     "tilde_interval_hex": hx(b.tilde_interval),
                     "next_interval_hex": hx(b.next_interval),
                     "verified_gap": float(b.verified_gap),

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -35,12 +37,17 @@ class TestQuadraticReal:
         assert x.x == 2 and x.y == 0
         assert (PHI * PHI) == PHI + 1  # golden ratio identity
 
+    def test_copy_and_pickle(self):
+        v = PHI_M1 / 7
+        assert copy.copy(v) == pickle.loads(pickle.dumps(v)) == v
+        assert (v.a, v.b, v.c, v.d) == (-1, 1, 14, 5)
+
     def test_division(self):
-        inv = QuadraticReal.rational(1, 2) / SQRT2
+        inv = QuadraticReal(1, 0, 2) / SQRT2
         assert (inv * SQRT2).x == 1 and (inv * SQRT2).y == 0
 
     def test_comparisons(self):
-        assert QuadraticReal.rational(Fraction(7, 5), 2) < SQRT2
+        assert QuadraticReal(Fraction(7, 5), 0, 2) < SQRT2
         assert SQRT2 < Fraction(3, 2)
         assert PHI > 1 and PHI < 2
 
@@ -68,16 +75,19 @@ class TestQuadraticReal:
 
 
 def reference_floor(v: QuadraticReal) -> int:
-    """The earlier QuadraticReal.floor: a 64-fractional-bit isqrt estimate,
-    then corrected by exact comparisons (which never call floor)."""
-    if v.y == 0:
-        return math.floor(v.x)
-    est = v._scaled_int(64) >> 64
-    while v >= est + 1:
-        est += 1
-    while v < est:
-        est -= 1
-    return est
+    """floor(v) from an mpmath estimate of x + y*sqrt(d), 64 bits past the
+    size of either term, corrected by reference_sign, so nothing here calls
+    QuadraticReal's own floor."""
+    x, y = v.x, v.y
+    with mp.workprec(64 + abs(x.numerator).bit_length() + abs(y.numerator).bit_length()
+                     + v.d.bit_length()):
+        a = int(mp.floor(mp.mpf(x.numerator) / x.denominator
+                         + mp.mpf(y.numerator) / y.denominator * mp.sqrt(v.d)))
+    while reference_sign(v - a) < 0:
+        a -= 1
+    while reference_sign(v - (a + 1)) >= 0:
+        a += 1
+    return a
 
 
 def reference_dist(x):
@@ -114,7 +124,7 @@ class TestNearestIntegerDistance:
     @given(HALF_INTEGERS, NON_SQUARES)
     def test_half_integers(self, x, d):
         assert dist_to_int(x) == Fraction(1, 2)
-        assert dist_to_int(QuadraticReal.rational(x, d)) == Fraction(1, 2)
+        assert dist_to_int(QuadraticReal(x, 0, d)) == Fraction(1, 2)
 
     @settings(max_examples=300)
     @given(QUADRATICS)
@@ -150,7 +160,7 @@ class TestNearestIntegerDistance:
     @given(QUADRATICS)
     def test_to_float_unchanged_from_2_to_the_minus_11(self, v):
         # the earlier conversion: the float nearest floor(v * 2^64) / 2^64
-        m = v._scaled_int(64)
+        m = reference_floor(v * (1 << 64))
         if abs(v) >= Fraction(1, 1 << 11) and m.bit_length() <= 512:
             assert v.to_float() == math.ldexp(m, -64)
 
@@ -176,18 +186,11 @@ def reference_sign(v: QuadraticReal) -> int:
 
 def reference_expansion(v: QuadraticReal, depth: int) -> list[int]:
     """a0 and depth quotients of the Gauss map v -> 1 / (v - floor v) in
-    field arithmetic; each floor is a 60-digit mpmath estimate corrected by
-    reference_sign, so nothing here calls QuadraticReal's own floor."""
-    one = QuadraticReal.rational(1, v.d)
+    field arithmetic; each floor is reference_floor."""
+    one = QuadraticReal(1, 0, v.d)
     out = []
     for _ in range(depth + 1):
-        with mp.workdps(60):
-            a = int(mp.floor(mp.mpf(v.x.numerator) / v.x.denominator
-                             + mp.mpf(v.y.numerator) / v.y.denominator * mp.sqrt(v.d)))
-        while reference_sign(v - a) < 0:
-            a -= 1
-        while reference_sign(v - (a + 1)) >= 0:
-            a += 1
+        a = reference_floor(v)
         out.append(a)
         v = one / (v - a)
     return out
@@ -217,6 +220,65 @@ NONZERO_RATIONALS = SMALL_RATIONALS.filter(lambda f: f != 0)
 SMALL_NON_SQUARES = st.integers(2, 1000).filter(lambda d: math.isqrt(d) ** 2 != d)
 
 
+def coordinates(v) -> tuple[Fraction, Fraction]:
+    return (v.x, v.y) if isinstance(v, QuadraticReal) else (Fraction(v), Fraction(0))
+
+
+@st.composite
+def same_field_operands(draw):
+    """(u, w, d): u a QuadraticReal over d, w a QuadraticReal over d, an int
+    or a Fraction."""
+    d = draw(NON_SQUARES)
+    u = QuadraticReal(draw(RATIONALS), draw(RATIONALS), d)
+    w = draw(st.one_of(
+        st.builds(QuadraticReal, RATIONALS, RATIONALS, st.just(d)),
+        st.integers(-(10**30), 10**30),
+        RATIONALS,
+    ))
+    return u, w, d
+
+
+class TestArithmetic:
+    """Field arithmetic against the formulas on the rational coordinates
+    x + y*sqrt(d), with each result in canonical integer form."""
+
+    @staticmethod
+    def check(v, x, y, d):
+        assert isinstance(v, QuadraticReal) and v.d == d
+        assert (v.x, v.y) == (x, y)
+        assert v.c > 0 and math.gcd(v.a, v.b, v.c) == 1
+        assert v == QuadraticReal(x, y, d) and hash(v) == hash(QuadraticReal(x, y, d))
+
+    @settings(max_examples=300)
+    @given(same_field_operands())
+    def test_add_sub_mul(self, ops):
+        u, w, d = ops
+        (x1, y1), (x2, y2) = coordinates(u), coordinates(w)
+        for v in (u + w, w + u):
+            self.check(v, x1 + x2, y1 + y2, d)
+        self.check(u - w, x1 - x2, y1 - y2, d)
+        self.check(w - u, x2 - x1, y2 - y1, d)
+        for v in (u * w, w * u):
+            self.check(v, x1 * x2 + y1 * y2 * d, x1 * y2 + x2 * y1, d)
+        self.check(-u, -x1, -y1, d)
+
+    @settings(max_examples=300)
+    @given(same_field_operands())
+    def test_div(self, ops):
+        u, w, d = ops
+        (x1, y1), (x2, y2) = coordinates(u), coordinates(w)
+        norm = x2 * x2 - y2 * y2 * d
+        if norm == 0:
+            with pytest.raises(ZeroDivisionError):
+                u / w
+            return
+        self.check(u / w, (x1 * x2 - y1 * y2 * d) / norm, (y1 * x2 - x1 * y2) / norm, d)
+
+    def test_mixed_fields_rejected(self):
+        with pytest.raises(ValueError):
+            SQRT2 + QuadraticReal.sqrt(3)
+
+
 class TestSign:
     @settings(max_examples=300)
     @given(QUADRATICS)
@@ -226,8 +288,8 @@ class TestSign:
     @pytest.mark.parametrize(
         "v",
         [
-            QuadraticReal.rational(0, 2),
-            QuadraticReal.rational(Fraction(-1, 10**30), 3),
+            QuadraticReal(0, 0, 2),
+            QuadraticReal(Fraction(-1, 10**30), 0, 3),
             QuadraticReal(Fraction(0), Fraction(-1, 7), 5),
             SQRT2 * 10**40 - Fraction(141421356237309504880168872420969807857, 1000),
             Fraction(10**40) - SQRT2 * 10**40,

@@ -116,10 +116,11 @@ class TestByteIdentity:
     to integer arithmetic (the r = 5/2 find-alpha at N = 2048 and metric-scan
     pins: before residues took the rational-ratio recurrence; the littlewood
     pin: before cz_build walked its expansion in one pass); every decision
-    and digit must stay the same.  Two output changes were made on purpose
+    and digit must stay the same.  Three output changes were made on purpose
     and re-pinned: find-alpha prints each constraint's term index under
-    "index" instead of its frequency, and nested-alpha prints its interval
-    ends at the final alpha's precision instead of 192 bits."""
+    "index" instead of its frequency, nested-alpha prints its interval ends
+    at the final alpha's precision instead of 192 bits, and each block's
+    factor as the lossless "alpha_k_hex" instead of a 40-digit decimal."""
 
     @pytest.mark.parametrize(
         "argv,code,sha",
@@ -137,7 +138,7 @@ class TestByteIdentity:
             (
                 ("nested-alpha", "--r", "3", "--k-start", "3", "--k-end", "4"),
                 0,
-                "25a2bab6e39e967c758bffec75b9ebc52ace15d72897a0af38a96a81dfd833df",
+                "f8d8fc3f7a5dfe791a72f370df02ec1b4262f4945525b3105c20df35978f3aa7",
             ),
             (
                 # fails the ratio precondition: nothing on stdout
@@ -375,6 +376,32 @@ class TestErrors:
         assert time.perf_counter() - t0 < 5
         assert code == 1
         assert "N-below-threshold" in err
+
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["cf", "--value", "sqrt:4"], "d must be a positive non-square integer"),
+            (["cf", "--value", "quad:1,7,0"], "Fraction(1, 0)"),
+            (["cf", "--value", "foo:3"], "unknown value spec"),
+            (["gaps", "--n", "5", "--alpha", "abc"], "Invalid literal for Fraction"),
+            (["gaps", "--n", "5", "--r", "1/0", "--alpha", "7/10"], "Fraction(1, 0)"),
+            (["littlewood", "--beta", "sqrt:2", "--eta", "x"], "Invalid literal"),
+            (["moment-check", "--n", "64", "--t", "zz"], "Invalid literal"),
+        ],
+    )
+    def test_malformed_value(self, capsys, argv, cause):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error [malformed-value]: ")
+        assert cause in captured.err
+
+    @pytest.mark.parametrize("beta", ["rat:1/3", "2"])
+    def test_rational_beta(self, capsys, beta):
+        code = main(["littlewood", "--beta", beta, "--alpha", "sqrt:3", "--terms", "4"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error [rational-beta]: ")
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

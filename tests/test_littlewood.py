@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lacuna.cf import QuadraticReal
-from lacuna.errors import CzPoolExhaustedError
+from lacuna.errors import CzPoolExhaustedError, RationalBetaError
 from lacuna.littlewood import (
     _product_at_most,
     cz_build,
@@ -89,8 +89,10 @@ class TestCzBuild:
         assert cz_recheck(seq)["product_ok"] == [True] * 10
 
     def test_rational_beta_rejected(self):
-        with pytest.raises(ValueError):
-            cz_build(QuadraticReal.rational(Fraction(3, 7), 2), 0, 4)
+        # a rational beta's expansion ends, so its convergents run out
+        for beta in (QuadraticReal(Fraction(3, 7), 0, 2), Fraction(1, 3), 2):
+            with pytest.raises(RationalBetaError):
+                cz_build(beta, 0, 4)
 
     def test_pool_exhaustion(self):
         # the expansion stops at 2^14 convergents, so the pool is finite

@@ -117,6 +117,26 @@ class TestSerialization:
         assert len(d["blocks"]) == 2
         assert all("tilde_interval_hex" in b for b in d["blocks"])
 
+    def test_block_factors_print_losslessly(self, chain_r3):
+        # each block's factor decodes to its DyadicReal, lies in the block's
+        # printed tilde interval, and differs from the next block's
+        _, chain = chain_r3
+        d = chain.to_json_dict()
+
+        def decode(pair):
+            m, e = pair
+            return int(m, 16) * Fraction(2) ** e
+
+        alphas = []
+        for b, block in zip(d["blocks"], chain.blocks):
+            alpha = decode(b["alpha_k_hex"])
+            assert alpha == block.alpha_k.to_fraction()
+            lo, hi = map(decode, b["tilde_interval_hex"])
+            assert lo <= alpha <= hi
+            alphas.append(alpha)
+        assert len(alphas) == 2
+        assert all(x != y for x, y in zip(alphas, alphas[1:]))
+
     def test_printed_intervals_are_proper(self, chain_r3):
         # every printed interval keeps two distinct ends around alpha_final,
         # also where it is far narrower than 2^-192
