@@ -30,12 +30,14 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import EmptyConfigurationError, PrecisionTooLowError
 
 DEFAULT_PRECISION_BITS = 96
+
+_LOG10_2 = math.log10(2)
 
 
 def _ctz(n: int) -> int:
@@ -138,13 +140,36 @@ def format_decimal(fr: Fraction, digits: int = 30) -> str:
 
 
 def format_ratio(num: int, den: int, digits: int = 30) -> str:
-    """format_decimal of num/den, den > 0; the pair need not be reduced (the
-    correctly rounded quotient, and an exact one's exponent, depend only on
-    the value)."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        d = Decimal(num) / Decimal(den)
-    return str(d)
+    """format_decimal of num/den, den > 0, the pair not necessarily reduced:
+    the string of the Decimal quotient num/den at precision digits.
+
+    That quotient is num/den rounded half to even to digits significant
+    digits, at the exponent e of its last digit; when num/den is exactly
+    c * 10^e, the exponent rises, trailing zeros of c dropped, toward 0.  It
+    comes from one short-quotient division c = num * 10^k // den, with c of
+    digits + 1 to digits + 4 digits, and the remainder's test for zero:
+    neither num nor den is ever converted to decimal whole."""
+    if num == 0:
+        return "0"
+    n = abs(num)
+    # log10(n/den) > (bits(n) - bits(den) - 1) * log10(2); one digit of
+    # margin for the float product
+    k = digits + 1 - math.floor((n.bit_length() - den.bit_length() - 1) * _LOG10_2)
+    c, rem = divmod(n * 10**k, den) if k >= 0 else divmod(n, den * 10**-k)
+    # keep digits + 1 digits, the last one a guard digit
+    excess = len(str(c)) - digits - 1
+    c, dropped = divmod(c, 10**excess)
+    exact = not (rem or dropped)
+    c, guard = divmod(c, 10)
+    e = excess + 1 - k
+    if guard > 5 or (guard == 5 and (c % 2 or not exact)):
+        c += 1  # half to even
+        if c == 10**digits:
+            c, e = c // 10, e + 1
+    elif guard == 0 and exact:
+        while e < 0 and c % 10 == 0:
+            c, e = c // 10, e + 1
+    return str(Decimal(f"{'-' if num < 0 else ''}{c}E{e}"))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +254,26 @@ def residue_bits(alpha: DyadicReal) -> int:
     return max(-alpha.exponent, 0)
 
 
-# a step takes the recurrence only when q * a_{n+1} has at most this many
-# bits more than a_n and delta_n fits them, so the step's test is one short
-# division and the step a short multiply-add
+# a relation rho * a = p * prev + delta is short when rho * a has at most this
+# many bits more than prev and delta fits them: the test is one short
+# division, and a step that reads the relation a short multiply-add
 _RATIO_BITS = 64
+
+
+def short_relation(prev: int, a: int, rho: int) -> tuple[int, int] | None:
+    """(p, delta) = divmod(rho * a, prev) when prev > 0 and both are short,
+    so that rho * a = p * prev + delta; None otherwise.
+
+    The one test of whether a step may read its term from the one before:
+    residues() takes its recurrence there, and the band search of
+    lacuna.turan its short step."""
+    if prev <= 0:
+        return None
+    ra = rho * a if rho != 1 else a
+    if ra.bit_length() - prev.bit_length() > _RATIO_BITS:
+        return None
+    p, delta = divmod(ra, prev)
+    return None if delta >> _RATIO_BITS else (p, delta)
 
 
 def residues(alpha: DyadicReal, terms, q: int = 1) -> Iterator[int]:
@@ -240,10 +281,10 @@ def residues(alpha: DyadicReal, terms, q: int = 1) -> Iterator[int]:
     m * a mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).  Exact for
     every positive integer q.
 
-    Each step reads p_n, delta_n = divmod(q * a_{n+1}, a_n), one short
-    division, so q * a_{n+1} = p_n * a_n + delta_n and, with X_n = m * a_n,
-    q * X_{n+1} = p_n * X_n + delta_n * m.  Where a_n > 0 and p_n, delta_n
-    are short (every step of geometric_sequence when q is the denominator of
+    Each step reads p_n, delta_n = short_relation(a_n, a_{n+1}, q), one
+    short division, so q * a_{n+1} = p_n * a_n + delta_n and, with
+    X_n = m * a_n, q * X_{n+1} = p_n * X_n + delta_n * m.  Where the relation
+    is short (every step of geometric_sequence when q is the denominator of
     its ratio, as 0 <= delta_n < q), X_{n+1} follows from X_n by a short
     multiply-add and an exact division by q = 2^s * q', q' odd: a shift by s,
     and for q' > 1 divmod(W, q) = (Q, R) and X_{n+1} = Q + (R >> s) * q'^-1
@@ -252,9 +293,9 @@ def residues(alpha: DyadicReal, terms, q: int = 1) -> Iterator[int]:
     block of b = max(isqrt(P) // s, 1) steps starts from one product
     m * a mod 2^K; that product is a small share of the block's cost.  Odd q
     (q = 1 for integer ratios) loses no bit and runs as one block.  Any
-    other step (a_n <= 0, or a wide p_n or delta_n: after a zero, a negative
-    or bumped term, or with a q that is not the ratio's denominator) takes
-    the product and starts a new block."""
+    other step (a_n <= 0, or no short relation: after a zero, a negative or
+    bumped term, or with a q that is not the ratio's denominator) takes the
+    product and starts a new block."""
     P = residue_bits(alpha)
     mask = (1 << P) - 1
     m = alpha.mantissa
@@ -264,16 +305,12 @@ def residues(alpha: DyadicReal, terms, q: int = 1) -> Iterator[int]:
     K = P + s * max(block, 0)
     wide = (1 << K) - 1
     inv = pow(odd, -1, 1 << K)
-    limit = 1 << _RATIO_BITS
     scaled = q > 1
     prev = x = left = 0
     for a in map(int, terms):
-        d = limit  # the step is short only if the test below finds it so
-        if prev > 0 and left:
-            qa = q * a if scaled else a
-            if qa.bit_length() - prev.bit_length() <= _RATIO_BITS:
-                p, d = divmod(qa, prev)
-        if d < limit:
+        rel = short_relation(prev, a, q) if left else None
+        if rel is not None:
+            p, d = rel
             # X is now valid mod 2^(K - s * steps so far); the bits above it
             # are never read
             x = (p * x + d * m if d else p * x) & wide

@@ -110,7 +110,7 @@ def geometric_sequence(r: Fraction, n_terms: int) -> LacunarySequence:
     terms = []
     t = 1
     for _ in range(n_terms):
-        t = -((-p * t) // q)  # ceil(r * t)
+        t = p * t if q == 1 else -((-p * t) // q)  # ceil(r * t)
         terms.append(t)
     ok, bad = verify_hadamard(terms, r)
     if not ok:  # the construction is checked, not assumed

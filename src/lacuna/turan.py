@@ -21,10 +21,21 @@ Every decision is an integer comparison; no Fraction is built per step.
   band indices j_min, j_max come from floor division, j_best from the same
   half-to-even rounding round(Fraction) applies, and the tie toward lower
   alpha from comparing two integers scaled by 2R.  The chosen band is
-  (p*e_den + j*q*e_den -+ e_num*q) / (q*e_den*a), and clipping the interval
-  to it compares cross-products.  Scaling by a positive integer preserves
-  every floor, ceiling, rounding and order, so each decision is the one the
-  rational arithmetic makes, and alpha is the same.
+  (p*e_den + j*q*e_den -+ e_num*q) / (q*e_den*a), and whether it holds lo
+  or hi compares integers at scale R too.  Scaling by a positive integer
+  preserves every floor, ceiling, rounding and order, so each decision is
+  the one the rational arithmetic makes, and alpha is the same.
+- A step costs O(B) for B-bit frequencies, not the O(B^2) of one wide
+  divmod, wherever the interval is the band of the previous frequency
+  a_prev (after every step but the first and the rare clipped ones) and the
+  pair has a short relation rho*a = P*a_prev + d (dyadic.short_relation,
+  the test residues() reads too), with rho = den(r)^step for a thinning of
+  a sequence of ratio r.  Then Q = q'*e_den*a_prev for the previous target
+  p'/q', and at scale R = rho*q*Q the step's lo*a - x - eps' splits into a
+  division by the short R/a_prev and one with the short quotient lo*d/rho.
+  The data alone picks the step: pairs without such a relation (loaded term
+  lists that are not geometric, a bumped term, ratios or a rho past 2^64,
+  as for r = 11/10, where step = 11*floor(ln N)) keep the wide divmod.
 - The postcondition reads the residue stream: for alpha = m*2^-P and
   res = m*a mod 2^P, {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P),
   exact because q*m*a and q*res agree mod q*2^P.  Its distance to the
@@ -45,6 +56,7 @@ from .dyadic import (
     format_ratio,
     residue_bits,
     residues,
+    short_relation,
 )
 from .errors import (
     DeltaUncertifiableError,
@@ -171,6 +183,7 @@ def _greedy_band_search(
     epsilon: Fraction,
     lo: Fraction,
     hi: Fraction,
+    rho: int = 1,
 ):
     """Intersect per-frequency bands ||alpha*a - x|| <= eps', keeping at each
     step the band whose center is nearest the current interval's center (ties
@@ -179,23 +192,53 @@ def _greedy_band_search(
     lo and hi are carried as integers L, H over one shared, unreduced
     denominator Q > 0; after a step whose band lies inside the interval, Q is
     that band's q*e_den*a for x = p/q and eps' = e_num/e_den.  Every decision
-    is an exact integer comparison (see the module docstring)."""
+    is an exact integer comparison (see the module docstring).
+
+    The step after such a full band of a_prev is a short one where
+    dyadic.short_relation finds rho*a = P*a_prev + d with P and d short:
+    it costs O(B) for B-bit frequencies.  Every other
+    step (the first, one after a clipped step, or a pair without a short
+    relation) makes one wide divmod, O(B^2).  Both make the same decisions,
+    so (lo, hi) does not depend on which ran."""
     eps = epsilon * (1 - _SEARCH_SLACK)
     en, ed = eps.numerator, eps.denominator
     L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     Q = lo.denominator * hi.denominator
+    prev = q_prev = 0  # Q = q_prev*ed*prev while prev > 0
     for n, (a, x) in enumerate(zip(frequencies, targets), start=1):
         p, q = x.numerator, x.denominator
-        # Scaled by R = Q*q*ed: lo*a - x - eps is s_lo and hi*a - x + eps is
-        # s_lo + w.  A = q*ed*a is also the denominator of this step's band.
-        R = Q * q * ed
+        # At a scale R that is a positive multiple of Q*q:
+        # lo*a - x - eps' = base + rem/R with 0 <= rem < R,
+        # (hi - lo)*a = dA/R and 2*eps' = E2/R, so that
+        # hi*a - x + eps' = base + (rem + w)/R for w = dA + E2.
+        # A = q*ed*a is the denominator of this step's band.
         A = q * ed * a
-        E = en * q * Q
-        LA, dA = L * A, (H - L) * A
-        s_lo = LA - (p * ed + en * q) * Q
-        w = dA + 2 * E
-        # the one wide division; every other quotient below is short
-        base, rem = divmod(s_lo, R)
+        rel = short_relation(prev, a, rho)
+        if rel is None:
+            # the wide step: R = Q*q*ed, one wide division
+            R = Q * q * ed
+            base, rem = divmod(L * A - (p * ed + en * q) * Q, R)
+            dA = (H - L) * A
+            E2 = (2 * en * q) * Q
+        else:
+            # the short step: R = rho*q*Q = U*prev for U = rho*q*q_prev*ed.
+            # With rho*a = P*prev + d, R*(lo*a - x - eps') is N*prev + L*q*d
+            # for N = L*q*P - rho*q_prev*(p*ed + en*q): N over the short U,
+            # and L*q*d over R with the short quotient lo*d/rho
+            P, d = rel
+            rq = rho * q
+            U = rq * q_prev * ed
+            R = U * prev
+            base, rem = divmod(L * (q * P) - rho * q_prev * (p * ed + en * q), U)
+            rem *= prev
+            if d:
+                i2, r2 = divmod(L * (q * d), R)
+                base, rem = base + i2, rem + r2
+                if rem >= R:
+                    base, rem = base + 1, rem - R
+            dA = (rq * (H - L)) * a
+            E2 = (2 * en * rq * q_prev) * prev
+        w = dA + E2
         j_min = base + (rem != 0)
         j_max = base + (rem + w) // R
         if j_min > j_max:
@@ -216,16 +259,19 @@ def _greedy_band_search(
                 j_best -= 1
         # band [(x + j - eps)/a, (x + j + eps)/a] = [BL, BL + 2*en*q] / A
         BL = (p + j_best * q) * ed - en * q
-        BLQ = BL * Q
-        keep_lo = LA >= BLQ  # lo >= band_lo
-        keep_hi = LA + dA <= BLQ + 2 * E  # hi <= band_hi
+        jR = (j_best - base) * R
+        keep_lo = rem + E2 >= jR  # lo >= band_lo
+        keep_hi = rem + dA <= jR  # hi <= band_hi
         if not (keep_lo or keep_hi):
             L, H, Q = BL, BL + 2 * en * q, A
+            prev, q_prev = a, q
         elif keep_lo != keep_hi:
-            # one end clipped: bring both ends over Q*A (rare)
-            L = LA if keep_lo else BLQ
-            H = LA + dA if keep_hi else BLQ + 2 * E
+            # one end clipped: bring both ends over Q*A (rare); the next
+            # step is a wide one
+            L = L * A if keep_lo else BL * Q
+            H = H * A if keep_hi else (BL + 2 * en * q) * Q
             Q = Q * A
+            prev = 0
         if L > H:
             raise InfeasibleAtStepError(n)
     return Fraction(L, Q), Fraction(H, Q)
@@ -277,13 +323,13 @@ def find_dilation(
         raise IntervalTooShortError(
             f"interval length {hi - lo} below (1+2*eps)/a~_1"
         )
-    flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi)
     parent = thinned.parent
+    # a thinning of a sequence whose ratio has denominator d steps by d^step
+    ratio_q = parent.growth_factor_r.denominator ** thinned.step if parent is not None else 1
+    flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi, ratio_q)
     parent_terms = parent.terms if parent is not None else ()
     precision = alpha_precision((*freqs, *parent_terms))
     alpha = DyadicReal.from_fraction((flo + fhi) / 2, precision)
-    # a thinning of a sequence whose ratio has denominator d steps by d^step
-    ratio_q = parent.growth_factor_r.denominator ** thinned.step if parent is not None else 1
     # postcondition on the residue stream: with alpha = m*2^-P and x = p/q,
     # {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), res = m*a mod 2^P
     P = residue_bits(alpha)

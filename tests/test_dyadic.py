@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from lacuna.dyadic import (
     require_precision,
     residue_bits,
     residues,
+    short_relation,
 )
 from lacuna.cf import dist_to_int
 from lacuna.errors import EmptyConfigurationError, NotLacunaryError, PrecisionTooLowError
@@ -385,6 +388,31 @@ class TestOneRecurrence:
         assert seen == [4, 1]
 
 
+class TestShortRelation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 1 << 300),
+        st.integers(0, 1 << 70),
+        st.integers(0, 1 << 70),
+        st.sampled_from((1, 2, 3, 4, 9, 1 << 40)),
+    )
+    def test_relation_is_exact_and_short(self, prev, p, d, rho):
+        a = p * prev + d
+        rel = short_relation(prev, a, rho)
+        if rel is None:
+            # only a quotient or a remainder past 64 bits is refused
+            p2, d2 = divmod(rho * a, prev)
+            assert p2 >= 1 << 64 or d2 >= 1 << 64
+        else:
+            p2, d2 = rel
+            assert rho * a == p2 * prev + d2 and 0 <= d2 < min(prev, 1 << 64)
+
+    def test_no_relation_without_a_positive_term_before(self):
+        assert short_relation(0, 5, 1) is None
+        assert short_relation(-3, 5, 1) is None
+        assert short_relation(3, 10, 2) == (6, 2)
+
+
 class TestPrecisionPolicy:
     def test_alpha_precision_passes_the_dilation_gate(self):
         terms = geometric_sequence(Fraction(3), 100).terms
@@ -394,12 +422,79 @@ class TestPrecisionPolicy:
         assert alpha_precision([-(1 << 10), 3]) == 11 + 64
 
 
+def decimal_ratio(num, den, digits):
+    """Reference for format_ratio: the Decimal quotient at precision digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(num) / Decimal(den))
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "num,den", [(0, 8), (2, 8), (10, 4), (-6, 9), (1, 3), (7 << 200, 21 << 150)]
     )
     def test_unreduced_ratio_formats_as_its_value(self, num, den):
         assert format_ratio(num, den, 40) == format_decimal(Fraction(num, den), 40)
+
+    @pytest.mark.parametrize("digits", [1, 2, 5, 30, 40])
+    def test_wide_pairs_match_decimal_division(self, digits):
+        rng = random.Random(digits)
+        for _ in range(12):
+            num = rng.getrandbits(rng.randint(10_000, 14_000)) * rng.choice((1, -1))
+            den = rng.getrandbits(rng.randint(10_000, 14_000)) | 1
+            assert format_ratio(num, den, digits) == decimal_ratio(num, den, digits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(10**60), 10**60),
+        st.integers(1, 10**30),
+        st.sampled_from((1, 2, 3, 7, 40)),
+    )
+    def test_matches_decimal_division(self, num, den, digits):
+        assert format_ratio(num, den, digits) == decimal_ratio(num, den, digits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(10**45), 10**45),
+        st.integers(1, 10**12),
+        st.sampled_from((1, 10, 1000, 10**20, 2**40, 5**30)),
+        st.booleans(),
+        st.sampled_from((1, 2, 3, 40)),
+    )
+    def test_exact_quotients(self, c, den, m, scale_up, digits):
+        # num/den is exactly c*m or c/m: trailing zeros, exponents on either
+        # side of 0, and digit strings longer and shorter than digits
+        num, den = (c * den * m, den) if scale_up else (c * den, den * m)
+        assert format_ratio(num, den, digits) == decimal_ratio(num, den, digits)
+
+    @pytest.mark.parametrize(
+        "num,den,digits",
+        [
+            (0, 1, 40),
+            (0, 7 << 300, 40),
+            (-1, 3, 40),
+            (125, 1, 2),  # a tie: half to even rounds down
+            (135, 1, 2),  # ... and up
+            (-125, 1, 2),
+            (9995, 1, 3),  # rounding up carries into a new digit
+            (999, 1000, 2),
+            (10**45, 1, 40),  # exact, longer than digits: 1.000...E+45
+            (10**45 + 1, 1, 40),
+            (120 * 10**50, 10**50, 40),
+            (3, 2, 40),
+            (1, 10**7, 40),  # below 10^-6: exponent notation
+        ],
+    )
+    def test_edge_cases(self, num, den, digits):
+        assert format_ratio(num, den, digits) == decimal_ratio(num, den, digits)
+
+    def test_integers_longer_than_40_digits(self):
+        # delta_lower goes out as format_ratio(delta, 1, 40)
+        rng = random.Random(7)
+        for bits in (140, 1_000, 14_320, 40_000):
+            for _ in range(5):
+                delta = rng.getrandbits(bits) | (1 << (bits - 1))
+                assert format_ratio(delta, 1, 40) == decimal_ratio(delta, 1, 40)
 
     def test_json_dict_shape(self):
         rep = gap_report(DilatedSet((1, 3), -2))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -20,7 +21,7 @@ from lacuna.errors import (
     IntervalTooShortError,
     NotSuperLacunaryError,
 )
-from lacuna.sequences import ThinnedSequence, geometric_sequence, thin
+from lacuna.sequences import ThinnedSequence, geometric_sequence, thin, thin_block
 from lacuna.turan import (
     _greedy_band_search,
     delta_lower_bound,
@@ -56,6 +57,52 @@ def fraction_band_search(frequencies, targets, epsilon, lo, hi):
         if lo > hi:
             raise InfeasibleAtStepError(n)
     return lo, hi
+
+
+def wide_band_search(frequencies, targets, epsilon, lo, hi):
+    """Reference integer band search with one wide divmod at every step (the
+    search before the short step), decision for decision the Fraction one."""
+    eps = epsilon * (1 - Fraction(1, 1 << 12))
+    en, ed = eps.numerator, eps.denominator
+    L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    Q = lo.denominator * hi.denominator
+    for n, (a, x) in enumerate(zip(frequencies, targets), start=1):
+        p, q = x.numerator, x.denominator
+        R = Q * q * ed
+        A = q * ed * a
+        E = en * q * Q
+        LA, dA = L * A, (H - L) * A
+        s_lo = LA - (p * ed + en * q) * Q
+        w = dA + 2 * E
+        base, rem = divmod(s_lo, R)
+        j_min = base + (rem != 0)
+        j_max = base + (rem + w) // R
+        if j_min > j_max:
+            raise InfeasibleAtStepError(n)
+        t = 2 * rem + w
+        two_r = 2 * R
+        f, t_rem = divmod(t, two_r)
+        j_best = base + f
+        if 2 * t_rem > two_r or (2 * t_rem == two_r and j_best % 2 == 1):
+            j_best += 1
+        j_best = min(max(j_best, j_min), j_max)
+        if j_best - 1 >= j_min:
+            u = two_r * (j_best - base) - t
+            if abs(u - two_r) <= abs(u):
+                j_best -= 1
+        BL = (p + j_best * q) * ed - en * q
+        BLQ = BL * Q
+        keep_lo = LA >= BLQ
+        keep_hi = LA + dA <= BLQ + 2 * E
+        if not (keep_lo or keep_hi):
+            L, H, Q = BL, BL + 2 * en * q, A
+        elif keep_lo != keep_hi:
+            L = LA if keep_lo else BLQ
+            H = LA + dA if keep_hi else BLQ + 2 * E
+            Q = Q * A
+        if L > H:
+            raise InfeasibleAtStepError(n)
+    return Fraction(L, Q), Fraction(H, Q)
 
 
 def search_outcome(search, *args):
@@ -398,3 +445,140 @@ class TestCertificateJson:
         delta = cert.parameters.delta_lower
         assert delta.bit_length() > 14300
         assert abs(Fraction(Decimal(d["delta_lower"])) - delta) * 10**39 <= delta
+
+
+@pytest.fixture
+def relations(monkeypatch):
+    """Records, step by step, the term before each step (0 after a clipped
+    step or at the first) and whether the search found a short relation, so
+    a test can tell short steps from wide ones."""
+    seen = []
+    real = turan.short_relation
+
+    def spy(prev, a, rho):
+        rel = real(prev, a, rho)
+        seen.append((prev, rel is not None))
+        return rel
+
+    monkeypatch.setattr(turan, "short_relation", spy)
+    return seen
+
+
+def short_chain(data, rho, first_bits, length, eps):
+    """Terms whose neighbours satisfy rho*a_{k+1} = P*a_k + d with P/rho at
+    least 1/eps + 2 and d short: a_{k+1} = ceil((P*a_k + d)/rho)."""
+    low = math.ceil(rho * (1 / eps + 2))
+    terms = [data.draw(st.integers(1 << (first_bits - 1), 1 << first_bits))]
+    for _ in range(length - 1):
+        P = data.draw(st.integers(low, 64 * low))
+        d = data.draw(st.integers(0, 1 << 40))
+        terms.append(-(-(P * terms[-1] + d) // rho))
+    return terms
+
+
+class TestShortStep:
+    """The band search with its short step against the wide-step reference:
+    (lo, hi) is the same on every input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 4, 3, 9)),
+        st.integers(1, 12),
+        st.fractions(min_value=Fraction(1, 40), max_value=Fraction(1, 3), max_denominator=40),
+        st.fractions(min_value=Fraction(0), max_value=Fraction(1), max_denominator=30),
+        st.integers(8, 80),
+        st.data(),
+    )
+    def test_short_relations_match_the_wide_search(self, rho, K, eps, lo, first_bits, data):
+        terms = short_chain(data, rho, first_bits, K, eps)
+        xs = [data.draw(small_fractions) for _ in terms]
+        hi = lo + (1 + 2 * eps) / terms[0]
+        want = search_outcome(wide_band_search, terms, xs, eps, lo, hi)
+        assert search_outcome(_greedy_band_search, terms, xs, eps, lo, hi, rho) == want
+
+    def test_random_short_chains_take_the_short_step(self, relations):
+        # chains built as short_chain builds them run short steps, not only
+        # wide ones
+        rng = random.Random(3)
+        for rho in (1, 2, 4, 3, 9):
+            terms = [rng.getrandbits(64) | 1]
+            for _ in range(30):
+                terms.append(-(-(rng.randint(40 * rho, 400 * rho) * terms[-1] + rng.getrandbits(32)) // rho))
+            xs = [Fraction(rng.randint(0, 9), 10) for _ in terms]
+            args = (terms, xs, Fraction(1, 30), Fraction(0), Fraction(1))
+            assert _greedy_band_search(*args, rho) == wide_band_search(*args)
+        assert sum(short for _, short in relations) >= 5 * 25
+
+    @pytest.mark.parametrize("r", [Fraction(3), Fraction(2), Fraction(5, 2), Fraction(3, 2), Fraction(11, 10)])
+    @pytest.mark.parametrize("N", [512, 8192])
+    def test_find_alpha_bands_match_the_wide_search(self, r, N, relations):
+        seq = geometric_sequence(r, N)
+        th = thin(seq, N)
+        xs = [Fraction(j, th.K) for j in range(th.K)]
+        eps = turan.block_epsilon(seq, N)
+        rho = r.denominator ** th.step
+        for lo, hi in [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(9, 14))]:
+            args = (th.terms, xs, eps, lo, hi)
+            assert _greedy_band_search(*args, rho) == wide_band_search(*args)
+        # every step after the first is short, except at r = 11/10: there
+        # step = 11*floor(ln N) and rho = 10^step pass 64 bits, so every step
+        # is wide
+        expected = 0 if r == Fraction(11, 10) else 2 * (th.K - 1)
+        assert sum(short for _, short in relations) == expected
+
+    @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2), Fraction(3, 2)])
+    def test_shifted_intervals_of_find_dilation_block(self, r, monkeypatch):
+        seq = geometric_sequence(r, 2048)
+        calls = []
+        real = turan._greedy_band_search
+
+        def spy(*args):
+            out = real(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(turan, "_greedy_band_search", spy)
+        N = 1024
+        a_N = seq.term(N)
+        for lo in (Fraction(1, 3), Fraction(5, 7), Fraction(1, 10**6)):
+            find_dilation_block(seq, N, (lo, lo + Fraction(4, a_N)))
+        assert len(calls) == 3
+        for (freqs, xs, eps, lo, hi, rho), out in calls:
+            assert rho == r.denominator ** thin_block(seq, N).step
+            assert out == wide_band_search(freqs, xs, eps, lo, hi)
+
+    def test_clipped_step_then_short_steps(self, relations):
+        # the first band sticks out below lo (hi is clipped), so the second
+        # step is wide; from the third on the steps are short again
+        freqs = (1, 30, 900, 27000, 810000)
+        xs = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(2, 3))
+        args = (freqs, xs, Fraction(1, 10), Fraction(1, 20), Fraction(1, 2))
+        assert _greedy_band_search(*args) == wide_band_search(*args) == fraction_band_search(*args)
+        assert relations == [(0, False), (0, False), (30, True), (900, True), (27000, True)]
+
+    def test_clip_mid_run_then_short_steps(self, relations):
+        # the bands of 3 and of 7 each stick out above hi, so the first three
+        # steps are wide; the band of 70 lies inside, and the fourth is short
+        freqs = (3, 7, 70, 700)
+        xs = (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(0))
+        args = (freqs, xs, Fraction(1, 4), Fraction(1, 10), Fraction(1, 3))
+        assert _greedy_band_search(*args) == wide_band_search(*args) == fraction_band_search(*args)
+        assert relations == [(0, False), (0, False), (0, False), (70, True)]
+
+    def test_one_bumped_term_falls_back_to_the_wide_step(self, relations):
+        seq = geometric_sequence(Fraction(3), 2048)
+        th = thin(seq, 2048)
+        terms = list(th.terms)
+        k = len(terms) // 2
+        terms[k] += 1 << 100  # rho*a = P*a_prev + d with d past 64 bits
+        xs = [Fraction(j, th.K) for j in range(th.K)]
+        eps = turan.block_epsilon(seq, 2048)
+        args = (terms, xs, eps, Fraction(0), Fraction(1))
+        assert _greedy_band_search(*args, 1) == wide_band_search(*args)
+        short = [s for _, s in relations]
+        # the steps into and out of the bumped term are wide, the rest short
+        assert short == [False] + [True] * (k - 1) + [False, False] + [True] * (len(terms) - k - 2)
+        # and the certificate of the bumped list passes its postcondition
+        bumped = ThinnedSequence(seq, th.l, th.step, th.K, tuple(terms), th.xi)
+        cert = find_dilation(bumped, xs, eps)
+        assert all(c.achieved <= eps for c in cert.constraints)
