@@ -252,7 +252,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     ms("--n-min", type=int, default=1024)
     ms("--n-max", type=int, default=65536)
     ms("--alphas", type=int, default=100)
-    ms("--measure", default="lebesgue")
+    ms(
+        "--measure",
+        default="lebesgue",
+        help="lebesgue (uniform alpha in [0, 1)) or bounded-cf:B, also written "
+        "bounded-cf(B): i.i.d. partial quotients uniform on 1..B",
+    )
     ms("--seed", type=int, default=0)
     ms("--eps", type=float, default=0.05)
     ms("--precision", type=int, default=0)

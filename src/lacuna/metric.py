@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -101,44 +102,73 @@ class MetricParameters:
 # ---------------------------------------------------------------------------
 
 
+_BOUNDED_CF = re.compile(r"bounded-cf(?::([0-9]+)|\(([0-9]+)\))")
+
+
 def _parse_measure(measure: str):
+    """("lebesgue", None) or ("bounded-cf", B) from "lebesgue",
+    "bounded-cf:B" or "bounded-cf(B)"; any other form is unsupported."""
     m = measure.strip().lower()
     if m == "lebesgue":
         return "lebesgue", None
-    for sep in (":", "("):
-        if m.startswith("bounded-cf" + sep):
-            rest = m[len("bounded-cf") + 1 :].rstrip(")")
-            try:
-                b = int(rest)
-            except ValueError:
-                raise MeasureUnsupportedError(f"measure-unsupported: {measure!r}")
-            if b < 1:
-                raise MeasureUnsupportedError(
-                    f"measure-unsupported: bound {b} must be >= 1"
-                )
-            return "bounded-cf", b
-    raise MeasureUnsupportedError(f"measure-unsupported: {measure!r}")
+    match = _BOUNDED_CF.fullmatch(m)
+    if match is None:
+        raise MeasureUnsupportedError(f"measure-unsupported: {measure!r}")
+    b = int(match.group(1) or match.group(2))
+    if b < 1:
+        raise MeasureUnsupportedError(f"measure-unsupported: bound {b} must be >= 1")
+    return "bounded-cf", b
+
+
+def _continuant_matrix(quotients):
+    """M(c_1)...M(c_m) with M(c) = [[c, 1], [1, 0]], as the row-major tuple
+    (a, b, c, d).
+
+    A balanced product tree (binary splitting): both halves of a product are
+    about equally wide, so CPython's Karatsuba multiply makes the whole
+    product quasi-linear in its bits.  Runs of at most 16 quotients, whose
+    entries are a few machine words, multiply in a plain loop.
+    """
+    if len(quotients) <= 16:
+        a, b, c, d = 1, 0, 0, 1
+        for x in quotients:
+            a, b, c, d = a * x + b, a, c * x + d, c
+        return a, b, c, d
+    mid = len(quotients) // 2
+    a, b, c, d = _continuant_matrix(quotients[:mid])
+    e, f, g, h = _continuant_matrix(quotients[mid:])
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 def sample_alpha(measure: str, rng_seed: int, precision_bits: int = 96) -> DyadicReal:
     """One dilation factor from the named measure, deterministic in the seed.
 
-    bounded-cf(B) draws i.i.d. partial quotients uniform on 1..B and returns
-    the deepest convergent below the precision horizon.  This is a heuristic
-    stand-in for sampling the badly-approximable numbers, not a certified
-    measure; tables carry the label.
+    bounded-cf:B (or bounded-cf(B)) draws i.i.d. partial quotients uniform on
+    1..B.  It returns the first convergent p/q whose denominator has more
+    than precision_bits + 16 bits, rounded to precision_bits bits.  This is a
+    heuristic stand-in for sampling the badly-approximable numbers, not a
+    certified measure; tables carry the label.
+
+    The quotients are drawn in rounds.  With H = precision_bits + 16 and
+    w = bit_length(B + 1), a round of m = max(1, (H - bit_length(q)) // w)
+    quotients is multiplied out by ``_continuant_matrix``.  Since
+    q_(k+1) <= (B + 1) q_k, a round of m >= 2 never passes H bits, so the stop
+    falls in a round of one quotient, at the convergent where the
+    one-quotient-at-a-time recurrence stops.
     """
     kind, bound = _parse_measure(measure)
     rng = random.Random(rng_seed)
     if kind == "lebesgue":
         m = rng.getrandbits(precision_bits)
         return DyadicReal(m, -precision_bits, precision_bits)
-    p, q = 0, 1
-    pm1, qm1 = 1, 0
-    while q.bit_length() <= precision_bits + 16:
-        c = rng.randint(1, bound)
-        p, pm1 = c * p + pm1, p
-        q, qm1 = c * q + qm1, q
+    horizon = precision_bits + 16
+    width = (bound + 1).bit_length()
+    p, pm1, q, qm1 = 0, 1, 1, 0
+    while q.bit_length() <= horizon:
+        m = max(1, (horizon - q.bit_length()) // width)
+        a, b, c, d = _continuant_matrix([rng.randint(1, bound) for _ in range(m)])
+        p, pm1 = p * a + pm1 * c, p * b + pm1 * d
+        q, qm1 = q * a + qm1 * c, q * b + qm1 * d
     return DyadicReal.from_fraction(Fraction(p, q), precision_bits)
 
 

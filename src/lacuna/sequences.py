@@ -88,8 +88,10 @@ def verify_hadamard(terms, r: Fraction) -> tuple[bool, int | None]:
     if not terms or any(t <= 0 for t in terms):
         raise NotLacunaryError("not-lacunary: terms must be nonempty and positive")
     r = Fraction(r)
+    p, q = r.numerator, r.denominator
     for i in range(len(terms) - 1):
-        if terms[i + 1] * r.denominator < r.numerator * terms[i]:
+        # an integer ratio compares a_(n+1) itself, not a full-width a_(n+1)*1
+        if (terms[i + 1] if q == 1 else terms[i + 1] * q) < p * terms[i]:
             return False, i + 2
     return True, None
 

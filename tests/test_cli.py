@@ -120,7 +120,9 @@ class TestByteIdentity:
     and re-pinned: find-alpha prints each constraint's term index under
     "index" instead of its frequency, nested-alpha prints its interval ends
     at the final alpha's precision instead of 192 bits, and each block's
-    factor as the lossless "alpha_k_hex" instead of a 40-digit decimal."""
+    factor as the lossless "alpha_k_hex" instead of a 40-digit decimal.  The
+    two bounded-cf pins were recorded before sample_alpha multiplied its
+    partial quotients in product-tree rounds."""
 
     @pytest.mark.parametrize(
         "argv,code,sha",
@@ -183,6 +185,21 @@ class TestByteIdentity:
                 0,
                 "20bb0733446eb287a533a38bc5652018da8679debd5a201a14a4e20a56a0c1b8",
             ),
+            (
+                # bounded-cf alphas at the scan's precision, 16k bits at N = 2^14
+                (
+                    "metric-scan", "--r", "2", "--n-min", "1024", "--n-max", "16384",
+                    "--alphas", "4", "--measure", "bounded-cf:5", "--seed", "0",
+                ),
+                0,
+                "b828da95acced78bfb564eaefd4da703dd1f6a592aa5467758094f0ab4fb6d18",
+            ),
+            (
+                # no --alpha: alpha is sample_alpha("bounded-cf:5", seed, 192)
+                ("littlewood", "--beta", "sqrt:2", "--brute-n", "100000"),
+                0,
+                "dba7f5b585fffe5f4538c60c1ab36236a56234a35174e74ae2dc0e33e2ec0c51",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, code, sha):
@@ -225,6 +242,16 @@ class TestMetricScan:
             "--alphas", "2", "--measure", "gauss",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("measure", ["bounded-cf(5", "bounded-cf:5)", "bounded-cf:5))"])
+    def test_malformed_bounded_cf_is_one_coded_line(self, capsys, measure):
+        code = main([
+            "metric-scan", "--n-min", "64", "--n-max", "64",
+            "--alphas", "2", "--measure", measure,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error [measure-unsupported]: measure-unsupported: {measure!r}\n"
 
 
 class TestMomentCheck:

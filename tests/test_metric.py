@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +69,22 @@ class TestMetricParameters:
             MetricParameters.for_n(100, epsilon=0)
 
 
+def stepwise_bounded_cf(bound, seed, precision_bits):
+    """The bounded-cf sampler one quotient at a time: the reference for
+    sample_alpha's product-tree rounds.  Also returns bit_length(q_k) for
+    every convergent k = 0, 1, ..."""
+    rng = random.Random(seed)
+    p, q = 0, 1
+    pm1, qm1 = 1, 0
+    bits = [1]
+    while q.bit_length() <= precision_bits + 16:
+        c = rng.randint(1, bound)
+        p, pm1 = c * p + pm1, p
+        q, qm1 = c * q + qm1, q
+        bits.append(q.bit_length())
+    return DyadicReal.from_fraction(Fraction(p, q), precision_bits), bits
+
+
 class TestSampling:
     def test_lebesgue_deterministic(self):
         a = sample_alpha("lebesgue", 7)
@@ -88,6 +105,46 @@ class TestSampling:
             sample_alpha("gauss", 1)
         with pytest.raises(MeasureUnsupportedError):
             sample_alpha("bounded-cf:0", 1)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            "bounded-cf(5", "bounded-cf:5)", "bounded-cf:5))", "bounded-cf(5))",
+            "bounded-cf:(5)", "bounded-cf:", "bounded-cf()", "bounded-cf: 5",
+            "bounded-cf:5x", "bounded-cf:-3", "bounded-cf5",
+        ],
+    )
+    def test_malformed_bounded_cf_rejected(self, measure):
+        with pytest.raises(MeasureUnsupportedError):
+            sample_alpha(measure, 1)
+
+    def test_both_bounded_cf_spellings(self):
+        a = sample_alpha("bounded-cf:5", 3, 200)
+        assert sample_alpha("bounded-cf(5)", 3, 200) == a
+        assert sample_alpha(" Bounded-CF:5 ", 3, 200) == a
+
+
+class TestBoundedCfRounds:
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 1000])
+    @pytest.mark.parametrize("precision", [1, 96, 160, 192, 1100, 13049, 65601])
+    def test_matches_the_stepwise_loop(self, bound, precision):
+        for seed in range(5):
+            want, _ = stepwise_bounded_cf(bound, seed, precision)
+            assert sample_alpha(f"bounded-cf:{bound}", seed, precision) == want
+
+    def test_multi_quotient_round_ending_at_the_horizon(self):
+        # B = 1000, seed 2, 88 bits: horizon H = 104 and width w = 10.  One
+        # round of two quotients lands on bit_length exactly H, which must not
+        # stop the loop: the stop needs more than H bits.
+        want, bits = stepwise_bounded_cf(1000, 2, 88)
+        horizon, width = 88 + 16, (1000 + 1).bit_length()
+        k, rounds = 0, []
+        while bits[k] <= horizon:
+            m = max(1, (horizon - bits[k]) // width)
+            k += m
+            rounds.append((m, bits[k]))
+        assert (2, horizon) in rounds
+        assert sample_alpha("bounded-cf:1000", 2, 88) == want
 
 
 class TestDispersionScan:

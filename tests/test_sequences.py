@@ -157,6 +157,16 @@ class TestVerifyHadamard:
     def test_rational_ratio(self):
         assert verify_hadamard([2, 3, 5, 8], Fraction(3, 2)) == (True, None)
 
+    @given(
+        st.lists(st.integers(1, 10**30), min_size=1, max_size=12),
+        st.sampled_from([Fraction(2), Fraction(3), Fraction(3, 2), Fraction(7, 3)]),
+    )
+    def test_first_violation_matches_fractions(self, terms, r):
+        bad = next(
+            (i + 2 for i in range(len(terms) - 1) if terms[i + 1] < r * terms[i]), None
+        )
+        assert verify_hadamard(terms, r) == (bad is None, bad)
+
     def test_rejects_empty_or_nonpositive(self):
         with pytest.raises(NotLacunaryError):
             verify_hadamard([], Fraction(2))
