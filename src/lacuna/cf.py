@@ -316,8 +316,6 @@ def expand(x, depth: int) -> ContinuedFraction:
     DyadicReal (horizon-checked)."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    if isinstance(x, str):
-        x = parse_value_spec(x)
     if isinstance(x, QuadraticReal):
         return _expand_quadratic(x, depth)
     if isinstance(x, Fraction):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -24,11 +23,6 @@ from .errors import LacunaError, MalformedValueError
 from .nested import build_nested_alpha, gap_bound
 from .sequences import geometric_sequence, load_sequence, smallest_l, thin
 from .turan import find_alpha
-
-
-def _precision_override(args) -> int:
-    """--precision, else LACUNA_PRECISION_BITS, else 0 (no override)."""
-    return args.precision or int(os.environ.get("LACUNA_PRECISION_BITS") or 0)
 
 
 def _dyadic_json(x: DyadicReal) -> dict:
@@ -84,7 +78,7 @@ def _value(spec: str, real: bool = False):
 
 def _cmd_gaps(a):
     seq = _build_seq(a, a.n)
-    prec = max(alpha_precision(seq.terms[: a.n]), _precision_override(a))
+    prec = max(alpha_precision(seq.terms[: a.n]), a.precision)
     alpha = DyadicReal.from_fraction(_value(a.alpha), prec)
     rep = gap_report(dilate(alpha, seq, 1, a.n))
     payload = {"alpha": _dyadic_json(alpha), **rep.to_json_dict()}
@@ -120,17 +114,18 @@ def _cmd_metric_scan(a):
         n_list.append(n)
         n *= 2
     seq = _build_seq(a, n_list[-1])
-    prec = max(alpha_precision(seq.terms[: n_list[-1]]), _precision_override(a))
+    prec = max(alpha_precision(seq.terms[: n_list[-1]]), a.precision)
+    measure, _ = metric.parse_measure(a.measure)
     alphas = [
-        metric.sample_alpha(a.measure, a.seed * 1000003 + i, prec)
+        metric.sample_alpha(measure, a.seed * 1000003 + i, prec)
         for i in range(a.alphas)
     ]
     table = metric.dispersion_scan(
-        seq, alphas, n_list, eps=a.eps, rng_seed=a.seed, measure_label=a.measure
+        seq, alphas, n_list, eps=a.eps, rng_seed=a.seed, measure_label=measure
     )
     _emit(table.to_csv(), a.out, as_csv=True)
     summary = {
-        "measure": a.measure,
+        "measure": measure,
         "seed": a.seed,
         "rows": len(table.rows),
         "pigeonhole_ok": table.check_pigeonhole(),

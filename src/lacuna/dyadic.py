@@ -15,8 +15,8 @@ the 64-bit scans and float views in lacuna.metric read them as they stream.
 (The 64-bit scan of the doubling sequence 2^n reads windows of alpha's
 binary expansion instead.)
 
-residues() takes one recurrence for every ratio.  Given the denominator q of
-the sequence's ratio (1 for integer ratios and raw term lists), each step
+residues() takes one recurrence for every ratio.  Given the sequence's rho,
+the denominator q of its ratio (1 for integer ratios), each step
 reads q * a_{n+1} = p_n * a_n + delta_n off one short division, and where
 p_n and delta_n are short the next residue follows from the last by a short
 multiply-add and an exact division by q.  Blocks of about sqrt(P) steps
@@ -276,7 +276,7 @@ def short_relation(prev: int, a: int, rho: int) -> tuple[int, int] | None:
     return None if delta >> _RATIO_BITS else (p, delta)
 
 
-def residues(alpha: DyadicReal, terms, q: int = 1) -> Iterator[int]:
+def residues(alpha: DyadicReal, terms, q: int) -> Iterator[int]:
     """The dilates {alpha * a} of the terms, scaled by 2^P, one at a time:
     m * a mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).  Exact for
     every positive integer q.
@@ -341,16 +341,13 @@ class DilatedSet:
 
 
 def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> DilatedSet:
-    """Fractional parts {alpha * a_n} for n in [start, stop] (1-based, inclusive).
+    """Fractional parts {alpha * a_n} of a LacunarySequence or a
+    ThinnedSequence for n in [start, stop] (1-based, inclusive).
 
-    Passes the window through require_precision first.  A
-    LacunarySequence's residues follow the denominator of its ratio.
+    Passes the window through require_precision first; its residues step by
+    the sequence's rho.
     """
-    terms = seq.terms if hasattr(seq, "terms") else seq
-    q = getattr(seq, "growth_factor_r", Fraction(1)).denominator
-    if stop is None:
-        stop = len(terms)
-    window = terms[start - 1 : stop]
+    window = seq.terms[start - 1 : stop]
     if window:
         require_precision(alpha, window)
-    return DilatedSet(tuple(residues(alpha, window, q)), -residue_bits(alpha))
+    return DilatedSet(tuple(residues(alpha, window, seq.rho)), -residue_bits(alpha))

@@ -15,9 +15,12 @@ Scan tables use 64-bit truncated points: the maximal gap survives truncation
 up to 2^-63, far below every tolerance used here, and the run cost drops by
 orders of magnitude.  The exact gap of the first n dilates is
 gap_report(dilate(alpha, seq, 1, n)).  Every view of the dilates here
-(truncated, float) reads the residue stream of lacuna.dyadic.residues; only
-the doubling sequence 2^e0, 2^(e0+1), ... takes its truncated points from
-byte windows of alpha's binary expansion instead.
+(truncated, float) reads the residue stream of lacuna.dyadic.residues at
+the sequence's rho; only the doubling sequence 2^e0, 2^(e0+1), ... takes its
+truncated points from byte windows of alpha's binary expansion instead.
+dispersion_scan recognises it from the ratio the sequence has checked: with
+r >= 2 every step at least doubles, so a power-of-two a_1 and
+a_n = a_1 * 2^(n-1) leave only exact doublings, and no term is compared.
 """
 
 from __future__ import annotations
@@ -105,19 +108,21 @@ class MetricParameters:
 _BOUNDED_CF = re.compile(r"bounded-cf(?::([0-9]+)|\(([0-9]+)\))")
 
 
-def _parse_measure(measure: str):
-    """("lebesgue", None) or ("bounded-cf", B) from "lebesgue",
-    "bounded-cf:B" or "bounded-cf(B)"; any other form is unsupported."""
+def parse_measure(measure: str) -> tuple[str, int | None]:
+    """The canonical spelling of a measure and its quotient bound:
+    ("lebesgue", None) from "lebesgue", ("bounded-cf:B", B) from
+    "bounded-cf:B" or "bounded-cf(B)", case and outer blanks ignored; any
+    other form is unsupported."""
     m = measure.strip().lower()
     if m == "lebesgue":
-        return "lebesgue", None
+        return m, None
     match = _BOUNDED_CF.fullmatch(m)
     if match is None:
         raise MeasureUnsupportedError(f"measure-unsupported: {measure!r}")
     b = int(match.group(1) or match.group(2))
     if b < 1:
         raise MeasureUnsupportedError(f"measure-unsupported: bound {b} must be >= 1")
-    return "bounded-cf", b
+    return f"bounded-cf:{b}", b
 
 
 def _continuant_matrix(quotients):
@@ -156,9 +161,9 @@ def sample_alpha(measure: str, rng_seed: int, precision_bits: int = 96) -> Dyadi
     falls in a round of one quotient, at the convergent where the
     one-quotient-at-a-time recurrence stops.
     """
-    kind, bound = _parse_measure(measure)
+    _, bound = parse_measure(measure)
     rng = random.Random(rng_seed)
-    if kind == "lebesgue":
+    if bound is None:
         m = rng.getrandbits(precision_bits)
         return DyadicReal(m, -precision_bits, precision_bits)
     horizon = precision_bits + 16
@@ -206,12 +211,6 @@ class ScanTable:
         return "\n".join(lines) + "\n"
 
 
-def _is_doubling_pow2(terms) -> bool:
-    if not terms or terms[0] & (terms[0] - 1):
-        return False
-    return all(terms[i + 1] == 2 * terms[i] for i in range(len(terms) - 1))
-
-
 def _pow2_truncated_points(alpha: DyadicReal, e0: int, n_max: int) -> np.ndarray:
     """Top-64-bit windows of the binary expansion of alpha at offsets
     e0, e0+1, ..., e0+n_max-1: these are the truncated dilates by 2^(e0+i)."""
@@ -234,10 +233,10 @@ def _pow2_truncated_points(alpha: DyadicReal, e0: int, n_max: int) -> np.ndarray
     return vals
 
 
-def _truncated_points(alpha: DyadicReal, terms, q: int = 1) -> np.ndarray:
+def _truncated_points(alpha: DyadicReal, terms, q: int) -> np.ndarray:
     """floor({alpha * a} * 2^64) for each term: the top 64 bits of each exact
     residue, taken as it streams, so the exact vector is never held.  q is
-    the ratio's denominator, passed on to residues."""
+    the sequence's rho, passed on to residues."""
     shift = residue_bits(alpha) - 64
     stream = residues(alpha, terms, q)
     if shift >= 0:
@@ -272,18 +271,19 @@ def dispersion_scan(
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("N values must be positive")
-    if len(seq.terms) < n_list[-1]:
-        raise ValueError(f"sequence provides {len(seq.terms)} terms, need {n_list[-1]}")
-    pow2 = _is_doubling_pow2(seq.terms[: n_list[-1]])
+    n_max = n_list[-1]
+    if len(seq.terms) < n_max:
+        raise ValueError(f"sequence provides {len(seq.terms)} terms, need {n_max}")
+    a1 = seq.terms[0]
+    # a_(n+1) >= r * a_n >= 2 * a_n: a_N = a_1 * 2^(N-1) only if every step doubles
+    pow2 = (seq.growth_factor_r >= 2 and not a1 & (a1 - 1)
+            and seq.terms[n_max - 1] == a1 << (n_max - 1))
     rows = []
     for aid, alpha in enumerate(alphas):
         if pow2:
-            e0 = seq.terms[0].bit_length() - 1
-            vals = _pow2_truncated_points(alpha, e0, n_list[-1])
+            vals = _pow2_truncated_points(alpha, a1.bit_length() - 1, n_max)
         else:
-            vals = _truncated_points(
-                alpha, seq.terms[: n_list[-1]], seq.growth_factor_r.denominator
-            )
+            vals = _truncated_points(alpha, seq.terms[:n_max], seq.rho)
         for n in n_list:
             g = Fraction(_max_gap_u64(np.sort(vals[:n])), 1 << 64)
             rows.append(_mk_row(aid, n, g, eps))
@@ -332,10 +332,11 @@ def iid_baseline(n: int, trials: int, rng_seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _residue_floats(alpha: DyadicReal, terms) -> np.ndarray:
-    """{alpha * a} as floats, rounded as DyadicReal.to_float rounds them."""
+def _residue_floats(alpha: DyadicReal, terms, q: int) -> np.ndarray:
+    """{alpha * a} as floats, rounded as DyadicReal.to_float rounds them; q
+    is the sequence's rho, passed on to residues."""
     e = -residue_bits(alpha)
-    floats = (dyadic_to_float(r, e) for r in residues(alpha, terms))
+    floats = (dyadic_to_float(r, e) for r in residues(alpha, terms, q))
     return np.fromiter(floats, dtype=np.float64, count=len(terms))
 
 
@@ -352,7 +353,7 @@ def smooth_count_direct(
     one shift u contributes per point.
     """
     width = params.m.to_float() / params.n
-    x = _residue_floats(alpha, thinned.terms)
+    x = _residue_floats(alpha, thinned.terms, thinned.rho)
     d = x - (t % 1.0)
     d -= np.round(d)  # representative in [-1/2, 1/2): the only candidate shift
     return float(np.sum(bump.value(d / width)))
@@ -370,7 +371,7 @@ def smooth_count_fourier(
     if k_max < params.k_cut:
         raise ValueError(f"k_max {k_max} below truncation floor N/P = {params.k_cut}")
     width = params.m.to_float() / params.n
-    x = _residue_floats(alpha, thinned.terms) - (t % 1.0)
+    x = _residue_floats(alpha, thinned.terms, thinned.rho) - (t % 1.0)
     k = np.arange(1, k_max + 1)
     coeffs = bump.fourier(width * k)
     cos_sums = np.cos(2.0 * np.pi * np.outer(k, x)).sum(axis=1)

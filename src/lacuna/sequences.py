@@ -1,7 +1,13 @@
 """Lacunary (Hadamard) integer sequences and step-strided thinnings.
 
 A sequence is lacunary with growth factor r > 1 when a_{n+1} >= r * a_n for all
-n.  The thinned subsequence a~_n = a_{n*step} with step = l * floor(ln N) (l the
+n.  A LacunarySequence checks both when it is built, so every instance is
+lacunary, and it is the one owner of what follows from its ratio: rho, the
+denominator of r, is the q of the residue recurrence q * a_{n+1} =
+p_n * a_n + delta_n (lacuna.dyadic.residues), and a thinning with step k
+steps by rho^k.
+
+The thinned subsequence a~_n = a_{n*step} with step = l * floor(ln N) (l the
 smallest integer with r^l > e) has consecutive ratios exceeding N^xi with
 xi = l*ln r > 1, which is what makes small integer combinations of its terms
 linearly independent.
@@ -49,8 +55,24 @@ def ln_upper(x) -> Fraction:
 
 @dataclass(frozen=True)
 class LacunarySequence:
+    """Positive terms with a_{n+1} >= r * a_n and r > 1, checked here;
+    NotLacunaryError names the first a_n that breaks the ratio."""
+
     terms: tuple[int, ...]
     growth_factor_r: Fraction
+
+    def __post_init__(self):
+        r = self.growth_factor_r
+        if r <= 1:
+            raise NotLacunaryError(f"growth factor {r} is not > 1")
+        ok, bad = verify_hadamard(self.terms, r)
+        if not ok:
+            raise NotLacunaryError(f"a_{bad} < {r} * a_{bad - 1}")
+
+    @property
+    def rho(self) -> int:
+        """The denominator of the ratio: the q of the residue recurrence."""
+        return self.growth_factor_r.denominator
 
     def __len__(self):
         return len(self.terms)
@@ -69,6 +91,12 @@ class ThinnedSequence:
     terms: tuple[int, ...]
     xi: float
     index_offset: int = 0  # a~_n = parent term at index_offset + n*step (1-based)
+
+    @property
+    def rho(self) -> int:
+        """den(r)^step, the q of the residue recurrence across one thinned
+        step; 1 without a parent."""
+        return self.parent.rho**self.step if self.parent is not None else 1
 
 
 def smallest_l(r: Fraction) -> int:
@@ -114,10 +142,7 @@ def geometric_sequence(r: Fraction, n_terms: int) -> LacunarySequence:
     for _ in range(n_terms):
         t = p * t if q == 1 else -((-p * t) // q)  # ceil(r * t)
         terms.append(t)
-    ok, bad = verify_hadamard(terms, r)
-    if not ok:  # the construction is checked, not assumed
-        raise NotLacunaryError(f"not-lacunary: construction violated Hadamard at {bad}")
-    return LacunarySequence(tuple(terms), r)
+    return LacunarySequence(tuple(terms), r)  # the construction is checked, not assumed
 
 
 def _floor_log(n: int) -> int:
@@ -172,9 +197,9 @@ def save_sequence(path, seq: LacunarySequence) -> None:
 
 def load_sequence(path) -> LacunarySequence:
     """Read a file written by save_sequence.  Raises MalformedSequenceFileError
-    when the '# r=<rational>' header or a term does not parse, and
-    NotLacunaryError unless the ratio exceeds 1 and the terms are nonempty,
-    positive and keep it."""
+    when the '# r=<rational>' header or a term does not parse;
+    LacunarySequence raises NotLacunaryError unless the ratio exceeds 1 and
+    the terms are nonempty, positive and keep it."""
     with open(path) as fh:
         header = fh.readline().strip()
         try:
@@ -186,9 +211,4 @@ def load_sequence(path) -> LacunarySequence:
             raise MalformedSequenceFileError(
                 f"malformed-sequence-file: {path}: {exc}"
             ) from None
-    if r <= 1:
-        raise NotLacunaryError(f"growth factor {r} is not > 1")
-    ok, bad = verify_hadamard(terms, r)
-    if not ok:
-        raise NotLacunaryError(f"a_{bad} < {r} * a_{bad - 1} in {path}")
     return LacunarySequence(terms, r)

@@ -324,9 +324,7 @@ def find_dilation(
             f"interval length {hi - lo} below (1+2*eps)/a~_1"
         )
     parent = thinned.parent
-    # a thinning of a sequence whose ratio has denominator d steps by d^step
-    ratio_q = parent.growth_factor_r.denominator ** thinned.step if parent is not None else 1
-    flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi, ratio_q)
+    flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi, thinned.rho)
     parent_terms = parent.terms if parent is not None else ()
     precision = alpha_precision((*freqs, *parent_terms))
     alpha = DyadicReal.from_fraction((flo + fhi) / 2, precision)
@@ -334,7 +332,7 @@ def find_dilation(
     # {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), res = m*a mod 2^P
     P = residue_bits(alpha)
     constraints = []
-    for a, x, res in zip(freqs, xs, residues(alpha, freqs, ratio_q)):
+    for a, x, res in zip(freqs, xs, residues(alpha, freqs, thinned.rho)):
         p, q = x.numerator, x.denominator
         den = q << P
         f = (q * res - (p << P)) % den

@@ -38,9 +38,10 @@ class TestGaps:
         x = DyadicReal(int(a["hex_mantissa"], 16), a["exponent"])
         assert abs(x.to_float() - 0.7) < 1e-15
 
-    def test_precision_from_env_then_flag(self, capsys, monkeypatch):
-        argv = ["gaps", "--r", "2", "--n", "5", "--alpha", "7/10"]
-        monkeypatch.setenv("LACUNA_PRECISION_BITS", "200")
+    def test_precision_from_config_then_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("precision = 200\n")
+        argv = ["--config", str(cfg), "gaps", "--r", "2", "--n", "5", "--alpha", "7/10"]
         _, out = run(capsys, *argv)
         assert json.loads(out)["alpha"]["exponent"] == -200
         _, out = run(capsys, *argv, "--precision", "300")
@@ -242,6 +243,19 @@ class TestMetricScan:
             "--alphas", "2", "--measure", "gauss",
         )
         assert code == 1
+
+    def test_measure_spellings_print_the_same_bytes(self, capsys):
+        # the label and the summary's "measure" carry the canonical spelling
+        outs = []
+        for measure in ("bounded-cf:5", " Bounded-CF:5 ", "bounded-cf(5)"):
+            code, out = run(
+                capsys, "metric-scan", "--n-min", "64", "--n-max", "128",
+                "--alphas", "2", "--measure", measure,
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+        assert '"measure": "bounded-cf:5"' in outs[0]
 
     @pytest.mark.parametrize("measure", ["bounded-cf(5", "bounded-cf:5)", "bounded-cf:5))"])
     def test_malformed_bounded_cf_is_one_coded_line(self, capsys, measure):

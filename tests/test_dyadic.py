@@ -165,7 +165,7 @@ class TestDilate:
     def test_alpha_zero(self):
         seq = geometric_sequence(2, 6)
         assert dilate(dy(0, 1, 128), seq).residues == (0,) * 6
-        assert len(dilate(dy(7, 10, 128), [])) == 0
+        assert len(dilate(dy(7, 10, 128), seq, 1, 0)) == 0
 
     def test_alpha_half_powers_of_two(self):
         seq = geometric_sequence(2, 4)
@@ -214,14 +214,15 @@ class TestResidueForm:
         st.integers(0, 21),
     )
     def test_matches_frac_oracle(self, m, e, terms, i, j):
-        # the oracle is the fractional part {alpha * a} in Fractions
+        # the oracle is the fractional part {alpha * a} in Fractions; an
+        # arbitrary term list takes the q = 1 stream
         alpha = DyadicReal(m, e, 512)
         oracle = [alpha.to_fraction() * a % 1 for a in terms]
-        pts = dilate(alpha, terms)
+        pts = DilatedSet(tuple(residues(alpha, terms, 1)), -residue_bits(alpha))
         one = 1 << -pts.exponent
-        assert isinstance(pts, DilatedSet) and len(pts) == len(terms)
+        assert len(pts) == len(terms)
         assert [Fraction(r, one) for r in pts.residues] == oracle
-        window = dilate(alpha, terms, i + 1, j)
+        window = DilatedSet(tuple(residues(alpha, terms[i:j], 1)), pts.exponent)
         assert window == DilatedSet(pts.residues[i:j], pts.exponent)
         if oracle[i:j]:
             assert gap_report(window).max_gap.to_fraction() == max(fraction_gaps(oracle[i:j]))
@@ -258,7 +259,7 @@ class TestResidueRecurrence:
         ],
     )
     def test_matches_products(self, terms):
-        assert list(residues(self.ALPHA, terms)) == product_residues(self.ALPHA, terms)
+        assert list(residues(self.ALPHA, terms, 1)) == product_residues(self.ALPHA, terms)
 
     def test_loaded_file_with_one_bumped_term(self, tmp_path):
         path = tmp_path / "seq.txt"
@@ -274,7 +275,7 @@ class TestResidueRecurrence:
         path.write_text("\n".join(lines) + "\n")
         seq = load_sequence(path)
         assert seq.terms[100] % seq.terms[99] != 0
-        got = list(residues(self.ALPHA, seq.terms))
+        got = list(residues(self.ALPHA, seq.terms, seq.rho))
         assert got == product_residues(self.ALPHA, seq.terms)
 
     @settings(max_examples=200, deadline=None)
@@ -295,7 +296,7 @@ class TestResidueRecurrence:
         for kind, v in steps:
             terms.append(terms[-1] * v if kind == "times" else v)
         alpha = DyadicReal(m, e, 1024)
-        assert list(residues(alpha, terms)) == product_residues(alpha, terms)
+        assert list(residues(alpha, terms, 1)) == product_residues(alpha, terms)
 
 
 RATIOS = [Fraction(5, 2), Fraction(3, 2), Fraction(7, 3), Fraction(11, 10), Fraction(3), Fraction(2)]
@@ -371,21 +372,27 @@ class TestOneRecurrence:
         assert list(residues(alpha, terms, q)) == want
 
     def test_dilate_passes_the_ratio_denominator(self, monkeypatch):
+        # a sequence steps by its rho = den(r), a thinning by den(r)^step;
+        # both give the residues of the q = 1 stream
         import lacuna.dyadic as dyadic
 
         seen = []
         real = dyadic.residues
 
-        def spy(alpha, terms, q=1):
+        def spy(alpha, terms, q):
             seen.append(q)
             return real(alpha, terms, q)
 
         monkeypatch.setattr(dyadic, "residues", spy)
-        seq = geometric_sequence(Fraction(9, 4), 50)
-        alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
-        dilate(alpha, seq)
-        dilate(alpha, seq.terms)
-        assert seen == [4, 1]
+        for r in (Fraction(9, 4), Fraction(5, 2)):
+            seen.clear()
+            seq = geometric_sequence(r, 2048)
+            th = thin(seq, 2048)
+            alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
+            e = -residue_bits(alpha)
+            assert dilate(alpha, seq) == DilatedSet(tuple(real(alpha, seq.terms, 1)), e)
+            assert dilate(alpha, th) == DilatedSet(tuple(real(alpha, th.terms, 1)), e)
+            assert seen == [r.denominator, r.denominator**th.step]
 
 
 class TestShortRelation:

@@ -165,7 +165,7 @@ class TestDispersionScan:
         from lacuna.metric import _pow2_truncated_points, _truncated_points
 
         fast = _pow2_truncated_points(alpha, 1, 2048)
-        slow = _truncated_points(alpha, seq.terms[:2048])
+        slow = _truncated_points(alpha, seq.terms[:2048], seq.rho)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2)])
@@ -178,7 +178,7 @@ class TestDispersionScan:
         shift = -exact.exponent - 64
         assert shift > 0
         want = [v >> shift for v in exact.residues]
-        assert _truncated_points(alpha, seq.terms).tolist() == want
+        assert _truncated_points(alpha, seq.terms, seq.rho).tolist() == want
 
     def test_five_halves_scan_reads_top_bits_of_exact_residues(self, monkeypatch):
         # dispersion_scan streams r = 5/2 through the q = 2 recurrence; every
@@ -190,7 +190,7 @@ class TestDispersionScan:
         streams = []
         real = metric._truncated_points
 
-        def spy(alpha, terms, q=1):
+        def spy(alpha, terms, q):
             streams.append((alpha, q, real(alpha, terms, q)))
             return streams[-1][2]
 
@@ -206,6 +206,40 @@ class TestDispersionScan:
             gaps = [b - a for a, b in zip(tops, tops[1:])] + [(1 << 64) - tops[-1] + tops[0]]
             assert row.max_gap == Fraction(max(gaps), 1 << 64)
 
+    def test_doubling_path_is_read_from_the_ratio(self, monkeypatch, tmp_path, capsys):
+        # r >= 2, a power-of-two a_1 and a_N = a_1 * 2^(N-1) take the byte
+        # windows; the same terms under r = 3/2 take the residue stream and
+        # print the same bytes
+        from lacuna import cli, metric
+
+        calls = []
+        real = metric._pow2_truncated_points
+
+        def spy(alpha, e0, n_max):
+            calls.append(e0)
+            return real(alpha, e0, n_max)
+
+        monkeypatch.setattr(metric, "_pow2_truncated_points", spy)
+        alpha = sample_alpha("lebesgue", 1, 128)
+        dispersion_scan(geometric_sequence(Fraction(2), 64), [alpha], [64])
+        assert calls == [1]
+
+        def scan(header, terms, n_max):
+            path = tmp_path / "seq.txt"
+            path.write_text(header + "".join(f"{t}\n" for t in terms))
+            calls.clear()
+            argv = ["metric-scan", "--seq", str(path), "--n-min", "2",
+                    "--n-max", str(n_max), "--alphas", "3"]
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out, bool(calls)
+
+        powers = [2**n for n in range(3, 67)]
+        out_2, took_2 = scan("# r=2\n", powers, 64)
+        out_3_2, took_3_2 = scan("# r=3/2\n", powers, 64)
+        assert took_2 and not took_3_2
+        assert out_2 == out_3_2
+        assert scan("# r=2\n", [2, 4, 9, 18], 4)[1] is False
+
     def test_truncated_stream_of_short_alpha(self):
         from lacuna.metric import _truncated_points
 
@@ -213,7 +247,7 @@ class TestDispersionScan:
         alpha = DyadicReal(5, -10, 128)
         terms = geometric_sequence(Fraction(3), 40).terms
         want = [math.floor(Fraction(5 * a, 1024) % 1 * (1 << 64)) for a in terms]
-        assert _truncated_points(alpha, terms).tolist() == want
+        assert _truncated_points(alpha, terms, 1).tolist() == want
 
     def test_pigeonhole(self, seq2):
         alphas = [sample_alpha("lebesgue", s, 128) for s in range(5)]
@@ -267,7 +301,7 @@ class TestSmoothCounts:
 
         alpha = DyadicReal(m, e, 128)
         want = np.array([frac_float(alpha, a) for a in terms])
-        assert _residue_floats(alpha, terms).tobytes() == want.tobytes()
+        assert _residue_floats(alpha, terms, 1).tobytes() == want.tobytes()
 
     def test_thinned_floats_bit_identical_to_frac(self, seq2):
         from lacuna.metric import _residue_floats
@@ -275,7 +309,34 @@ class TestSmoothCounts:
         th = thin(seq2, 4096)
         alpha = sample_alpha("lebesgue", 13, 128)
         want = np.array([frac_float(alpha, int(a)) for a in th.terms])
-        assert _residue_floats(alpha, th.terms).tobytes() == want.tobytes()
+        assert _residue_floats(alpha, th.terms, th.rho).tobytes() == want.tobytes()
+
+    def test_five_halves_thinning_reads_its_rho(self, monkeypatch, bump):
+        # the window counts step a thinning by rho = 2^step and count what
+        # the q = 1 stream counts
+        from lacuna import metric
+
+        th = thin(geometric_sequence(Fraction(5, 2), 4096), 4096)
+        par = MetricParameters.for_n(4096)
+        alpha = sample_alpha("lebesgue", 13, alpha_precision(th.terms))
+        seen = []
+        real = metric.residues
+
+        def spy(alpha, terms, q):
+            seen.append(q)
+            return real(alpha, terms, q)
+
+        def counts():
+            return (
+                smooth_count_direct(alpha, th, 0.3, par, bump),
+                smooth_count_fourier(alpha, th, 0.3, par, bump, par.k_cut),
+            )
+
+        monkeypatch.setattr(metric, "residues", spy)
+        got = counts()
+        assert seen == [2**th.step] * 2
+        monkeypatch.setattr(metric, "residues", lambda alpha, terms, q: real(alpha, terms, 1))
+        assert counts() == got
 
     def test_direct_counts_all_when_window_wide(self, seq2, bump):
         # widen artificially: every dilate within half-width contributes

@@ -96,8 +96,8 @@ class TestGeometric:
         assert ok and bad is None
 
     def test_hadamard_check_survives_optimized_mode(self):
-        # the construction rests on the check: a failing one raises a coded
-        # error, also under python -O
+        # the construction rests on LacunarySequence's check: a failing one
+        # raises a coded error naming the term, also under python -O
         code = (
             "from lacuna import sequences\n"
             "from lacuna.errors import NotLacunaryError\n"
@@ -111,9 +111,7 @@ class TestGeometric:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == (
-            "not-lacunary not-lacunary: construction violated Hadamard at 3"
-        )
+        assert proc.stdout.strip() == "not-lacunary a_3 < 3 * a_2"
 
 
 def power_loop_geometric(r, n_terms):
@@ -144,6 +142,32 @@ class TestGeometricRecurrence:
     )
     def test_matches_power_loop(self, r):
         assert list(geometric_sequence(r, 2000).terms) == power_loop_geometric(r, 2000)
+
+
+class TestLacunarySequence:
+    @pytest.mark.parametrize(
+        "terms, r, bad",
+        [
+            ((1, 3, 4), Fraction(2), "a_3 < 2 \\* a_2"),
+            ((2, 3, 5, 7), Fraction(3, 2), "a_4 < 3/2 \\* a_3"),
+        ],
+        ids=["integer-ratio", "rational-ratio"],
+    )
+    def test_non_hadamard_term_is_named(self, terms, r, bad):
+        with pytest.raises(NotLacunaryError, match=bad) as exc:
+            LacunarySequence(terms, r)
+        assert exc.value.code == "not-lacunary"
+
+    @pytest.mark.parametrize("r", [Fraction(1), Fraction(1, 2)])
+    def test_ratio_at_most_one_rejected(self, r):
+        with pytest.raises(NotLacunaryError, match=f"growth factor {r} is not > 1"):
+            LacunarySequence((1, 2, 4), r)
+
+    def test_rho_is_the_ratio_denominator(self):
+        seq = geometric_sequence(Fraction(5, 2), 64)
+        th = thin(seq, 64)
+        assert seq.rho == 2 and th.rho == 2**th.step
+        assert geometric_sequence(Fraction(3), 8).rho == 1
 
 
 class TestVerifyHadamard:
