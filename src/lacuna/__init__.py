@@ -13,7 +13,6 @@ from .sequences import (
     smallest_l,
     thin,
     thin_block,
-    verify_hadamard,
 )
 from .turan import (
     DilationCertificate,

@@ -19,7 +19,7 @@ from . import cf as cf_mod
 from . import littlewood as lw
 from . import metric
 from .dyadic import DyadicReal, alpha_precision, dilate, gap_report
-from .errors import LacunaError, MalformedValueError
+from .errors import LacunaError, MalformedValueError, NOutOfRangeError
 from .nested import build_nested_alpha, gap_bound
 from .sequences import geometric_sequence, load_sequence, smallest_l, thin
 from .turan import find_alpha
@@ -108,6 +108,10 @@ def _cmd_nested_alpha(a):
 
 
 def _cmd_metric_scan(a):
+    if not 1 <= a.n_min <= a.n_max:
+        raise NOutOfRangeError(
+            f"N-out-of-range: need 1 <= --n-min <= --n-max, got {a.n_min} and {a.n_max}"
+        )
     n_list = []
     n = a.n_min
     while n <= a.n_max:

@@ -15,13 +15,18 @@ the 64-bit scans and float views in lacuna.metric read them as they stream.
 (The 64-bit scan of the doubling sequence 2^n reads windows of alpha's
 binary expansion instead.)
 
-residues() takes one recurrence for every ratio.  Given the sequence's rho,
-the denominator q of its ratio (1 for integer ratios), each step
-reads q * a_{n+1} = p_n * a_n + delta_n off one short division, and where
-p_n and delta_n are short the next residue follows from the last by a short
-multiply-add and an exact division by q.  Blocks of about sqrt(P) steps
-start from one full product m * a; any step that is not short (a zero, a
-negative or bumped term, a wrong q) falls back to that product.
+residues() takes one recurrence for both sequence types, and never divides
+a term by a term.  A sequence hands it the window as steps: each term's
+relation q * a_{n+1} = p_n * a_n + delta_n to the one before, with q the
+sequence's rho, and the term itself where it is at hand.  A
+LacunarySequence stores the relation (p_n = p, the numerator of its ratio,
+and delta_n >= 0) and has its terms at hand only at checkpoints; a
+ThinnedSequence has every term and stores short_relation of each pair,
+found once when it is built.  Where p_n and delta_n are short, the next
+residue follows from the last by a short multiply-add and an exact
+division by q.  A step without a relation takes the full product m * a;
+for an even q, so does the first term at hand after each block of about
+sqrt(P) steps.
 """
 
 from __future__ import annotations
@@ -232,9 +237,9 @@ GUARD_BITS = 32
 
 def require_precision(x: DyadicReal, terms) -> None:
     """The precision gate of every dilation: x must carry at least
-    bit_length(max |a|) + 32 bits over the terms a, so each gap of {x * a}
-    is resolved at least 32 fractional bits past 1/a_max."""
-    required = max(int(t).bit_length() for t in terms) + GUARD_BITS
+    bit_length(a) + 32 bits for a the last of the increasing terms, so each
+    gap of {x * a} is resolved at least 32 fractional bits past 1/a_max."""
+    required = int(terms[-1]).bit_length() + GUARD_BITS
     if x.precision_bits < required:
         raise PrecisionTooLowError(required, x.precision_bits)
 
@@ -243,10 +248,10 @@ ALPHA_GUARD_BITS = 64
 
 
 def alpha_precision(terms) -> int:
-    """The precision policy of every alpha built for a window of terms:
-    bit_length(max |a|) + 64, which passes require_precision with 32 bits
-    to spare."""
-    return max(int(t).bit_length() for t in terms) + ALPHA_GUARD_BITS
+    """The precision policy of every alpha built for a window of increasing
+    terms: bit_length of the last + 64, which passes require_precision with
+    32 bits to spare."""
+    return int(terms[-1]).bit_length() + ALPHA_GUARD_BITS
 
 
 def residue_bits(alpha: DyadicReal) -> int:
@@ -265,8 +270,8 @@ def short_relation(prev: int, a: int, rho: int) -> tuple[int, int] | None:
     so that rho * a = p * prev + delta; None otherwise.
 
     The one test of whether a step may read its term from the one before:
-    residues() takes its recurrence there, and the band search of
-    lacuna.turan its short step."""
+    a ThinnedSequence stores it for residues(), and the band search of
+    lacuna.turan takes its short step there."""
     if prev <= 0:
         return None
     ra = rho * a if rho != 1 else a
@@ -276,56 +281,53 @@ def short_relation(prev: int, a: int, rho: int) -> tuple[int, int] | None:
     return None if delta >> _RATIO_BITS else (p, delta)
 
 
-def residues(alpha: DyadicReal, terms, q: int) -> Iterator[int]:
-    """The dilates {alpha * a} of the terms, scaled by 2^P, one at a time:
-    m * a mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).  Exact for
-    every positive integer q.
+def residues(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> Iterator[int]:
+    """The dilates {alpha * a_n} of a_start..a_stop (1-based, inclusive;
+    stop=None: to the last term) of a LacunarySequence or a ThinnedSequence,
+    scaled by 2^P, one at a time: m * a_n mod 2^P for alpha = m * 2^-P,
+    P = residue_bits(alpha).
 
-    Each step reads p_n, delta_n = short_relation(a_n, a_{n+1}, q), one
-    short division, so q * a_{n+1} = p_n * a_n + delta_n and, with
-    X_n = m * a_n, q * X_{n+1} = p_n * X_n + delta_n * m.  Where the relation
-    is short (every step of geometric_sequence when q is the denominator of
-    its ratio, as 0 <= delta_n < q), X_{n+1} follows from X_n by a short
-    multiply-add and an exact division by q = 2^s * q', q' odd: a shift by s,
-    and for q' > 1 divmod(W, q) = (Q, R) and X_{n+1} = Q + (R >> s) * q'^-1
-    mod 2^K, a short division and a short multiple.  Each shift loses s low
-    bits of the modulus, so X is carried mod 2^K, K = P + s * b, and each
-    block of b = max(isqrt(P) // s, 1) steps starts from one product
-    m * a mod 2^K; that product is a small share of the block's cost.  Odd q
-    (q = 1 for integer ratios) loses no bit and runs as one block.  Any
-    other step (a_n <= 0, or no short relation: after a zero, a negative or
-    bumped term, or with a q that is not the ratio's denominator) takes the
-    product and starts a new block."""
+    seq.steps(start, stop) gives each term n after the first with its
+    relation q * a_n = p_n * a_(n-1) + d_n, q = seq.rho, so that, with
+    X_n = m * a_n, q * X_n = p_n * X_(n-1) + d_n * m: X_n follows from
+    X_(n-1) by a multiply-add and an exact division by q = 2^s * q', q' odd:
+    a shift by s, and for q' > 1 divmod(W, q) = (Q, R) and X_n = Q +
+    (R >> s) * q'^-1 mod 2^K, a short division and a short multiple.  Each
+    shift loses s low bits of the modulus, so X is carried mod 2^K, and for
+    s > 0 a block starts again from one product m * a_n at the first term at
+    hand after b = max(isqrt(P) // s, 1) steps.  A sequence has a term at
+    hand at least every seq.stride steps, so no block runs past
+    b + stride - 1 steps and K = P + s * (b + stride - 1) suffices.  Odd q
+    (q = 1 for integer ratios) loses no bit and runs as one block from the
+    window's first term.  A step without a relation (a pair of a thinning
+    with no short relation) takes the product and starts a new block."""
     P = residue_bits(alpha)
     mask = (1 << P) - 1
     m = alpha.mantissa
+    q = seq.rho
     s = _ctz(q)
     odd = q >> s
-    block = max(math.isqrt(P) // s, 1) if s else -1  # -1: the block never ends
-    K = P + s * max(block, 0)
+    block = max(math.isqrt(P) // s, 1) if s else 0
+    K = P + s * (block + seq.stride - 1)
     wide = (1 << K) - 1
     inv = pow(odd, -1, 1 << K)
-    scaled = q > 1
-    prev = x = left = 0
-    for a in map(int, terms):
-        rel = short_relation(prev, a, q) if left else None
-        if rel is not None:
+    x = left = 0
+    for a, rel in seq.steps(start, stop):
+        if rel is None or (s and left <= 0 and a is not None):
+            x = (m * a) & wide
+            left = block
+        else:
             p, d = rel
             # X is now valid mod 2^(K - s * steps so far); the bits above it
             # are never read
             x = (p * x + d * m if d else p * x) & wide
-            if scaled:
-                if odd > 1:
-                    x, r = divmod(x, q)
-                    x += (r >> s) * inv
-                else:
-                    x >>= s
-                left -= 1
-        else:
-            x = (m * a) & wide
-            left = block
-        prev = a
-        yield x & mask if scaled else x
+            if odd > 1:
+                x, r = divmod(x, q)
+                x += (r >> s) * inv
+            elif s:
+                x >>= s
+            left -= 1
+        yield x & mask
 
 
 @dataclass(frozen=True)
@@ -344,10 +346,10 @@ def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> D
     """Fractional parts {alpha * a_n} of a LacunarySequence or a
     ThinnedSequence for n in [start, stop] (1-based, inclusive).
 
-    Passes the window through require_precision first; its residues step by
-    the sequence's rho.
+    Passes the window through require_precision first; a window past the
+    last term raises SequenceTooShortError.
     """
     window = seq.terms[start - 1 : stop]
     if window:
         require_precision(alpha, window)
-    return DilatedSet(tuple(residues(alpha, window, seq.rho)), -residue_bits(alpha))
+    return DilatedSet(tuple(residues(alpha, seq, start, stop)), -residue_bits(alpha))

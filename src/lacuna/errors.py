@@ -139,3 +139,12 @@ class CzPoolExhaustedError(LacunaError):
     def __init__(self, achieved_terms: int):
         self.achieved_terms = achieved_terms
         super().__init__(f"cz-pool-exhausted after {achieved_terms} terms")
+
+
+class SequenceTooShortError(LacunaError):
+    code = "sequence-too-short"
+
+    def __init__(self, have: int, need: int):
+        self.have = have
+        self.need = need
+        super().__init__(f"sequence-too-short: have {have} terms, need {need}")

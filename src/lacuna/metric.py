@@ -15,12 +15,14 @@ Scan tables use 64-bit truncated points: the maximal gap survives truncation
 up to 2^-63, far below every tolerance used here, and the run cost drops by
 orders of magnitude.  The exact gap of the first n dilates is
 gap_report(dilate(alpha, seq, 1, n)).  Every view of the dilates here
-(truncated, float) reads the residue stream of lacuna.dyadic.residues at
-the sequence's rho; only the doubling sequence 2^e0, 2^(e0+1), ... takes its
-truncated points from byte windows of alpha's binary expansion instead.
+(truncated, float) reads the residue stream of lacuna.dyadic.residues, which
+steps by the relation the sequence stores, so a scan never holds or
+computes the wide terms; only the doubling sequence 2^e0, 2^(e0+1), ... takes
+its truncated points from byte windows of alpha's binary expansion instead.
 dispersion_scan recognises it from the ratio the sequence has checked: with
 r >= 2 every step at least doubles, so a power-of-two a_1 and
-a_n = a_1 * 2^(n-1) leave only exact doublings, and no term is compared.
+a_n = a_1 * 2^(n-1) leave only exact doublings, and it reads only a_1 and
+a_N.
 """
 
 from __future__ import annotations
@@ -233,17 +235,17 @@ def _pow2_truncated_points(alpha: DyadicReal, e0: int, n_max: int) -> np.ndarray
     return vals
 
 
-def _truncated_points(alpha: DyadicReal, terms, q: int) -> np.ndarray:
-    """floor({alpha * a} * 2^64) for each term: the top 64 bits of each exact
-    residue, taken as it streams, so the exact vector is never held.  q is
-    the sequence's rho, passed on to residues."""
+def _truncated_points(alpha: DyadicReal, seq, n: int) -> np.ndarray:
+    """floor({alpha * a} * 2^64) for a_1..a_n of a sequence: the top 64 bits
+    of each exact residue, taken as it streams, so the exact vector is never
+    held."""
     shift = residue_bits(alpha) - 64
-    stream = residues(alpha, terms, q)
+    stream = residues(alpha, seq, 1, n)
     if shift >= 0:
         tops = (r >> shift for r in stream)
     else:
         tops = (r << -shift for r in stream)
-    return np.fromiter(tops, dtype=np.uint64, count=len(terms))
+    return np.fromiter(tops, dtype=np.uint64, count=n)
 
 
 def _max_gap_u64(sorted_vals: np.ndarray) -> int:
@@ -272,18 +274,17 @@ def dispersion_scan(
     if not n_list or n_list[0] < 1:
         raise ValueError("N values must be positive")
     n_max = n_list[-1]
-    if len(seq.terms) < n_max:
-        raise ValueError(f"sequence provides {len(seq.terms)} terms, need {n_max}")
-    a1 = seq.terms[0]
+    window = seq.terms[:n_max]
+    a1 = window[0]
     # a_(n+1) >= r * a_n >= 2 * a_n: a_N = a_1 * 2^(N-1) only if every step doubles
     pow2 = (seq.growth_factor_r >= 2 and not a1 & (a1 - 1)
-            and seq.terms[n_max - 1] == a1 << (n_max - 1))
+            and window[-1] == a1 << (n_max - 1))
     rows = []
     for aid, alpha in enumerate(alphas):
         if pow2:
             vals = _pow2_truncated_points(alpha, a1.bit_length() - 1, n_max)
         else:
-            vals = _truncated_points(alpha, seq.terms[:n_max], seq.rho)
+            vals = _truncated_points(alpha, seq, n_max)
         for n in n_list:
             g = Fraction(_max_gap_u64(np.sort(vals[:n])), 1 << 64)
             rows.append(_mk_row(aid, n, g, eps))
@@ -332,12 +333,12 @@ def iid_baseline(n: int, trials: int, rng_seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _residue_floats(alpha: DyadicReal, terms, q: int) -> np.ndarray:
-    """{alpha * a} as floats, rounded as DyadicReal.to_float rounds them; q
-    is the sequence's rho, passed on to residues."""
+def _residue_floats(alpha: DyadicReal, seq) -> np.ndarray:
+    """{alpha * a} for every term of a sequence as floats, rounded as
+    DyadicReal.to_float rounds them."""
     e = -residue_bits(alpha)
-    floats = (dyadic_to_float(r, e) for r in residues(alpha, terms, q))
-    return np.fromiter(floats, dtype=np.float64, count=len(terms))
+    floats = (dyadic_to_float(r, e) for r in residues(alpha, seq))
+    return np.fromiter(floats, dtype=np.float64, count=len(seq.terms))
 
 
 def smooth_count_direct(
@@ -353,7 +354,7 @@ def smooth_count_direct(
     one shift u contributes per point.
     """
     width = params.m.to_float() / params.n
-    x = _residue_floats(alpha, thinned.terms, thinned.rho)
+    x = _residue_floats(alpha, thinned)
     d = x - (t % 1.0)
     d -= np.round(d)  # representative in [-1/2, 1/2): the only candidate shift
     return float(np.sum(bump.value(d / width)))
@@ -371,7 +372,7 @@ def smooth_count_fourier(
     if k_max < params.k_cut:
         raise ValueError(f"k_max {k_max} below truncation floor N/P = {params.k_cut}")
     width = params.m.to_float() / params.n
-    x = _residue_floats(alpha, thinned.terms, thinned.rho) - (t % 1.0)
+    x = _residue_floats(alpha, thinned) - (t % 1.0)
     k = np.arange(1, k_max + 1)
     coeffs = bump.fourier(width * k)
     cos_sums = np.cos(2.0 * np.pi * np.outer(k, x)).sum(axis=1)

@@ -98,8 +98,6 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
     a block's verified gap exceeds gap_bound(l, N_k)."""
     if not (1 <= k_start <= k_end):
         raise ValueError("need 1 <= k_start <= k_end")
-    if len(seq.terms) < 2 * 4**k_end:
-        raise ValueError(f"sequence provides {len(seq.terms)} terms, need {2 * 4**k_end}")
     l = smallest_l(seq.growth_factor_r)
     precision = alpha_precision(seq.terms[: 2 * 4**k_end])
 

@@ -7,21 +7,38 @@ denominator of r, is the q of the residue recurrence q * a_{n+1} =
 p_n * a_n + delta_n (lacuna.dyadic.residues), and a thinning with step k
 steps by rho^k.
 
+A LacunarySequence is stored as that recurrence: with r = p/q it keeps
+delta_n = q * a_{n+1} - p * a_n for n < N and a checkpoint a_n at every
+stride-th term, stride = ceil(sqrt(N)), never the N wide terms.  So it holds
+O(N) short integers and O(sqrt(N)) wide ones; a_{n+1} >= r * a_n is
+delta_n >= 0, N short comparisons; and seq.terms is a read-only view that
+computes a_{n+1} = (p * a_n + delta_n) / q from the nearest checkpoint.
+geometric_sequence streams its terms once and keeps only the checkpoints.
+
 The thinned subsequence a~_n = a_{n*step} with step = l * floor(ln N) (l the
 smallest integer with r^l > e) has consecutive ratios exceeding N^xi with
 xi = l*ln r > 1, which is what makes small integer combinations of its terms
-linearly independent.
+linearly independent.  A ThinnedSequence holds its K terms and, once, the
+short relation of each to the one before.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice, pairwise, repeat
 
 import mpmath as mp
 
-from .errors import MalformedSequenceFileError, NBelowThresholdError, NotLacunaryError
+from .dyadic import short_relation
+from .errors import (
+    MalformedSequenceFileError,
+    NBelowThresholdError,
+    NotLacunaryError,
+    SequenceTooShortError,
+)
 
 _LN_DPS = 40
 _LN_GUARD = Fraction(1, 1 << 60)
@@ -53,50 +70,184 @@ def ln_upper(x) -> Fraction:
     return ln_bounds(x)[1]
 
 
-@dataclass(frozen=True)
+def _require(have: int, need: int | None) -> None:
+    """The one bounds check of a window: a sequence of have terms serves a
+    window that ends at term need (1-based) only if need <= have."""
+    if need is not None and need > have:
+        raise SequenceTooShortError(have, need)
+
+
+def _stride(n: int) -> int:
+    """ceil(sqrt(n)): the distance between checkpoints of n terms."""
+    return math.isqrt(n - 1) + 1 if n > 0 else 1
+
+
+def _first_descent(deltas) -> int | None:
+    """The 1-based n + 1 of the first delta_n < 0, i.e. the first a_{n+1} <
+    r * a_n; None when every delta_n >= 0."""
+    if not deltas or min(deltas) >= 0:
+        return None
+    return next(n + 2 for n, d in enumerate(deltas) if d < 0)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class LacunarySequence:
     """Positive terms with a_{n+1} >= r * a_n and r > 1, checked here;
-    NotLacunaryError names the first a_n that breaks the ratio."""
+    NotLacunaryError names the first a_n that breaks the ratio.
 
-    terms: tuple[int, ...]
+    Built from explicit terms, LacunarySequence(terms, r); kept as its
+    recurrence (see the module docstring): deltas[n - 1] = q * a_{n+1} -
+    p * a_n, and checkpoints[k] = a_{k * stride + 1}."""
+
     growth_factor_r: Fraction
+    deltas: tuple[int, ...]
+    checkpoints: tuple[int, ...]
 
-    def __post_init__(self):
-        r = self.growth_factor_r
+    def __init__(self, terms, growth_factor_r):
+        r = Fraction(growth_factor_r)
+        p, q = r.numerator, r.denominator
+        terms = tuple(terms)
+        # an integer ratio takes a_(n+1) itself, not a full-width a_(n+1)*1
+        deltas = tuple((b if q == 1 else q * b) - p * a for a, b in pairwise(terms))
+        self._build(r, deltas, terms[:: _stride(len(terms))])
+
+    @classmethod
+    def _from_recurrence(cls, r: Fraction, deltas, checkpoints) -> LacunarySequence:
+        seq = cls.__new__(cls)
+        seq._build(r, tuple(deltas), tuple(checkpoints))
+        return seq
+
+    def _build(self, r: Fraction, deltas, checkpoints) -> None:
         if r <= 1:
             raise NotLacunaryError(f"growth factor {r} is not > 1")
-        ok, bad = verify_hadamard(self.terms, r)
-        if not ok:
+        if not checkpoints or checkpoints[0] <= 0:
+            raise NotLacunaryError("not-lacunary: terms must be nonempty and positive")
+        bad = _first_descent(deltas)  # with a_1 > 0, every term is positive
+        if bad is not None:
             raise NotLacunaryError(f"a_{bad} < {r} * a_{bad - 1}")
+        object.__setattr__(self, "growth_factor_r", r)
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "checkpoints", checkpoints)
 
     @property
     def rho(self) -> int:
         """The denominator of the ratio: the q of the residue recurrence."""
         return self.growth_factor_r.denominator
 
+    @property
+    def stride(self) -> int:
+        """The distance between checkpoints, ceil(sqrt(N))."""
+        return _stride(len(self))
+
     def __len__(self):
-        return len(self.terms)
+        return len(self.deltas) + 1
+
+    def __repr__(self):
+        return f"LacunarySequence(r={self.growth_factor_r}, N={len(self)})"
+
+    @property
+    def terms(self) -> TermsView:
+        return TermsView(self, range(len(self)))
 
     def term(self, n: int) -> int:
-        """1-based access: a_n."""
+        """1-based access: a_n, stepped from the checkpoint below it."""
         return self.terms[n - 1]
+
+    def _stream(self, i: int) -> Iterator[int]:
+        """a_(i+1), a_(i+2), ... to a_N (i 0-based), each term computed from
+        the one before, starting at the checkpoint at or below a_(i+1)."""
+        p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
+        c = self.stride
+        a = self.checkpoints[i // c]
+        k = i - i % c
+        for n, d in enumerate(islice(self.deltas, k, None), k):
+            if n >= i:
+                yield a
+            a = p * a + d if d else p * a
+            if q > 1:
+                a //= q
+        yield a
+
+    def steps(self, start: int = 1, stop: int | None = None):
+        """The window a_start..a_stop (1-based, inclusive; stop=None: a_N) as
+        the residue recurrence of lacuna.dyadic.residues reads it: one pair
+        (a_n or None, (p, delta_(n-1)) or None) per term.  The term is given
+        at the window's start and at every checkpoint, None elsewhere; the
+        relation q * a_n = p * a_(n-1) + delta_(n-1) is given for every term
+        after the first."""
+        n = len(self)
+        _require(n, stop)
+        stop = n if stop is None else stop
+        if start > stop:
+            return iter(())
+        c, cps = self.stride, self.checkpoints
+        known = (cps[i // c] if i % c == 0 else None for i in range(start, stop))
+        rels = zip(repeat(self.growth_factor_r.numerator), islice(self.deltas, start - 1, stop - 1))
+        return chain(((next(self._stream(start - 1)), None),), zip(known, rels))
+
+
+class TermsView(Sequence):
+    """The terms of a LacunarySequence at some indices, read-only and computed
+    on demand: len, a_n by index (stepped from the checkpoint below it),
+    iteration (one pass, each term from the one before) and slices, which
+    are views again.  A slice that ends past the last term raises
+    SequenceTooShortError naming both lengths, where a tuple would cut it
+    short."""
+
+    __slots__ = ("_seq", "_idx")
+
+    def __init__(self, seq: LacunarySequence, idx: range):
+        self._seq = seq
+        self._idx = idx
+
+    def __len__(self):
+        return len(self._idx)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            _require(len(self._idx), i.stop)
+            return TermsView(self._seq, self._idx[i])
+        return next(self._seq._stream(self._idx[i]))
+
+    def __iter__(self):
+        idx = self._idx
+        if not idx:
+            return iter(())
+        if idx.step < 0:
+            return reversed(tuple(TermsView(self._seq, idx[::-1])))
+        return islice(self._seq._stream(idx[0]), 0, idx[-1] - idx[0] + 1, idx.step)
+
+    def __repr__(self):
+        return f"TermsView({self._seq!r}, {self._idx})"
 
 
 @dataclass(frozen=True)
 class ThinnedSequence:
-    parent: LacunarySequence
+    parent: LacunarySequence | None
     l: int
     step: int
     K: int
     terms: tuple[int, ...]
     xi: float
     index_offset: int = 0  # a~_n = parent term at index_offset + n*step (1-based)
+    # the q of the residue recurrence across one thinned step: den(r)^step
+    # for a thinning, 1 by default
+    rho: int = 1
+    # short_relation(a~_n, a~_(n+1), rho) for each n < K: (P_n, D_n) with
+    # rho * a~_(n+1) = P_n * a~_n + D_n, or None where the pair has none
+    relation: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def rho(self) -> int:
-        """den(r)^step, the q of the residue recurrence across one thinned
-        step; 1 without a parent."""
-        return self.parent.rho**self.step if self.parent is not None else 1
+    stride = 1  # every term is at hand
+
+    def __post_init__(self):
+        rel = tuple(short_relation(a, b, self.rho) for a, b in pairwise(self.terms))
+        object.__setattr__(self, "relation", rel)
+
+    def steps(self, start: int = 1, stop: int | None = None):
+        """The window a~_start..a~_stop as LacunarySequence.steps gives it:
+        every term, with its stored relation to the one before."""
+        _require(len(self.terms), stop)
+        return zip(self.terms[start - 1 : stop], chain((None,), islice(self.relation, start - 1, None)))
 
 
 def smallest_l(r: Fraction) -> int:
@@ -110,20 +261,6 @@ def smallest_l(r: Fraction) -> int:
     return math.floor(1 / lo) + 1
 
 
-def verify_hadamard(terms, r: Fraction) -> tuple[bool, int | None]:
-    """Check a_{n+1} >= r*a_n for every pair; returns (ok, first bad 1-based n+1)."""
-    terms = list(terms)
-    if not terms or any(t <= 0 for t in terms):
-        raise NotLacunaryError("not-lacunary: terms must be nonempty and positive")
-    r = Fraction(r)
-    p, q = r.numerator, r.denominator
-    for i in range(len(terms) - 1):
-        # an integer ratio compares a_(n+1) itself, not a full-width a_(n+1)*1
-        if (terms[i + 1] if q == 1 else terms[i + 1] * q) < p * terms[i]:
-            return False, i + 2
-    return True, None
-
-
 def geometric_sequence(r: Fraction, n_terms: int) -> LacunarySequence:
     """Terms t_n = ceil(r * t_{n-1}) for n = 1..n_terms, t_0 = 1.
 
@@ -132,17 +269,36 @@ def geometric_sequence(r: Fraction, n_terms: int) -> LacunarySequence:
     t_{n-1} >= r^{n-1} gives r * t_{n-1} >= r^n, so ceil(r * t_{n-1}) >=
     ceil(r^n), and t_n >= r * t_{n-1} >= r^n carries the induction on.  For
     an integer r the terms are exactly r^n.
+
+    With r = p/q, ceil(p * t / q) = (p * t + delta) / q for delta =
+    (-p * t) mod q, so the terms stream once, keeping each delta and every
+    stride-th term; for an integer r every delta is 0 and the checkpoints
+    are powers of r.
     """
     r = Fraction(r)
     if r <= 1:
         raise NotLacunaryError(f"growth factor {r} is not > 1")
     p, q = r.numerator, r.denominator
-    terms = []
-    t = 1
-    for _ in range(n_terms):
-        t = p * t if q == 1 else -((-p * t) // q)  # ceil(r * t)
-        terms.append(t)
-    return LacunarySequence(tuple(terms), r)  # the construction is checked, not assumed
+    c = _stride(n_terms)
+    if q == 1:
+        jump = p**c
+        checkpoints = [p] if n_terms > 0 else []
+        for _ in range(c, n_terms, c):
+            checkpoints.append(checkpoints[-1] * jump)
+        deltas = (0,) * max(n_terms - 1, 0)
+    else:
+        checkpoints, deltas = [], []
+        t = 1
+        for i in range(n_terms):
+            t, rem = divmod(p * t, q)
+            if rem:
+                t += 1  # ceil(r * t)
+            if i:
+                deltas.append(q - rem if rem else 0)
+            if i % c == 0:
+                checkpoints.append(t)
+    # the construction is checked, not assumed
+    return LacunarySequence._from_recurrence(r, deltas, checkpoints)
 
 
 def _floor_log(n: int) -> int:
@@ -172,9 +328,9 @@ def thin_block(seq: LacunarySequence, N: int) -> ThinnedSequence:
 
 
 def _thin(seq: LacunarySequence, N: int, offset: int) -> ThinnedSequence:
-    """a~_n = a_{offset + n*step} for n = 1..K, both sizes set by N alone."""
-    if len(seq.terms) < offset + N:
-        raise ValueError(f"sequence provides {len(seq.terms)} terms, need {offset + N}")
+    """a~_n = a_{offset + n*step} for n = 1..K, both sizes set by N alone;
+    the window of N terms streams once."""
+    window = seq.terms[offset : offset + N]
     l = smallest_l(seq.growth_factor_r)
     if N < 3:
         raise NBelowThresholdError(f"N-below-threshold: N={N}")
@@ -182,9 +338,9 @@ def _thin(seq: LacunarySequence, N: int, offset: int) -> ThinnedSequence:
     K = _floor_quotient(N, l)
     if step < 1 or K < 1:
         raise NBelowThresholdError(f"N-below-threshold: N={N} gives step={step}, K={K}")
-    terms = tuple(seq.term(offset + n * step) for n in range(1, K + 1))
+    terms = tuple(window[step - 1 : K * step : step])
     xi = l * float(ln_lower(seq.growth_factor_r))
-    return ThinnedSequence(seq, l, step, K, terms, xi, index_offset=offset)
+    return ThinnedSequence(seq, l, step, K, terms, xi, index_offset=offset, rho=seq.rho**step)
 
 
 def save_sequence(path, seq: LacunarySequence) -> None:

@@ -29,10 +29,11 @@ Every decision is an integer comparison; no Fraction is built per step.
   divmod, wherever the interval is the band of the previous frequency
   a_prev (after every step but the first and the rare clipped ones) and the
   pair has a short relation rho*a = P*a_prev + d (dyadic.short_relation,
-  the test residues() reads too), with rho = den(r)^step for a thinning of
-  a sequence of ratio r.  Then Q = q'*e_den*a_prev for the previous target
-  p'/q', and at scale R = rho*q*Q the step's lo*a - x - eps' splits into a
-  division by the short R/a_prev and one with the short quotient lo*d/rho.
+  which a ThinnedSequence also stores for residues()), with
+  rho = den(r)^step for a thinning of a sequence of ratio r.  Then
+  Q = q'*e_den*a_prev for the previous target p'/q', and at scale
+  R = rho*q*Q the step's lo*a - x - eps' splits into a division by the
+  short R/a_prev and one with the short quotient lo*d/rho.
   The data alone picks the step: pairs without such a relation (loaded term
   lists that are not geometric, a bumped term, ratios or a rho past 2^64,
   as for r = 11/10, where step = 11*floor(ln N)) keep the wide divmod.
@@ -325,14 +326,14 @@ def find_dilation(
         )
     parent = thinned.parent
     flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi, thinned.rho)
-    parent_terms = parent.terms if parent is not None else ()
-    precision = alpha_precision((*freqs, *parent_terms))
+    # the frequencies increase (the ratio precondition) and are parent terms
+    precision = alpha_precision(parent.terms if parent is not None else freqs)
     alpha = DyadicReal.from_fraction((flo + fhi) / 2, precision)
     # postcondition on the residue stream: with alpha = m*2^-P and x = p/q,
     # {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), res = m*a mod 2^P
     P = residue_bits(alpha)
     constraints = []
-    for a, x, res in zip(freqs, xs, residues(alpha, freqs, thinned.rho)):
+    for a, x, res in zip(freqs, xs, residues(alpha, thinned)):
         p, q = x.numerator, x.denominator
         den = q << P
         f = (q * res - (p << P)) % den
@@ -388,15 +389,13 @@ def find_dilation_block(
 ) -> DilationCertificate:
     """Dilation factor for the translated block (N, 2N], searched inside an
     interval of length >= 4/a_N."""
-    if len(seq.terms) < 2 * N:
-        raise ValueError(f"sequence provides {len(seq.terms)} terms, need {2 * N}")
+    thinned = thin_block(seq, N)
     lo, hi = Fraction(search_interval[0]), Fraction(search_interval[1])
     a_N = seq.term(N)
     if hi - lo < Fraction(4, a_N):
         raise IntervalTooShortError(
             f"interval-below-4-over-aN: length {hi - lo} < 4/{a_N}"
         )
-    thinned = thin_block(seq, N)
     eps = block_epsilon(seq, N)
     targets = [Fraction(j, thinned.K) for j in range(thinned.K)]
     return find_dilation(thinned, targets, eps, (lo, hi))

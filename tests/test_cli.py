@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import mpmath as mp
@@ -448,3 +451,42 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+class TestInputBounds:
+    """A window past the end of a --seq file and an empty or negative N range
+    each end in one coded error line: exit 1, nothing on stdout, no
+    traceback.  Each case runs in a subprocess with a timeout, so a
+    regression to the unbounded N loop fails instead of hanging."""
+
+    SHORT = "# r=2\n2\n4\n8\n16\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["gaps", "--seq", "{seq}", "--n", "10", "--alpha", "7/10"], "sequence-too-short"),
+            (["metric-scan", "--seq", "{seq}", "--n-min", "2", "--n-max", "8", "--alphas", "2"],
+             "sequence-too-short"),
+            (["find-alpha", "--seq", "{seq}", "--n", "64"], "sequence-too-short"),
+            (["moment-check", "--seq", "{seq}", "--n", "64"], "sequence-too-short"),
+            (["nested-alpha", "--seq", "{seq}", "--k-start", "1", "--k-end", "2"],
+             "sequence-too-short"),
+            (["metric-scan", "--n-min", "0", "--n-max", "64"], "N-out-of-range"),
+            (["metric-scan", "--n-min", "-4", "--n-max", "64"], "N-out-of-range"),
+            (["metric-scan", "--n-min", "64", "--n-max", "32"], "N-out-of-range"),
+        ],
+        ids=["gaps", "metric-scan", "find-alpha", "moment-check", "nested-alpha",
+             "n-min-zero", "n-min-negative", "n-min-above-n-max"],
+    )
+    def test_one_coded_error_line(self, tmp_path, argv, code):
+        seq = tmp_path / "short.txt"
+        seq.write_text(self.SHORT)
+        argv = [a.format(seq=seq) for a in argv]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-m", "lacuna.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error [{code}]: ")
+        if code == "sequence-too-short":
+            assert "have 4 terms, need" in proc.stderr

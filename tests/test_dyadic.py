@@ -21,8 +21,15 @@ from lacuna.dyadic import (
     short_relation,
 )
 from lacuna.cf import dist_to_int
-from lacuna.errors import EmptyConfigurationError, NotLacunaryError, PrecisionTooLowError
+from lacuna.errors import (
+    EmptyConfigurationError,
+    NotLacunaryError,
+    PrecisionTooLowError,
+    SequenceTooShortError,
+)
 from lacuna.sequences import (
+    LacunarySequence,
+    ThinnedSequence,
     geometric_sequence,
     load_sequence,
     save_sequence,
@@ -36,6 +43,13 @@ def dy(num, den=1, bits=96):
 
 
 ONE = DyadicReal(1, 0)
+
+
+def explicit(terms, q=1):
+    """Explicit terms as residues() reads a window: each pair with its
+    short_relation at q, found when the ThinnedSequence is built."""
+    terms = tuple(terms)
+    return ThinnedSequence(parent=None, l=1, step=1, K=len(terms), terms=terms, xi=0.0, rho=q)
 
 
 def fraction_gaps(points):
@@ -218,11 +232,11 @@ class TestResidueForm:
         # arbitrary term list takes the q = 1 stream
         alpha = DyadicReal(m, e, 512)
         oracle = [alpha.to_fraction() * a % 1 for a in terms]
-        pts = DilatedSet(tuple(residues(alpha, terms, 1)), -residue_bits(alpha))
+        pts = DilatedSet(tuple(residues(alpha, explicit(terms))), -residue_bits(alpha))
         one = 1 << -pts.exponent
         assert len(pts) == len(terms)
         assert [Fraction(r, one) for r in pts.residues] == oracle
-        window = DilatedSet(tuple(residues(alpha, terms[i:j], 1)), pts.exponent)
+        window = DilatedSet(tuple(residues(alpha, explicit(terms[i:j]))), pts.exponent)
         assert window == DilatedSet(pts.residues[i:j], pts.exponent)
         if oracle[i:j]:
             assert gap_report(window).max_gap.to_fraction() == max(fraction_gaps(oracle[i:j]))
@@ -259,7 +273,7 @@ class TestResidueRecurrence:
         ],
     )
     def test_matches_products(self, terms):
-        assert list(residues(self.ALPHA, terms, 1)) == product_residues(self.ALPHA, terms)
+        assert list(residues(self.ALPHA, explicit(terms))) == product_residues(self.ALPHA, terms)
 
     def test_loaded_file_with_one_bumped_term(self, tmp_path):
         path = tmp_path / "seq.txt"
@@ -275,7 +289,10 @@ class TestResidueRecurrence:
         path.write_text("\n".join(lines) + "\n")
         seq = load_sequence(path)
         assert seq.terms[100] % seq.terms[99] != 0
-        got = list(residues(self.ALPHA, seq.terms, seq.rho))
+        # the stored relation of a loaded file: delta_100 = a_101 - 2 * a_100
+        # is as wide as the terms
+        assert seq.deltas[99].bit_length() > 64
+        got = list(residues(self.ALPHA, seq))
         assert got == product_residues(self.ALPHA, seq.terms)
 
     @settings(max_examples=200, deadline=None)
@@ -296,7 +313,7 @@ class TestResidueRecurrence:
         for kind, v in steps:
             terms.append(terms[-1] * v if kind == "times" else v)
         alpha = DyadicReal(m, e, 1024)
-        assert list(residues(alpha, terms, 1)) == product_residues(alpha, terms)
+        assert list(residues(alpha, explicit(terms))) == product_residues(alpha, terms)
 
 
 RATIOS = [Fraction(5, 2), Fraction(3, 2), Fraction(7, 3), Fraction(11, 10), Fraction(3), Fraction(2)]
@@ -305,10 +322,11 @@ odd_mantissas = st.integers(-(1 << 900), 1 << 900).map(lambda m: m | 1)
 
 
 class TestOneRecurrence:
-    """residues(alpha, terms, q) steps by q * X_{n+1} = p_n * X_n + delta_n * m
+    """residues(alpha, seq) steps by q * X_{n+1} = p_n * X_n + delta_n * m
     in blocks of isqrt(P) // s steps (q = 2^s * q', q' odd) and falls back to
-    m * a wherever a step is not short; every value must be m * a & mask,
-    for the ratio's denominator, for a wrong q and on broken chains."""
+    m * a wherever a step has no relation; every value must be m * a & mask,
+    on a sequence's stored relation, on explicit terms with the ratio's
+    denominator, with a wrong q and on broken chains."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -319,24 +337,28 @@ class TestOneRecurrence:
         st.integers(1, 60),
     )
     def test_geometric_matches_products(self, r, n, m, P, wrong_q):
-        terms = geometric_sequence(r, n).terms
+        seq = geometric_sequence(r, n)
+        terms = seq.terms
         alpha = DyadicReal(m, -P, 4096)
         assert residue_bits(alpha) == P
         want = product_residues(alpha, terms)
-        assert list(residues(alpha, terms, r.denominator)) == want
-        assert list(residues(alpha, terms, wrong_q)) == want
+        assert list(residues(alpha, seq)) == want
+        assert list(residues(alpha, explicit(terms, r.denominator))) == want
+        assert list(residues(alpha, explicit(terms, wrong_q))) == want
 
     @pytest.mark.parametrize("r", RATIOS)
     def test_several_blocks_at_the_dilation_precision(self, r):
-        terms = geometric_sequence(r, 1200).terms
+        seq = geometric_sequence(r, 1200)
+        terms = seq.terms
         P = alpha_precision(terms)
         s = (r.denominator & -r.denominator).bit_length() - 1
         if s:  # blocks of isqrt(P) // s steps: many boundaries crossed
             assert len(terms) > 5 * (math.isqrt(P) // s)
         alpha = DyadicReal.from_fraction(Fraction(7, 10), P)
         want = product_residues(alpha, terms)
-        assert list(residues(alpha, terms, r.denominator)) == want
-        assert list(residues(alpha, terms, 1)) == want
+        assert list(residues(alpha, seq)) == want
+        assert list(residues(alpha, explicit(terms, r.denominator))) == want
+        assert list(residues(alpha, explicit(terms))) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -368,8 +390,8 @@ class TestOneRecurrence:
                 terms[i] = v
         alpha = DyadicReal(m, -P, 4096)
         want = product_residues(alpha, terms)
-        assert list(residues(alpha, terms, r.denominator)) == want
-        assert list(residues(alpha, terms, q)) == want
+        assert list(residues(alpha, explicit(terms, r.denominator))) == want
+        assert list(residues(alpha, explicit(terms, q))) == want
 
     def test_dilate_passes_the_ratio_denominator(self, monkeypatch):
         # a sequence steps by its rho = den(r), a thinning by den(r)^step;
@@ -379,9 +401,9 @@ class TestOneRecurrence:
         seen = []
         real = dyadic.residues
 
-        def spy(alpha, terms, q):
-            seen.append(q)
-            return real(alpha, terms, q)
+        def spy(alpha, seq, *window):
+            seen.append(seq.rho)
+            return real(alpha, seq, *window)
 
         monkeypatch.setattr(dyadic, "residues", spy)
         for r in (Fraction(9, 4), Fraction(5, 2)):
@@ -390,9 +412,68 @@ class TestOneRecurrence:
             th = thin(seq, 2048)
             alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
             e = -residue_bits(alpha)
-            assert dilate(alpha, seq) == DilatedSet(tuple(real(alpha, seq.terms, 1)), e)
-            assert dilate(alpha, th) == DilatedSet(tuple(real(alpha, th.terms, 1)), e)
+            assert dilate(alpha, seq) == DilatedSet(tuple(real(alpha, explicit(seq.terms))), e)
+            assert dilate(alpha, th) == DilatedSet(tuple(real(alpha, explicit(th.terms))), e)
             assert seen == [r.denominator, r.denominator**th.step]
+
+
+class TestStoredRelation:
+    """residues() of a LacunarySequence steps by its stored deltas and
+    restarts only at checkpoints; a ThinnedSequence by the short relations
+    found when it was built, with the product where a pair has none.  Each
+    window must equal the product oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(RATIOS),
+        st.integers(1, 700),
+        odd_mantissas,
+        st.integers(0, 1300),
+        st.data(),
+    )
+    def test_sequence_windows_match_products(self, r, n, m, P, data):
+        seq = geometric_sequence(r, n)
+        alpha = DyadicReal(m, -P, 4096)
+        want = product_residues(alpha, seq.terms)
+        assert list(residues(alpha, seq)) == want
+        start = data.draw(st.integers(1, n))
+        stop = data.draw(st.integers(start - 1, n))
+        assert list(residues(alpha, seq, start, stop)) == want[start - 1 : stop]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(RATIOS),
+        st.integers(1, 1 << 100),
+        st.lists(st.integers(0, 1 << 200), max_size=40),
+        odd_mantissas,
+    )
+    def test_wide_deltas_match_products(self, r, first, extras, m):
+        terms = [first]
+        for e in extras:
+            terms.append(-((-r.numerator * terms[-1]) // r.denominator) + e)
+        seq = LacunarySequence(terms, r)
+        alpha = DyadicReal(m, -(terms[-1].bit_length() + 64), 4096)
+        assert list(residues(alpha, seq)) == product_residues(alpha, terms)
+
+    @pytest.mark.parametrize("r", RATIOS)
+    def test_thinnings_match_products(self, r):
+        seq = geometric_sequence(r, 2048)
+        alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
+        for th in (thin(seq, 2048), thin_block(seq, 1024)):
+            if r == Fraction(11, 10):
+                # rho = 10^step: no pair has a short relation, every term
+                # takes the product
+                assert set(th.relation) == {None}
+            assert list(residues(alpha, th)) == product_residues(alpha, th.terms)
+
+    def test_window_past_the_end(self):
+        seq = geometric_sequence(Fraction(3), 10)
+        th = thin(seq, 10)
+        alpha = DyadicReal.from_fraction(Fraction(7, 10), 128)
+        with pytest.raises(SequenceTooShortError, match="have 10 terms, need 11"):
+            dilate(alpha, seq, 1, 11)
+        with pytest.raises(SequenceTooShortError, match=f"have {th.K} terms"):
+            dilate(alpha, th, 1, th.K + 1)
 
 
 class TestShortRelation:
@@ -426,7 +507,8 @@ class TestPrecisionPolicy:
         bits = alpha_precision(terms)
         assert bits == terms[-1].bit_length() + 64
         require_precision(DyadicReal.from_fraction(Fraction(1, 3), bits), terms)
-        assert alpha_precision([-(1 << 10), 3]) == 11 + 64
+        # the terms of a window increase: the last one sets the precision
+        assert alpha_precision([3, 1 << 10]) == 11 + 64
 
 
 def decimal_ratio(num, den, digits):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from lacuna.errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
     QuadratureUnderresolvedError,
+    SequenceTooShortError,
 )
 from lacuna.metric import (
     MetricParameters,
@@ -26,7 +28,7 @@ from lacuna.metric import (
     smooth_count_direct,
     smooth_count_fourier,
 )
-from lacuna.sequences import geometric_sequence, thin
+from lacuna.sequences import ThinnedSequence, geometric_sequence, thin
 
 
 def frac_float(alpha, a):
@@ -165,7 +167,7 @@ class TestDispersionScan:
         from lacuna.metric import _pow2_truncated_points, _truncated_points
 
         fast = _pow2_truncated_points(alpha, 1, 2048)
-        slow = _truncated_points(alpha, seq.terms[:2048], seq.rho)
+        slow = _truncated_points(alpha, seq, 2048)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2)])
@@ -178,7 +180,7 @@ class TestDispersionScan:
         shift = -exact.exponent - 64
         assert shift > 0
         want = [v >> shift for v in exact.residues]
-        assert _truncated_points(alpha, seq.terms, seq.rho).tolist() == want
+        assert _truncated_points(alpha, seq, len(seq)).tolist() == want
 
     def test_five_halves_scan_reads_top_bits_of_exact_residues(self, monkeypatch):
         # dispersion_scan streams r = 5/2 through the q = 2 recurrence; every
@@ -190,8 +192,8 @@ class TestDispersionScan:
         streams = []
         real = metric._truncated_points
 
-        def spy(alpha, terms, q):
-            streams.append((alpha, q, real(alpha, terms, q)))
+        def spy(alpha, seq, n):
+            streams.append((alpha, seq.rho, real(alpha, seq, n)))
             return streams[-1][2]
 
         monkeypatch.setattr(metric, "_truncated_points", spy)
@@ -245,9 +247,9 @@ class TestDispersionScan:
 
         # alpha = 5/1024 has fewer than 64 fractional bits: residues move up
         alpha = DyadicReal(5, -10, 128)
-        terms = geometric_sequence(Fraction(3), 40).terms
-        want = [math.floor(Fraction(5 * a, 1024) % 1 * (1 << 64)) for a in terms]
-        assert _truncated_points(alpha, terms, 1).tolist() == want
+        seq = geometric_sequence(Fraction(3), 40)
+        want = [math.floor(Fraction(5 * a, 1024) % 1 * (1 << 64)) for a in seq.terms]
+        assert _truncated_points(alpha, seq, 40).tolist() == want
 
     def test_pigeonhole(self, seq2):
         alphas = [sample_alpha("lebesgue", s, 128) for s in range(5)]
@@ -264,7 +266,7 @@ class TestDispersionScan:
         alpha = sample_alpha("lebesgue", 1, 128)
         with pytest.raises(ValueError):
             dispersion_scan(seq2, [alpha], [])
-        with pytest.raises(ValueError):
+        with pytest.raises(SequenceTooShortError):
             dispersion_scan(seq2, [alpha], [1 << 20])
 
     @settings(max_examples=20, deadline=None)
@@ -301,7 +303,8 @@ class TestSmoothCounts:
 
         alpha = DyadicReal(m, e, 128)
         want = np.array([frac_float(alpha, a) for a in terms])
-        assert _residue_floats(alpha, terms, 1).tobytes() == want.tobytes()
+        explicit = ThinnedSequence(None, 1, 1, len(terms), tuple(terms), 0.0)
+        assert _residue_floats(alpha, explicit).tobytes() == want.tobytes()
 
     def test_thinned_floats_bit_identical_to_frac(self, seq2):
         from lacuna.metric import _residue_floats
@@ -309,7 +312,7 @@ class TestSmoothCounts:
         th = thin(seq2, 4096)
         alpha = sample_alpha("lebesgue", 13, 128)
         want = np.array([frac_float(alpha, int(a)) for a in th.terms])
-        assert _residue_floats(alpha, th.terms, th.rho).tobytes() == want.tobytes()
+        assert _residue_floats(alpha, th).tobytes() == want.tobytes()
 
     def test_five_halves_thinning_reads_its_rho(self, monkeypatch, bump):
         # the window counts step a thinning by rho = 2^step and count what
@@ -322,9 +325,9 @@ class TestSmoothCounts:
         seen = []
         real = metric.residues
 
-        def spy(alpha, terms, q):
-            seen.append(q)
-            return real(alpha, terms, q)
+        def spy(alpha, seq, *window):
+            seen.append(seq.rho)
+            return real(alpha, seq, *window)
 
         def counts():
             return (
@@ -335,7 +338,10 @@ class TestSmoothCounts:
         monkeypatch.setattr(metric, "residues", spy)
         got = counts()
         assert seen == [2**th.step] * 2
-        monkeypatch.setattr(metric, "residues", lambda alpha, terms, q: real(alpha, terms, 1))
+        monkeypatch.setattr(
+            metric, "residues",
+            lambda alpha, seq, *window: real(alpha, dataclasses.replace(seq, rho=1), *window),
+        )
         assert counts() == got
 
     def test_direct_counts_all_when_window_wide(self, seq2, bump):

@@ -2,15 +2,24 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacuna.errors import MalformedSequenceFileError, NBelowThresholdError, NotLacunaryError
+from lacuna.errors import (
+    MalformedSequenceFileError,
+    NBelowThresholdError,
+    NotLacunaryError,
+    SequenceTooShortError,
+)
 from lacuna.sequences import (
     LacunarySequence,
+    TermsView,
     geometric_sequence,
     ln_bounds,
     ln_lower,
@@ -19,7 +28,6 @@ from lacuna.sequences import (
     smallest_l,
     thin,
     thin_block,
-    verify_hadamard,
 )
 
 
@@ -74,13 +82,13 @@ class TestSmallestL:
 
 class TestGeometric:
     def test_powers_of_two(self):
-        assert geometric_sequence(Fraction(2), 5).terms == (2, 4, 8, 16, 32)
+        assert tuple(geometric_sequence(Fraction(2), 5).terms) == (2, 4, 8, 16, 32)
 
     def test_three_halves(self):
-        assert geometric_sequence(Fraction(3, 2), 4).terms == (2, 3, 5, 8)
+        assert tuple(geometric_sequence(Fraction(3, 2), 4).terms) == (2, 3, 5, 8)
 
     def test_powers_of_ten(self):
-        assert geometric_sequence(Fraction(10), 3).terms == (10, 100, 1000)
+        assert tuple(geometric_sequence(Fraction(10), 3).terms) == (10, 100, 1000)
 
     def test_rejects_r_at_most_one(self):
         with pytest.raises(NotLacunaryError):
@@ -91,17 +99,17 @@ class TestGeometric:
         st.integers(1, 40),
     )
     def test_always_hadamard(self, r, n):
-        seq = geometric_sequence(r, n)
-        ok, bad = verify_hadamard(seq.terms, r)
-        assert ok and bad is None
+        terms = list(geometric_sequence(r, n).terms)
+        assert all(b >= r * a for a, b in zip(terms, terms[1:]))
 
     def test_hadamard_check_survives_optimized_mode(self):
-        # the construction rests on LacunarySequence's check: a failing one
-        # raises a coded error naming the term, also under python -O
+        # the construction rests on LacunarySequence's check of its deltas:
+        # a failing one raises a coded error naming the term, also under
+        # python -O
         code = (
             "from lacuna import sequences\n"
             "from lacuna.errors import NotLacunaryError\n"
-            "sequences.verify_hadamard = lambda terms, r: (False, 3)\n"
+            "sequences._first_descent = lambda deltas: 3\n"
             "try:\n"
             "    sequences.geometric_sequence(3, 5)\n"
             "except NotLacunaryError as exc:\n"
@@ -171,15 +179,19 @@ class TestLacunarySequence:
 
 
 class TestVerifyHadamard:
+    """LacunarySequence(terms, r) is the one Hadamard check: delta_n =
+    q * a_(n+1) - p * a_n >= 0 for r = p/q."""
+
     def test_good(self):
-        assert verify_hadamard([2, 4, 8], Fraction(2)) == (True, None)
+        assert LacunarySequence([2, 4, 8], Fraction(2)).deltas == (0, 0)
 
     def test_first_violation_reported(self):
-        ok, bad = verify_hadamard([1, 2, 3], Fraction(2))
-        assert not ok and bad == 3  # 3 < 2*2 at the pair ending at index 3
+        # 3 < 2*2 at the pair ending at index 3
+        with pytest.raises(NotLacunaryError, match="a_3 < 2 \\* a_2"):
+            LacunarySequence([1, 2, 3], Fraction(2))
 
     def test_rational_ratio(self):
-        assert verify_hadamard([2, 3, 5, 8], Fraction(3, 2)) == (True, None)
+        assert LacunarySequence([2, 3, 5, 8], Fraction(3, 2)).deltas == (0, 1, 1)
 
     @given(
         st.lists(st.integers(1, 10**30), min_size=1, max_size=12),
@@ -189,13 +201,19 @@ class TestVerifyHadamard:
         bad = next(
             (i + 2 for i in range(len(terms) - 1) if terms[i + 1] < r * terms[i]), None
         )
-        assert verify_hadamard(terms, r) == (bad is None, bad)
+        if bad is None:
+            assert list(LacunarySequence(terms, r).terms) == terms
+        else:
+            with pytest.raises(NotLacunaryError, match=f"a_{bad} < {r} \\* a_{bad - 1}$"):
+                LacunarySequence(terms, r)
 
     def test_rejects_empty_or_nonpositive(self):
-        with pytest.raises(NotLacunaryError):
-            verify_hadamard([], Fraction(2))
-        with pytest.raises(NotLacunaryError):
-            verify_hadamard([1, 0], Fraction(2))
+        with pytest.raises(NotLacunaryError, match="nonempty and positive"):
+            LacunarySequence([], Fraction(2))
+        with pytest.raises(NotLacunaryError, match="nonempty and positive"):
+            LacunarySequence([0, 1], Fraction(2))
+        with pytest.raises(NotLacunaryError, match="a_2 < 2 \\* a_1"):
+            LacunarySequence([1, 0], Fraction(2))
 
 
 class TestThin:
@@ -245,7 +263,7 @@ class TestThinBlock:
 
     def test_needs_2n_terms(self):
         seq = geometric_sequence(Fraction(3), 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(SequenceTooShortError, match="have 64 terms, need 128"):
             thin_block(seq, 64)
 
 
@@ -255,7 +273,8 @@ class TestSerialization:
         path = tmp_path / "seq.txt"
         save_sequence(path, seq)
         back = load_sequence(path)
-        assert back.terms == seq.terms
+        assert tuple(back.terms) == tuple(seq.terms)
+        assert back == seq
         assert back.growth_factor_r == Fraction(3, 2)
 
     def test_ratio_at_most_one_rejected(self, tmp_path):
@@ -269,3 +288,86 @@ class TestSerialization:
         path.write_text("2\n4\n8\n")
         with pytest.raises(MalformedSequenceFileError):
             load_sequence(path)
+
+
+VIEW_RATIOS = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(3, 2), Fraction(11, 10)]
+
+
+def wide_delta_terms(r, first, extras):
+    """Explicit lacunary terms a_(n+1) = ceil(r * a_n) + e_n: with wide e_n
+    the stored delta_n are as wide as the terms."""
+    terms = [first]
+    for e in extras:
+        terms.append(-((-r.numerator * terms[-1]) // r.denominator) + e)
+    return terms
+
+
+class TestTermsView:
+    """seq.terms is a view of the stored recurrence; every way of reading it
+    must give the explicit terms."""
+
+    @staticmethod
+    def check_view(seq, want, data):
+        n = len(want)
+        view = seq.terms
+        assert isinstance(view, TermsView)
+        assert len(view) == len(seq) == n
+        assert list(view) == want
+        assert [view[i] for i in range(-n, n)] == want + want
+        assert [seq.term(k) for k in range(1, n + 1)] == want
+        for _ in range(3):
+            i = data.draw(st.integers(-n - 2, n + 2))
+            j = data.draw(st.one_of(st.none(), st.integers(-n - 2, n)))
+            k = data.draw(st.sampled_from([None, 1, 2, 3, -1, -2]))
+            part = view[i:j:k]
+            assert isinstance(part, TermsView)
+            assert len(part) == len(want[i:j:k])
+            assert list(part) == want[i:j:k]
+            assert list(part[1:]) == want[i:j:k][1:]
+        with pytest.raises(SequenceTooShortError, match=f"have {n} terms, need {n + 1}"):
+            view[: n + 1]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "seq.txt"
+            save_sequence(path, seq)
+            assert path.read_text().split("\n")[1:-1] == [str(t) for t in want]
+            back = load_sequence(path)
+        assert back == seq and list(back.terms) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(VIEW_RATIOS), st.integers(1, 300), st.data())
+    def test_geometric_view_matches_explicit_terms(self, r, n, data):
+        seq = geometric_sequence(r, n)
+        want = power_loop_geometric(r, n)
+        assert LacunarySequence(want, r) == seq
+        self.check_view(seq, want, data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(VIEW_RATIOS),
+        st.integers(1, 1 << 100),
+        st.lists(st.integers(0, 1 << 200), max_size=60),
+        st.data(),
+    )
+    def test_loaded_view_with_wide_deltas(self, r, first, extras, data):
+        want = wide_delta_terms(r, first, extras)
+        seq = LacunarySequence(want, r)
+        assert seq.deltas == tuple(
+            r.denominator * b - r.numerator * a for a, b in zip(want, want[1:])
+        )
+        self.check_view(seq, want, data)
+
+
+class TestRecurrenceMemory:
+    """A geometric sequence keeps its deltas and about sqrt(N) checkpoints,
+    not N wide terms (those would be 256 MiB at r = 2, N = 2^16)."""
+
+    @pytest.mark.parametrize("r, n", [(Fraction(2), 1 << 16), (Fraction(3), 1 << 15)])
+    def test_retains_under_8_mb(self, r, n):
+        tracemalloc.start()
+        try:
+            seq = geometric_sequence(r, n)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(seq) == n
+        assert retained < 8 << 20
