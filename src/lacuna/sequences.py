@@ -189,10 +189,10 @@ class LacunarySequence:
 class TermsView(Sequence):
     """The terms of a LacunarySequence at some indices, read-only and computed
     on demand: len, a_n by index (stepped from the checkpoint below it),
-    iteration (one pass, each term from the one before) and slices, which
-    are views again.  A slice that ends past the last term raises
-    SequenceTooShortError naming both lengths, where a tuple would cut it
-    short."""
+    iteration (one pass, each term from the one before) and forward slices,
+    which are views again.  It equals any sequence of the same terms.  A
+    slice that ends past the last term raises SequenceTooShortError naming
+    both lengths, where a tuple would cut it short."""
 
     __slots__ = ("_seq", "_idx")
 
@@ -205,6 +205,8 @@ class TermsView(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
+            if i.step is not None and i.step < 0:
+                raise ValueError("a terms view steps forward only")
             _require(len(self._idx), i.stop)
             return TermsView(self._seq, self._idx[i])
         return next(self._seq._stream(self._idx[i]))
@@ -213,9 +215,15 @@ class TermsView(Sequence):
         idx = self._idx
         if not idx:
             return iter(())
-        if idx.step < 0:
-            return reversed(tuple(TermsView(self._seq, idx[::-1])))
         return islice(self._seq._stream(idx[0]), 0, idx[-1] - idx[0] + 1, idx.step)
+
+    def __eq__(self, other):
+        """Term by term against any sequence, as a tuple of the terms would."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
     def __repr__(self):
         return f"TermsView({self._seq!r}, {self._idx})"
@@ -230,14 +238,17 @@ class ThinnedSequence:
     terms: tuple[int, ...]
     xi: float
     index_offset: int = 0  # a~_n = parent term at index_offset + n*step (1-based)
-    # the q of the residue recurrence across one thinned step: den(r)^step
-    # for a thinning, 1 by default
-    rho: int = 1
     # short_relation(a~_n, a~_(n+1), rho) for each n < K: (P_n, D_n) with
     # rho * a~_(n+1) = P_n * a~_n + D_n, or None where the pair has none
     relation: tuple = field(init=False, repr=False, compare=False)
 
     stride = 1  # every term is at hand
+
+    @property
+    def rho(self) -> int:
+        """den(r)^step, the q of the residue recurrence across one thinned
+        step; 1 without a parent."""
+        return self.parent.rho**self.step if self.parent is not None else 1
 
     def __post_init__(self):
         rel = tuple(short_relation(a, b, self.rho) for a, b in pairwise(self.terms))
@@ -340,7 +351,7 @@ def _thin(seq: LacunarySequence, N: int, offset: int) -> ThinnedSequence:
         raise NBelowThresholdError(f"N-below-threshold: N={N} gives step={step}, K={K}")
     terms = tuple(window[step - 1 : K * step : step])
     xi = l * float(ln_lower(seq.growth_factor_r))
-    return ThinnedSequence(seq, l, step, K, terms, xi, index_offset=offset, rho=seq.rho**step)
+    return ThinnedSequence(seq, l, step, K, terms, xi, index_offset=offset)
 
 
 def save_sequence(path, seq: LacunarySequence) -> None:

@@ -28,9 +28,10 @@ Every decision is an integer comparison; no Fraction is built per step.
 - A step costs O(B) for B-bit frequencies, not the O(B^2) of one wide
   divmod, wherever the interval is the band of the previous frequency
   a_prev (after every step but the first and the rare clipped ones) and the
-  pair has a short relation rho*a = P*a_prev + d (dyadic.short_relation,
-  which a ThinnedSequence also stores for residues()), with
-  rho = den(r)^step for a thinning of a sequence of ratio r.  Then
+  pair has a short relation rho*a = P*a_prev + d, with rho = den(r)^step
+  for a thinning of a sequence of ratio r: the ThinnedSequence stores it
+  once per pair (dyadic.short_relation), for this search and residues().
+  Then
   Q = q'*e_den*a_prev for the previous target p'/q', and at scale
   R = rho*q*Q the step's lo*a - x - eps' splits into a division by the
   short R/a_prev and one with the short quotient lo*d/rho.
@@ -57,7 +58,6 @@ from .dyadic import (
     format_ratio,
     residue_bits,
     residues,
-    short_relation,
 )
 from .errors import (
     DeltaUncertifiableError,
@@ -184,7 +184,8 @@ def _greedy_band_search(
     epsilon: Fraction,
     lo: Fraction,
     hi: Fraction,
-    rho: int = 1,
+    rho: int,
+    relation,
 ):
     """Intersect per-frequency bands ||alpha*a - x|| <= eps', keeping at each
     step the band whose center is nearest the current interval's center (ties
@@ -195,17 +196,18 @@ def _greedy_band_search(
     that band's q*e_den*a for x = p/q and eps' = e_num/e_den.  Every decision
     is an exact integer comparison (see the module docstring).
 
-    The step after such a full band of a_prev is a short one where
-    dyadic.short_relation finds rho*a = P*a_prev + d with P and d short:
-    it costs O(B) for B-bit frequencies.  Every other
-    step (the first, one after a clipped step, or a pair without a short
-    relation) makes one wide divmod, O(B^2).  Both make the same decisions,
-    so (lo, hi) does not depend on which ran."""
+    relation[n - 2] is the short relation rho*a_n = P*a_(n-1) + d of the
+    pair (a_(n-1), a_n), or None, as ThinnedSequence.relation stores it.
+    The step after a full band of a_(n-1) reads it and, where the pair has
+    one, is a short step, O(B) for B-bit frequencies.  Every other step
+    (the first, one after a clipped or an unchanged interval, or a pair
+    without a short relation) makes one wide divmod, O(B^2).  Both make
+    the same decisions, so (lo, hi) does not depend on which ran."""
     eps = epsilon * (1 - _SEARCH_SLACK)
     en, ed = eps.numerator, eps.denominator
     L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     Q = lo.denominator * hi.denominator
-    prev = q_prev = 0  # Q = q_prev*ed*prev while prev > 0
+    prev = q_prev = 0  # Q = q_prev*ed*prev, prev = a_(n-1), while prev > 0
     for n, (a, x) in enumerate(zip(frequencies, targets), start=1):
         p, q = x.numerator, x.denominator
         # At a scale R that is a positive multiple of Q*q:
@@ -214,7 +216,7 @@ def _greedy_band_search(
         # hi*a - x + eps' = base + (rem + w)/R for w = dA + E2.
         # A = q*ed*a is the denominator of this step's band.
         A = q * ed * a
-        rel = short_relation(prev, a, rho)
+        rel = relation[n - 2] if prev else None
         if rel is None:
             # the wide step: R = Q*q*ed, one wide division
             R = Q * q * ed
@@ -266,12 +268,13 @@ def _greedy_band_search(
         if not (keep_lo or keep_hi):
             L, H, Q = BL, BL + 2 * en * q, A
             prev, q_prev = a, q
-        elif keep_lo != keep_hi:
-            # one end clipped: bring both ends over Q*A (rare); the next
-            # step is a wide one
-            L = L * A if keep_lo else BL * Q
-            H = H * A if keep_hi else (BL + 2 * en * q) * Q
-            Q = Q * A
+        else:
+            if keep_lo != keep_hi:
+                # one end clipped: bring both ends over Q*A (rare)
+                L = L * A if keep_lo else BL * Q
+                H = H * A if keep_hi else (BL + 2 * en * q) * Q
+                Q = Q * A
+            # the interval is not the band of a: the next step is wide
             prev = 0
         if L > H:
             raise InfeasibleAtStepError(n)
@@ -325,7 +328,7 @@ def find_dilation(
             f"interval length {hi - lo} below (1+2*eps)/a~_1"
         )
     parent = thinned.parent
-    flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi, thinned.rho)
+    flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi, thinned.rho, thinned.relation)
     # the frequencies increase (the ratio precondition) and are parent terms
     precision = alpha_precision(parent.terms if parent is not None else freqs)
     alpha = DyadicReal.from_fraction((flo + fhi) / 2, precision)

@@ -45,11 +45,19 @@ def dy(num, den=1, bits=96):
 ONE = DyadicReal(1, 0)
 
 
-def explicit(terms, q=1):
-    """Explicit terms as residues() reads a window: each pair with its
-    short_relation at q, found when the ThinnedSequence is built."""
-    terms = tuple(terms)
-    return ThinnedSequence(parent=None, l=1, step=1, K=len(terms), terms=terms, xi=0.0, rho=q)
+class Explicit(ThinnedSequence):
+    """Explicit terms read at any q, right or wrong for them: a thinning
+    without a parent whose rho is q, so each pair carries its short_relation
+    at q, found when it is built, as residues() reads a window."""
+
+    def __init__(self, terms, q=1):
+        object.__setattr__(self, "q", q)
+        terms = tuple(terms)
+        super().__init__(parent=None, l=1, step=1, K=len(terms), terms=terms, xi=0.0)
+
+    @property
+    def rho(self):
+        return self.q
 
 
 def fraction_gaps(points):
@@ -232,11 +240,11 @@ class TestResidueForm:
         # arbitrary term list takes the q = 1 stream
         alpha = DyadicReal(m, e, 512)
         oracle = [alpha.to_fraction() * a % 1 for a in terms]
-        pts = DilatedSet(tuple(residues(alpha, explicit(terms))), -residue_bits(alpha))
+        pts = DilatedSet(tuple(residues(alpha, Explicit(terms))), -residue_bits(alpha))
         one = 1 << -pts.exponent
         assert len(pts) == len(terms)
         assert [Fraction(r, one) for r in pts.residues] == oracle
-        window = DilatedSet(tuple(residues(alpha, explicit(terms[i:j]))), pts.exponent)
+        window = DilatedSet(tuple(residues(alpha, Explicit(terms[i:j]))), pts.exponent)
         assert window == DilatedSet(pts.residues[i:j], pts.exponent)
         if oracle[i:j]:
             assert gap_report(window).max_gap.to_fraction() == max(fraction_gaps(oracle[i:j]))
@@ -273,7 +281,7 @@ class TestResidueRecurrence:
         ],
     )
     def test_matches_products(self, terms):
-        assert list(residues(self.ALPHA, explicit(terms))) == product_residues(self.ALPHA, terms)
+        assert list(residues(self.ALPHA, Explicit(terms))) == product_residues(self.ALPHA, terms)
 
     def test_loaded_file_with_one_bumped_term(self, tmp_path):
         path = tmp_path / "seq.txt"
@@ -313,7 +321,7 @@ class TestResidueRecurrence:
         for kind, v in steps:
             terms.append(terms[-1] * v if kind == "times" else v)
         alpha = DyadicReal(m, e, 1024)
-        assert list(residues(alpha, explicit(terms))) == product_residues(alpha, terms)
+        assert list(residues(alpha, Explicit(terms))) == product_residues(alpha, terms)
 
 
 RATIOS = [Fraction(5, 2), Fraction(3, 2), Fraction(7, 3), Fraction(11, 10), Fraction(3), Fraction(2)]
@@ -343,8 +351,8 @@ class TestOneRecurrence:
         assert residue_bits(alpha) == P
         want = product_residues(alpha, terms)
         assert list(residues(alpha, seq)) == want
-        assert list(residues(alpha, explicit(terms, r.denominator))) == want
-        assert list(residues(alpha, explicit(terms, wrong_q))) == want
+        assert list(residues(alpha, Explicit(terms, r.denominator))) == want
+        assert list(residues(alpha, Explicit(terms, wrong_q))) == want
 
     @pytest.mark.parametrize("r", RATIOS)
     def test_several_blocks_at_the_dilation_precision(self, r):
@@ -357,8 +365,8 @@ class TestOneRecurrence:
         alpha = DyadicReal.from_fraction(Fraction(7, 10), P)
         want = product_residues(alpha, terms)
         assert list(residues(alpha, seq)) == want
-        assert list(residues(alpha, explicit(terms, r.denominator))) == want
-        assert list(residues(alpha, explicit(terms))) == want
+        assert list(residues(alpha, Explicit(terms, r.denominator))) == want
+        assert list(residues(alpha, Explicit(terms))) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -390,8 +398,8 @@ class TestOneRecurrence:
                 terms[i] = v
         alpha = DyadicReal(m, -P, 4096)
         want = product_residues(alpha, terms)
-        assert list(residues(alpha, explicit(terms, r.denominator))) == want
-        assert list(residues(alpha, explicit(terms, q))) == want
+        assert list(residues(alpha, Explicit(terms, r.denominator))) == want
+        assert list(residues(alpha, Explicit(terms, q))) == want
 
     def test_dilate_passes_the_ratio_denominator(self, monkeypatch):
         # a sequence steps by its rho = den(r), a thinning by den(r)^step;
@@ -412,8 +420,8 @@ class TestOneRecurrence:
             th = thin(seq, 2048)
             alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
             e = -residue_bits(alpha)
-            assert dilate(alpha, seq) == DilatedSet(tuple(real(alpha, explicit(seq.terms))), e)
-            assert dilate(alpha, th) == DilatedSet(tuple(real(alpha, explicit(th.terms))), e)
+            assert dilate(alpha, seq) == DilatedSet(tuple(real(alpha, Explicit(seq.terms))), e)
+            assert dilate(alpha, th) == DilatedSet(tuple(real(alpha, Explicit(th.terms))), e)
             assert seen == [r.denominator, r.denominator**th.step]
 
 

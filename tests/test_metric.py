@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -340,7 +339,7 @@ class TestSmoothCounts:
         assert seen == [2**th.step] * 2
         monkeypatch.setattr(
             metric, "residues",
-            lambda alpha, seq, *window: real(alpha, dataclasses.replace(seq, rho=1), *window),
+            lambda alpha, seq, *window: real(alpha, ThinnedSequence(None, 1, 1, seq.K, seq.terms, 0.0), *window),
         )
         assert counts() == got
 

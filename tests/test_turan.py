@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lacuna import turan
 from lacuna.cf import dist_to_int
-from lacuna.dyadic import DyadicReal, dilate, gap_report
+from lacuna.dyadic import DyadicReal, dilate, gap_report, short_relation
 from lacuna.errors import (
     DeltaUncertifiableError,
     EpsilonDomainError,
@@ -103,6 +103,30 @@ def wide_band_search(frequencies, targets, epsilon, lo, hi):
         if L > H:
             raise InfeasibleAtStepError(n)
     return Fraction(L, Q), Fraction(H, Q)
+
+
+class ReadLog(tuple):
+    """A relation tuple that logs each read as (pair index, whether the
+    pair's relation is short): the search reads a pair's relation only
+    after a full band of its first term, so a test can tell short steps
+    from wide ones."""
+
+    def __new__(cls, relation, log):
+        self = super().__new__(cls, relation)
+        self.log = log
+        return self
+
+    def __getitem__(self, i):
+        rel = super().__getitem__(i)
+        self.log.append((i, rel is not None))
+        return rel
+
+
+def greedy(freqs, xs, eps, lo, hi, rho=1, log=None):
+    """_greedy_band_search over explicit frequencies, with each pair's short
+    relation at rho as a ThinnedSequence stores it; log collects the reads."""
+    rel = tuple(short_relation(a, b, rho) for a, b in itertools.pairwise(freqs))
+    return _greedy_band_search(freqs, xs, eps, lo, hi, rho, ReadLog(rel, [] if log is None else log))
 
 
 def search_outcome(search, *args):
@@ -329,7 +353,7 @@ class TestIntegerBandSearch:
         xs = [x for _, x in steps]
         hi = lo + width
         want = search_outcome(fraction_band_search, freqs, xs, eps, lo, hi)
-        got = search_outcome(_greedy_band_search, freqs, xs, eps, lo, hi)
+        got = search_outcome(greedy, freqs, xs, eps, lo, hi)
         assert got == want
 
     @pytest.mark.parametrize(
@@ -357,10 +381,10 @@ class TestIntegerBandSearch:
     )
     def test_ties_clips_and_failures(self, freqs, xs, eps, lo, hi):
         want = search_outcome(fraction_band_search, freqs, xs, eps, lo, hi)
-        assert search_outcome(_greedy_band_search, freqs, xs, eps, lo, hi) == want
+        assert search_outcome(greedy, freqs, xs, eps, lo, hi) == want
 
     def test_tie_goes_to_lower_alpha(self):
-        lo, hi = _greedy_band_search((1,), (Fraction(0),), Fraction(1, 10), Fraction(0), Fraction(3))
+        lo, hi = greedy((1,), (Fraction(0),), Fraction(1, 10), Fraction(0), Fraction(3))
         assert lo < 1 < hi
 
     @pytest.mark.parametrize("r,N", [(Fraction(3), 512), (Fraction(5, 2), 512), (Fraction(2), 256)])
@@ -370,7 +394,7 @@ class TestIntegerBandSearch:
         xs = [Fraction(j, th.K) for j in range(th.K)]
         eps = turan.block_epsilon(seq, N)
         args = (th.terms, xs, eps, Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2))
-        assert _greedy_band_search(*args) == fraction_band_search(*args)
+        assert greedy(*args) == fraction_band_search(*args)
 
 
 class TestRatioPrecondition:
@@ -447,23 +471,6 @@ class TestCertificateJson:
         assert abs(Fraction(Decimal(d["delta_lower"])) - delta) * 10**39 <= delta
 
 
-@pytest.fixture
-def relations(monkeypatch):
-    """Records, step by step, the term before each step (0 after a clipped
-    step or at the first) and whether the search found a short relation, so
-    a test can tell short steps from wide ones."""
-    seen = []
-    real = turan.short_relation
-
-    def spy(prev, a, rho):
-        rel = real(prev, a, rho)
-        seen.append((prev, rel is not None))
-        return rel
-
-    monkeypatch.setattr(turan, "short_relation", spy)
-    return seen
-
-
 def short_chain(data, rho, first_bits, length, eps):
     """Terms whose neighbours satisfy rho*a_{k+1} = P*a_k + d with P/rho at
     least 1/eps + 2 and d short: a_{k+1} = ceil((P*a_k + d)/rho)."""
@@ -494,11 +501,12 @@ class TestShortStep:
         xs = [data.draw(small_fractions) for _ in terms]
         hi = lo + (1 + 2 * eps) / terms[0]
         want = search_outcome(wide_band_search, terms, xs, eps, lo, hi)
-        assert search_outcome(_greedy_band_search, terms, xs, eps, lo, hi, rho) == want
+        assert search_outcome(greedy, terms, xs, eps, lo, hi, rho) == want
 
-    def test_random_short_chains_take_the_short_step(self, relations):
+    def test_random_short_chains_take_the_short_step(self):
         # chains built as short_chain builds them run short steps, not only
         # wide ones
+        reads = []
         rng = random.Random(3)
         for rho in (1, 2, 4, 3, 9):
             terms = [rng.getrandbits(64) | 1]
@@ -506,25 +514,27 @@ class TestShortStep:
                 terms.append(-(-(rng.randint(40 * rho, 400 * rho) * terms[-1] + rng.getrandbits(32)) // rho))
             xs = [Fraction(rng.randint(0, 9), 10) for _ in terms]
             args = (terms, xs, Fraction(1, 30), Fraction(0), Fraction(1))
-            assert _greedy_band_search(*args, rho) == wide_band_search(*args)
-        assert sum(short for _, short in relations) >= 5 * 25
+            assert greedy(*args, rho, reads) == wide_band_search(*args)
+        assert sum(short for _, short in reads) >= 5 * 25
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(2), Fraction(5, 2), Fraction(3, 2), Fraction(11, 10)])
     @pytest.mark.parametrize("N", [512, 8192])
-    def test_find_alpha_bands_match_the_wide_search(self, r, N, relations):
+    def test_find_alpha_bands_match_the_wide_search(self, r, N):
         seq = geometric_sequence(r, N)
         th = thin(seq, N)
         xs = [Fraction(j, th.K) for j in range(th.K)]
         eps = turan.block_epsilon(seq, N)
-        rho = r.denominator ** th.step
+        assert th.rho == r.denominator ** th.step
+        reads = []
         for lo, hi in [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(9, 14))]:
             args = (th.terms, xs, eps, lo, hi)
-            assert _greedy_band_search(*args, rho) == wide_band_search(*args)
+            rel = ReadLog(th.relation, reads)
+            assert _greedy_band_search(*args, th.rho, rel) == wide_band_search(*args)
         # every step after the first is short, except at r = 11/10: there
         # step = 11*floor(ln N) and rho = 10^step pass 64 bits, so every step
         # is wide
         expected = 0 if r == Fraction(11, 10) else 2 * (th.K - 1)
-        assert sum(short for _, short in relations) == expected
+        assert sum(short for _, short in reads) == expected
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2), Fraction(3, 2)])
     def test_shifted_intervals_of_find_dilation_block(self, r, monkeypatch):
@@ -543,29 +553,34 @@ class TestShortStep:
         for lo in (Fraction(1, 3), Fraction(5, 7), Fraction(1, 10**6)):
             find_dilation_block(seq, N, (lo, lo + Fraction(4, a_N)))
         assert len(calls) == 3
-        for (freqs, xs, eps, lo, hi, rho), out in calls:
-            assert rho == r.denominator ** thin_block(seq, N).step
+        th = thin_block(seq, N)
+        for (freqs, xs, eps, lo, hi, rho, rel), out in calls:
+            assert rho == r.denominator ** th.step
+            assert rel == th.relation
             assert out == wide_band_search(freqs, xs, eps, lo, hi)
 
-    def test_clipped_step_then_short_steps(self, relations):
+    def test_clipped_step_then_short_steps(self):
         # the first band sticks out below lo (hi is clipped), so the second
         # step is wide; from the third on the steps are short again
         freqs = (1, 30, 900, 27000, 810000)
         xs = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(2, 3))
         args = (freqs, xs, Fraction(1, 10), Fraction(1, 20), Fraction(1, 2))
-        assert _greedy_band_search(*args) == wide_band_search(*args) == fraction_band_search(*args)
-        assert relations == [(0, False), (0, False), (30, True), (900, True), (27000, True)]
+        reads = []
+        assert greedy(*args, log=reads) == wide_band_search(*args) == fraction_band_search(*args)
+        # the pairs (30, 900), (900, 27000) and (27000, 810000)
+        assert reads == [(1, True), (2, True), (3, True)]
 
-    def test_clip_mid_run_then_short_steps(self, relations):
+    def test_clip_mid_run_then_short_steps(self):
         # the bands of 3 and of 7 each stick out above hi, so the first three
         # steps are wide; the band of 70 lies inside, and the fourth is short
         freqs = (3, 7, 70, 700)
         xs = (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(0))
         args = (freqs, xs, Fraction(1, 4), Fraction(1, 10), Fraction(1, 3))
-        assert _greedy_band_search(*args) == wide_band_search(*args) == fraction_band_search(*args)
-        assert relations == [(0, False), (0, False), (0, False), (70, True)]
+        reads = []
+        assert greedy(*args, log=reads) == wide_band_search(*args) == fraction_band_search(*args)
+        assert reads == [(2, True)]  # the pair (70, 700)
 
-    def test_one_bumped_term_falls_back_to_the_wide_step(self, relations):
+    def test_one_bumped_term_falls_back_to_the_wide_step(self):
         seq = geometric_sequence(Fraction(3), 2048)
         th = thin(seq, 2048)
         terms = list(th.terms)
@@ -574,10 +589,12 @@ class TestShortStep:
         xs = [Fraction(j, th.K) for j in range(th.K)]
         eps = turan.block_epsilon(seq, 2048)
         args = (terms, xs, eps, Fraction(0), Fraction(1))
-        assert _greedy_band_search(*args, 1) == wide_band_search(*args)
-        short = [s for _, s in relations]
-        # the steps into and out of the bumped term are wide, the rest short
-        assert short == [False] + [True] * (k - 1) + [False, False] + [True] * (len(terms) - k - 2)
+        reads = []
+        assert greedy(*args, 1, reads) == wide_band_search(*args)
+        short = [s for _, s in reads]
+        # every step after the first reads its pair; the steps into and out
+        # of the bumped term are wide, the rest short
+        assert short == [True] * (k - 1) + [False, False] + [True] * (len(terms) - k - 2)
         # and the certificate of the bumped list passes its postcondition
         bumped = ThinnedSequence(seq, th.l, th.step, th.K, tuple(terms), th.xi)
         cert = find_dilation(bumped, xs, eps)
