@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .dyadic import DyadicReal
-from .errors import CfPrecisionExhaustedError, InsufficientDepthError
+from .errors import CfPrecisionExhaustedError, InsufficientDepthError, MalformedValueError
 
 _LN2 = math.log(2)
 
@@ -315,7 +315,7 @@ def expand(x, depth: int) -> ContinuedFraction:
     Accepts Fraction (exact, may terminate), QuadraticReal (exact periodic) or
     DyadicReal (horizon-checked)."""
     if depth < 1:
-        raise ValueError("depth must be positive")
+        raise MalformedValueError(f"malformed-value: depth must be positive, got {depth}")
     if isinstance(x, QuadraticReal):
         return _expand_quadratic(x, depth)
     if isinstance(x, Fraction):

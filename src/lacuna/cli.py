@@ -19,7 +19,7 @@ from . import cf as cf_mod
 from . import littlewood as lw
 from . import metric
 from .dyadic import DyadicReal, alpha_precision, dilate, gap_report
-from .errors import LacunaError, MalformedValueError, NOutOfRangeError
+from .errors import EpsilonDomainError, LacunaError, MalformedValueError, NOutOfRangeError
 from .nested import build_nested_alpha, gap_bound
 from .sequences import geometric_sequence, load_sequence, smallest_l, thin
 from .turan import find_alpha
@@ -57,6 +57,8 @@ def _load_config_defaults(argv):
 
 
 def _build_seq(args, n_terms: int):
+    if n_terms < 1:
+        raise NOutOfRangeError(f"N-out-of-range: need N >= 1, got {n_terms}")
     if getattr(args, "seq", None):
         return load_sequence(args.seq)
     return geometric_sequence(_value(args.r), n_terms)
@@ -145,9 +147,12 @@ def _cmd_metric_scan(a):
 
 
 def _cmd_moment_check(a):
+    eps = _value(a.eps).limit_denominator(1000)
+    if eps <= 0:
+        raise EpsilonDomainError(f"epsilon-domain: --eps {a.eps} rounds to {eps}, need > 0")
     seq = _build_seq(a, a.n)
     thinned = thin(seq, a.n)
-    params = metric.MetricParameters.for_n(a.n, _value(a.eps).limit_denominator(1000))
+    params = metric.MetricParameters.for_n(a.n, eps)
     res = metric.exp_moment_check(
         thinned,
         float(_value(a.t)),

@@ -17,16 +17,13 @@ binary expansion instead.)
 
 residues() takes one recurrence for both sequence types, and never divides
 a term by a term.  A sequence hands it the window as steps: each term's
-relation q * a_{n+1} = p_n * a_n + delta_n to the one before, with q the
-sequence's rho, and the term itself where it is at hand.  A
-LacunarySequence stores the relation (p_n = p, the numerator of its ratio,
-and delta_n >= 0) and has its terms at hand only at checkpoints; a
-ThinnedSequence has every term and stores short_relation of each pair,
-found once when it is built.  Where p_n and delta_n are short, the next
-residue follows from the last by a short multiply-add and an exact
-division by q.  A step without a relation takes the full product m * a;
-for an even q, so does the first term at hand after each block of about
-sqrt(P) steps.
+relation q * a_{n+1} = p * a_n + delta_n to the one before, with p/q the
+sequence's ratio (r for a LacunarySequence, r^step for a thinning of it, 1
+for a list of terms), and the term itself at checkpoints.  The next residue
+follows from the last by a multiply-add and an exact division by q, short
+wherever p and delta_n are; the full product m * a is taken at the window's
+first term and, for an even q, at the first checkpoint after each block of
+about sqrt(P) steps.
 """
 
 from __future__ import annotations
@@ -259,61 +256,40 @@ def residue_bits(alpha: DyadicReal) -> int:
     return max(-alpha.exponent, 0)
 
 
-# a relation rho * a = p * prev + delta is short when rho * a has at most this
-# many bits more than prev and delta fits them: the test is one short
-# division, and a step that reads the relation a short multiply-add
-_RATIO_BITS = 64
-
-
-def short_relation(prev: int, a: int, rho: int) -> tuple[int, int] | None:
-    """(p, delta) = divmod(rho * a, prev) when prev > 0 and both are short,
-    so that rho * a = p * prev + delta; None otherwise.
-
-    The one test of whether a step may read its term from the one before:
-    a ThinnedSequence stores it for residues(), and the band search of
-    lacuna.turan takes its short step there."""
-    if prev <= 0:
-        return None
-    ra = rho * a if rho != 1 else a
-    if ra.bit_length() - prev.bit_length() > _RATIO_BITS:
-        return None
-    p, delta = divmod(ra, prev)
-    return None if delta >> _RATIO_BITS else (p, delta)
-
-
 def residues(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> Iterator[int]:
     """The dilates {alpha * a_n} of a_start..a_stop (1-based, inclusive;
-    stop=None: to the last term) of a LacunarySequence or a ThinnedSequence,
-    scaled by 2^P, one at a time: m * a_n mod 2^P for alpha = m * 2^-P,
-    P = residue_bits(alpha).
+    stop=None: to the last term) of a sequence (a lacuna.sequences
+    Recurrence: a LacunarySequence or a ThinnedSequence), scaled by 2^P, one
+    at a time: m * a_n mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).
 
     seq.steps(start, stop) gives each term n after the first with its
-    relation q * a_n = p_n * a_(n-1) + d_n, q = seq.rho, so that, with
-    X_n = m * a_n, q * X_n = p_n * X_(n-1) + d_n * m: X_n follows from
+    relation q * a_n = p * a_(n-1) + d_n, q = seq.rho, so that, with
+    X_n = m * a_n, q * X_n = p * X_(n-1) + d_n * m: X_n follows from
     X_(n-1) by a multiply-add and an exact division by q = 2^s * q', q' odd:
     a shift by s, and for q' > 1 divmod(W, q) = (Q, R) and X_n = Q +
-    (R >> s) * q'^-1 mod 2^K, a short division and a short multiple.  Each
-    shift loses s low bits of the modulus, so X is carried mod 2^K, and for
-    s > 0 a block starts again from one product m * a_n at the first term at
-    hand after b = max(isqrt(P) // s, 1) steps.  A sequence has a term at
-    hand at least every seq.stride steps, so no block runs past
-    b + stride - 1 steps and K = P + s * (b + stride - 1) suffices.  Odd q
-    (q = 1 for integer ratios) loses no bit and runs as one block from the
-    window's first term.  A step without a relation (a pair of a thinning
-    with no short relation) takes the product and starts a new block."""
+    (R >> s) * q'^-1 mod 2^K, a short division and a short multiple.  The
+    product m * a_n is taken only at the window's first term and, for s > 0,
+    where a block starts again: each shift loses s low bits of the modulus,
+    so X is carried mod 2^K, and a new block starts from m * a_n at the
+    first checkpoint after b = max(isqrt(P) // s, 1) steps.  Checkpoints lie
+    seq.stride apart, so no block runs past b + stride - 1 steps and K = P +
+    s * (b + stride - 1) suffices.  Odd q (q = 1 for integer ratios) loses no
+    bit and runs as one block from the window's first term.  Every integer
+    d_n of either sign is exact."""
     P = residue_bits(alpha)
     mask = (1 << P) - 1
     m = alpha.mantissa
     q = seq.rho
     s = _ctz(q)
     odd = q >> s
-    block = max(math.isqrt(P) // s, 1) if s else 0
+    # odd q: one block, never started again
+    block = max(math.isqrt(P) // s, 1) if s else len(seq)
     K = P + s * (block + seq.stride - 1)
     wide = (1 << K) - 1
     inv = pow(odd, -1, 1 << K)
-    x = left = 0
+    x = left = 0  # left: steps before the block may start again
     for a, rel in seq.steps(start, stop):
-        if rel is None or (s and left <= 0 and a is not None):
+        if left <= 0 and a is not None:
             x = (m * a) & wide
             left = block
         else:

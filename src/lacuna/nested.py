@@ -97,7 +97,7 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
     with directly verified per-block gaps.  Raises GapBoundExceededError when
     a block's verified gap exceeds gap_bound(l, N_k)."""
     if not (1 <= k_start <= k_end):
-        raise ValueError("need 1 <= k_start <= k_end")
+        raise NOutOfRangeError(f"N-out-of-range: need 1 <= k_start <= k_end, got {k_start}, {k_end}")
     l = smallest_l(seq.growth_factor_r)
     precision = alpha_precision(seq.terms[: 2 * 4**k_end])
 

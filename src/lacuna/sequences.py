@@ -4,35 +4,36 @@ A sequence is lacunary with growth factor r > 1 when a_{n+1} >= r * a_n for all
 n.  A LacunarySequence checks both when it is built, so every instance is
 lacunary, and it is the one owner of what follows from its ratio: rho, the
 denominator of r, is the q of the residue recurrence q * a_{n+1} =
-p_n * a_n + delta_n (lacuna.dyadic.residues), and a thinning with step k
-steps by rho^k.
+p * a_n + delta_n (lacuna.dyadic.residues).
 
-A LacunarySequence is stored as that recurrence: with r = p/q it keeps
-delta_n = q * a_{n+1} - p * a_n for n < N and a checkpoint a_n at every
-stride-th term, stride = ceil(sqrt(N)), never the N wide terms.  So it holds
-O(N) short integers and O(sqrt(N)) wide ones; a_{n+1} >= r * a_n is
-delta_n >= 0, N short comparisons; and seq.terms is a read-only view that
-computes a_{n+1} = (p * a_n + delta_n) / q from the nearest checkpoint.
-geometric_sequence streams its terms once and keeps only the checkpoints.
+Both sequence types are stored as that recurrence (Recurrence): with r = p/q
+a sequence keeps delta_n = q * a_{n+1} - p * a_n for n < N and a checkpoint
+a_n at every stride-th term, stride = ceil(sqrt(N)), never the N wide terms.
+So it holds O(N) short integers and O(sqrt(N)) wide ones, and seq.terms is a
+read-only view that computes a_{n+1} = (p * a_n + delta_n) / q from the
+nearest checkpoint.  For a LacunarySequence a_{n+1} >= r * a_n is delta_n >=
+0, N short comparisons.  geometric_sequence streams its terms once and keeps
+only the checkpoints.
 
 The thinned subsequence a~_n = a_{n*step} with step = l * floor(ln N) (l the
 smallest integer with r^l > e) has consecutive ratios exceeding N^xi with
 xi = l*ln r > 1, which is what makes small integer combinations of its terms
-linearly independent.  A ThinnedSequence holds its K terms and, once, the
-short relation of each to the one before.
+linearly independent.  It is lacunary with ratio r^step, so a
+ThinnedSequence is the same recurrence at r^step, with rho = q^step and
+delta~_n = q^step * a~_{n+1} - p^step * a~_n.  A list of terms without a
+parent is kept at ratio 1: delta_n = a_{n+1} - a_n, of any sign.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, pairwise, repeat
+from itertools import chain, islice, repeat
 
 import mpmath as mp
 
-from .dyadic import short_relation
 from .errors import (
     MalformedSequenceFileError,
     NBelowThresholdError,
@@ -90,14 +91,32 @@ def _first_descent(deltas) -> int | None:
     return next(n + 2 for n, d in enumerate(deltas) if d < 0)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class LacunarySequence:
-    """Positive terms with a_{n+1} >= r * a_n and r > 1, checked here;
-    NotLacunaryError names the first a_n that breaks the ratio.
+def _recurrence(terms, r: Fraction, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(deltas, checkpoints) of n integer terms at the ratio r = p/q, in one
+    pass over them: delta_k = q * a_(k+1) - p * a_k, and every stride-th
+    term from the first."""
+    p, q = r.numerator, r.denominator
+    c = _stride(n)
+    deltas, checkpoints = [], []
+    for i, a in enumerate(terms):
+        if i:
+            # an integer ratio takes a_(k+1) itself, not a full-width a_(k+1)*1
+            deltas.append((a if q == 1 else q * a) - p * prev)
+        if i % c == 0:
+            checkpoints.append(a)
+        prev = a
+    return tuple(deltas), tuple(checkpoints)
 
-    Built from explicit terms, LacunarySequence(terms, r); kept as its
-    recurrence (see the module docstring): deltas[n - 1] = q * a_{n+1} -
-    p * a_n, and checkpoints[k] = a_{k * stride + 1}."""
+
+@dataclass(frozen=True, init=False, repr=False)
+class Recurrence:
+    """Integer terms a_1..a_N kept as their recurrence at a ratio r = p/q:
+    deltas[n - 1] = q * a_{n+1} - p * a_n, of any sign, and checkpoints[k] =
+    a_{k * stride + 1}, stride = ceil(sqrt(N)).  Every ratio describes
+    every list of integers; the ratio a list grows by keeps its deltas
+    short.  Built from explicit terms, Recurrence(terms, r).  The terms are
+    read through seq.terms, and lacuna.dyadic.residues reads the window as
+    seq.steps gives it."""
 
     growth_factor_r: Fraction
     deltas: tuple[int, ...]
@@ -105,29 +124,17 @@ class LacunarySequence:
 
     def __init__(self, terms, growth_factor_r):
         r = Fraction(growth_factor_r)
-        p, q = r.numerator, r.denominator
         terms = tuple(terms)
-        # an integer ratio takes a_(n+1) itself, not a full-width a_(n+1)*1
-        deltas = tuple((b if q == 1 else q * b) - p * a for a, b in pairwise(terms))
-        self._build(r, deltas, terms[:: _stride(len(terms))])
+        self._build(r, *_recurrence(terms, r, len(terms)))
 
     @classmethod
-    def _from_recurrence(cls, r: Fraction, deltas, checkpoints) -> LacunarySequence:
+    def _from_recurrence(cls, r: Fraction, deltas, checkpoints):
         seq = cls.__new__(cls)
         seq._build(r, tuple(deltas), tuple(checkpoints))
         return seq
 
     def _build(self, r: Fraction, deltas, checkpoints) -> None:
-        if r <= 1:
-            raise NotLacunaryError(f"growth factor {r} is not > 1")
-        if not checkpoints or checkpoints[0] <= 0:
-            raise NotLacunaryError("not-lacunary: terms must be nonempty and positive")
-        bad = _first_descent(deltas)  # with a_1 > 0, every term is positive
-        if bad is not None:
-            raise NotLacunaryError(f"a_{bad} < {r} * a_{bad - 1}")
-        object.__setattr__(self, "growth_factor_r", r)
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "checkpoints", checkpoints)
+        vars(self).update(growth_factor_r=r, deltas=deltas, checkpoints=checkpoints)
 
     @property
     def rho(self) -> int:
@@ -140,10 +147,10 @@ class LacunarySequence:
         return _stride(len(self))
 
     def __len__(self):
-        return len(self.deltas) + 1
+        return len(self.deltas) + 1 if self.checkpoints else 0
 
     def __repr__(self):
-        return f"LacunarySequence(r={self.growth_factor_r}, N={len(self)})"
+        return f"{type(self).__name__}(r={self.growth_factor_r}, N={len(self)})"
 
     @property
     def terms(self) -> TermsView:
@@ -186,9 +193,28 @@ class LacunarySequence:
         return chain(((next(self._stream(start - 1)), None),), zip(known, rels))
 
 
+@dataclass(frozen=True, init=False, repr=False)
+class LacunarySequence(Recurrence):
+    """Positive terms with a_{n+1} >= r * a_n and r > 1, kept as their
+    recurrence at r and checked here: r > 1, a_1 > 0 and every delta_n >= 0;
+    NotLacunaryError names the first a_n that breaks the ratio.
+
+    Built from explicit terms, LacunarySequence(terms, r)."""
+
+    def _build(self, r: Fraction, deltas, checkpoints) -> None:
+        if r <= 1:
+            raise NotLacunaryError(f"growth factor {r} is not > 1")
+        if not checkpoints or checkpoints[0] <= 0:
+            raise NotLacunaryError("not-lacunary: terms must be nonempty and positive")
+        bad = _first_descent(deltas)  # with a_1 > 0, every term is positive
+        if bad is not None:
+            raise NotLacunaryError(f"a_{bad} < {r} * a_{bad - 1}")
+        super()._build(r, deltas, checkpoints)
+
+
 class TermsView(Sequence):
-    """The terms of a LacunarySequence at some indices, read-only and computed
-    on demand: len, a_n by index (stepped from the checkpoint below it),
+    """The terms of a Recurrence at some indices, read-only and computed on
+    demand: len, a_n by index (stepped from the checkpoint below it),
     iteration (one pass, each term from the one before) and forward slices,
     which are views again.  It equals any sequence of the same terms.  A
     slice that ends past the last term raises SequenceTooShortError naming
@@ -196,7 +222,7 @@ class TermsView(Sequence):
 
     __slots__ = ("_seq", "_idx")
 
-    def __init__(self, seq: LacunarySequence, idx: range):
+    def __init__(self, seq: Recurrence, idx: range):
         self._seq = seq
         self._idx = idx
 
@@ -229,36 +255,26 @@ class TermsView(Sequence):
         return f"TermsView({self._seq!r}, {self._idx})"
 
 
-@dataclass(frozen=True)
-class ThinnedSequence:
+@dataclass(frozen=True, init=False, repr=False)
+class ThinnedSequence(Recurrence):
+    """K terms a~_n = parent term index_offset + n*step (1-based), kept as
+    their recurrence at the parent's ratio r^step, so rho = den(r)^step;
+    without a parent, at ratio 1, so rho = 1 and delta_n = a~_(n+1) - a~_n.
+    The terms are any iterable of K integers, read once."""
+
     parent: LacunarySequence | None
     l: int
     step: int
     K: int
-    terms: tuple[int, ...]
     xi: float
-    index_offset: int = 0  # a~_n = parent term at index_offset + n*step (1-based)
-    # short_relation(a~_n, a~_(n+1), rho) for each n < K: (P_n, D_n) with
-    # rho * a~_(n+1) = P_n * a~_n + D_n, or None where the pair has none
-    relation: tuple = field(init=False, repr=False, compare=False)
+    index_offset: int
 
-    stride = 1  # every term is at hand
-
-    @property
-    def rho(self) -> int:
-        """den(r)^step, the q of the residue recurrence across one thinned
-        step; 1 without a parent."""
-        return self.parent.rho**self.step if self.parent is not None else 1
-
-    def __post_init__(self):
-        rel = tuple(short_relation(a, b, self.rho) for a, b in pairwise(self.terms))
-        object.__setattr__(self, "relation", rel)
-
-    def steps(self, start: int = 1, stop: int | None = None):
-        """The window a~_start..a~_stop as LacunarySequence.steps gives it:
-        every term, with its stored relation to the one before."""
-        _require(len(self.terms), stop)
-        return zip(self.terms[start - 1 : stop], chain((None,), islice(self.relation, start - 1, None)))
+    def __init__(self, parent, l, step, K, terms, xi, index_offset=0):
+        r = parent.growth_factor_r**step if parent is not None else Fraction(1)
+        self._build(r, *_recurrence(terms, r, K))
+        if K < 1 or len(self) != K:
+            raise ValueError(f"need K >= 1 terms, got {len(self)} for K = {K}")
+        vars(self).update(parent=parent, l=l, step=step, K=K, xi=xi, index_offset=index_offset)
 
 
 def smallest_l(r: Fraction) -> int:
@@ -349,9 +365,8 @@ def _thin(seq: LacunarySequence, N: int, offset: int) -> ThinnedSequence:
     K = _floor_quotient(N, l)
     if step < 1 or K < 1:
         raise NBelowThresholdError(f"N-below-threshold: N={N} gives step={step}, K={K}")
-    terms = tuple(window[step - 1 : K * step : step])
     xi = l * float(ln_lower(seq.growth_factor_r))
-    return ThinnedSequence(seq, l, step, K, terms, xi, index_offset=offset)
+    return ThinnedSequence(seq, l, step, K, window[step - 1 : K * step : step], xi, offset)
 
 
 def save_sequence(path, seq: LacunarySequence) -> None:

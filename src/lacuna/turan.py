@@ -27,17 +27,14 @@ Every decision is an integer comparison; no Fraction is built per step.
   the one the rational arithmetic makes, and alpha is the same.
 - A step costs O(B) for B-bit frequencies, not the O(B^2) of one wide
   divmod, wherever the interval is the band of the previous frequency
-  a_prev (after every step but the first and the rare clipped ones) and the
-  pair has a short relation rho*a = P*a_prev + d, with rho = den(r)^step
-  for a thinning of a sequence of ratio r: the ThinnedSequence stores it
-  once per pair (dyadic.short_relation), for this search and residues().
-  Then
-  Q = q'*e_den*a_prev for the previous target p'/q', and at scale
-  R = rho*q*Q the step's lo*a - x - eps' splits into a division by the
-  short R/a_prev and one with the short quotient lo*d/rho.
-  The data alone picks the step: pairs without such a relation (loaded term
-  lists that are not geometric, a bumped term, ratios or a rho past 2^64,
-  as for r = 11/10, where step = 11*floor(ln N)) keep the wide divmod.
+  a_prev, which holds after every step but the first and the rare clipped
+  or unchanged ones.  The step reads the pair's relation rho*a = P*a_prev +
+  d that the ThinnedSequence stores: its ratio P/rho is r^step for a
+  thinning of a sequence of ratio r (1 for a list of terms), and d is its
+  delta of any sign.  Then Q = q'*e_den*a_prev for the previous target
+  p'/q', and at scale R = rho*q*Q the step's lo*a - x - eps' splits into a
+  division by the short R/a_prev and one with the short quotient
+  lo*d/rho.  Every other step keeps the wide divmod.
 - The postcondition reads the residue stream: for alpha = m*2^-P and
   res = m*a mod 2^P, {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P),
   exact because q*m*a and q*res agree mod q*2^P.  Its distance to the
@@ -93,10 +90,9 @@ class TuranParameters:
 
 @dataclass(frozen=True)
 class Constraint:
-    """||alpha*frequency - target|| = achieved_num/achieved_den, kept
-    unreduced; the Fraction is built only when read."""
+    """||alpha*a~_n - target|| = achieved_num/achieved_den for constraint n,
+    kept unreduced; the Fraction is built only when read."""
 
-    frequency: int
     target: Fraction
     achieved_num: int
     achieved_den: int
@@ -173,8 +169,6 @@ def delta_lower_bound(thinned: ThinnedSequence, M: int) -> int:
         if best is None or margin < best:
             best = margin
         prefix += a
-    if best is None:
-        raise ValueError("thinned sequence has no terms")
     return best
 
 
@@ -184,8 +178,8 @@ def _greedy_band_search(
     epsilon: Fraction,
     lo: Fraction,
     hi: Fraction,
-    rho: int,
-    relation,
+    ratio: Fraction,
+    deltas,
 ):
     """Intersect per-frequency bands ||alpha*a - x|| <= eps', keeping at each
     step the band whose center is nearest the current interval's center (ties
@@ -196,17 +190,18 @@ def _greedy_band_search(
     that band's q*e_den*a for x = p/q and eps' = e_num/e_den.  Every decision
     is an exact integer comparison (see the module docstring).
 
-    relation[n - 2] is the short relation rho*a_n = P*a_(n-1) + d of the
-    pair (a_(n-1), a_n), or None, as ThinnedSequence.relation stores it.
-    The step after a full band of a_(n-1) reads it and, where the pair has
-    one, is a short step, O(B) for B-bit frequencies.  Every other step
-    (the first, one after a clipped or an unchanged interval, or a pair
-    without a short relation) makes one wide divmod, O(B^2).  Both make
-    the same decisions, so (lo, hi) does not depend on which ran."""
+    ratio = P/rho and deltas[n - 2] = d give the relation rho*a_n =
+    P*a_(n-1) + d of the pair (a_(n-1), a_n), as a ThinnedSequence stores
+    it.  The step after a full band of a_(n-1) reads it: a short step, O(B)
+    for B-bit frequencies and short P, rho and d, and exact for any integer
+    d.  Every other step (the first, or one after a clipped or an unchanged
+    interval) makes one wide divmod, O(B^2).  Both make the same decisions,
+    so (lo, hi) does not depend on which ran."""
     eps = epsilon * (1 - _SEARCH_SLACK)
     en, ed = eps.numerator, eps.denominator
     L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     Q = lo.denominator * hi.denominator
+    P, rho = ratio.numerator, ratio.denominator
     prev = q_prev = 0  # Q = q_prev*ed*prev, prev = a_(n-1), while prev > 0
     for n, (a, x) in enumerate(zip(frequencies, targets), start=1):
         p, q = x.numerator, x.denominator
@@ -216,8 +211,7 @@ def _greedy_band_search(
         # hi*a - x + eps' = base + (rem + w)/R for w = dA + E2.
         # A = q*ed*a is the denominator of this step's band.
         A = q * ed * a
-        rel = relation[n - 2] if prev else None
-        if rel is None:
+        if not prev:
             # the wide step: R = Q*q*ed, one wide division
             R = Q * q * ed
             base, rem = divmod(L * A - (p * ed + en * q) * Q, R)
@@ -227,8 +221,9 @@ def _greedy_band_search(
             # the short step: R = rho*q*Q = U*prev for U = rho*q*q_prev*ed.
             # With rho*a = P*prev + d, R*(lo*a - x - eps') is N*prev + L*q*d
             # for N = L*q*P - rho*q_prev*(p*ed + en*q): N over the short U,
-            # and L*q*d over R with the short quotient lo*d/rho
-            P, d = rel
+            # and L*q*d over R with the short quotient lo*d/rho; with
+            # 0 <= rem*prev <= R - prev and 0 <= r2 < R, one carry suffices
+            d = deltas[n - 2]
             rq = rho * q
             U = rq * q_prev * ed
             R = U * prev
@@ -299,7 +294,7 @@ def find_dilation(
     xs = [Fraction(t) for t in targets]
     if len(xs) != thinned.K:
         raise ValueError(f"need {thinned.K} targets, got {len(xs)}")
-    freqs = thinned.terms
+    freqs = tuple(thinned.terms)
     if any(a <= 0 for a in freqs):
         raise ValueError("frequencies must be positive")
     # ratio precondition for greedy feasibility: a_{n+1}/a_n >= 1/eps + 2,
@@ -327,16 +322,18 @@ def find_dilation(
         raise IntervalTooShortError(
             f"interval length {hi - lo} below (1+2*eps)/a~_1"
         )
-    parent = thinned.parent
-    flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi, thinned.rho, thinned.relation)
+    flo, fhi = _greedy_band_search(
+        freqs, xs, epsilon, lo, hi, thinned.growth_factor_r, thinned.deltas
+    )
     # the frequencies increase (the ratio precondition) and are parent terms
+    parent = thinned.parent
     precision = alpha_precision(parent.terms if parent is not None else freqs)
     alpha = DyadicReal.from_fraction((flo + fhi) / 2, precision)
     # postcondition on the residue stream: with alpha = m*2^-P and x = p/q,
     # {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), res = m*a mod 2^P
     P = residue_bits(alpha)
     constraints = []
-    for a, x, res in zip(freqs, xs, residues(alpha, thinned)):
+    for x, res in zip(xs, residues(alpha, thinned)):
         p, q = x.numerator, x.denominator
         den = q << P
         f = (q * res - (p << P)) % den
@@ -345,7 +342,7 @@ def find_dilation(
             raise InfeasibleAtStepError(
                 0, f"postcondition violated: achieved {Fraction(dist, den)} > eps {epsilon}"
             )
-        constraints.append(Constraint(a, x, dist, den))
+        constraints.append(Constraint(x, dist, den))
     bound = Fraction(1, thinned.K) + 2 * epsilon
     return DilationCertificate(
         alpha=alpha,

@@ -454,10 +454,12 @@ class TestErrors:
 
 
 class TestInputBounds:
-    """A window past the end of a --seq file and an empty or negative N range
-    each end in one coded error line: exit 1, nothing on stdout, no
-    traceback.  Each case runs in a subprocess with a timeout, so a
-    regression to the unbounded N loop fails instead of hanging."""
+    """A window past the end of a --seq file, an empty or negative N range,
+    an N below 1, a nested block range with k_start > k_end, a cf depth of 0
+    and a moment epsilon of 0 each end in one coded error line: exit 1,
+    nothing on stdout, no traceback.  Each case runs in a subprocess with a
+    timeout, so a regression to the unbounded N loop fails instead of
+    hanging."""
 
     SHORT = "# r=2\n2\n4\n8\n16\n"
 
@@ -474,9 +476,14 @@ class TestInputBounds:
             (["metric-scan", "--n-min", "0", "--n-max", "64"], "N-out-of-range"),
             (["metric-scan", "--n-min", "-4", "--n-max", "64"], "N-out-of-range"),
             (["metric-scan", "--n-min", "64", "--n-max", "32"], "N-out-of-range"),
+            (["nested-alpha", "--k-start", "5", "--k-end", "3"], "N-out-of-range"),
+            (["cf", "--value", "sqrt:2", "--depth", "0"], "malformed-value"),
+            (["moment-check", "--n", "1024", "--eps", "0"], "epsilon-domain"),
+            (["gaps", "--n", "-3", "--alpha", "7/10"], "N-out-of-range"),
         ],
         ids=["gaps", "metric-scan", "find-alpha", "moment-check", "nested-alpha",
-             "n-min-zero", "n-min-negative", "n-min-above-n-max"],
+             "n-min-zero", "n-min-negative", "n-min-above-n-max", "k-start-above-k-end",
+             "cf-depth-zero", "moment-eps-zero", "gaps-n-negative"],
     )
     def test_one_coded_error_line(self, tmp_path, argv, code):
         seq = tmp_path / "short.txt"

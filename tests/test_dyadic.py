@@ -18,7 +18,6 @@ from lacuna.dyadic import (
     require_precision,
     residue_bits,
     residues,
-    short_relation,
 )
 from lacuna.cf import dist_to_int
 from lacuna.errors import (
@@ -29,7 +28,7 @@ from lacuna.errors import (
 )
 from lacuna.sequences import (
     LacunarySequence,
-    ThinnedSequence,
+    Recurrence,
     geometric_sequence,
     load_sequence,
     save_sequence,
@@ -45,19 +44,11 @@ def dy(num, den=1, bits=96):
 ONE = DyadicReal(1, 0)
 
 
-class Explicit(ThinnedSequence):
-    """Explicit terms read at any q, right or wrong for them: a thinning
-    without a parent whose rho is q, so each pair carries its short_relation
-    at q, found when it is built, as residues() reads a window."""
-
-    def __init__(self, terms, q=1):
-        object.__setattr__(self, "q", q)
-        terms = tuple(terms)
-        super().__init__(parent=None, l=1, step=1, K=len(terms), terms=terms, xi=0.0)
-
-    @property
-    def rho(self):
-        return self.q
+def explicit(terms, q=1):
+    """Explicit terms read at any q, right or wrong for them: the recurrence
+    at ratio 1/q, delta_n = q * a_(n+1) - a_n, so residues() divides by q at
+    every step whatever the terms are."""
+    return Recurrence(terms, Fraction(1, q))
 
 
 def fraction_gaps(points):
@@ -240,11 +231,11 @@ class TestResidueForm:
         # arbitrary term list takes the q = 1 stream
         alpha = DyadicReal(m, e, 512)
         oracle = [alpha.to_fraction() * a % 1 for a in terms]
-        pts = DilatedSet(tuple(residues(alpha, Explicit(terms))), -residue_bits(alpha))
+        pts = DilatedSet(tuple(residues(alpha, explicit(terms))), -residue_bits(alpha))
         one = 1 << -pts.exponent
         assert len(pts) == len(terms)
         assert [Fraction(r, one) for r in pts.residues] == oracle
-        window = DilatedSet(tuple(residues(alpha, Explicit(terms[i:j]))), pts.exponent)
+        window = DilatedSet(tuple(residues(alpha, explicit(terms[i:j]))), pts.exponent)
         assert window == DilatedSet(pts.residues[i:j], pts.exponent)
         if oracle[i:j]:
             assert gap_report(window).max_gap.to_fraction() == max(fraction_gaps(oracle[i:j]))
@@ -281,7 +272,7 @@ class TestResidueRecurrence:
         ],
     )
     def test_matches_products(self, terms):
-        assert list(residues(self.ALPHA, Explicit(terms))) == product_residues(self.ALPHA, terms)
+        assert list(residues(self.ALPHA, explicit(terms))) == product_residues(self.ALPHA, terms)
 
     def test_loaded_file_with_one_bumped_term(self, tmp_path):
         path = tmp_path / "seq.txt"
@@ -321,7 +312,7 @@ class TestResidueRecurrence:
         for kind, v in steps:
             terms.append(terms[-1] * v if kind == "times" else v)
         alpha = DyadicReal(m, e, 1024)
-        assert list(residues(alpha, Explicit(terms))) == product_residues(alpha, terms)
+        assert list(residues(alpha, explicit(terms))) == product_residues(alpha, terms)
 
 
 RATIOS = [Fraction(5, 2), Fraction(3, 2), Fraction(7, 3), Fraction(11, 10), Fraction(3), Fraction(2)]
@@ -330,10 +321,10 @@ odd_mantissas = st.integers(-(1 << 900), 1 << 900).map(lambda m: m | 1)
 
 
 class TestOneRecurrence:
-    """residues(alpha, seq) steps by q * X_{n+1} = p_n * X_n + delta_n * m
-    in blocks of isqrt(P) // s steps (q = 2^s * q', q' odd) and falls back to
-    m * a wherever a step has no relation; every value must be m * a & mask,
-    on a sequence's stored relation, on explicit terms with the ratio's
+    """residues(alpha, seq) steps by q * X_{n+1} = p * X_n + delta_n * m in
+    blocks of isqrt(P) // s steps (q = 2^s * q', q' odd), each started
+    again from m * a at a checkpoint; every value must be m * a & mask, on a
+    sequence's stored relation, on explicit terms with the ratio's
     denominator, with a wrong q and on broken chains."""
 
     @settings(max_examples=150, deadline=None)
@@ -351,8 +342,8 @@ class TestOneRecurrence:
         assert residue_bits(alpha) == P
         want = product_residues(alpha, terms)
         assert list(residues(alpha, seq)) == want
-        assert list(residues(alpha, Explicit(terms, r.denominator))) == want
-        assert list(residues(alpha, Explicit(terms, wrong_q))) == want
+        assert list(residues(alpha, explicit(terms, r.denominator))) == want
+        assert list(residues(alpha, explicit(terms, wrong_q))) == want
 
     @pytest.mark.parametrize("r", RATIOS)
     def test_several_blocks_at_the_dilation_precision(self, r):
@@ -365,8 +356,8 @@ class TestOneRecurrence:
         alpha = DyadicReal.from_fraction(Fraction(7, 10), P)
         want = product_residues(alpha, terms)
         assert list(residues(alpha, seq)) == want
-        assert list(residues(alpha, Explicit(terms, r.denominator))) == want
-        assert list(residues(alpha, Explicit(terms))) == want
+        assert list(residues(alpha, explicit(terms, r.denominator))) == want
+        assert list(residues(alpha, explicit(terms))) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -398,19 +389,19 @@ class TestOneRecurrence:
                 terms[i] = v
         alpha = DyadicReal(m, -P, 4096)
         want = product_residues(alpha, terms)
-        assert list(residues(alpha, Explicit(terms, r.denominator))) == want
-        assert list(residues(alpha, Explicit(terms, q))) == want
+        assert list(residues(alpha, explicit(terms, r.denominator))) == want
+        assert list(residues(alpha, explicit(terms, q))) == want
 
     def test_dilate_passes_the_ratio_denominator(self, monkeypatch):
-        # a sequence steps by its rho = den(r), a thinning by den(r)^step;
-        # both give the residues of the q = 1 stream
+        # a sequence steps by its ratio r and rho = den(r), a thinning by
+        # r^step and den(r)^step; both give the residues of the q = 1 stream
         import lacuna.dyadic as dyadic
 
         seen = []
         real = dyadic.residues
 
         def spy(alpha, seq, *window):
-            seen.append(seq.rho)
+            seen.append((seq.growth_factor_r, seq.rho))
             return real(alpha, seq, *window)
 
         monkeypatch.setattr(dyadic, "residues", spy)
@@ -420,16 +411,15 @@ class TestOneRecurrence:
             th = thin(seq, 2048)
             alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
             e = -residue_bits(alpha)
-            assert dilate(alpha, seq) == DilatedSet(tuple(real(alpha, Explicit(seq.terms))), e)
-            assert dilate(alpha, th) == DilatedSet(tuple(real(alpha, Explicit(th.terms))), e)
-            assert seen == [r.denominator, r.denominator**th.step]
+            assert dilate(alpha, seq) == DilatedSet(tuple(real(alpha, explicit(seq.terms))), e)
+            assert dilate(alpha, th) == DilatedSet(tuple(real(alpha, explicit(th.terms))), e)
+            assert seen == [(r, r.denominator), (r**th.step, r.denominator**th.step)]
 
 
 class TestStoredRelation:
-    """residues() of a LacunarySequence steps by its stored deltas and
-    restarts only at checkpoints; a ThinnedSequence by the short relations
-    found when it was built, with the product where a pair has none.  Each
-    window must equal the product oracle."""
+    """residues() of a LacunarySequence steps by its stored deltas at r, a
+    ThinnedSequence by its deltas at r^step, and both restart only at
+    checkpoints.  Each window must equal the product oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -468,11 +458,15 @@ class TestStoredRelation:
         seq = geometric_sequence(r, 2048)
         alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
         for th in (thin(seq, 2048), thin_block(seq, 1024)):
+            # every pair has its relation at r^step, at r = 11/10 too, where
+            # p^step and rho = 10^step pass 64 bits
+            p, rho = th.growth_factor_r.numerator, th.rho
+            terms = list(th.terms)
+            assert rho == r.denominator**th.step
+            assert [rho * b - p * a for a, b in zip(terms, terms[1:])] == list(th.deltas)
             if r == Fraction(11, 10):
-                # rho = 10^step: no pair has a short relation, every term
-                # takes the product
-                assert set(th.relation) == {None}
-            assert list(residues(alpha, th)) == product_residues(alpha, th.terms)
+                assert p.bit_length() > 64 and rho.bit_length() > 64
+            assert list(residues(alpha, th)) == product_residues(alpha, terms)
 
     def test_window_past_the_end(self):
         seq = geometric_sequence(Fraction(3), 10)
@@ -482,31 +476,6 @@ class TestStoredRelation:
             dilate(alpha, seq, 1, 11)
         with pytest.raises(SequenceTooShortError, match=f"have {th.K} terms"):
             dilate(alpha, th, 1, th.K + 1)
-
-
-class TestShortRelation:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 1 << 300),
-        st.integers(0, 1 << 70),
-        st.integers(0, 1 << 70),
-        st.sampled_from((1, 2, 3, 4, 9, 1 << 40)),
-    )
-    def test_relation_is_exact_and_short(self, prev, p, d, rho):
-        a = p * prev + d
-        rel = short_relation(prev, a, rho)
-        if rel is None:
-            # only a quotient or a remainder past 64 bits is refused
-            p2, d2 = divmod(rho * a, prev)
-            assert p2 >= 1 << 64 or d2 >= 1 << 64
-        else:
-            p2, d2 = rel
-            assert rho * a == p2 * prev + d2 and 0 <= d2 < min(prev, 1 << 64)
-
-    def test_no_relation_without_a_positive_term_before(self):
-        assert short_relation(0, 5, 1) is None
-        assert short_relation(-3, 5, 1) is None
-        assert short_relation(3, 10, 2) == (6, 2)
 
 
 class TestPrecisionPolicy:

@@ -375,3 +375,17 @@ class TestRecurrenceMemory:
             tracemalloc.stop()
         assert len(seq) == n
         assert retained < 8 << 20
+
+    def test_thinning_retains_under_4_mb(self):
+        # a thinning keeps its deltas at r^step and about sqrt(K) checkpoints,
+        # not its K wide terms (38 MB here)
+        n = 1 << 16
+        seq = geometric_sequence(Fraction(3), n)
+        tracemalloc.start()
+        try:
+            th = thin(seq, n)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert th.K > 5000 and len(th.checkpoints) <= th.stride
+        assert retained < 4 << 20

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from lacuna import turan
 from lacuna.cf import dist_to_int
-from lacuna.dyadic import DyadicReal, dilate, gap_report, short_relation
+from lacuna.dyadic import DyadicReal, alpha_precision, dilate, gap_report, residues
 from lacuna.errors import (
     DeltaUncertifiableError,
     EpsilonDomainError,
@@ -21,7 +22,16 @@ from lacuna.errors import (
     IntervalTooShortError,
     NotSuperLacunaryError,
 )
-from lacuna.sequences import ThinnedSequence, geometric_sequence, thin, thin_block
+from lacuna.sequences import (
+    LacunarySequence,
+    Recurrence,
+    ThinnedSequence,
+    geometric_sequence,
+    load_sequence,
+    save_sequence,
+    thin,
+    thin_block,
+)
 from lacuna.turan import (
     _greedy_band_search,
     delta_lower_bound,
@@ -106,27 +116,26 @@ def wide_band_search(frequencies, targets, epsilon, lo, hi):
 
 
 class ReadLog(tuple):
-    """A relation tuple that logs each read as (pair index, whether the
-    pair's relation is short): the search reads a pair's relation only
-    after a full band of its first term, so a test can tell short steps
-    from wide ones."""
+    """A deltas tuple that logs the pair index of each read: the search
+    reads a pair's delta only after a full band of its first term, so a
+    test can tell short steps from wide ones."""
 
-    def __new__(cls, relation, log):
-        self = super().__new__(cls, relation)
+    def __new__(cls, deltas, log):
+        self = super().__new__(cls, deltas)
         self.log = log
         return self
 
     def __getitem__(self, i):
-        rel = super().__getitem__(i)
-        self.log.append((i, rel is not None))
-        return rel
+        self.log.append(i)
+        return super().__getitem__(i)
 
 
-def greedy(freqs, xs, eps, lo, hi, rho=1, log=None):
-    """_greedy_band_search over explicit frequencies, with each pair's short
-    relation at rho as a ThinnedSequence stores it; log collects the reads."""
-    rel = tuple(short_relation(a, b, rho) for a, b in itertools.pairwise(freqs))
-    return _greedy_band_search(freqs, xs, eps, lo, hi, rho, ReadLog(rel, [] if log is None else log))
+def greedy(freqs, xs, eps, lo, hi, ratio=Fraction(1), log=None):
+    """_greedy_band_search over explicit frequencies, with each pair's
+    relation at ratio as a ThinnedSequence stores it; log collects the
+    reads."""
+    deltas = Recurrence(freqs, ratio).deltas
+    return _greedy_band_search(freqs, xs, eps, lo, hi, ratio, ReadLog(deltas, [] if log is None else log))
 
 
 def search_outcome(search, *args):
@@ -417,10 +426,11 @@ class TestRatioPrecondition:
 class TestResiduePostcondition:
     @pytest.mark.parametrize("r,N", [(Fraction(3), 512), (Fraction(5, 2), 512), (Fraction(2), 256)])
     def test_achieved_is_distance_to_target(self, r, N):
-        cert = find_alpha(geometric_sequence(r, N), N)
+        seq = geometric_sequence(r, N)
+        cert = find_alpha(seq, N)
         av = cert.alpha.to_fraction()
-        for c in cert.constraints:
-            assert c.achieved == dist_to_int(av * c.frequency - c.target)
+        for c, a in zip(cert.constraints, thin(seq, N).terms, strict=True):
+            assert c.achieved == dist_to_int(av * a - c.target)
             assert c.achieved <= cert.parameters.epsilon
 
     @settings(max_examples=100, deadline=None)
@@ -430,7 +440,7 @@ class TestResiduePostcondition:
         cert = find_dilation(th, xs, Fraction(1, 100))
         av = cert.alpha.to_fraction()
         for c, a, x in zip(cert.constraints, th.terms, xs):
-            assert (c.frequency, c.target) == (a, x)
+            assert c.target == x
             assert c.achieved == dist_to_int(av * a - x) <= Fraction(1, 100)
 
     def test_out_of_band_search_result_raises(self, monkeypatch):
@@ -450,7 +460,7 @@ class TestCertificateJson:
         seq = geometric_sequence(r, N)
         cert = find_alpha(seq, N)
         rows = cert.to_json_dict()["constraints"]
-        assert [seq.term(row["index"]) for row in rows] == [c.frequency for c in cert.constraints]
+        assert [seq.term(row["index"]) for row in rows] == list(thin(seq, N).terms)
         assert [row["target"] for row in rows] == [str(c.target) for c in cert.constraints]
 
     def test_block_index_is_offset(self):
@@ -458,7 +468,7 @@ class TestCertificateJson:
         cert = find_dilation_block(seq, 256, (Fraction(0), Fraction(1)))
         rows = cert.to_json_dict()["constraints"]
         assert rows[0]["index"] > 256
-        assert [seq.term(row["index"]) for row in rows] == [c.frequency for c in cert.constraints]
+        assert [seq.term(row["index"]) for row in rows] == list(thin_block(seq, 256).terms)
 
     def test_frequencies_past_the_int_to_str_limit(self):
         # 2^14300 has 4305 decimal digits, past Python's default limit of
@@ -472,15 +482,16 @@ class TestCertificateJson:
 
 
 def short_chain(data, rho, first_bits, length, eps):
-    """Terms whose neighbours satisfy rho*a_{k+1} = P*a_k + d with P/rho at
-    least 1/eps + 2 and d short: a_{k+1} = ceil((P*a_k + d)/rho)."""
+    """Terms whose neighbours satisfy rho*a_{k+1} = P*a_k + d with one P,
+    P/rho at least 1/eps + 2, and d short: a_{k+1} = ceil((P*a_k + d)/rho).
+    Returns the terms and P."""
     low = math.ceil(rho * (1 / eps + 2))
+    P = data.draw(st.integers(low, 64 * low))
     terms = [data.draw(st.integers(1 << (first_bits - 1), 1 << first_bits))]
     for _ in range(length - 1):
-        P = data.draw(st.integers(low, 64 * low))
         d = data.draw(st.integers(0, 1 << 40))
         terms.append(-(-(P * terms[-1] + d) // rho))
-    return terms
+    return terms, P
 
 
 class TestShortStep:
@@ -497,11 +508,31 @@ class TestShortStep:
         st.data(),
     )
     def test_short_relations_match_the_wide_search(self, rho, K, eps, lo, first_bits, data):
-        terms = short_chain(data, rho, first_bits, K, eps)
+        terms, P = short_chain(data, rho, first_bits, K, eps)
         xs = [data.draw(small_fractions) for _ in terms]
         hi = lo + (1 + 2 * eps) / terms[0]
+        # the chain's own ratio (short deltas), 1/rho (wide positive ones)
+        # and (P + 1)/rho (wide negative ones)
+        ratio = data.draw(st.sampled_from([Fraction(P, rho), Fraction(1, rho), Fraction(P + 1, rho)]))
         want = search_outcome(wide_band_search, terms, xs, eps, lo, hi)
-        assert search_outcome(greedy, terms, xs, eps, lo, hi, rho) == want
+        assert search_outcome(greedy, terms, xs, eps, lo, hi, ratio) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 1 << 24), min_size=1, max_size=8),
+        st.lists(small_fractions, min_size=8, max_size=8),
+        st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(5, 4), Fraction(7, 2)]),
+        st.fractions(min_value=Fraction(1, 40), max_value=Fraction(1, 3), max_denominator=40),
+        st.fractions(min_value=Fraction(0), max_value=Fraction(1), max_denominator=30),
+        st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1), max_denominator=1000),
+    )
+    def test_any_chain_matches_the_wide_search(self, steps, xs, ratio, eps, lo, width):
+        # terms growing by any factor, below the ratio precondition too, read
+        # at a ratio that fits them or not: the short step, with its one
+        # carry, is exact for every integer delta
+        terms = list(itertools.accumulate(steps))
+        args = (terms, xs[: len(terms)], eps, lo, lo + width)
+        assert search_outcome(greedy, *args, ratio) == search_outcome(wide_band_search, *args)
 
     def test_random_short_chains_take_the_short_step(self):
         # chains built as short_chain builds them run short steps, not only
@@ -514,8 +545,8 @@ class TestShortStep:
                 terms.append(-(-(rng.randint(40 * rho, 400 * rho) * terms[-1] + rng.getrandbits(32)) // rho))
             xs = [Fraction(rng.randint(0, 9), 10) for _ in terms]
             args = (terms, xs, Fraction(1, 30), Fraction(0), Fraction(1))
-            assert greedy(*args, rho, reads) == wide_band_search(*args)
-        assert sum(short for _, short in reads) >= 5 * 25
+            assert greedy(*args, Fraction(1, rho), reads) == wide_band_search(*args)
+        assert len(reads) >= 5 * 25
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(2), Fraction(5, 2), Fraction(3, 2), Fraction(11, 10)])
     @pytest.mark.parametrize("N", [512, 8192])
@@ -527,14 +558,12 @@ class TestShortStep:
         assert th.rho == r.denominator ** th.step
         reads = []
         for lo, hi in [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(9, 14))]:
-            args = (th.terms, xs, eps, lo, hi)
-            rel = ReadLog(th.relation, reads)
-            assert _greedy_band_search(*args, th.rho, rel) == wide_band_search(*args)
-        # every step after the first is short, except at r = 11/10: there
-        # step = 11*floor(ln N) and rho = 10^step pass 64 bits, so every step
-        # is wide
-        expected = 0 if r == Fraction(11, 10) else 2 * (th.K - 1)
-        assert sum(short for _, short in reads) == expected
+            args = (tuple(th.terms), xs, eps, lo, hi)
+            deltas = ReadLog(th.deltas, reads)
+            assert _greedy_band_search(*args, th.growth_factor_r, deltas) == wide_band_search(*args)
+        # every step after the first is short, at r = 11/10 too, where
+        # step = 11*floor(ln N) and rho = 10^step pass 64 bits
+        assert len(reads) == 2 * (th.K - 1)
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2), Fraction(3, 2)])
     def test_shifted_intervals_of_find_dilation_block(self, r, monkeypatch):
@@ -554,9 +583,9 @@ class TestShortStep:
             find_dilation_block(seq, N, (lo, lo + Fraction(4, a_N)))
         assert len(calls) == 3
         th = thin_block(seq, N)
-        for (freqs, xs, eps, lo, hi, rho, rel), out in calls:
-            assert rho == r.denominator ** th.step
-            assert rel == th.relation
+        for (freqs, xs, eps, lo, hi, ratio, deltas), out in calls:
+            assert ratio == r**th.step
+            assert deltas == th.deltas
             assert out == wide_band_search(freqs, xs, eps, lo, hi)
 
     def test_clipped_step_then_short_steps(self):
@@ -568,7 +597,7 @@ class TestShortStep:
         reads = []
         assert greedy(*args, log=reads) == wide_band_search(*args) == fraction_band_search(*args)
         # the pairs (30, 900), (900, 27000) and (27000, 810000)
-        assert reads == [(1, True), (2, True), (3, True)]
+        assert reads == [1, 2, 3]
 
     def test_clip_mid_run_then_short_steps(self):
         # the bands of 3 and of 7 each stick out above hi, so the first three
@@ -578,24 +607,82 @@ class TestShortStep:
         args = (freqs, xs, Fraction(1, 4), Fraction(1, 10), Fraction(1, 3))
         reads = []
         assert greedy(*args, log=reads) == wide_band_search(*args) == fraction_band_search(*args)
-        assert reads == [(2, True)]  # the pair (70, 700)
+        assert reads == [2]  # the pair (70, 700)
 
     def test_one_bumped_term_falls_back_to_the_wide_step(self):
         seq = geometric_sequence(Fraction(3), 2048)
         th = thin(seq, 2048)
         terms = list(th.terms)
         k = len(terms) // 2
-        terms[k] += 1 << 100  # rho*a = P*a_prev + d with d past 64 bits
+        terms[k] += 1 << 100
         xs = [Fraction(j, th.K) for j in range(th.K)]
         eps = turan.block_epsilon(seq, 2048)
         args = (terms, xs, eps, Fraction(0), Fraction(1))
         reads = []
-        assert greedy(*args, 1, reads) == wide_band_search(*args)
-        short = [s for _, s in reads]
-        # every step after the first reads its pair; the steps into and out
-        # of the bumped term are wide, the rest short
-        assert short == [True] * (k - 1) + [False, False] + [True] * (len(terms) - k - 2)
-        # and the certificate of the bumped list passes its postcondition
+        ratio = th.growth_factor_r
+        assert greedy(*args, ratio, reads) == wide_band_search(*args)
+        # every step after the first reads its pair, the steps into and out
+        # of the bumped term too: their deltas are 2^100 and -3^step * 2^100
+        assert reads == list(range(len(terms) - 1))
         bumped = ThinnedSequence(seq, th.l, th.step, th.K, tuple(terms), th.xi)
+        assert bumped.deltas[k - 1] == 1 << 100
+        assert bumped.deltas[k] == -ratio.numerator << 100
+        # and the certificate of the bumped list passes its postcondition
         cert = find_dilation(bumped, xs, eps)
         assert all(c.achieved <= eps for c in cert.constraints)
+
+
+RATIOS = [Fraction(5, 2), Fraction(3, 2), Fraction(7, 3), Fraction(11, 10), Fraction(3), Fraction(2)]
+
+
+def loaded_with_a_bump(n, pick, bump, block):
+    """A file of the 2n terms 3^k, declared at ratio 2, loaded after the
+    term that the thinning (thin, or thin_block if block) of N = n takes
+    as a~_pick has been raised by bump; a~_pick + bump stays below
+    3/2 * a~_pick, so the file keeps ratio 2."""
+    plain = [3**k for k in range(1, 2 * n + 1)]
+    th = (thin_block if block else thin)(geometric_sequence(Fraction(2), 2 * n), n)
+    i = th.index_offset + pick * th.step - 1
+    plain[i] += 1 + bump % max(plain[i] // 2, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "seq.txt")
+        save_sequence(path, LacunarySequence(plain, Fraction(2)))
+        return load_sequence(path)
+
+
+class TestThinnedRelation:
+    """A thinning is its recurrence at r^step: rho*a~_(n+1) = p^step*a~_n +
+    delta~_n holds for every pair, and residues() and the band search that
+    read it match the product oracle and the wide-step search."""
+
+    @pytest.mark.parametrize("block", [False, True], ids=["thin", "thin_block"])
+    @pytest.mark.parametrize("r", RATIOS + [None], ids=[*map(str, RATIOS), "bumped-file"])
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.sampled_from((64, 256, 1024)),
+        st.integers(0, 1 << 900).map(lambda m: m | 1),
+        st.fractions(min_value=Fraction(0), max_value=Fraction(1, 2), max_denominator=1 << 20),
+        st.data(),
+    )
+    def test_relation_residues_and_bands(self, r, block, n, m, lo, data):
+        if r is None:  # a loaded file with one bumped term
+            pick = data.draw(st.integers(1, thin(geometric_sequence(Fraction(2), n), n).K))
+            seq = loaded_with_a_bump(n, pick, data.draw(st.integers(0, 1 << 200)), block)
+        else:
+            seq = geometric_sequence(r, 2 * n)
+        th = (thin_block if block else thin)(seq, n)
+        terms = list(th.terms)
+        first = th.index_offset + th.step
+        assert terms == list(seq.terms[first - 1 : first + (th.K - 1) * th.step : th.step])
+        ratio = seq.growth_factor_r**th.step
+        p, rho = ratio.numerator, ratio.denominator
+        assert th.growth_factor_r == ratio and th.rho == rho
+        assert [rho * b - p * a for a, b in zip(terms, terms[1:])] == list(th.deltas)
+        P = alpha_precision(seq.terms)
+        alpha = DyadicReal(m, -P, P)
+        assert list(residues(alpha, th)) == [(m * a) & ((1 << P) - 1) for a in terms]
+        xs = [data.draw(small_fractions) for _ in terms]
+        eps = turan.block_epsilon(seq, n)
+        args = (terms, xs, eps, lo, lo + Fraction(1, 2))
+        want = search_outcome(wide_band_search, *args)
+        assert search_outcome(_greedy_band_search, *args, th.growth_factor_r, th.deltas) == want
