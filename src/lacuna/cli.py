@@ -19,8 +19,14 @@ from . import cf as cf_mod
 from . import littlewood as lw
 from . import metric
 from .dyadic import DyadicReal, alpha_precision, dilate, gap_report
-from .errors import EpsilonDomainError, LacunaError, MalformedValueError, NOutOfRangeError
-from .nested import build_nested_alpha, gap_bound
+from .errors import (
+    EpsilonDomainError,
+    FileError,
+    LacunaError,
+    MalformedValueError,
+    NOutOfRangeError,
+)
+from .nested import build_nested_alpha, chain_terms, gap_bound
 from .sequences import geometric_sequence, load_sequence, smallest_l, thin
 from .turan import find_alpha
 
@@ -30,10 +36,19 @@ def _dyadic_json(x: DyadicReal) -> dict:
     return {"decimal": x.decimal_str(30), "hex_mantissa": m, "exponent": e}
 
 
+def _open(path, mode="r"):
+    """open(path, mode); an OSError is the coded file-error naming the path
+    and the OS reason."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise FileError(f"file-error: {path}: {exc.strerror}") from None
+
+
 def _emit(payload, out_path, as_csv=False):
     text = payload if as_csv else json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
+        with _open(out_path, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
 
@@ -46,7 +61,7 @@ def _load_config_defaults(argv):
     if not ns.config:
         return {}
     out = {}
-    with open(ns.config) as fh:
+    with _open(ns.config) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -102,7 +117,7 @@ def _cmd_find_alpha(a):
 
 
 def _cmd_nested_alpha(a):
-    seq = _build_seq(a, 2 * 4**a.k_end)
+    seq = _build_seq(a, chain_terms(a.k_start, a.k_end))
     chain = build_nested_alpha(seq, a.k_start, a.k_end)
     payload = chain.to_json_dict()
     _emit(payload, a.out)
@@ -295,8 +310,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser(_load_config_defaults(argv)).parse_args(argv)
     try:
+        args = build_parser(_load_config_defaults(argv)).parse_args(argv)
         return args.func(args)
     except LacunaError as exc:
         sys.stderr.write(f"error [{exc.code}]: {exc}\n")

@@ -9,21 +9,14 @@ exponent.
 
 A dilated point set {alpha * a_n} has one form, its residue vector: with
 alpha = m * 2^-P, the dilates are the integers m * a_n mod 2^P at the common
-exponent -P.  residues() is the only code that computes them: dilate() wraps
-them in a DilatedSet, gap_report() sorts and differences the integers, and
-the 64-bit scans and float views in lacuna.metric read them as they stream.
-(The 64-bit scan of the doubling sequence 2^n reads windows of alpha's
-binary expansion instead.)
-
-residues() takes one recurrence for both sequence types, and never divides
-a term by a term.  A sequence hands it the window as steps: each term's
-relation q * a_{n+1} = p * a_n + delta_n to the one before, with p/q the
-sequence's ratio (r for a LacunarySequence, r^step for a thinning of it, 1
-for a list of terms), and the term itself at checkpoints.  The next residue
-follows from the last by a multiply-add and an exact division by q, short
-wherever p and delta_n are; the full product m * a is taken at the window's
-first term and, for an even q, at the first checkpoint after each block of
-about sqrt(P) steps.
+exponent -P.  residues() is the one way to them: the sequence walks its
+stored recurrence q * a_{n+1} = p * a_n + delta_n
+(lacuna.sequences.Recurrence.residues), never dividing a term by a term,
+so each residue follows from the last by a multiply-add and an exact
+division by q.  dilate() wraps them in a DilatedSet, gap_report() sorts and
+differences the integers, and the 64-bit scans and float views in
+lacuna.metric read them as they stream.  (The 64-bit scan of the doubling
+sequence 2^n reads windows of alpha's binary expansion instead.)
 """
 
 from __future__ import annotations
@@ -260,50 +253,9 @@ def residues(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) ->
     """The dilates {alpha * a_n} of a_start..a_stop (1-based, inclusive;
     stop=None: to the last term) of a sequence (a lacuna.sequences
     Recurrence: a LacunarySequence or a ThinnedSequence), scaled by 2^P, one
-    at a time: m * a_n mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha).
-
-    seq.steps(start, stop) gives each term n after the first with its
-    relation q * a_n = p * a_(n-1) + d_n, q = seq.rho, so that, with
-    X_n = m * a_n, q * X_n = p * X_(n-1) + d_n * m: X_n follows from
-    X_(n-1) by a multiply-add and an exact division by q = 2^s * q', q' odd:
-    a shift by s, and for q' > 1 divmod(W, q) = (Q, R) and X_n = Q +
-    (R >> s) * q'^-1 mod 2^K, a short division and a short multiple.  The
-    product m * a_n is taken only at the window's first term and, for s > 0,
-    where a block starts again: each shift loses s low bits of the modulus,
-    so X is carried mod 2^K, and a new block starts from m * a_n at the
-    first checkpoint after b = max(isqrt(P) // s, 1) steps.  Checkpoints lie
-    seq.stride apart, so no block runs past b + stride - 1 steps and K = P +
-    s * (b + stride - 1) suffices.  Odd q (q = 1 for integer ratios) loses no
-    bit and runs as one block from the window's first term.  Every integer
-    d_n of either sign is exact."""
-    P = residue_bits(alpha)
-    mask = (1 << P) - 1
-    m = alpha.mantissa
-    q = seq.rho
-    s = _ctz(q)
-    odd = q >> s
-    # odd q: one block, never started again
-    block = max(math.isqrt(P) // s, 1) if s else len(seq)
-    K = P + s * (block + seq.stride - 1)
-    wide = (1 << K) - 1
-    inv = pow(odd, -1, 1 << K)
-    x = left = 0  # left: steps before the block may start again
-    for a, rel in seq.steps(start, stop):
-        if left <= 0 and a is not None:
-            x = (m * a) & wide
-            left = block
-        else:
-            p, d = rel
-            # X is now valid mod 2^(K - s * steps so far); the bits above it
-            # are never read
-            x = (p * x + d * m if d else p * x) & wide
-            if odd > 1:
-                x, r = divmod(x, q)
-                x += (r >> s) * inv
-            elif s:
-                x >>= s
-            left -= 1
-        yield x & mask
+    at a time: m * a_n mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha),
+    as seq.residues walks its stored recurrence."""
+    return seq.residues(alpha.mantissa, residue_bits(alpha), start, stop)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,10 @@ class MalformedSequenceFileError(LacunaError):
     code = "malformed-sequence-file"
 
 
+class FileError(LacunaError):
+    code = "file-error"
+
+
 class NBelowThresholdError(LacunaError):
     code = "N-below-threshold"
 

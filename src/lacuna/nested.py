@@ -92,14 +92,20 @@ def _verified_gap(seq, alpha, start, stop) -> Fraction:
     return gap_report(dilate(alpha, seq, start, stop)).max_gap.to_fraction()
 
 
+def chain_terms(k_start: int, k_end: int) -> int:
+    """The 2*4^k_end terms a chain over levels k_start..k_end reads; raises
+    N-out-of-range unless 1 <= k_start <= k_end."""
+    if not (1 <= k_start <= k_end):
+        raise NOutOfRangeError(f"N-out-of-range: need 1 <= k_start <= k_end, got {k_start}, {k_end}")
+    return 2 * 4**k_end
+
+
 def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> NestedChain:
     """Nested-interval chain over blocks N_k = 4^k; returns the final midpoint
     with directly verified per-block gaps.  Raises GapBoundExceededError when
     a block's verified gap exceeds gap_bound(l, N_k)."""
-    if not (1 <= k_start <= k_end):
-        raise NOutOfRangeError(f"N-out-of-range: need 1 <= k_start <= k_end, got {k_start}, {k_end}")
+    precision = alpha_precision(seq.terms[: chain_terms(k_start, k_end)])
     l = smallest_l(seq.growth_factor_r)
-    precision = alpha_precision(seq.terms[: 2 * 4**k_end])
 
     records = []  # (k, n_k, alpha_k, tilde, next_interval)
     n0 = 4**k_start

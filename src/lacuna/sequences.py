@@ -4,16 +4,17 @@ A sequence is lacunary with growth factor r > 1 when a_{n+1} >= r * a_n for all
 n.  A LacunarySequence checks both when it is built, so every instance is
 lacunary, and it is the one owner of what follows from its ratio: rho, the
 denominator of r, is the q of the residue recurrence q * a_{n+1} =
-p * a_n + delta_n (lacuna.dyadic.residues).
+p * a_n + delta_n (Recurrence.residues).
 
 Both sequence types are stored as that recurrence (Recurrence): with r = p/q
 a sequence keeps delta_n = q * a_{n+1} - p * a_n for n < N and a checkpoint
 a_n at every stride-th term, stride = ceil(sqrt(N)), never the N wide terms.
 So it holds O(N) short integers and O(sqrt(N)) wide ones, and seq.terms is a
 read-only view that computes a_{n+1} = (p * a_n + delta_n) / q from the
-nearest checkpoint.  For a LacunarySequence a_{n+1} >= r * a_n is delta_n >=
-0, N short comparisons.  geometric_sequence streams its terms once and keeps
-only the checkpoints.
+nearest checkpoint; seq.residues(m, P) walks the same recurrence for the
+dilates m * a_n mod 2^P, so no other module reads the checkpoints.  For a
+LacunarySequence a_{n+1} >= r * a_n is delta_n >= 0, N short comparisons.
+geometric_sequence streams its terms once and keeps only the checkpoints.
 
 The thinned subsequence a~_n = a_{n*step} with step = l * floor(ln N) (l the
 smallest integer with r^l > e) has consecutive ratios exceeding N^xi with
@@ -30,7 +31,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice
 
 import mpmath as mp
 
@@ -115,8 +116,9 @@ class Recurrence:
     a_{k * stride + 1}, stride = ceil(sqrt(N)).  Every ratio describes
     every list of integers; the ratio a list grows by keeps its deltas
     short.  Built from explicit terms, Recurrence(terms, r).  The terms are
-    read through seq.terms, and lacuna.dyadic.residues reads the window as
-    seq.steps gives it."""
+    read through seq.terms (iterating seq reads them too), and the dilates
+    m * a_n mod 2^P through seq.residues; only this module reads the
+    checkpoints."""
 
     growth_factor_r: Fraction
     deltas: tuple[int, ...]
@@ -149,6 +151,9 @@ class Recurrence:
     def __len__(self):
         return len(self.deltas) + 1 if self.checkpoints else 0
 
+    def __iter__(self):
+        return iter(self.terms)
+
     def __repr__(self):
         return f"{type(self).__name__}(r={self.growth_factor_r}, N={len(self)})"
 
@@ -175,22 +180,54 @@ class Recurrence:
                 a //= q
         yield a
 
-    def steps(self, start: int = 1, stop: int | None = None):
-        """The window a_start..a_stop (1-based, inclusive; stop=None: a_N) as
-        the residue recurrence of lacuna.dyadic.residues reads it: one pair
-        (a_n or None, (p, delta_(n-1)) or None) per term.  The term is given
-        at the window's start and at every checkpoint, None elsewhere; the
-        relation q * a_n = p * a_(n-1) + delta_(n-1) is given for every term
-        after the first."""
+    def residues(self, m: int, P: int, start: int = 1, stop: int | None = None) -> Iterator[int]:
+        """m * a_n mod 2^P for a_start..a_stop (1-based, inclusive; stop=None:
+        a_N), one at a time, each from the one before by the recurrence.
+
+        With X_n = m * a_n, q * X_(n+1) = p * X_n + delta_n * m: a
+        multiply-add and an exact division by q = 2^s * q', q' odd: a shift
+        by s, and for q' > 1 divmod(W, q) = (Q, R) and X = Q + (R >> s) *
+        q'^-1 mod 2^K, a short division and a short multiple.  The product m
+        * a_n is taken only at the window's first term and, for s > 0, where
+        a block starts again: each shift loses s low bits of the modulus, so
+        X is carried mod 2^K, and a new block starts from m * a_n at the
+        first checkpoint after b = max(isqrt(P) // s, 1) steps.  Checkpoints
+        lie stride apart, so no block runs past b + stride - 1 steps and K =
+        P + s * (b + stride - 1) suffices.  Odd q (q = 1 for integer ratios)
+        loses no bit and runs as one block from the window's first term.
+        Every integer delta_n of either sign is exact."""
         n = len(self)
         _require(n, stop)
         stop = n if stop is None else stop
         if start > stop:
-            return iter(())
+            return
+        p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
+        s = (q & -q).bit_length() - 1
+        odd = q >> s
         c, cps = self.stride, self.checkpoints
-        known = (cps[i // c] if i % c == 0 else None for i in range(start, stop))
-        rels = zip(repeat(self.growth_factor_r.numerator), islice(self.deltas, start - 1, stop - 1))
-        return chain(((next(self._stream(start - 1)), None),), zip(known, rels))
+        # odd q: one block, never started again
+        block = max(math.isqrt(P) // s, 1) if s else n
+        K = P + s * (block + c - 1)
+        wide, mask = (1 << K) - 1, (1 << P) - 1
+        inv = pow(odd, -1, 1 << K)
+        x = (m * next(self._stream(start - 1))) & wide
+        left = block  # steps before the block may start again
+        yield x & mask
+        for i, d in enumerate(islice(self.deltas, start - 1, stop - 1), start):
+            if left <= 0 and i % c == 0:
+                x = (m * cps[i // c]) & wide
+                left = block
+            else:
+                # X is now valid mod 2^(K - s * steps so far); the bits above
+                # it are never read
+                x = (p * x + d * m if d else p * x) & wide
+                if odd > 1:
+                    x, r = divmod(x, q)
+                    x += (r >> s) * inv
+                elif s:
+                    x >>= s
+                left -= 1
+            yield x & mask
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -379,18 +416,18 @@ def save_sequence(path, seq: LacunarySequence) -> None:
 
 def load_sequence(path) -> LacunarySequence:
     """Read a file written by save_sequence.  Raises MalformedSequenceFileError
-    when the '# r=<rational>' header or a term does not parse;
-    LacunarySequence raises NotLacunaryError unless the ratio exceeds 1 and
-    the terms are nonempty, positive and keep it."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        try:
+    when the file cannot be read (naming the OS reason) or the
+    '# r=<rational>' header or a term does not parse; LacunarySequence
+    raises NotLacunaryError unless the ratio exceeds 1 and the terms are
+    nonempty, positive and keep it."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
             if not header.startswith("# r="):
                 raise ValueError("missing '# r=<rational>' header")
             r = Fraction(header[4:])
             terms = tuple(int(line) for line in fh if line.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedSequenceFileError(
-                f"malformed-sequence-file: {path}: {exc}"
-            ) from None
+    except (OSError, ValueError, ZeroDivisionError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise MalformedSequenceFileError(f"malformed-sequence-file: {path}: {reason}") from None
     return LacunarySequence(terms, r)

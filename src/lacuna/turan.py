@@ -14,27 +14,30 @@ Every decision is an integer comparison; no Fraction is built per step.
 
 - The ratio precondition a_{n+1}/a_n >= 1/eps + 2 is cross-multiplied:
   a_{n+1}*e_num >= a_n*(e_den + 2*e_num) for eps = e_num/e_den, a_n > 0.
+  With the stored relation rho*a_{n+1} = P*a_n + d_n it reads d_n*e_num >=
+  c*a_n for the short c = rho*(e_den + 2*e_num) - P*e_num, so a term is
+  multiplied only where c > 0 or d_n < 0.
 - The band search carries the interval as integers L, H over one shared,
-  unreduced denominator Q > 0.  With x = p/q, eps' = e_num/e_den (eps less
-  the search slack) and R = Q*q*e_den, the quantities lo*a - x - eps',
-  hi*a - x + eps' and the centre's c*a - x are integers over R or 2R, so the
-  band indices j_min, j_max come from floor division, j_best from the same
+  unreduced denominator Q = Qe*e_den*prev > 0, and every step from a_(n-1)
+  to a_n reads one relation rho_n*a_n = P_n*prev + d_n.  When the interval
+  is exactly the band of a_(n-1) (after every step but the first and the
+  rare clipped or unchanged ones), prev = a_(n-1) and the relation is the
+  pair's rho*a_n = P*a_(n-1) + d that the ThinnedSequence stores: P/rho is
+  r^step for a thinning of a sequence of ratio r (1 for a list of terms),
+  and d is its delta of any sign.  Otherwise prev = 1 and the relation is
+  a_n = a_n*1 + 0.  With x = p/q, eps' = e_num/e_den (eps less the search
+  slack) and R = rho_n*q*Q, the quantities lo*a - x - eps', hi*a - x + eps'
+  and the centre's c*a - x are integers over R or 2R.  The first splits
+  into a division by the short U = R/prev and one with the short quotient
+  lo*d_n/rho_n: O(B) for B-bit frequencies when the relation is stored, not
+  the O(B^2) of the one wide product of the trivial relation.  The band
+  indices j_min, j_max come from floor division, j_best from the same
   half-to-even rounding round(Fraction) applies, and the tie toward lower
   alpha from comparing two integers scaled by 2R.  The chosen band is
   (p*e_den + j*q*e_den -+ e_num*q) / (q*e_den*a), and whether it holds lo
   or hi compares integers at scale R too.  Scaling by a positive integer
   preserves every floor, ceiling, rounding and order, so each decision is
   the one the rational arithmetic makes, and alpha is the same.
-- A step costs O(B) for B-bit frequencies, not the O(B^2) of one wide
-  divmod, wherever the interval is the band of the previous frequency
-  a_prev, which holds after every step but the first and the rare clipped
-  or unchanged ones.  The step reads the pair's relation rho*a = P*a_prev +
-  d that the ThinnedSequence stores: its ratio P/rho is r^step for a
-  thinning of a sequence of ratio r (1 for a list of terms), and d is its
-  delta of any sign.  Then Q = q'*e_den*a_prev for the previous target
-  p'/q', and at scale R = rho*q*Q the step's lo*a - x - eps' splits into a
-  division by the short R/a_prev and one with the short quotient
-  lo*d/rho.  Every other step keeps the wide divmod.
 - The postcondition reads the residue stream: for alpha = m*2^-P and
   res = m*a mod 2^P, {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P),
   exact because q*m*a and q*res agree mod q*2^P.  Its distance to the
@@ -154,15 +157,16 @@ def turan_M(epsilon: Fraction, K: int) -> int:
     return math.ceil(val)
 
 
-def delta_lower_bound(thinned: ThinnedSequence, M: int) -> int:
-    """Certified lower bound on min |sum m_j a~_j| over 0 < |m_j| <= M.
+def delta_lower_bound(terms, M: int) -> int:
+    """Certified lower bound on min |sum m_j a~_j| over 0 < |m_j| <= M, for
+    the terms of a thinning (a ThinnedSequence iterates them).
 
     Exact integer worst case: min_n (a~_n - M * sum_{j<n} a~_j), positive iff
     the domination condition holds at every index.
     """
     best = None
     prefix = 0
-    for n, a in enumerate(thinned.terms, start=1):
+    for n, a in enumerate(terms, start=1):
         margin = a - M * prefix
         if margin <= 0:
             raise DeltaUncertifiableError(n)
@@ -185,57 +189,44 @@ def _greedy_band_search(
     step the band whose center is nearest the current interval's center (ties
     toward lower alpha).  Returns the final feasible (lo, hi).
 
-    lo and hi are carried as integers L, H over one shared, unreduced
-    denominator Q > 0; after a step whose band lies inside the interval, Q is
-    that band's q*e_den*a for x = p/q and eps' = e_num/e_den.  Every decision
-    is an exact integer comparison (see the module docstring).
-
-    ratio = P/rho and deltas[n - 2] = d give the relation rho*a_n =
-    P*a_(n-1) + d of the pair (a_(n-1), a_n), as a ThinnedSequence stores
-    it.  The step after a full band of a_(n-1) reads it: a short step, O(B)
-    for B-bit frequencies and short P, rho and d, and exact for any integer
-    d.  Every other step (the first, or one after a clipped or an unchanged
-    interval) makes one wide divmod, O(B^2).  Both make the same decisions,
-    so (lo, hi) does not depend on which ran."""
+    One step rule (see the module docstring): lo and hi are integers L, H
+    over Q = Qe*e_den*prev for eps' = e_num/e_den, and the step to a_n
+    reads a relation rho_n*a_n = P_n*prev + d_n.  When the interval is
+    exactly the band of a_(n-1), it is the pair's relation rho*a_n =
+    P*a_(n-1) + deltas[n - 2] for ratio = P/rho, as a ThinnedSequence
+    stores it, exact for any integer delta; otherwise prev = 1 and it is
+    a_n = a_n*1 + 0.  L, H and Q start scaled by e_den, so Q has that form
+    from the first step.  Only which relation a step reads depends on the
+    interval; every decision is the same exact integer comparison."""
     eps = epsilon * (1 - _SEARCH_SLACK)
     en, ed = eps.numerator, eps.denominator
-    L, H = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    Q = lo.denominator * hi.denominator
+    Qe = lo.denominator * hi.denominator
+    L, H = lo.numerator * hi.denominator * ed, hi.numerator * lo.denominator * ed
     P, rho = ratio.numerator, ratio.denominator
-    prev = q_prev = 0  # Q = q_prev*ed*prev, prev = a_(n-1), while prev > 0
+    prev, banded = 1, False  # Q = Qe*ed*prev, prev = a_(n-1) when banded
     for n, (a, x) in enumerate(zip(frequencies, targets), start=1):
         p, q = x.numerator, x.denominator
-        # At a scale R that is a positive multiple of Q*q:
+        Pn, rn, d = (P, rho, deltas[n - 2]) if banded else (a, 1, 0)
+        # At the scale R = rn*q*Q = U*prev, with rn*a = Pn*prev + d:
         # lo*a - x - eps' = base + rem/R with 0 <= rem < R,
         # (hi - lo)*a = dA/R and 2*eps' = E2/R, so that
         # hi*a - x + eps' = base + (rem + w)/R for w = dA + E2.
-        # A = q*ed*a is the denominator of this step's band.
-        A = q * ed * a
-        if not prev:
-            # the wide step: R = Q*q*ed, one wide division
-            R = Q * q * ed
-            base, rem = divmod(L * A - (p * ed + en * q) * Q, R)
-            dA = (H - L) * A
-            E2 = (2 * en * q) * Q
-        else:
-            # the short step: R = rho*q*Q = U*prev for U = rho*q*q_prev*ed.
-            # With rho*a = P*prev + d, R*(lo*a - x - eps') is N*prev + L*q*d
-            # for N = L*q*P - rho*q_prev*(p*ed + en*q): N over the short U,
-            # and L*q*d over R with the short quotient lo*d/rho; with
-            # 0 <= rem*prev <= R - prev and 0 <= r2 < R, one carry suffices
-            d = deltas[n - 2]
-            rq = rho * q
-            U = rq * q_prev * ed
-            R = U * prev
-            base, rem = divmod(L * (q * P) - rho * q_prev * (p * ed + en * q), U)
-            rem *= prev
-            if d:
-                i2, r2 = divmod(L * (q * d), R)
-                base, rem = base + i2, rem + r2
-                if rem >= R:
-                    base, rem = base + 1, rem - R
-            dA = (rq * (H - L)) * a
-            E2 = (2 * en * rq * q_prev) * prev
+        # R*(lo*a - x - eps') is N*prev + L*q*d for N = L*q*Pn -
+        # rn*Qe*(p*ed + en*q): N over U, and L*q*d over R with the short
+        # quotient lo*d/rn; with 0 <= rem*prev <= R - prev and 0 <= r2 < R,
+        # one carry suffices
+        rq = rn * q
+        U = rq * Qe * ed
+        R = U * prev
+        base, rem = divmod(L * (q * Pn) - rn * Qe * (p * ed + en * q), U)
+        rem *= prev
+        if d:
+            i2, r2 = divmod(L * (q * d), R)
+            base, rem = base + i2, rem + r2
+            if rem >= R:
+                base, rem = base + 1, rem - R
+        dA = (rq * (H - L)) * a
+        E2 = (2 * en * rq * Qe) * prev
         w = dA + E2
         j_min = base + (rem != 0)
         j_max = base + (rem + w) // R
@@ -256,23 +247,26 @@ def _greedy_band_search(
             if abs(u - two_r) <= abs(u):
                 j_best -= 1
         # band [(x + j - eps)/a, (x + j + eps)/a] = [BL, BL + 2*en*q] / A
+        # for A = q*ed*a
         BL = (p + j_best * q) * ed - en * q
         jR = (j_best - base) * R
         keep_lo = rem + E2 >= jR  # lo >= band_lo
         keep_hi = rem + dA <= jR  # hi <= band_hi
-        if not (keep_lo or keep_hi):
-            L, H, Q = BL, BL + 2 * en * q, A
-            prev, q_prev = a, q
+        banded = not (keep_lo or keep_hi)
+        if banded:
+            L, H, Qe, prev = BL, BL + 2 * en * q, q, a
         else:
+            # the same Q over prev = 1
+            Qe, prev = Qe * prev, 1
             if keep_lo != keep_hi:
                 # one end clipped: bring both ends over Q*A (rare)
-                L = L * A if keep_lo else BL * Q
-                H = H * A if keep_hi else (BL + 2 * en * q) * Q
-                Q = Q * A
-            # the interval is not the band of a: the next step is wide
-            prev = 0
+                A = q * ed * a
+                L = L * A if keep_lo else BL * Qe * ed
+                H = H * A if keep_hi else (BL + 2 * en * q) * Qe * ed
+                Qe *= A
         if L > H:
             raise InfeasibleAtStepError(n)
+    Q = Qe * ed * prev
     return Fraction(L, Q), Fraction(H, Q)
 
 
@@ -298,16 +292,20 @@ def find_dilation(
     if any(a <= 0 for a in freqs):
         raise ValueError("frequencies must be positive")
     # ratio precondition for greedy feasibility: a_{n+1}/a_n >= 1/eps + 2,
-    # i.e. a_{n+1}*e_num >= a_n*(e_den + 2*e_num)
+    # i.e. a_{n+1}*e_num >= a_n*(e_den + 2*e_num), read from the relation
+    # rho*a_{n+1} = P*a_n + d_n as d_n*e_num >= c*a_n; it holds without a
+    # product where c <= 0 <= d_n
     en, ed = epsilon.numerator, epsilon.denominator
-    for n in range(len(freqs) - 1):
-        if freqs[n + 1] * en < freqs[n] * (ed + 2 * en):
+    ratio = thinned.growth_factor_r
+    c = ratio.denominator * (ed + 2 * en) - ratio.numerator * en
+    for n, d in enumerate(thinned.deltas):
+        if (c > 0 or d < 0) and d * en < c * freqs[n]:
             raise InfeasibleAtStepError(
                 n + 2, f"frequency ratio at step {n + 2} below 1/eps + 2"
             )
     M = turan_M(min(epsilon, Fraction(499, 1000)), thinned.K)
     try:
-        delta = delta_lower_bound(thinned, M)
+        delta = delta_lower_bound(freqs, M)
     except DeltaUncertifiableError:
         # below the domination threshold; the greedy still succeeds whenever
         # the interval holds a full band of the first constraint
@@ -322,9 +320,7 @@ def find_dilation(
         raise IntervalTooShortError(
             f"interval length {hi - lo} below (1+2*eps)/a~_1"
         )
-    flo, fhi = _greedy_band_search(
-        freqs, xs, epsilon, lo, hi, thinned.growth_factor_r, thinned.deltas
-    )
+    flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi, ratio, thinned.deltas)
     # the frequencies increase (the ratio precondition) and are parent terms
     parent = thinned.parent
     precision = alpha_precision(parent.terms if parent is not None else freqs)

@@ -455,9 +455,10 @@ class TestErrors:
 
 class TestInputBounds:
     """A window past the end of a --seq file, an empty or negative N range,
-    an N below 1, a nested block range with k_start > k_end, a cf depth of 0
-    and a moment epsilon of 0 each end in one coded error line: exit 1,
-    nothing on stdout, no traceback.  Each case runs in a subprocess with a
+    an N below 1, a nested block range with k_start > k_end or a negative
+    one, a cf depth of 0, a moment epsilon of 0, a missing --seq or
+    --config file and an --out in a missing directory each end in one coded
+    error line: exit 1, nothing on stdout, no traceback.  Each case runs in a subprocess with a
     timeout, so a regression to the unbounded N loop fails instead of
     hanging."""
 
@@ -480,15 +481,22 @@ class TestInputBounds:
             (["cf", "--value", "sqrt:2", "--depth", "0"], "malformed-value"),
             (["moment-check", "--n", "1024", "--eps", "0"], "epsilon-domain"),
             (["gaps", "--n", "-3", "--alpha", "7/10"], "N-out-of-range"),
+            (["nested-alpha", "--k-start", "-2", "--k-end", "-1"], "N-out-of-range"),
+            (["gaps", "--seq", "{missing}.txt", "--n", "3", "--alpha", "1/2"],
+             "malformed-sequence-file"),
+            (["--config", "{missing}.cfg", "gaps", "--n", "3", "--alpha", "1/2"], "file-error"),
+            (["gaps", "--n", "3", "--alpha", "1/2", "--out", "{missing}/x.json"], "file-error"),
         ],
         ids=["gaps", "metric-scan", "find-alpha", "moment-check", "nested-alpha",
              "n-min-zero", "n-min-negative", "n-min-above-n-max", "k-start-above-k-end",
-             "cf-depth-zero", "moment-eps-zero", "gaps-n-negative"],
+             "cf-depth-zero", "moment-eps-zero", "gaps-n-negative", "k-range-negative",
+             "seq-file-missing", "config-missing", "out-dir-missing"],
     )
     def test_one_coded_error_line(self, tmp_path, argv, code):
         seq = tmp_path / "short.txt"
         seq.write_text(self.SHORT)
-        argv = [a.format(seq=seq) for a in argv]
+        missing = tmp_path / "missing"
+        argv = [a.format(seq=seq, missing=missing) for a in argv]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run([sys.executable, "-m", "lacuna.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -497,3 +505,7 @@ class TestInputBounds:
         assert proc.stderr.startswith(f"error [{code}]: ")
         if code == "sequence-too-short":
             assert "have 4 terms, need" in proc.stderr
+        if code in ("malformed-sequence-file", "file-error"):
+            assert f"{missing}" in proc.stderr and "No such file or directory" in proc.stderr
+        if argv[0] == "nested-alpha" and code == "N-out-of-range":
+            assert "need 1 <= k_start <= k_end" in proc.stderr

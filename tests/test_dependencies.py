@@ -36,3 +36,23 @@ def test_no_private_names_imported_across_modules():
                 if alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+def test_only_sequences_reads_the_stored_recurrence_layout():
+    """The checkpoint layout of a stored recurrence stays in
+    lacuna.sequences: no other module reads .checkpoints, .stride or
+    .steps."""
+    import ast
+    from pathlib import Path
+
+    import lacuna
+
+    layout = {"checkpoints", "stride", "steps"}
+    offenders = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(Path(lacuna.__file__).parent.glob("*.py"))
+        if path.name != "sequences.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in layout
+    ]
+    assert offenders == []

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -287,6 +288,11 @@ class TestSerialization:
         path.write_text("2\n4\n8\n")
         with pytest.raises(MalformedSequenceFileError):
             load_sequence(path)
+
+    def test_unreadable_file(self, tmp_path):
+        for path, reason in [(tmp_path / "missing.txt", "No such file"), (tmp_path, "Is a directory")]:
+            with pytest.raises(MalformedSequenceFileError, match=re.escape(f"{path}: {reason}")):
+                load_sequence(path)
 
 
 VIEW_RATIOS = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(3, 2), Fraction(11, 10)]

@@ -43,9 +43,11 @@ from lacuna.turan import (
 )
 
 
-def fraction_band_search(frequencies, targets, epsilon, lo, hi):
+def fraction_band_search(frequencies, targets, epsilon, lo, hi, kinds=None):
     """Reference band search in Fraction arithmetic (the construction the
-    integer search must reproduce decision for decision)."""
+    integer search must reproduce decision for decision).  kinds, if given,
+    collects what each step did to the interval: "banded" (it is now the
+    chosen band), "clipped" or "unchanged" (the band holds it)."""
     eps = epsilon * (1 - Fraction(1, 1 << 12))
     for n, (a, x) in enumerate(zip(frequencies, targets), start=1):
         j_min = math.ceil(lo * a - x - eps)
@@ -62,6 +64,10 @@ def fraction_band_search(frequencies, targets, epsilon, lo, hi):
                 j_best -= 1
         band_lo = (x + j_best - eps) / a
         band_hi = (x + j_best + eps) / a
+        if kinds is not None:
+            inside = lo < band_lo and band_hi < hi
+            holds = lo >= band_lo and hi <= band_hi
+            kinds.append("banded" if inside else "unchanged" if holds else "clipped")
         lo = max(lo, band_lo)
         hi = min(hi, band_hi)
         if lo > hi:
@@ -423,6 +429,39 @@ class TestRatioPrecondition:
             find_dilation(pseudo_thinned((0, 100)), [Fraction(0)] * 2, Fraction(1, 10))
 
 
+class TestRatioPreconditionFromRelation:
+    """find_dilation reads a~_(n+1)*e_num >= a~_n*(e_den + 2*e_num) from the
+    stored relation rho*a~_(n+1) = P*a~_n + delta_n, multiplying a term only
+    where it must; it fails at the step where the products fail, at ratios
+    with either sign of c = rho*(e_den + 2*e_num) - P*e_num and deltas of
+    either sign."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 1 << 40),
+        st.lists(st.tuples(st.integers(1, 120), st.integers(0, 1 << 40)), min_size=1, max_size=5),
+        st.sampled_from([Fraction(3), Fraction(5, 2), Fraction(11, 10), Fraction(200)]),
+        st.integers(1, 3),
+        st.fractions(min_value=Fraction(1, 50), max_value=Fraction(1, 3), max_denominator=50),
+    )
+    def test_fails_where_the_products_fail(self, first, steps, r, step, eps):
+        terms = [first]
+        for f, e in steps:
+            terms.append(terms[-1] * f + e % terms[-1])
+        th = ThinnedSequence(geometric_sequence(r, 2), 1, step, len(terms), terms, 2.0)
+        en, ed = eps.numerator, eps.denominator
+        pairs = zip(terms, terms[1:])
+        want = next((n for n, (a, b) in enumerate(pairs, start=2) if b * en < a * (ed + 2 * en)), None)
+        try:
+            find_dilation(th, [Fraction(0)] * len(terms), eps)
+            got = None
+        except InfeasibleAtStepError as exc:
+            got = exc.step if "frequency ratio" in str(exc) else None
+        except IntervalTooShortError:
+            got = None
+        assert got == want
+
+
 class TestResiduePostcondition:
     @pytest.mark.parametrize("r,N", [(Fraction(3), 512), (Fraction(5, 2), 512), (Fraction(2), 256)])
     def test_achieved_is_distance_to_target(self, r, N):
@@ -608,6 +647,59 @@ class TestShortStep:
         reads = []
         assert greedy(*args, log=reads) == wide_band_search(*args) == fraction_band_search(*args)
         assert reads == [2]  # the pair (70, 700)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 4, 3, 9)),
+        st.integers(1, 10),
+        st.fractions(min_value=Fraction(1, 40), max_value=Fraction(1, 3), max_denominator=40),
+        st.fractions(min_value=Fraction(0), max_value=Fraction(1), max_denominator=30),
+        st.integers(8, 80),
+        st.data(),
+    )
+    def test_interval_inside_a_band(self, rho, K, eps, lo, first_bits, data):
+        # a step whose band holds the whole interval leaves it unchanged, at
+        # step 1 or mid-run; the step after it reads no stored relation
+        terms, P = short_chain(data, rho, first_bits, K, eps)
+        xs = [data.draw(small_fractions) for _ in terms]
+        k = data.draw(st.integers(0, K - 1))  # the inside step is step k + 1
+        if k == 0:
+            a = terms[0]
+            hi = lo + eps / a * data.draw(st.fractions(Fraction(1, 100), Fraction(1), max_denominator=100))
+            iv = (lo, hi)
+        else:
+            a = terms[k - 1]
+            hi = lo + (1 + 2 * eps) / terms[0]
+            iv = fraction_band_search(terms[:k], xs[:k], eps, lo, hi)
+        # the band of a centred on the interval: its half width eps'/a is
+        # at least the interval's
+        c = sum(iv) / 2
+        x = c * a - math.floor(c * a)
+        freqs, targets = [*terms[:k], a, *terms[k:]], [*xs[:k], x, *xs[k:]]
+        args = (freqs, targets, eps, lo, hi)
+        kinds, reads = [], []
+        want = search_outcome(fraction_band_search, *args, kinds)
+        assert kinds[k] == "unchanged"
+        assert search_outcome(wide_band_search, *args) == want
+        assert search_outcome(greedy, *args, Fraction(P, rho), reads) == want
+        # step n + 1 reads pair n - 1 exactly when step n left the interval
+        # banded, so never after the inside step
+        last = want[1] if want[0] == "infeasible" else len(freqs)
+        assert reads == [n for n, kind in enumerate(kinds[: last - 1]) if kind == "banded"]
+        assert k not in reads
+
+    def test_interval_inside_the_first_band_then_short_steps(self):
+        # [0, 1/20] lies in the band [-1/10, 1/10] of a_1 = 1 at x = 0:
+        # step 1 keeps it, step 2 has no relation to read, and the band of
+        # 100 that step 2 picks lies inside, so step 3 reads (100, 10^4)
+        freqs = (1, 100, 10**4)
+        xs = (Fraction(0), Fraction(1, 2), Fraction(0))
+        args = (freqs, xs, Fraction(1, 10), Fraction(0), Fraction(1, 20))
+        kinds, reads = [], []
+        want = fraction_band_search(*args, kinds)
+        assert kinds == ["unchanged", "banded", "banded"]
+        assert greedy(*args, Fraction(100), reads) == wide_band_search(*args) == want
+        assert reads == [1]
 
     def test_one_bumped_term_falls_back_to_the_wide_step(self):
         seq = geometric_sequence(Fraction(3), 2048)
