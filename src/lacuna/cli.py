@@ -45,8 +45,21 @@ def _open(path, mode="r"):
         raise FileError(f"file-error: {path}: {exc.strerror}") from None
 
 
-def _emit(payload, out_path, as_csv=False):
-    text = payload if as_csv else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(render, out_path, as_csv=False):
+    """Write the payload render() builds, as JSON or as the CSV text it is,
+    to stdout and to out_path.  Its integers are lacuna's own results and
+    print exactly: str()'s digit limit on int (4300 digits by default,
+    absent before Python 3.10.7) is lifted while the payload renders and
+    restored after, so parsing flags and --seq files keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        payload = render()
+        text = payload if as_csv else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if out_path:
         with _open(out_path, "w") as fh:
             fh.write(text)
@@ -98,8 +111,7 @@ def _cmd_gaps(a):
     prec = max(alpha_precision(seq.terms[: a.n]), a.precision)
     alpha = DyadicReal.from_fraction(_value(a.alpha), prec)
     rep = gap_report(dilate(alpha, seq, 1, a.n))
-    payload = {"alpha": _dyadic_json(alpha), **rep.to_json_dict()}
-    _emit(payload, a.out)
+    _emit(lambda: {"alpha": _dyadic_json(alpha), **rep.to_json_dict()}, a.out)
     return 0
 
 
@@ -108,19 +120,23 @@ def _cmd_find_alpha(a):
     cert = find_alpha(seq, a.n)
     rep = gap_report(dilate(cert.alpha, seq, 1, a.n))
     bound = gap_bound(smallest_l(seq.growth_factor_r), a.n)
-    payload = cert.to_json_dict()
-    payload["verified_max_gap"] = rep.max_gap.decimal_str(30)
-    payload["target_bound"] = float(bound)
-    payload["bound_met"] = bool(rep.max_gap.to_fraction() <= bound)
-    _emit(payload, a.out)
-    return 0 if payload["bound_met"] else 1
+    met = bool(rep.max_gap.to_fraction() <= bound)
+    _emit(
+        lambda: {
+            **cert.to_json_dict(),
+            "verified_max_gap": rep.max_gap.decimal_str(30),
+            "target_bound": float(bound),
+            "bound_met": met,
+        },
+        a.out,
+    )
+    return 0 if met else 1
 
 
 def _cmd_nested_alpha(a):
     seq = _build_seq(a, chain_terms(a.k_start, a.k_end))
     chain = build_nested_alpha(seq, a.k_start, a.k_end)
-    payload = chain.to_json_dict()
-    _emit(payload, a.out)
+    _emit(chain.to_json_dict, a.out)
     return 0
 
 
@@ -144,7 +160,7 @@ def _cmd_metric_scan(a):
     table = metric.dispersion_scan(
         seq, alphas, n_list, eps=a.eps, rng_seed=a.seed, measure_label=measure
     )
-    _emit(table.to_csv(), a.out, as_csv=True)
+    _emit(table.to_csv, a.out, as_csv=True)
     summary = {
         "measure": measure,
         "seed": a.seed,
@@ -170,7 +186,9 @@ def _cmd_moment_check(a):
     params = metric.MetricParameters.for_n(a.n, eps)
     res = metric.exp_moment_check(
         thinned,
-        float(_value(a.t)),
+        # the moment is 1-periodic in t: t mod 1, taken exactly, is the
+        # float view that keeps its fraction and never overflows
+        float(_value(a.t) % 1),
         params,
         bump_mod.standard_bump(),
     )
@@ -183,18 +201,18 @@ def _cmd_moment_check(a):
         "method": res.method,
         "k_cut": res.k_cut,
     }
-    _emit(payload, a.out)
+    _emit(lambda: payload, a.out)
     return 0 if res.passed else 1
 
 
 def _cmd_cf(a):
     value = _value(a.value, real=True)
     expansion = cf_mod.expand(value, a.depth)
-    payload = expansion.to_json_dict()
+    rates = {}
     if expansion.depth >= 2:
-        payload["lambda_sup"] = cf_mod.lambda_estimate(expansion)
-        payload["levy_rate"] = cf_mod.levy_rate(expansion)
-    _emit(payload, a.out)
+        rates["lambda_sup"] = cf_mod.lambda_estimate(expansion)
+        rates["levy_rate"] = cf_mod.levy_rate(expansion)
+    _emit(lambda: {**expansion.to_json_dict(), **rates}, a.out)
     return 0
 
 
@@ -208,14 +226,19 @@ def _cmd_littlewood(a):
     eta, zeta, eps = _value(a.eta), _value(a.zeta), _value(a.epsilon)
     if a.brute_n:
         report = lw.littlewood_scan(alpha, beta, eta, zeta, eps, n_limit=a.brute_n)
-        payload = report.to_json_dict()
-    else:
-        seq = lw.cz_build(beta, zeta, a.terms)
-        report = lw.littlewood_scan(alpha, beta, eta, zeta, eps, n_values=seq.terms)
-        payload = report.to_json_dict()
-        payload["cz_recheck"] = lw.cz_recheck(seq)
-        payload["cz_terms"] = [str(t) for t in seq.terms]
-    _emit(payload, a.out)
+        _emit(report.to_json_dict, a.out)
+        return 0
+    seq = lw.cz_build(beta, zeta, a.terms)
+    report = lw.littlewood_scan(alpha, beta, eta, zeta, eps, n_values=seq.terms)
+    recheck = lw.cz_recheck(seq)
+    _emit(
+        lambda: {
+            **report.to_json_dict(),
+            "cz_recheck": recheck,
+            "cz_terms": [str(t) for t in seq.terms],
+        },
+        a.out,
+    )
     return 0
 
 

@@ -18,6 +18,7 @@ built from factors that stay O(1), never from n itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -258,8 +259,12 @@ def littlewood_scan(
 def _brute_candidates(alpha, beta, eta, zeta, epsilon, n_limit: int) -> list[int]:
     """Float sweep over all n <= n_limit; keeps everything within a generous
     margin of the threshold for exact confirmation."""
-    af, bf = float(_as_exact(alpha)), float(_as_exact(beta))
-    ef, zf = float(_as_exact(eta)), float(_as_exact(zeta))
+    # the floats of {v} = v - floor(v), taken exactly: ||v n - s|| does not
+    # change when v or s moves by an integer, and a float of the whole value
+    # keeps fewer fractional bits the larger its integer part (and overflows
+    # past 2^1024)
+    exact = map(_as_exact, (alpha, beta, eta, zeta))
+    af, bf, ef, zf = (float(x - math.floor(x)) for x in exact)
     n = np.arange(3, n_limit + 1, dtype=np.float64)
     da = np.abs((n * af - ef) - np.round(n * af - ef))
     db = np.abs((n * bf - zf) - np.round(n * bf - zf))

@@ -9,12 +9,15 @@ p * a_n + delta_n (Recurrence.residues).
 Both sequence types are stored as that recurrence (Recurrence): with r = p/q
 a sequence keeps delta_n = q * a_{n+1} - p * a_n for n < N and a checkpoint
 a_n at every stride-th term, stride = ceil(sqrt(N)), never the N wide terms.
-So it holds O(N) short integers and O(sqrt(N)) wide ones, and seq.terms is a
-read-only view that computes a_{n+1} = (p * a_n + delta_n) / q from the
-nearest checkpoint; seq.residues(m, P) walks the same recurrence for the
-dilates m * a_n mod 2^P, so no other module reads the checkpoints.  For a
-LacunarySequence a_{n+1} >= r * a_n is delta_n >= 0, N short comparisons.
-geometric_sequence streams its terms once and keeps only the checkpoints.
+So it holds O(N) short integers and O(sqrt(N)) wide ones.  One walk reads
+them: from m times the checkpoint at or below the first term wanted, it
+carries y_n = m * a_n exactly and steps y <- (p * y + m * delta_n) / q, a
+shift for q = 2^s and one // otherwise.  With m = 1 it gives the terms
+(seq.terms, a read-only view), and with any m masked to P bits the dilates
+m * a_n mod 2^P (seq.residues), so no other module reads the checkpoints.
+For a LacunarySequence a_{n+1} >= r * a_n is delta_n >= 0, N short
+comparisons.  geometric_sequence streams its terms once and keeps only the
+checkpoints.
 
 The thinned subsequence a~_n = a_{n*step} with step = l * floor(ln N) (l the
 smallest integer with r^l > e) has consecutive ratios exceeding N^xi with
@@ -115,10 +118,11 @@ class Recurrence:
     deltas[n - 1] = q * a_{n+1} - p * a_n, of any sign, and checkpoints[k] =
     a_{k * stride + 1}, stride = ceil(sqrt(N)).  Every ratio describes
     every list of integers; the ratio a list grows by keeps its deltas
-    short.  Built from explicit terms, Recurrence(terms, r).  The terms are
-    read through seq.terms (iterating seq reads them too), and the dilates
-    m * a_n mod 2^P through seq.residues; only this module reads the
-    checkpoints."""
+    short.  Built from explicit terms, Recurrence(terms, r).  One walk of
+    the recurrence (_stream) gives the terms, read through seq.terms
+    (iterating seq reads them too), and the dilates m * a_n mod 2^P, read
+    through seq.residues; only the walk reads the checkpoints and the
+    stride."""
 
     growth_factor_r: Fraction
     deltas: tuple[int, ...]
@@ -165,69 +169,42 @@ class Recurrence:
         """1-based access: a_n, stepped from the checkpoint below it."""
         return self.terms[n - 1]
 
-    def _stream(self, i: int) -> Iterator[int]:
-        """a_(i+1), a_(i+2), ... to a_N (i 0-based), each term computed from
-        the one before, starting at the checkpoint at or below a_(i+1)."""
+    def _stream(self, i: int, m: int = 1, mask: int | None = None) -> Iterator[int]:
+        """y_n = m * a_n for n = i+1, ..., N (i 0-based), each from the one
+        before by q * y_(n+1) = p * y_n + m * delta_n, starting from m times
+        the checkpoint at or below a_(i+1); with a mask, y_n & mask.
+
+        p * y_n + m * delta_n = q * m * a_(n+1) as integers, for every
+        delta_n of either sign, so y is carried exactly and the division is
+        exact, a negative y too: a shift for q = 2^s, one // otherwise.  For
+        q = 1 nothing is divided, so a masked walk keeps y reduced."""
         p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
+        s = q.bit_length() - 1 if q & (q - 1) == 0 else None  # q = 2^s
         c = self.stride
-        a = self.checkpoints[i // c]
         k = i - i % c
+        y = m * self.checkpoints[i // c]
         for n, d in enumerate(islice(self.deltas, k, None), k):
             if n >= i:
-                yield a
-            a = p * a + d if d else p * a
-            if q > 1:
-                a //= q
-        yield a
+                yield y if mask is None else y & mask
+            y = p * y + m * d if d else p * y
+            if s is None:
+                y //= q
+            elif s:
+                y >>= s
+            elif mask is not None:
+                y &= mask
+        yield y if mask is None else y & mask
 
     def residues(self, m: int, P: int, start: int = 1, stop: int | None = None) -> Iterator[int]:
         """m * a_n mod 2^P for a_start..a_stop (1-based, inclusive; stop=None:
-        a_N), one at a time, each from the one before by the recurrence.
-
-        With X_n = m * a_n, q * X_(n+1) = p * X_n + delta_n * m: a
-        multiply-add and an exact division by q = 2^s * q', q' odd: a shift
-        by s, and for q' > 1 divmod(W, q) = (Q, R) and X = Q + (R >> s) *
-        q'^-1 mod 2^K, a short division and a short multiple.  The product m
-        * a_n is taken only at the window's first term and, for s > 0, where
-        a block starts again: each shift loses s low bits of the modulus, so
-        X is carried mod 2^K, and a new block starts from m * a_n at the
-        first checkpoint after b = max(isqrt(P) // s, 1) steps.  Checkpoints
-        lie stride apart, so no block runs past b + stride - 1 steps and K =
-        P + s * (b + stride - 1) suffices.  Odd q (q = 1 for integer ratios)
-        loses no bit and runs as one block from the window's first term.
-        Every integer delta_n of either sign is exact."""
+        a_N), one at a time: the walk of the terms with y_n = m * a_n, each
+        masked to its low P bits."""
         n = len(self)
         _require(n, stop)
         stop = n if stop is None else stop
         if start > stop:
-            return
-        p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
-        s = (q & -q).bit_length() - 1
-        odd = q >> s
-        c, cps = self.stride, self.checkpoints
-        # odd q: one block, never started again
-        block = max(math.isqrt(P) // s, 1) if s else n
-        K = P + s * (block + c - 1)
-        wide, mask = (1 << K) - 1, (1 << P) - 1
-        inv = pow(odd, -1, 1 << K)
-        x = (m * next(self._stream(start - 1))) & wide
-        left = block  # steps before the block may start again
-        yield x & mask
-        for i, d in enumerate(islice(self.deltas, start - 1, stop - 1), start):
-            if left <= 0 and i % c == 0:
-                x = (m * cps[i // c]) & wide
-                left = block
-            else:
-                # X is now valid mod 2^(K - s * steps so far); the bits above
-                # it are never read
-                x = (p * x + d * m if d else p * x) & wide
-                if odd > 1:
-                    x, r = divmod(x, q)
-                    x += (r >> s) * inv
-                elif s:
-                    x >>= s
-                left -= 1
-            yield x & mask
+            return iter(())
+        return islice(self._stream(start - 1, m, (1 << P) - 1), stop - start + 1)
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -279,6 +279,12 @@ class TestMomentCheck:
         assert payload["passed"] is True
         assert payload["lhs"] <= 1.1 * payload["rhs"]
 
+    def test_t_past_float_range(self, capsys):
+        # the moment is 1-periodic in t, so t = 10^999 is t = 0
+        code, out = run(capsys, "moment-check", "--n", "1024", "--t", "1e999")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_uncertified_bump_is_clean_error(self, capsys, monkeypatch):
         underresolved = bump_mod.standard_bump.__wrapped__
         monkeypatch.setattr(bump_mod, "standard_bump", lambda: underresolved(nodes=16))
@@ -302,7 +308,35 @@ class TestCf:
         assert payload["rational_terminated"] is True
 
 
+class TestCfRendering:
+    def test_integers_past_the_digit_limit_print_exactly(self, capsys):
+        # 1/10^5000 has the partial quotient 10^5000, 5001 digits, past
+        # str()'s default limit of 4300; the limit is lifted only while the
+        # payload renders, so parsing a flag keeps it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out = run(capsys, "cf", "--value", "1e-5000")
+        assert code == 0
+        assert json.loads(out)["partial_quotients"] == ["1" + "0" * 5000]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        if limit:
+            code = main(["cf", "--value", "7" * (limit + 1)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error [malformed-value]: ")
+
+
 class TestLittlewood:
+    def test_shift_past_float_range(self, capsys):
+        # ||beta n - 10^400|| is ||beta n||: no float of 10^400 is taken
+        code, out = run(
+            capsys, "littlewood", "--beta", "sqrt:2", "--alpha", "quad:-1,5,2",
+            "--eta", "1e400", "--brute-n", "100",
+        )
+        assert code == 0
+        want = run(capsys, "littlewood", "--beta", "sqrt:2", "--alpha", "quad:-1,5,2",
+                   "--brute-n", "100")[1]
+        assert json.loads(out)["solutions"] == json.loads(want)["solutions"]
+
     def test_brute_mode(self, capsys):
         code, out = run(
             capsys, "littlewood", "--alpha", "quad:-1,5,2", "--beta", "sqrt:2",

@@ -321,11 +321,12 @@ odd_mantissas = st.integers(-(1 << 900), 1 << 900).map(lambda m: m | 1)
 
 
 class TestOneRecurrence:
-    """residues(alpha, seq) steps by q * X_{n+1} = p * X_n + delta_n * m in
-    blocks of isqrt(P) // s steps (q = 2^s * q', q' odd), each started
-    again from m * a at a checkpoint; every value must be m * a & mask, on a
-    sequence's stored relation, on explicit terms with the ratio's
-    denominator, with a wrong q and on broken chains."""
+    """residues(alpha, seq) carries y_n = m * a_n exactly from m times the
+    checkpoint at or below the window's first term and steps by q * y_{n+1}
+    = p * y_n + m * delta_n, a shift for q = 2^s and one // otherwise; every
+    value must be m * a & mask, over the whole sequence and over a window
+    from mid-sequence, on a sequence's stored relation, on explicit terms
+    with the ratio's denominator, with a wrong q and on broken chains."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -334,16 +335,19 @@ class TestOneRecurrence:
         odd_mantissas,
         st.one_of(st.just(0), st.integers(1, 63), st.integers(64, 900)),
         st.integers(1, 60),
+        st.data(),
     )
-    def test_geometric_matches_products(self, r, n, m, P, wrong_q):
+    def test_geometric_matches_products(self, r, n, m, P, wrong_q, data):
         seq = geometric_sequence(r, n)
         terms = seq.terms
         alpha = DyadicReal(m, -P, 4096)
         assert residue_bits(alpha) == P
         want = product_residues(alpha, terms)
-        assert list(residues(alpha, seq)) == want
-        assert list(residues(alpha, explicit(terms, r.denominator))) == want
-        assert list(residues(alpha, explicit(terms, wrong_q))) == want
+        start = data.draw(st.integers(1, n))
+        stop = data.draw(st.integers(start - 1, n))
+        for walked in (seq, explicit(terms, r.denominator), explicit(terms, wrong_q)):
+            assert list(residues(alpha, walked)) == want
+            assert list(residues(alpha, walked, start, stop)) == want[start - 1 : stop]
 
     @pytest.mark.parametrize("r", RATIOS)
     def test_several_blocks_at_the_dilation_precision(self, r):
@@ -351,7 +355,7 @@ class TestOneRecurrence:
         terms = seq.terms
         P = alpha_precision(terms)
         s = (r.denominator & -r.denominator).bit_length() - 1
-        if s:  # blocks of isqrt(P) // s steps: many boundaries crossed
+        if s:  # many more shifts than isqrt(P) // s: y_n grows to about 2P bits
             assert len(terms) > 5 * (math.isqrt(P) // s)
         alpha = DyadicReal.from_fraction(Fraction(7, 10), P)
         want = product_residues(alpha, terms)
@@ -374,8 +378,9 @@ class TestOneRecurrence:
             ),
             max_size=8,
         ),
+        st.data(),
     )
-    def test_broken_chains_match_products(self, r, n, m, P, q, edits):
+    def test_broken_chains_match_products(self, r, n, m, P, q, edits, data):
         terms = list(geometric_sequence(r, n).terms)
         for i, kind, v in edits:
             i %= n
@@ -389,8 +394,11 @@ class TestOneRecurrence:
                 terms[i] = v
         alpha = DyadicReal(m, -P, 4096)
         want = product_residues(alpha, terms)
-        assert list(residues(alpha, explicit(terms, r.denominator))) == want
-        assert list(residues(alpha, explicit(terms, q))) == want
+        start = data.draw(st.integers(1, n))
+        stop = data.draw(st.integers(start - 1, n))
+        for walked in (explicit(terms, r.denominator), explicit(terms, q)):
+            assert list(residues(alpha, walked)) == want
+            assert list(residues(alpha, walked, start, stop)) == want[start - 1 : stop]
 
     def test_dilate_passes_the_ratio_denominator(self, monkeypatch):
         # a sequence steps by its ratio r and rho = den(r), a thinning by
@@ -418,8 +426,8 @@ class TestOneRecurrence:
 
 class TestStoredRelation:
     """residues() of a LacunarySequence steps by its stored deltas at r, a
-    ThinnedSequence by its deltas at r^step, and both restart only at
-    checkpoints.  Each window must equal the product oracle."""
+    ThinnedSequence by its deltas at r^step; both start from a checkpoint
+    and never again.  Each window must equal the product oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -112,6 +112,20 @@ class TestLittlewoodScan:
         for n, prod, thr in rep.solutions:
             assert prod <= thr * (1 + 1e-9) + 1e-12
 
+    def test_brute_scan_ignores_integer_shifts(self):
+        # n ||alpha n - eta|| ||beta n - zeta|| is the same for alpha + 2^30
+        # and eta + 2^40; a float of the whole value would keep too few
+        # fractional bits and the prefilter would drop true solutions
+        eps = Fraction(1, 10)
+        want = littlewood_scan(PHI - 1, SQRT2, 0, 0, eps, n_limit=10**5).solutions
+        assert len(want) == 149
+        shifted = littlewood_scan(PHI - 1 + (1 << 30), SQRT2, 0, 0, eps, n_limit=10**5)
+        assert shifted.solutions == want
+        eta = Fraction(1, 3)
+        want = littlewood_scan(PHI - 1, SQRT2, eta, 0, eps, n_limit=10**4).solutions
+        shifted = littlewood_scan(PHI - 1, SQRT2, eta + (1 << 40), 0, eps, n_limit=10**4)
+        assert shifted.solutions == want
+
     def test_explicit_mode_on_cz_terms(self):
         seq = cz_build(SQRT2, 0, 8)
         rep = littlewood_scan(
