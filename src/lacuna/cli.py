@@ -84,9 +84,14 @@ def _load_config_defaults(argv):
     return out
 
 
+def _at_least(name: str, value: int, low: int) -> None:
+    """A count, size or precision below its least value is N-out-of-range."""
+    if value < low:
+        raise NOutOfRangeError(f"N-out-of-range: need {name} >= {low}, got {value}")
+
+
 def _build_seq(args, n_terms: int):
-    if n_terms < 1:
-        raise NOutOfRangeError(f"N-out-of-range: need N >= 1, got {n_terms}")
+    _at_least("N", n_terms, 1)
     if getattr(args, "seq", None):
         return load_sequence(args.seq)
     return geometric_sequence(_value(args.r), n_terms)
@@ -107,6 +112,7 @@ def _value(spec: str, real: bool = False):
 
 
 def _cmd_gaps(a):
+    _at_least("--precision", a.precision, 0)
     seq = _build_seq(a, a.n)
     prec = max(alpha_precision(seq.terms[: a.n]), a.precision)
     alpha = DyadicReal.from_fraction(_value(a.alpha), prec)
@@ -145,6 +151,10 @@ def _cmd_metric_scan(a):
         raise NOutOfRangeError(
             f"N-out-of-range: need 1 <= --n-min <= --n-max, got {a.n_min} and {a.n_max}"
         )
+    _at_least("--alphas", a.alphas, 1)
+    _at_least("--precision", a.precision, 0)
+    if not 0 < a.eps < float("inf"):  # nan fails every comparison
+        raise EpsilonDomainError(f"epsilon-domain: --eps {a.eps}, need finite and > 0")
     n_list = []
     n = a.n_min
     while n <= a.n_max:
@@ -224,6 +234,8 @@ def _cmd_littlewood(a):
         else metric.sample_alpha("bounded-cf:5", a.seed, 192).to_fraction()
     )
     eta, zeta, eps = _value(a.eta), _value(a.zeta), _value(a.epsilon)
+    _at_least("--brute-n", a.brute_n, 0)  # 0: the steered CZ run
+    _at_least("--terms", a.terms, 1)
     if a.brute_n:
         report = lw.littlewood_scan(alpha, beta, eta, zeta, eps, n_limit=a.brute_n)
         _emit(report.to_json_dict, a.out)

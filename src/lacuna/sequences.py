@@ -177,12 +177,17 @@ class Recurrence:
         p * y_n + m * delta_n = q * m * a_(n+1) as integers, for every
         delta_n of either sign, so y is carried exactly and the division is
         exact, a negative y too: a shift for q = 2^s, one // otherwise.  For
-        q = 1 nothing is divided, so a masked walk keeps y reduced."""
+        q = 1 nothing is divided, so a masked walk reduces y once at the
+        start and once per step, and yields it as it is."""
         p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
         s = q.bit_length() - 1 if q & (q - 1) == 0 else None  # q = 2^s
         c = self.stride
         k = i - i % c
         y = m * self.checkpoints[i // c]
+        step_mask = mask if q == 1 else None  # the step keeps y reduced
+        if step_mask is not None:
+            y &= step_mask
+            mask = None
         for n, d in enumerate(islice(self.deltas, k, None), k):
             if n >= i:
                 yield y if mask is None else y & mask
@@ -191,8 +196,8 @@ class Recurrence:
                 y //= q
             elif s:
                 y >>= s
-            elif mask is not None:
-                y &= mask
+            elif step_mask is not None:
+                y &= step_mask
         yield y if mask is None else y & mask
 
     def residues(self, m: int, P: int, start: int = 1, stop: int | None = None) -> Iterator[int]:

@@ -4,40 +4,46 @@ a-posteriori-verified search for dilation factors.
 The existence statement behind this module guarantees, for frequencies whose
 small integer combinations cannot vanish (certified gap delta > 0), a dilation
 factor alpha in any interval of length 4/delta with ||alpha*a~_n - x_n|| <= eps
-for all n.  We realize it constructively: each constraint defines periodic
-bands of width 2*eps/a~_n, and because consecutive frequency ratios dominate
-1/eps + 2, every feasible interval contains a full band of the next constraint.
-Every returned alpha is re-verified at full precision; nothing is trusted from
+for all n.  We realize it constructively, one frequency at a time, by a
+recurrence of band centres: c_0 is the midpoint of the search interval,
+
+    j_n = ceil(a~_n*c_(n-1) - x_n - 1/2),    c_n = (x_n + j_n)/a~_n,
+
+so c_n is the centre of the band ||alpha*a~_n - x_n|| <= eps' nearest
+c_(n-1), ties toward lower alpha, and alpha is c_K rounded to a dyadic.
+Two lemmas, resting on the two checks find_dilation makes, nest the bands
+(eps' is any value in (eps/2, eps); the choice of j_n never reads it):
+
+- First band.  |c_1 - c_0| <= 1/(2*a~_1) and the band's half width is
+  eps'/a~_1, so the band lies strictly inside [lo, hi] whenever
+  hi - lo >= (1 + 2*eps)/a~_1.
+- Later bands.  a~_(n+1)/a~_n >= 1/eps + 2 > 1 + 1/(2*eps'), so
+  1/(2*a~_(n+1)) + eps'/a~_(n+1) < eps'/a~_n: band n+1 lies strictly
+  inside band n.
+
+So a search that intersects the bands keeps each chosen band whole, and no
+step clips the interval or leaves it unchanged.  Before rounding,
+||c_K*a~_n - x_n|| <= a~_n * sum_(m>n) 1/(2*a~_m) <= eps/(2*(1 + eps)) by
+the ratio check, and the rounding of alpha adds at most 2^-64.  Every
+returned alpha is re-verified at full precision; nothing is trusted from
 the construction.
 
-Every decision is an integer comparison; no Fraction is built per step.
+Every decision is an integer comparison; no Fraction is built after the
+search's first step.
 
 - The ratio precondition a_{n+1}/a_n >= 1/eps + 2 is cross-multiplied:
   a_{n+1}*e_num >= a_n*(e_den + 2*e_num) for eps = e_num/e_den, a_n > 0.
   With the stored relation rho*a_{n+1} = P*a_n + d_n it reads d_n*e_num >=
-  c*a_n for the short c = rho*(e_den + 2*e_num) - P*e_num, so a term is
-  multiplied only where c > 0 or d_n < 0.
-- The band search carries the interval as integers L, H over one shared,
-  unreduced denominator Q = Qe*e_den*prev > 0, and every step from a_(n-1)
-  to a_n reads one relation rho_n*a_n = P_n*prev + d_n.  When the interval
-  is exactly the band of a_(n-1) (after every step but the first and the
-  rare clipped or unchanged ones), prev = a_(n-1) and the relation is the
-  pair's rho*a_n = P*a_(n-1) + d that the ThinnedSequence stores: P/rho is
-  r^step for a thinning of a sequence of ratio r (1 for a list of terms),
-  and d is its delta of any sign.  Otherwise prev = 1 and the relation is
-  a_n = a_n*1 + 0.  With x = p/q, eps' = e_num/e_den (eps less the search
-  slack) and R = rho_n*q*Q, the quantities lo*a - x - eps', hi*a - x + eps'
-  and the centre's c*a - x are integers over R or 2R.  The first splits
-  into a division by the short U = R/prev and one with the short quotient
-  lo*d_n/rho_n: O(B) for B-bit frequencies when the relation is stored, not
-  the O(B^2) of the one wide product of the trivial relation.  The band
-  indices j_min, j_max come from floor division, j_best from the same
-  half-to-even rounding round(Fraction) applies, and the tie toward lower
-  alpha from comparing two integers scaled by 2R.  The chosen band is
-  (p*e_den + j*q*e_den -+ e_num*q) / (q*e_den*a), and whether it holds lo
-  or hi compares integers at scale R too.  Scaling by a positive integer
-  preserves every floor, ceiling, rounding and order, so each decision is
-  the one the rational arithmetic makes, and alpha is the same.
+  c*a_n for the short c = rho*(e_den + 2*e_num) - P*e_num, so the terms
+  are walked only where c > 0 or some d_n < 0.  With a~_1 > 0 it makes
+  every term positive.
+- The band search carries c = u/(q*a) with x = p/q and u = p + j*q.  With
+  the relation rho*a' = P*a + d that the ThinnedSequence stores (P/rho is
+  r^step for a thinning of a sequence of ratio r, 1 for a list of terms,
+  and d is of any sign), a'*c = P*u/(rho*q) + d*u/(rho*q*a): one division
+  by the short rho*q and one with the short quotient d*c/rho, O(B) for
+  B-bit terms, not the O(B^2) of the product a'*u.  j' is one floor
+  division of O(B)-bit integers, exact for every integer d.
 - The postcondition reads the residue stream: for alpha = m*2^-P and
   res = m*a mod 2^P, {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P),
   exact because q*m*a and q*res agree mod q*2^P.  Its distance to the
@@ -75,11 +81,6 @@ from .sequences import (
     thin,
     thin_block,
 )
-
-# relative slack used during the search so that rounding the final midpoint to
-# a dyadic cannot push any achieved distance past eps
-_SEARCH_SLACK = Fraction(1, 1 << 12)
-
 
 @dataclass(frozen=True)
 class TuranParameters:
@@ -176,98 +177,35 @@ def delta_lower_bound(terms, M: int) -> int:
     return best
 
 
-def _greedy_band_search(
-    frequencies,
-    targets,
-    epsilon: Fraction,
-    lo: Fraction,
-    hi: Fraction,
-    ratio: Fraction,
-    deltas,
-):
-    """Intersect per-frequency bands ||alpha*a - x|| <= eps', keeping at each
-    step the band whose center is nearest the current interval's center (ties
-    toward lower alpha).  Returns the final feasible (lo, hi).
+def _greedy_band_search(seq: ThinnedSequence, targets, lo: Fraction, hi: Fraction) -> Fraction:
+    """The last band centre c_K of the recurrence c_0 = (lo + hi)/2,
+    j_n = ceil(a~_n*c_(n-1) - x_n - 1/2), c_n = (x_n + j_n)/a~_n over the
+    terms of seq (see the module docstring).
 
-    One step rule (see the module docstring): lo and hi are integers L, H
-    over Q = Qe*e_den*prev for eps' = e_num/e_den, and the step to a_n
-    reads a relation rho_n*a_n = P_n*prev + d_n.  When the interval is
-    exactly the band of a_(n-1), it is the pair's relation rho*a_n =
-    P*a_(n-1) + deltas[n - 2] for ratio = P/rho, as a ThinnedSequence
-    stores it, exact for any integer delta; otherwise prev = 1 and it is
-    a_n = a_n*1 + 0.  L, H and Q start scaled by e_den, so Q has that form
-    from the first step.  Only which relation a step reads depends on the
-    interval; every decision is the same exact integer comparison."""
-    eps = epsilon * (1 - _SEARCH_SLACK)
-    en, ed = eps.numerator, eps.denominator
-    Qe = lo.denominator * hi.denominator
-    L, H = lo.numerator * hi.denominator * ed, hi.numerator * lo.denominator * ed
-    P, rho = ratio.numerator, ratio.denominator
-    prev, banded = 1, False  # Q = Qe*ed*prev, prev = a_(n-1) when banded
-    for n, (a, x) in enumerate(zip(frequencies, targets), start=1):
+    Under find_dilation's checks, hi - lo >= (1 + 2*eps)/a~_1 and
+    a~_(n+1)/a~_n >= 1/eps + 2, every band lies strictly inside the one
+    before, and the first inside [lo, hi]: c_K is the midpoint of the last
+    band of the search that intersects them, and within eps/(2*(1 + eps))
+    of every constraint.  The first step is one Fraction evaluation; each
+    later one writes c = u/(q*a) and reads the stored relation
+    rho*a' = P*a + d: a'*c = P*u/(rho*q) + d*u/(rho*q*a) is an integer
+    A plus F/D, from a division by the short rho*q and one with a short
+    quotient, and j' = A + ceil(F/D - x' - 1/2) is one floor division."""
+    P, rho = seq.growth_factor_r.numerator, seq.growth_factor_r.denominator
+    terms, xs = iter(seq.terms), iter(targets)
+    a, x = next(terms), next(xs)
+    q = x.denominator
+    u = x.numerator + math.ceil(a * (lo + hi) / 2 - x - Fraction(1, 2)) * q
+    for a2, x, d in zip(terms, xs, seq.deltas):
+        D = rho * q * a
+        A, F = divmod(P * u, rho * q)
+        A2, F2 = divmod(d * u, D)
+        A, F = A + A2, F * a + F2
+        # ceil(F/D - p/q' - 1/2) = -floor(((2p + q')*D - 2q'*F) / (2q'*D))
         p, q = x.numerator, x.denominator
-        Pn, rn, d = (P, rho, deltas[n - 2]) if banded else (a, 1, 0)
-        # At the scale R = rn*q*Q = U*prev, with rn*a = Pn*prev + d:
-        # lo*a - x - eps' = base + rem/R with 0 <= rem < R,
-        # (hi - lo)*a = dA/R and 2*eps' = E2/R, so that
-        # hi*a - x + eps' = base + (rem + w)/R for w = dA + E2.
-        # R*(lo*a - x - eps') is N*prev + L*q*d for N = L*q*Pn -
-        # rn*Qe*(p*ed + en*q): N over U, and L*q*d over R with the short
-        # quotient lo*d/rn; with 0 <= rem*prev <= R - prev and 0 <= r2 < R,
-        # one carry suffices
-        rq = rn * q
-        U = rq * Qe * ed
-        R = U * prev
-        base, rem = divmod(L * (q * Pn) - rn * Qe * (p * ed + en * q), U)
-        rem *= prev
-        if d:
-            i2, r2 = divmod(L * (q * d), R)
-            base, rem = base + i2, rem + r2
-            if rem >= R:
-                base, rem = base + 1, rem - R
-        dA = (rq * (H - L)) * a
-        E2 = (2 * en * rq * Qe) * prev
-        w = dA + E2
-        j_min = base + (rem != 0)
-        j_max = base + (rem + w) // R
-        if j_min > j_max:
-            raise InfeasibleAtStepError(n)
-        # c*a - x = base + t/(2R) for the centre c = (lo + hi)/2
-        t = 2 * rem + w
-        two_r = 2 * R
-        f, t_rem = divmod(t, two_r)
-        j_best = base + f
-        if 2 * t_rem > two_r or (2 * t_rem == two_r and j_best % 2 == 1):
-            j_best += 1  # half to even, as round(Fraction) does
-        j_best = min(max(j_best, j_min), j_max)
-        # ties toward lower alpha: prefer j_best-1 when equally close, i.e.
-        # |u - 2R| <= |u| for u = 2R*(j_best - (c*a - x))
-        if j_best - 1 >= j_min:
-            u = two_r * (j_best - base) - t
-            if abs(u - two_r) <= abs(u):
-                j_best -= 1
-        # band [(x + j - eps)/a, (x + j + eps)/a] = [BL, BL + 2*en*q] / A
-        # for A = q*ed*a
-        BL = (p + j_best * q) * ed - en * q
-        jR = (j_best - base) * R
-        keep_lo = rem + E2 >= jR  # lo >= band_lo
-        keep_hi = rem + dA <= jR  # hi <= band_hi
-        banded = not (keep_lo or keep_hi)
-        if banded:
-            L, H, Qe, prev = BL, BL + 2 * en * q, q, a
-        else:
-            # the same Q over prev = 1
-            Qe, prev = Qe * prev, 1
-            if keep_lo != keep_hi:
-                # one end clipped: bring both ends over Q*A (rare)
-                A = q * ed * a
-                L = L * A if keep_lo else BL * Qe * ed
-                H = H * A if keep_hi else (BL + 2 * en * q) * Qe * ed
-                Qe *= A
-        if L > H:
-            raise InfeasibleAtStepError(n)
-    Q = Qe * ed * prev
-    return Fraction(L, Q), Fraction(H, Q)
+        j = A - ((2 * p + q) * D - 2 * q * F) // (2 * q * D)
+        u, a = p + j * q, a2
+    return Fraction(u, q * a)
 
 
 def find_dilation(
@@ -276,11 +214,16 @@ def find_dilation(
     epsilon: Fraction,
     search_interval: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
 ) -> DilationCertificate:
-    """Greedy interval refinement realizing ||alpha*a~_n - x_n|| <= eps for all n.
+    """Nested band centres realizing ||alpha*a~_n - x_n|| <= eps for all n.
 
-    Preconditions (checked): |interval| >= 4/delta with delta certified by
-    delta_lower_bound, and consecutive frequency ratios >= 1/eps + 2 so every
-    feasible interval contains a full band of the next constraint.
+    Preconditions (checked, each a coded error): a~_1 > 0; consecutive
+    ratios a~_(n+1)/a~_n >= 1/eps + 2, which with a~_1 > 0 makes every
+    term positive and nests each band strictly inside the one before;
+    hi - lo >= (1 + 2*eps)/a~_1, which puts the first band strictly inside
+    the interval; and hi - lo >= 4/delta when delta_lower_bound certifies
+    delta.  Under them the band centre c_K of _greedy_band_search is within
+    eps/(2*(1 + eps)) of every constraint; alpha is c_K rounded to
+    alpha_precision bits, and the exact residue postcondition is the guard.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -288,43 +231,36 @@ def find_dilation(
     xs = [Fraction(t) for t in targets]
     if len(xs) != thinned.K:
         raise ValueError(f"need {thinned.K} targets, got {len(xs)}")
-    freqs = tuple(thinned.terms)
-    if any(a <= 0 for a in freqs):
+    terms = thinned.terms
+    a1 = terms[0]
+    if a1 <= 0:
         raise ValueError("frequencies must be positive")
-    # ratio precondition for greedy feasibility: a_{n+1}/a_n >= 1/eps + 2,
-    # i.e. a_{n+1}*e_num >= a_n*(e_den + 2*e_num), read from the relation
+    # ratio precondition for nested bands: a_{n+1}/a_n >= 1/eps + 2, i.e.
+    # a_{n+1}*e_num >= a_n*(e_den + 2*e_num), read from the relation
     # rho*a_{n+1} = P*a_n + d_n as d_n*e_num >= c*a_n; it holds without a
-    # product where c <= 0 <= d_n
+    # product where c <= 0 <= d_n, so then the terms are not walked
     en, ed = epsilon.numerator, epsilon.denominator
     ratio = thinned.growth_factor_r
     c = ratio.denominator * (ed + 2 * en) - ratio.numerator * en
-    for n, d in enumerate(thinned.deltas):
-        if (c > 0 or d < 0) and d * en < c * freqs[n]:
-            raise InfeasibleAtStepError(
-                n + 2, f"frequency ratio at step {n + 2} below 1/eps + 2"
-            )
+    if c > 0 or min(thinned.deltas, default=0) < 0:
+        for n, (a, d) in enumerate(zip(terms, thinned.deltas), start=2):
+            if d * en < c * a:
+                raise InfeasibleAtStepError(n, f"frequency ratio at step {n} below 1/eps + 2")
     M = turan_M(min(epsilon, Fraction(499, 1000)), thinned.K)
     try:
-        delta = delta_lower_bound(freqs, M)
+        delta = delta_lower_bound(terms, M)
     except DeltaUncertifiableError:
-        # below the domination threshold; the greedy still succeeds whenever
-        # the interval holds a full band of the first constraint
+        # below the domination threshold; the bands still nest
         delta = None
     lo, hi = Fraction(search_interval[0]), Fraction(search_interval[1])
-    if delta is not None:
-        if hi - lo < Fraction(4, delta):
-            raise IntervalTooShortError(
-                f"interval length {hi - lo} below 4/delta = 4/{delta}"
-            )
-    elif hi - lo < (1 + 2 * epsilon) / freqs[0]:
-        raise IntervalTooShortError(
-            f"interval length {hi - lo} below (1+2*eps)/a~_1"
-        )
-    flo, fhi = _greedy_band_search(freqs, xs, epsilon, lo, hi, ratio, thinned.deltas)
-    # the frequencies increase (the ratio precondition) and are parent terms
+    if delta is not None and hi - lo < Fraction(4, delta):
+        raise IntervalTooShortError(f"interval length {hi - lo} below 4/delta = 4/{delta}")
+    if hi - lo < (1 + 2 * epsilon) / a1:
+        raise IntervalTooShortError(f"interval length {hi - lo} below (1+2*eps)/a~_1")
+    # the terms increase (the ratio precondition) and are parent terms
     parent = thinned.parent
-    precision = alpha_precision(parent.terms if parent is not None else freqs)
-    alpha = DyadicReal.from_fraction((flo + fhi) / 2, precision)
+    precision = alpha_precision(parent.terms if parent is not None else terms)
+    alpha = DyadicReal.from_fraction(_greedy_band_search(thinned, xs, lo, hi), precision)
     # postcondition on the residue stream: with alpha = m*2^-P and x = p/q,
     # {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), res = m*a mod 2^P
     P = residue_bits(alpha)

@@ -491,10 +491,12 @@ class TestInputBounds:
     """A window past the end of a --seq file, an empty or negative N range,
     an N below 1, a nested block range with k_start > k_end or a negative
     one, a cf depth of 0, a moment epsilon of 0, a missing --seq or
-    --config file and an --out in a missing directory each end in one coded
-    error line: exit 1, nothing on stdout, no traceback.  Each case runs in a subprocess with a
-    timeout, so a regression to the unbounded N loop fails instead of
-    hanging."""
+    --config file, an --out in a missing directory, a metric scan of no
+    alphas or of a non-finite or non-positive --eps, a Littlewood run of
+    no CZ terms or a negative brute range, and a negative --precision each
+    end in one coded error line: exit 1, nothing on stdout, no traceback.
+    Each case runs in a subprocess with a timeout, so a regression to the
+    unbounded N loop fails instead of hanging."""
 
     SHORT = "# r=2\n2\n4\n8\n16\n"
 
@@ -520,11 +522,22 @@ class TestInputBounds:
              "malformed-sequence-file"),
             (["--config", "{missing}.cfg", "gaps", "--n", "3", "--alpha", "1/2"], "file-error"),
             (["gaps", "--n", "3", "--alpha", "1/2", "--out", "{missing}/x.json"], "file-error"),
+            (["metric-scan", "--alphas", "0"], "N-out-of-range"),
+            (["metric-scan", "--alphas", "-1"], "N-out-of-range"),
+            (["metric-scan", "--eps", "nan"], "epsilon-domain"),
+            (["metric-scan", "--eps", "0"], "epsilon-domain"),
+            (["littlewood", "--beta", "sqrt:2", "--terms", "-3"], "N-out-of-range"),
+            (["littlewood", "--beta", "sqrt:2", "--brute-n", "-5"], "N-out-of-range"),
+            (["gaps", "--n", "3", "--alpha", "1/2", "--precision", "-5"], "N-out-of-range"),
+            (["metric-scan", "--precision", "-5"], "N-out-of-range"),
         ],
         ids=["gaps", "metric-scan", "find-alpha", "moment-check", "nested-alpha",
              "n-min-zero", "n-min-negative", "n-min-above-n-max", "k-start-above-k-end",
              "cf-depth-zero", "moment-eps-zero", "gaps-n-negative", "k-range-negative",
-             "seq-file-missing", "config-missing", "out-dir-missing"],
+             "seq-file-missing", "config-missing", "out-dir-missing",
+             "alphas-zero", "alphas-negative", "scan-eps-nan", "scan-eps-zero",
+             "cz-terms-negative", "brute-n-negative", "gaps-precision-negative",
+             "scan-precision-negative"],
     )
     def test_one_coded_error_line(self, tmp_path, argv, code):
         seq = tmp_path / "short.txt"
@@ -543,3 +556,5 @@ class TestInputBounds:
             assert f"{missing}" in proc.stderr and "No such file or directory" in proc.stderr
         if argv[0] == "nested-alpha" and code == "N-out-of-range":
             assert "need 1 <= k_start <= k_end" in proc.stderr
+        if argv[-2] in ("--alphas", "--eps", "--terms", "--brute-n", "--precision") and code != "sequence-too-short":
+            assert f"{argv[-2]} " in proc.stderr  # the flag is named

@@ -121,27 +121,44 @@ def wide_band_search(frequencies, targets, epsilon, lo, hi):
     return Fraction(L, Q), Fraction(H, Q)
 
 
-class ReadLog(tuple):
-    """A deltas tuple that logs the pair index of each read: the search
-    reads a pair's delta only after a full band of its first term, so a
-    test can tell short steps from wide ones."""
-
-    def __new__(cls, deltas, log):
-        self = super().__new__(cls, deltas)
-        self.log = log
-        return self
-
-    def __getitem__(self, i):
-        self.log.append(i)
-        return super().__getitem__(i)
+def greedy(freqs, xs, lo, hi, ratio=Fraction(1)):
+    """_greedy_band_search over explicit frequencies, kept as their
+    recurrence at ratio (any ratio describes any list of integers)."""
+    return _greedy_band_search(Recurrence(freqs, ratio), xs, lo, hi)
 
 
-def greedy(freqs, xs, eps, lo, hi, ratio=Fraction(1), log=None):
-    """_greedy_band_search over explicit frequencies, with each pair's
-    relation at ratio as a ThinnedSequence stores it; log collects the
-    reads."""
-    deltas = Recurrence(freqs, ratio).deltas
-    return _greedy_band_search(freqs, xs, eps, lo, hi, ratio, ReadLog(deltas, [] if log is None else log))
+def centre(interval):
+    """The midpoint of a reference search's final interval."""
+    lo, hi = interval
+    return (lo + hi) / 2
+
+
+def first_ratio_failure(freqs, eps):
+    """The 1-based n of the first a_n/a_(n-1) < 1/eps + 2, in Fractions;
+    None when every ratio passes."""
+    pairs = zip(freqs, freqs[1:])
+    return next((n for n, (a, b) in enumerate(pairs, start=2) if b < (1 / eps + 2) * a), None)
+
+
+def passes_checks(freqs, eps, lo, hi):
+    """find_dilation's two checks that nest the bands: every ratio
+    a_(n+1)/a_n >= 1/eps + 2, and hi - lo >= (1 + 2*eps)/a_1."""
+    return first_ratio_failure(freqs, eps) is None and hi - lo >= (1 + 2 * eps) / freqs[0]
+
+
+def assert_rejected(freqs, xs, eps, lo, hi):
+    """find_dilation rejects a list of positive frequencies that fails a
+    check with that check's coded error: the first ratio failure, else a
+    too-short interval."""
+    step = first_ratio_failure(freqs, eps)
+    if step is None:
+        with pytest.raises(IntervalTooShortError) as exc:
+            find_dilation(pseudo_thinned(freqs), xs, eps, (lo, hi))
+        assert exc.value.code == "interval-below-4-over-aN"
+    else:
+        with pytest.raises(InfeasibleAtStepError, match="frequency ratio") as exc:
+            find_dilation(pseudo_thinned(freqs), xs, eps, (lo, hi))
+        assert exc.value.step == step
 
 
 def search_outcome(search, *args):
@@ -263,6 +280,14 @@ class TestFindDilation:
         )
         assert lo <= cert.alpha.to_fraction() <= hi
 
+    def test_first_band_checked_with_a_certified_delta(self):
+        # K = 1, a~_1 = 10, eps = 2: delta = 10, and the interval passes
+        # 4/delta = 2/5 but not (1 + 2*eps)/a~_1 = 1/2, which puts the
+        # first band inside it
+        with pytest.raises(IntervalTooShortError, match=r"\(1\+2\*eps\)/a~_1") as exc:
+            find_dilation(pseudo_thinned((10,)), [Fraction(0)], Fraction(2), (Fraction(0), Fraction(9, 20)))
+        assert exc.value.code == "interval-below-4-over-aN"
+
 
 class TestFindAlpha:
     @pytest.mark.parametrize("r,N", [(2, 256), (2, 1024), (3, 256), (3, 1024)])
@@ -364,12 +389,19 @@ class TestIntegerBandSearch:
         st.fractions(min_value=Fraction(0), max_value=Fraction(2), max_denominator=12),
     )
     def test_matches_fraction_reference(self, steps, eps, lo, width):
+        # where find_dilation's checks pass, every step of the reference
+        # keeps a whole band and the centre is its last band's midpoint;
+        # elsewhere find_dilation rejects the input with a coded error
         freqs = [a for a, _ in steps]
         xs = [x for _, x in steps]
         hi = lo + width
-        want = search_outcome(fraction_band_search, freqs, xs, eps, lo, hi)
-        got = search_outcome(greedy, freqs, xs, eps, lo, hi)
-        assert got == want
+        if passes_checks(freqs, eps, lo, hi):
+            kinds = []
+            want = fraction_band_search(freqs, xs, eps, lo, hi, kinds)
+            assert set(kinds) == {"banded"}
+            assert greedy(freqs, xs, lo, hi) == centre(want)
+        else:
+            assert_rejected(freqs, xs, eps, lo, hi)
 
     @pytest.mark.parametrize(
         "freqs,xs,eps,lo,hi",
@@ -392,15 +424,33 @@ class TestIntegerBandSearch:
             ((5, 6), (Fraction(0), Fraction(1, 2)), Fraction(1, 40), Fraction(0), Fraction(1)),
             # the interval holds no band at all
             ((2,), (Fraction(1, 4),), Fraction(1, 100), Fraction(0), Fraction(1, 10)),
+            # the first band sticks out below lo, then bands of ratio 30
+            ((1, 30, 900, 27000, 810000), (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(0),
+                                           Fraction(2, 3)), Fraction(1, 10), Fraction(1, 20), Fraction(1, 2)),
+            # the bands of 3 and of 7 stick out above hi, then bands of 70, 700
+            ((3, 7, 70, 700), (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(0)), Fraction(1, 4),
+             Fraction(1, 10), Fraction(1, 3)),
+            # [0, 1/20] lies in the band [-1/10, 1/10] of a_1 = 1 at x = 0
+            ((1, 100, 10**4), (Fraction(0), Fraction(1, 2), Fraction(0)), Fraction(1, 10), Fraction(0),
+             Fraction(1, 20)),
+            # ties at step 2, from c_1 = 1: c*a - x = 39/2 (round() gives 20,
+            # the tie rule moves to 19) and 41/2 (round() gives 20)
+            ((1, 20), (Fraction(0), Fraction(1, 2)), Fraction(1, 10), Fraction(0), Fraction(3)),
+            ((1, 20), (Fraction(0), Fraction(-1, 2)), Fraction(1, 10), Fraction(0), Fraction(3)),
         ],
     )
     def test_ties_clips_and_failures(self, freqs, xs, eps, lo, hi):
-        want = search_outcome(fraction_band_search, freqs, xs, eps, lo, hi)
-        assert search_outcome(greedy, freqs, xs, eps, lo, hi) == want
+        # the two ties pass find_dilation's checks and give the reference's
+        # last band centre; every clipped, unchanged or infeasible interval
+        # of the reference follows from an input that fails a check, and
+        # find_dilation rejects it with that check's coded error
+        if passes_checks(freqs, eps, lo, hi):
+            assert greedy(freqs, xs, lo, hi) == centre(fraction_band_search(freqs, xs, eps, lo, hi))
+        else:
+            assert_rejected(freqs, xs, eps, lo, hi)
 
     def test_tie_goes_to_lower_alpha(self):
-        lo, hi = greedy((1,), (Fraction(0),), Fraction(1, 10), Fraction(0), Fraction(3))
-        assert lo < 1 < hi
+        assert greedy((1,), (Fraction(0),), Fraction(0), Fraction(3)) == 1
 
     @pytest.mark.parametrize("r,N", [(Fraction(3), 512), (Fraction(5, 2), 512), (Fraction(2), 256)])
     def test_find_alpha_bands_match_reference(self, r, N):
@@ -408,8 +458,8 @@ class TestIntegerBandSearch:
         th = thin(seq, N)
         xs = [Fraction(j, th.K) for j in range(th.K)]
         eps = turan.block_epsilon(seq, N)
-        args = (th.terms, xs, eps, Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2))
-        assert greedy(*args) == fraction_band_search(*args)
+        lo, hi = Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2)
+        assert _greedy_band_search(th, xs, lo, hi) == centre(fraction_band_search(th.terms, xs, eps, lo, hi))
 
 
 class TestRatioPrecondition:
@@ -427,6 +477,13 @@ class TestRatioPrecondition:
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
             find_dilation(pseudo_thinned((0, 100)), [Fraction(0)] * 2, Fraction(1, 10))
+
+    def test_later_nonpositive_term_fails_the_ratio_check(self):
+        # only a~_1 is checked for sign: with a~_1 > 0 the ratio check makes
+        # every later term positive, and a non-positive one fails it
+        with pytest.raises(InfeasibleAtStepError, match="frequency ratio") as exc:
+            find_dilation(pseudo_thinned((5, 100, -1)), [Fraction(0)] * 3, Fraction(1, 10))
+        assert exc.value.step == 3
 
 
 class TestRatioPreconditionFromRelation:
@@ -485,7 +542,7 @@ class TestResiduePostcondition:
     def test_out_of_band_search_result_raises(self, monkeypatch):
         # a search that lands far from every band must fail the postcondition
         monkeypatch.setattr(
-            turan, "_greedy_band_search", lambda *args: (Fraction(1, 7), Fraction(1, 7))
+            turan, "_greedy_band_search", lambda *args: Fraction(1, 7)
         )
         th = pseudo_thinned((1000, 10**6, 10**9))
         with pytest.raises(InfeasibleAtStepError) as exc:
@@ -534,8 +591,9 @@ def short_chain(data, rho, first_bits, length, eps):
 
 
 class TestShortStep:
-    """The band search with its short step against the wide-step reference:
-    (lo, hi) is the same on every input."""
+    """The band search's integer step against the wide-step reference: on
+    every input that passes find_dilation's checks, the centre is the
+    midpoint of the reference's last band."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -553,8 +611,7 @@ class TestShortStep:
         # the chain's own ratio (short deltas), 1/rho (wide positive ones)
         # and (P + 1)/rho (wide negative ones)
         ratio = data.draw(st.sampled_from([Fraction(P, rho), Fraction(1, rho), Fraction(P + 1, rho)]))
-        want = search_outcome(wide_band_search, terms, xs, eps, lo, hi)
-        assert search_outcome(greedy, terms, xs, eps, lo, hi, ratio) == want
+        assert greedy(terms, xs, lo, hi, ratio) == centre(wide_band_search(terms, xs, eps, lo, hi))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -566,43 +623,41 @@ class TestShortStep:
         st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1), max_denominator=1000),
     )
     def test_any_chain_matches_the_wide_search(self, steps, xs, ratio, eps, lo, width):
-        # terms growing by any factor, below the ratio precondition too, read
-        # at a ratio that fits them or not: the short step, with its one
-        # carry, is exact for every integer delta
+        # terms growing by any factor, read at a ratio that fits them or
+        # not: where find_dilation's checks pass the step is exact for every
+        # integer delta, and elsewhere find_dilation rejects the chain
         terms = list(itertools.accumulate(steps))
-        args = (terms, xs[: len(terms)], eps, lo, lo + width)
-        assert search_outcome(greedy, *args, ratio) == search_outcome(wide_band_search, *args)
+        xs, hi = xs[: len(terms)], lo + width
+        if passes_checks(terms, eps, lo, hi):
+            assert greedy(terms, xs, lo, hi, ratio) == centre(wide_band_search(terms, xs, eps, lo, hi))
+        else:
+            assert_rejected(terms, xs, eps, lo, hi)
 
     def test_random_short_chains_take_the_short_step(self):
-        # chains built as short_chain builds them run short steps, not only
-        # wide ones
-        reads = []
+        # chains built as short_chain builds them, read at 1/rho, so every
+        # delta is wide and positive
         rng = random.Random(3)
         for rho in (1, 2, 4, 3, 9):
             terms = [rng.getrandbits(64) | 1]
             for _ in range(30):
                 terms.append(-(-(rng.randint(40 * rho, 400 * rho) * terms[-1] + rng.getrandbits(32)) // rho))
             xs = [Fraction(rng.randint(0, 9), 10) for _ in terms]
-            args = (terms, xs, Fraction(1, 30), Fraction(0), Fraction(1))
-            assert greedy(*args, Fraction(1, rho), reads) == wide_band_search(*args)
-        assert len(reads) >= 5 * 25
+            want = wide_band_search(terms, xs, Fraction(1, 30), Fraction(0), Fraction(1))
+            assert greedy(terms, xs, Fraction(0), Fraction(1), Fraction(1, rho)) == centre(want)
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(2), Fraction(5, 2), Fraction(3, 2), Fraction(11, 10)])
     @pytest.mark.parametrize("N", [512, 8192])
     def test_find_alpha_bands_match_the_wide_search(self, r, N):
+        # at r = 11/10 too, where step = 11*floor(ln N) and rho = 10^step
+        # pass 64 bits
         seq = geometric_sequence(r, N)
         th = thin(seq, N)
         xs = [Fraction(j, th.K) for j in range(th.K)]
         eps = turan.block_epsilon(seq, N)
         assert th.rho == r.denominator ** th.step
-        reads = []
         for lo, hi in [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(9, 14))]:
-            args = (tuple(th.terms), xs, eps, lo, hi)
-            deltas = ReadLog(th.deltas, reads)
-            assert _greedy_band_search(*args, th.growth_factor_r, deltas) == wide_band_search(*args)
-        # every step after the first is short, at r = 11/10 too, where
-        # step = 11*floor(ln N) and rho = 10^step pass 64 bits
-        assert len(reads) == 2 * (th.K - 1)
+            want = wide_band_search(tuple(th.terms), xs, eps, lo, hi)
+            assert _greedy_band_search(th, xs, lo, hi) == centre(want)
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2), Fraction(3, 2)])
     def test_shifted_intervals_of_find_dilation_block(self, r, monkeypatch):
@@ -622,31 +677,11 @@ class TestShortStep:
             find_dilation_block(seq, N, (lo, lo + Fraction(4, a_N)))
         assert len(calls) == 3
         th = thin_block(seq, N)
-        for (freqs, xs, eps, lo, hi, ratio, deltas), out in calls:
-            assert ratio == r**th.step
-            assert deltas == th.deltas
-            assert out == wide_band_search(freqs, xs, eps, lo, hi)
-
-    def test_clipped_step_then_short_steps(self):
-        # the first band sticks out below lo (hi is clipped), so the second
-        # step is wide; from the third on the steps are short again
-        freqs = (1, 30, 900, 27000, 810000)
-        xs = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(2, 3))
-        args = (freqs, xs, Fraction(1, 10), Fraction(1, 20), Fraction(1, 2))
-        reads = []
-        assert greedy(*args, log=reads) == wide_band_search(*args) == fraction_band_search(*args)
-        # the pairs (30, 900), (900, 27000) and (27000, 810000)
-        assert reads == [1, 2, 3]
-
-    def test_clip_mid_run_then_short_steps(self):
-        # the bands of 3 and of 7 each stick out above hi, so the first three
-        # steps are wide; the band of 70 lies inside, and the fourth is short
-        freqs = (3, 7, 70, 700)
-        xs = (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(0))
-        args = (freqs, xs, Fraction(1, 4), Fraction(1, 10), Fraction(1, 3))
-        reads = []
-        assert greedy(*args, log=reads) == wide_band_search(*args) == fraction_band_search(*args)
-        assert reads == [2]  # the pair (70, 700)
+        eps = turan.block_epsilon(seq, N)
+        for (searched, xs, lo, hi), out in calls:
+            assert searched.growth_factor_r == r**th.step
+            assert searched.deltas == th.deltas
+            assert out == centre(wide_band_search(tuple(th.terms), xs, eps, lo, hi))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -658,8 +693,9 @@ class TestShortStep:
         st.data(),
     )
     def test_interval_inside_a_band(self, rho, K, eps, lo, first_bits, data):
-        # a step whose band holds the whole interval leaves it unchanged, at
-        # step 1 or mid-run; the step after it reads no stored relation
+        # an interval that a band holds whole, at step 1 or mid-run, needs
+        # an input that fails a check: a frequency repeated (ratio 1), or an
+        # interval shorter than the first band; find_dilation rejects both
         terms, P = short_chain(data, rho, first_bits, K, eps)
         xs = [data.draw(small_fractions) for _ in terms]
         k = data.draw(st.integers(0, K - 1))  # the inside step is step k + 1
@@ -667,6 +703,7 @@ class TestShortStep:
             a = terms[0]
             hi = lo + eps / a * data.draw(st.fractions(Fraction(1, 100), Fraction(1), max_denominator=100))
             iv = (lo, hi)
+            assert_rejected(terms, xs, eps, lo, hi)
         else:
             a = terms[k - 1]
             hi = lo + (1 + 2 * eps) / terms[0]
@@ -676,32 +713,15 @@ class TestShortStep:
         c = sum(iv) / 2
         x = c * a - math.floor(c * a)
         freqs, targets = [*terms[:k], a, *terms[k:]], [*xs[:k], x, *xs[k:]]
-        args = (freqs, targets, eps, lo, hi)
-        kinds, reads = [], []
-        want = search_outcome(fraction_band_search, *args, kinds)
+        kinds = []
+        search_outcome(fraction_band_search, freqs, targets, eps, lo, hi, kinds)
         assert kinds[k] == "unchanged"
-        assert search_outcome(wide_band_search, *args) == want
-        assert search_outcome(greedy, *args, Fraction(P, rho), reads) == want
-        # step n + 1 reads pair n - 1 exactly when step n left the interval
-        # banded, so never after the inside step
-        last = want[1] if want[0] == "infeasible" else len(freqs)
-        assert reads == [n for n, kind in enumerate(kinds[: last - 1]) if kind == "banded"]
-        assert k not in reads
-
-    def test_interval_inside_the_first_band_then_short_steps(self):
-        # [0, 1/20] lies in the band [-1/10, 1/10] of a_1 = 1 at x = 0:
-        # step 1 keeps it, step 2 has no relation to read, and the band of
-        # 100 that step 2 picks lies inside, so step 3 reads (100, 10^4)
-        freqs = (1, 100, 10**4)
-        xs = (Fraction(0), Fraction(1, 2), Fraction(0))
-        args = (freqs, xs, Fraction(1, 10), Fraction(0), Fraction(1, 20))
-        kinds, reads = [], []
-        want = fraction_band_search(*args, kinds)
-        assert kinds == ["unchanged", "banded", "banded"]
-        assert greedy(*args, Fraction(100), reads) == wide_band_search(*args) == want
-        assert reads == [1]
+        assert first_ratio_failure(freqs, eps) == max(k + 1, 2)
+        assert_rejected(freqs, targets, eps, lo, hi)
 
     def test_one_bumped_term_falls_back_to_the_wide_step(self):
+        # one term raised by 2^100: the steps into and out of it read the
+        # deltas 2^100 and -3^step * 2^100, exact as every other step
         seq = geometric_sequence(Fraction(3), 2048)
         th = thin(seq, 2048)
         terms = list(th.terms)
@@ -709,19 +729,45 @@ class TestShortStep:
         terms[k] += 1 << 100
         xs = [Fraction(j, th.K) for j in range(th.K)]
         eps = turan.block_epsilon(seq, 2048)
-        args = (terms, xs, eps, Fraction(0), Fraction(1))
-        reads = []
         ratio = th.growth_factor_r
-        assert greedy(*args, ratio, reads) == wide_band_search(*args)
-        # every step after the first reads its pair, the steps into and out
-        # of the bumped term too: their deltas are 2^100 and -3^step * 2^100
-        assert reads == list(range(len(terms) - 1))
+        want = wide_band_search(terms, xs, eps, Fraction(0), Fraction(1))
+        assert greedy(terms, xs, Fraction(0), Fraction(1), ratio) == centre(want)
         bumped = ThinnedSequence(seq, th.l, th.step, th.K, tuple(terms), th.xi)
         assert bumped.deltas[k - 1] == 1 << 100
         assert bumped.deltas[k] == -ratio.numerator << 100
         # and the certificate of the bumped list passes its postcondition
         cert = find_dilation(bumped, xs, eps)
         assert all(c.achieved <= eps for c in cert.constraints)
+
+
+class TestNestedBands:
+    """The two lemmas of the turan module docstring: on chains that pass the
+    ratio check, with hi - lo >= (1 + 2*eps)/a~_1, every step of the
+    interval search keeps the whole band it chooses, and the centre
+    recurrence returns the midpoint of the last one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 4, 3, 9)),
+        st.integers(1, 12),
+        st.fractions(min_value=Fraction(1, 40), max_value=Fraction(400), max_denominator=40),
+        small_fractions,
+        st.fractions(min_value=Fraction(0), max_value=Fraction(2), max_denominator=30),
+        st.integers(1, 80),
+        st.data(),
+    )
+    def test_every_band_nests_and_the_centre_is_its_midpoint(self, rho, K, eps, lo, extra, first_bits, data):
+        terms, P = short_chain(data, rho, first_bits, K, eps)
+        xs = [data.draw(small_fractions) for _ in terms]
+        hi = lo + (1 + 2 * eps) / terms[0] * (1 + extra)
+        assert passes_checks(terms, eps, lo, hi)
+        # deltas of either sign: short (P/rho), wide positive (1/rho and 1)
+        # and wide negative ((P + 1)/rho)
+        ratio = data.draw(st.sampled_from([Fraction(P, rho), Fraction(1, rho), Fraction(P + 1, rho), Fraction(1)]))
+        kinds = []
+        want = fraction_band_search(terms, xs, eps, lo, hi, kinds)
+        assert kinds == ["banded"] * K
+        assert greedy(terms, xs, lo, hi, ratio) == centre(want)
 
 
 RATIOS = [Fraction(5, 2), Fraction(3, 2), Fraction(7, 3), Fraction(11, 10), Fraction(3), Fraction(2)]
@@ -775,6 +821,5 @@ class TestThinnedRelation:
         assert list(residues(alpha, th)) == [(m * a) & ((1 << P) - 1) for a in terms]
         xs = [data.draw(small_fractions) for _ in terms]
         eps = turan.block_epsilon(seq, n)
-        args = (terms, xs, eps, lo, lo + Fraction(1, 2))
-        want = search_outcome(wide_band_search, *args)
-        assert search_outcome(_greedy_band_search, *args, th.growth_factor_r, th.deltas) == want
+        want = wide_band_search(terms, xs, eps, lo, lo + Fraction(1, 2))
+        assert _greedy_band_search(th, xs, lo, lo + Fraction(1, 2)) == centre(want)
