@@ -237,6 +237,7 @@ def _cmd_littlewood(a):
     _at_least("--brute-n", a.brute_n, 0)  # 0: the steered CZ run
     _at_least("--terms", a.terms, 1)
     if a.brute_n:
+        _at_least("--brute-n", a.brute_n, 3)  # the threshold's domain is n >= 3
         report = lw.littlewood_scan(alpha, beta, eta, zeta, eps, n_limit=a.brute_n)
         _emit(report.to_json_dict, a.out)
         return 0

@@ -14,6 +14,14 @@ s read as Fractions or QuadraticReals (a DyadicReal as its rational value).
 Every product is decided exactly: in one quadratic field, or rational, by
 one sign; across two fields by signs in one field each.  Float views are
 built from factors that stay O(1), never from n itself.
+
+The brute scan over every n <= n_limit prefilters in 64-bit fixed point, in
+chunks of _CHUNK values of n: n alpha - eta is taken exactly mod 2^64 from
+the top 64 fractional bits of alpha and eta, which puts it within n units
+of 2^-64 of the true value, and each chunk compares against one upper bound
+on the threshold.  The margin of the keep rule is that error bound plus five
+float roundings (_brute_candidates), so no solution is dropped, and every
+kept n is confirmed exactly.
 """
 
 from __future__ import annotations
@@ -27,11 +35,14 @@ import numpy as np
 from .cf import ContinuedFraction, QuadraticReal, dist_to_int, expand
 from .dyadic import DyadicReal
 from .errors import CzPoolExhaustedError, RationalBetaError
-from .sequences import mpf_fraction
-
-import mpmath as mp
+from mpmath import libmp
 
 _THR_GUARD = Fraction(1, 1 << 50)
+_PREC, _RND = 136, libmp.round_nearest  # the precision of mp.workdps(40)
+_CHUNK = 1 << 16  # n per step of the brute prefilter
+_ONE = 1 << 64  # fixed-point unit of the brute prefilter
+# (1 - 2^-53)^-5, the rounding allowance of the prefilter's float product
+_KEEP = 1 / (1 - Fraction(1, 1 << 53)) ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +68,66 @@ def exact_product(value, n: int, shift):
     return _distance(value, n, shift) * n
 
 
+def _exponent(epsilon: Fraction):
+    """2 + eps as mpmath builds it from mp.mpf(num) / den: the numerator
+    rounded, the denominator exact."""
+    return libmp.mpf_add(
+        libmp.from_int(2),
+        libmp.mpf_div(libmp.from_int(epsilon.numerator, _PREC, _RND),
+                      libmp.from_int(epsilon.denominator), _PREC, _RND),
+        _PREC, _RND,
+    )
+
+
+def _fraction(x) -> Fraction:
+    """The exact rational value of a raw mpf."""
+    return Fraction(*libmp.to_rational(x))
+
+
+def _lnln_and_threshold(n: int, exponent) -> tuple[Fraction, Fraction]:
+    """ln ln n and (ln ln n)^exponent / ln n, each rounded at _PREC bits.  n
+    converts to an mpf exactly, as mp.log(n) converts it, and ln n is taken
+    once."""
+    ln_n = libmp.mpf_log(libmp.from_int(n), _PREC, _RND)
+    lnln = libmp.mpf_log(ln_n, _PREC, _RND)
+    thr = libmp.mpf_div(libmp.mpf_pow(lnln, exponent, _PREC, _RND), ln_n, _PREC, _RND)
+    return _fraction(lnln), _fraction(thr)
+
+
 def littlewood_threshold_bounds(n: int, epsilon: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of (ln ln n)^(2+eps) / ln n; domain n >= 3."""
+    """Rational enclosure of (ln ln n)^(2+eps) / ln n; domain n >= 3.  The
+    value is the one mpmath gives at workdps(40) (136 bits, round-nearest),
+    widened by _THR_GUARD on each side."""
     if n < 3:
         raise ValueError("threshold defined for n >= 3")
-    epsilon = Fraction(epsilon)
-    with mp.workdps(40):
-        e = 2 + mp.mpf(epsilon.numerator) / epsilon.denominator
-        v = mpf_fraction(mp.log(mp.log(n)) ** e / mp.log(n))
+    _, v = _lnln_and_threshold(n, _exponent(Fraction(epsilon)))
     return v - _THR_GUARD, v + _THR_GUARD
+
+
+def _peak_threshold(epsilon: Fraction) -> Fraction:
+    """An upper bound on (ln ln n)^s / ln n over all n >= 3, s = 2 + eps.
+    With L = ln ln n the threshold is g(L) = L^s e^-L, which rises for
+    L < s and falls after, so its maximum is g(s) = (s/e)^s."""
+    s = _exponent(epsilon)
+    log_peak = libmp.mpf_mul(s, libmp.mpf_sub(libmp.mpf_log(s, _PREC, _RND), libmp.fone),
+                             _PREC, _RND)
+    return _fraction(libmp.mpf_exp(log_peak, _PREC, _RND)) + _THR_GUARD
+
+
+def _chunk_threshold(n0: int, n1: int, epsilon: Fraction) -> Fraction:
+    """An upper bound on the threshold over n0 <= n <= n1 (n0 >= 3): its
+    value at n1 while ln ln n1 <= s (the rising side), at n0 once
+    ln ln n0 >= s (the falling side), and the peak (s/e)^s otherwise.  A
+    side test within _THR_GUARD of s is undecided and takes the peak,
+    which bounds every n."""
+    s, exponent = 2 + epsilon, _exponent(epsilon)
+    lnln, thr = _lnln_and_threshold(n1, exponent)
+    if lnln + _THR_GUARD <= s:
+        return thr + _THR_GUARD
+    lnln, thr = _lnln_and_threshold(n0, exponent)
+    if lnln - _THR_GUARD >= s:
+        return thr + _THR_GUARD
+    return _peak_threshold(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +287,10 @@ def littlewood_scan(
     """Solutions of n*||alpha n - eta||*||beta n - zeta|| <= (ln ln n)^(2+eps)/ln n.
 
     Either along an explicit term list (CZ mode) or over every n <= n_limit
-    (brute mode, float-prefiltered with exact confirmation of each hit).
-    The confirmation is exact, also across two quadratic fields, so no
+    (brute mode).  Brute mode sweeps n in chunks with a 64-bit fixed-point
+    prefilter whose keep margin follows from a proved error bound, so it
+    keeps every solution in flat memory (_brute_candidates).  Each kept n
+    is then confirmed exactly, also across two quadratic fields, so no
     solution can flip under any precision increase.
     """
     epsilon = Fraction(epsilon)
@@ -256,20 +320,61 @@ def littlewood_scan(
     )
 
 
+def _float_up(x: Fraction) -> float:
+    """The least float >= x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
+
+
+def _fixed_point(value) -> np.uint64:
+    """floor({value} * 2^64), exact: ||v n - s|| does not change when v or
+    s moves by an integer."""
+    return np.uint64(math.floor(_as_exact(value) * _ONE) % _ONE)
+
+
+def _distance_units(n: np.ndarray, v: np.uint64, s: np.uint64) -> np.ndarray:
+    """A lower bound on ||v n - s|| * 2^64 for each n (uint64), from the
+    fixed-point v and s of _fixed_point."""
+    x = n * v - s  # exact mod 2^64
+    d = np.minimum(x, -x)
+    np.maximum(d, n, out=d)
+    d -= n
+    return d
+
+
 def _brute_candidates(alpha, beta, eta, zeta, epsilon, n_limit: int) -> list[int]:
-    """Float sweep over all n <= n_limit; keeps everything within a generous
-    margin of the threshold for exact confirmation."""
-    # the floats of {v} = v - floor(v), taken exactly: ||v n - s|| does not
-    # change when v or s moves by an integer, and a float of the whole value
-    # keeps fewer fractional bits the larger its integer part (and overflows
-    # past 2^1024)
-    exact = map(_as_exact, (alpha, beta, eta, zeta))
-    af, bf, ef, zf = (float(x - math.floor(x)) for x in exact)
-    n = np.arange(3, n_limit + 1, dtype=np.float64)
-    da = np.abs((n * af - ef) - np.round(n * af - ef))
-    db = np.abs((n * bf - zf) - np.round(n * bf - zf))
-    prod = n * da * db
-    lln = np.log(np.log(n))
-    thr = lln ** (2 + float(Fraction(epsilon))) / np.log(n)
-    keep = prod <= thr * (1 + 1e-6) + 1e-7
-    return [int(v) for v in n[keep]]
+    """Every 3 <= n <= n_limit that can satisfy n ||alpha n - eta||
+    ||beta n - zeta|| <= thr(n), in chunks of _CHUNK values of n, so memory
+    stays flat in n_limit.
+
+    Fixed point: A = floor({alpha} 2^64) and E = floor({eta} 2^64), so
+    {alpha} 2^64 = A + f_A and {eta} 2^64 = E + f_E with f_A, f_E in [0, 1).
+    Then (alpha n - eta) 2^64 = x + (n f_A - f_E) mod 2^64, with
+    x = n A - E taken exactly in uint64, and the error n f_A - f_E in
+    (-1, n).  The distance to the nearest multiple of 2^64 moves by at
+    most the error, so ||alpha n - eta|| 2^64 >= max(min(x, 2^64 - x) - n, 0)
+    = D_a; the same for beta and zeta gives D_b.
+
+    Product: P = n (D_a 2^-64)(D_b 2^-64) in float64 takes five roundings
+    (D_a, D_b and n to float, two products; the scalings by 2^-64 are
+    exact), each within a factor 1 +- 2^-53, so P (1 - 2^-53)^5 <=
+    n D_a D_b 2^-128.  A solution's true product is at least that and at
+    most thr_lo(n) <= T, the chunk's upper bound on the threshold
+    (_chunk_threshold, so no n takes a logarithm here).  So P <= T /
+    (1 - 2^-53)^5 = T * _KEEP, rounded up to a float, keeps every solution.
+    Each kept n is confirmed exactly by the caller.
+    """
+    epsilon = Fraction(epsilon)
+    a, b, e, z = map(_fixed_point, (alpha, beta, eta, zeta))
+    out = []
+    for n0 in range(3, n_limit + 1, _CHUNK):
+        n1 = min(n0 + _CHUNK - 1, n_limit)
+        bound = _float_up(_chunk_threshold(n0, n1, epsilon) * _KEEP)
+        n = np.arange(n0, n1 + 1, dtype=np.uint64)
+        prod = _distance_units(n, a, e).astype(np.float64)
+        prod *= 2.0 ** -64
+        prod *= n
+        prod *= _distance_units(n, b, z)
+        prod *= 2.0 ** -64
+        out.extend(n[prod <= bound].tolist())
+    return out

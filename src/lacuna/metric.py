@@ -218,8 +218,8 @@ def _pow2_truncated_points(alpha: DyadicReal, e0: int, n_max: int) -> np.ndarray
     e0, e0+1, ..., e0+n_max-1: these are the truncated dilates by 2^(e0+i)."""
     s = e0 + n_max + 72
     s += (-s) % 8
-    a = alpha.to_fraction()
-    big = (a.numerator << s) // a.denominator % (1 << s)
+    m, e = alpha.mantissa, alpha.exponent  # floor(alpha 2^s) is one shift
+    big = (m << (s + e) if s + e >= 0 else m >> -(s + e)) % (1 << s)
     raw = np.frombuffer(big.to_bytes(s // 8, "big"), dtype=np.uint8)
     words = (
         sliding_window_view(raw, 8).astype(np.uint64)

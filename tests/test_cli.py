@@ -493,7 +493,8 @@ class TestInputBounds:
     one, a cf depth of 0, a moment epsilon of 0, a missing --seq or
     --config file, an --out in a missing directory, a metric scan of no
     alphas or of a non-finite or non-positive --eps, a Littlewood run of
-    no CZ terms or a negative brute range, and a negative --precision each
+    no CZ terms or a brute range below the threshold's domain n >= 3 (a
+    --brute-n of 0 is the steered run), and a negative --precision each
     end in one coded error line: exit 1, nothing on stdout, no traceback.
     Each case runs in a subprocess with a timeout, so a regression to the
     unbounded N loop fails instead of hanging."""
@@ -528,6 +529,8 @@ class TestInputBounds:
             (["metric-scan", "--eps", "0"], "epsilon-domain"),
             (["littlewood", "--beta", "sqrt:2", "--terms", "-3"], "N-out-of-range"),
             (["littlewood", "--beta", "sqrt:2", "--brute-n", "-5"], "N-out-of-range"),
+            (["littlewood", "--beta", "sqrt:2", "--brute-n", "1"], "N-out-of-range"),
+            (["littlewood", "--beta", "sqrt:2", "--brute-n", "2"], "N-out-of-range"),
             (["gaps", "--n", "3", "--alpha", "1/2", "--precision", "-5"], "N-out-of-range"),
             (["metric-scan", "--precision", "-5"], "N-out-of-range"),
         ],
@@ -536,7 +539,8 @@ class TestInputBounds:
              "cf-depth-zero", "moment-eps-zero", "gaps-n-negative", "k-range-negative",
              "seq-file-missing", "config-missing", "out-dir-missing",
              "alphas-zero", "alphas-negative", "scan-eps-nan", "scan-eps-zero",
-             "cz-terms-negative", "brute-n-negative", "gaps-precision-negative",
+             "cz-terms-negative", "brute-n-negative", "brute-n-one", "brute-n-two",
+             "gaps-precision-negative",
              "scan-precision-negative"],
     )
     def test_one_coded_error_line(self, tmp_path, argv, code):

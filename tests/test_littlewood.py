@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,9 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lacuna import littlewood
 from lacuna.cf import QuadraticReal
 from lacuna.errors import CzPoolExhaustedError, RationalBetaError
 from lacuna.littlewood import (
+    _brute_candidates,
+    _chunk_threshold,
+    _confirm_solution,
+    _peak_threshold,
     _product_at_most,
     cz_build,
     cz_recheck,
@@ -16,6 +22,7 @@ from lacuna.littlewood import (
     littlewood_scan,
     littlewood_threshold_bounds,
 )
+from lacuna.sequences import mpf_fraction
 
 SQRT2 = QuadraticReal.sqrt(2)
 PHI = QuadraticReal(Fraction(1, 2), Fraction(1, 2), 5)
@@ -59,6 +66,21 @@ class TestThreshold:
     def test_domain(self):
         with pytest.raises(ValueError):
             littlewood_threshold_bounds(2, Fraction(1, 20))
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1, 20), Fraction(1, 10), Fraction(1)])
+    def test_matches_the_mpmath_formula(self, epsilon):
+        # the mp-context formula the raw libmp calls replace; 8^300 + 7 is a
+        # CZ-term size, and at 2^137 + 251 an int rounded to 136 bits before
+        # its log gives another threshold
+        def oracle(n):
+            with mp.workdps(40):
+                e = 2 + mp.mpf(epsilon.numerator) / epsilon.denominator
+                v = mpf_fraction(mp.log(mp.log(n)) ** e / mp.log(n))
+            g = Fraction(1, 1 << 50)
+            return v - g, v + g
+
+        for n in (3, 4, 3519, 3520, 10**6, 2**64 + 1, 2**137 + 251, 8**300 + 7):
+            assert littlewood_threshold_bounds(n, epsilon) == oracle(n)
 
 
 class TestCzBuild:
@@ -214,3 +236,107 @@ class TestMixedFields:
                 if prod <= mp.mpf(thr_lo.numerator) / thr_lo.denominator:
                     want.append(n)
         assert [n for n, _, _ in rep.solutions] == want and want
+
+
+def exact_solutions(alpha, beta, eta, zeta, eps, n_limit):
+    """Every 3 <= n <= n_limit that the exact confirmation accepts."""
+    return [
+        n for n in range(3, n_limit + 1)
+        if _confirm_solution(alpha, beta, eta, zeta, n, littlewood_threshold_bounds(n, eps)[0])[0]
+    ]
+
+
+QUADRATIC = st.builds(
+    QuadraticReal,
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(lambda y: y != 0),
+    st.sampled_from([2, 3, 5, 13]),
+)
+SHIFT = st.builds(
+    lambda q, k: q + k,
+    st.fractions(min_value=0, max_value=1, max_denominator=40),
+    st.integers(-(1 << 40), 1 << 40),
+)
+EPSILONS = st.sampled_from([Fraction(1, 20), Fraction(1, 10), Fraction(1)])
+
+
+class TestBrutePrefilter:
+    """The fixed-point prefilter keeps every n the exact confirmation
+    accepts: its margin is an error bound, not a tolerance."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(QUADRATIC, QUADRATIC, SHIFT, SHIFT, EPSILONS, st.integers(3, 3000))
+    def test_keeps_every_solution(self, alpha, beta, eta, zeta, eps, n_limit):
+        kept = _brute_candidates(alpha, beta, eta, zeta, eps, n_limit)
+        assert kept == sorted(set(kept)) and all(3 <= n <= n_limit for n in kept)
+        assert set(exact_solutions(alpha, beta, eta, zeta, eps, n_limit)) <= set(kept)
+
+    def test_keeps_a_solution_at_the_threshold(self):
+        # n* ||alpha n* || ||0 n* - 1/2|| equals thr_lo(n*) exactly, with
+        # n* = 3 + 2^20 the first n of a chunk on the threshold's falling
+        # side, where the chunk bound is thr_hi(n*).  A float64 sweep whose
+        # keep rule was prod <= thr (1 + 1e-6) + 1e-7 dropped it: near
+        # n = 2^20 a float of n alpha has an ulp of 2^-32, about 2^-12 of
+        # ||alpha n*||.  Fixed point without the n-unit margin drops it too.
+        eps = Fraction(1, 20)
+        n_star = 3 + 16 * (1 << 16)
+        thr_lo, _ = littlewood_threshold_bounds(n_star, eps)
+        alpha = (648059 - 2 * thr_lo / n_star) / n_star
+        zeta = Fraction(1, 2)
+        assert exact_product(alpha, n_star, 0) * exact_product(0, n_star, zeta) / n_star == thr_lo
+        assert n_star in _brute_candidates(alpha, 0, 0, zeta, eps, n_star)
+        rep = littlewood_scan(alpha, 0, 0, zeta, eps, n_limit=n_star)
+        assert rep.solutions[-1][0] == n_star
+
+    @pytest.mark.parametrize("chunks, extra", [(1, 2), (1, 3), (2, 2)])
+    def test_chunk_edges(self, monkeypatch, chunks, extra):
+        # chunks start at 3, so n_limit = chunks * CHUNK + extra ends a
+        # chunk (extra 2) or opens one of a single n (extra 3); 64-wide
+        # chunks from 2304 on cross the threshold's peak at n ~ 2366 for
+        # eps = 1/20
+        chunk = 64
+        monkeypatch.setattr(littlewood, "_CHUNK", chunk)
+        eps = Fraction(1, 20)
+        for start in (0, 36 * chunk):
+            n_limit = start + chunks * chunk + extra
+            for alpha, beta, eta, zeta in ((PHI - 1, SQRT2 - 1, 0, 0),
+                                           (SQRT2, QuadraticReal.sqrt(3), Fraction(1, 3), Fraction(1, 4))):
+                kept = _brute_candidates(alpha, beta, eta, zeta, eps, n_limit)
+                want = exact_solutions(alpha, beta, eta, zeta, eps, n_limit)
+                assert want and set(want) <= set(kept)
+                assert kept == sorted(set(kept)) and all(3 <= n <= n_limit for n in kept)
+                rep = littlewood_scan(alpha, beta, eta, zeta, eps, n_limit=n_limit)
+                assert [n for n, _, _ in rep.solutions] == want
+
+    @pytest.mark.parametrize("eps, width", [(Fraction(1, 20), 120), (Fraction(1), 12)])
+    def test_chunk_bound_covers_the_threshold(self, eps, width):
+        # ln ln n = s at n* = e^(e^s); below it the threshold rises, above it
+        # falls, so the chunks beside n* take their upper end's and their
+        # lower end's value, and the chunk holding n* the peak (s/e)^s
+        s = 2 + eps
+        peak = _peak_threshold(eps)
+        star = round(math.exp(math.exp(s)))
+        chunks = [(star - width // 2, star + width // 2),
+                  (star - 3 * width // 2, star - width // 2 - 1),
+                  (star + width // 2 + 1, star + 3 * width // 2)]
+        ends = [peak, littlewood_threshold_bounds(chunks[1][1], eps)[1],
+                littlewood_threshold_bounds(chunks[2][0], eps)[1]]
+        for (n0, n1), want in zip(chunks, ends):
+            bound = _chunk_threshold(n0, n1, eps)
+            assert bound == want
+            for n in range(n0, n1 + 1):
+                assert littlewood_threshold_bounds(n, eps)[1] <= bound
+        with mp.workdps(60):
+            g = (mp.mpf(s.numerator) / s.denominator / mp.e) ** (mp.mpf(s.numerator) / s.denominator)
+            assert 0 < peak - mpf_fraction(g) <= Fraction(1, 1 << 49)
+
+    def test_memory_is_flat_in_n(self):
+        # numpy reports its buffers to tracemalloc: arrays of all n <= 2^20
+        # would take tens of MB
+        tracemalloc.start()
+        try:
+            _brute_candidates(PHI - 1, SQRT2 - 1, Fraction(1, 3), 0, Fraction(1, 20), 1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

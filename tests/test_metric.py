@@ -169,6 +169,26 @@ class TestDispersionScan:
         slow = _truncated_points(alpha, seq, 2048)
         assert np.array_equal(fast, slow)
 
+    @pytest.mark.parametrize("measure", ["lebesgue", "bounded-cf:5"])
+    @pytest.mark.parametrize("precision", [65_600, 2_000])
+    @pytest.mark.parametrize("e0", [0, 5])
+    def test_pow2_words_match_the_fraction_formula(self, measure, precision, e0):
+        # the byte windows read floor(alpha 2^s) mod 2^s from alpha's mantissa
+        # and exponent; the oracle takes it from the reduced fraction
+        from lacuna.metric import _pow2_truncated_points
+
+        alpha = sample_alpha(measure, 7, precision)
+        shifted = DyadicReal(alpha.mantissa - (3 << -alpha.exponent), alpha.exponent)
+        wide = DyadicReal(-alpha.mantissa, alpha.exponent + 70)  # 2^70 alpha
+        n_max = 1000 if precision == 2_000 else 4096
+        for a in (alpha, shifted, wide):
+            s = e0 + n_max + 72
+            s += (-s) % 8
+            fr = a.to_fraction()
+            big = (fr.numerator << s) // fr.denominator % (1 << s)
+            want = [big >> (s - e0 - i - 64) & ((1 << 64) - 1) for i in range(n_max)]
+            assert _pow2_truncated_points(a, e0, n_max).tolist() == want
+
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2)])
     def test_truncated_stream_is_top_bits_of_exact_residues(self, r):
         from lacuna.metric import _truncated_points
