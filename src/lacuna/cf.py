@@ -6,7 +6,8 @@ gcd(a, b, c) = 1, with d tested for a square once, when built from
 rationals.  Arithmetic is integer products and one gcd; sign compares a^2
 with b^2 d; floor, to_float and to_dyadic read one isqrt, floor(v * 2^s).
 dist_to_int is the one nearest-integer distance on exact scalars: |x - j|
-with j = floor(x + 1/2), its sign read from one floor of 2x.
+with j = floor(x + 1/2), its sign read from one floor of 2x;
+affine_dist_to_int is the same for x = v n - s, with one reduction.
 
 Every expansion is an integer loop.  Fractions and DyadicReals share one
 Euclid loop, a DyadicReal's quotients trusted only while the continuant
@@ -198,6 +199,22 @@ def dist_to_int(x):
     t = math.floor(2 * x)
     j = (t + 1) // 2
     return x - j if t % 2 == 0 else j - x
+
+
+def affine_dist_to_int(v, n: int, s):
+    """dist_to_int(v * n - s) for an integer n and exact v and s.  For a
+    QuadraticReal v (and s rational or in v's field), x = v n - s is
+    (A + B sqrt(d)) / C formed without a gcd, floor(2x) is
+    (2A + floor(2B sqrt(d))) // C with one isqrt, and the distance is
+    reduced once."""
+    if not isinstance(v, QuadraticReal):
+        return dist_to_int(v * n - s)
+    sa, sb, sc = v._parts(s)
+    a, b, c = v.a * n * sc - sa * v.c, v.b * n * sc - sb * v.c, v.c * sc
+    r = math.isqrt(4 * b * b * v.d)
+    t = (2 * a + (-r - 1 if b < 0 else r)) // c
+    a -= (t + 1) // 2 * c
+    return _reduced(a, b, c, v.d) if t % 2 == 0 else _reduced(-a, -b, c, v.d)
 
 
 # ---------------------------------------------------------------------------

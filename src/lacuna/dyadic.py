@@ -68,31 +68,36 @@ class DyadicReal:
         """Round a rational to the nearest dyadic with precision_bits significant
         bits (ties to even)."""
         fr = Fraction(fr)
-        if fr == 0:
+        return cls.from_ratio(fr.numerator, fr.denominator, precision_bits)
+
+    @classmethod
+    def from_ratio(cls, num: int, den: int, precision_bits: int = DEFAULT_PRECISION_BITS):
+        """from_fraction of num/den for integers den > 0, the pair not
+        necessarily reduced, so no gcd runs.
+
+        One division: with s = precision_bits - (bits(|num|) - bits(den)),
+        |num| 2^s / den lies in [2^(precision_bits - 1), 2^(precision_bits + 1)),
+        so its floor has precision_bits or precision_bits + 1 bits.  A surplus
+        low bit moves into the remainder (over 2 den) before the round to
+        nearest, ties to even."""
+        if num == 0:
             return cls(0, 0, precision_bits)
-        p, q = fr.numerator, fr.denominator
-        sign = -1 if p < 0 else 1
-        p = abs(p)
-        # scale so that the quotient has exactly precision_bits bits
-        shift = precision_bits - (p.bit_length() - q.bit_length()) - 1
+        p = abs(num)
+        shift = precision_bits - (p.bit_length() - den.bit_length())
         if shift >= 0:
-            num, den = p << shift, q
+            p <<= shift
         else:
-            num, den = p, q << (-shift)
-        quot, rem = divmod(num, den)
-        if quot.bit_length() != precision_bits:
-            # off-by-one from the bit_length estimate
-            shift += precision_bits - quot.bit_length()
-            if shift >= 0:
-                num, den = p << shift, q
-            else:
-                num, den = p, q << (-shift)
-            quot, rem = divmod(num, den)
-        # round to nearest, ties to even
-        twice = 2 * rem
-        if twice > den or (twice == den and quot % 2 == 1):
-            quot += 1
-        return cls(sign * quot, -shift, precision_bits)
+            den <<= -shift
+        quot, rem = divmod(p, den)
+        if quot.bit_length() > precision_bits:
+            low, quot, shift = quot & 1, quot >> 1, shift - 1
+            # the remainder over 2 den is low den + rem: above the half iff
+            # low and rem > 0, a tie iff low and rem == 0
+            up = low and (rem or quot & 1)
+        else:
+            up = 2 * rem > den or (2 * rem == den and quot & 1)
+        quot += bool(up)
+        return cls(-quot if num < 0 else quot, -shift, precision_bits)
 
     # -- value access -------------------------------------------------------
 

@@ -9,8 +9,9 @@ n p_m = round(zeta q_m) (mod q_m) has ||beta n - zeta|| <= 1/(2 q_m) +
 after an exact recomputation of every emitted term; growth is forced into
 the window 8^n < a_n (with a_{n+1} >= 8 a_n).
 
-Every distance ||v n - s|| is one exact cf.dist_to_int(v n - s), with v and
-s read as Fractions or QuadraticReals (a DyadicReal as its rational value).
+Every distance ||v n - s|| is one exact cf.affine_dist_to_int(v, n, s), with
+v and s read once per scan as Fractions or QuadraticReals (a DyadicReal as
+its rational value).
 Every product is decided exactly: in one quadratic field, or rational, by
 one sign; across two fields by signs in one field each.  Float views are
 built from factors that stay O(1), never from n itself.
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cf import ContinuedFraction, QuadraticReal, dist_to_int, expand
+from .cf import ContinuedFraction, QuadraticReal, affine_dist_to_int, expand
 from .dyadic import DyadicReal
 from .errors import CzPoolExhaustedError, RationalBetaError
 from mpmath import libmp
@@ -60,7 +61,7 @@ def _as_exact(value):
 
 def _distance(value, n: int, shift):
     """||value * n - shift||, exact."""
-    return dist_to_int(_as_exact(value) * n - _as_exact(shift))
+    return affine_dist_to_int(_as_exact(value), n, _as_exact(shift))
 
 
 def exact_product(value, n: int, shift):
@@ -84,14 +85,18 @@ def _fraction(x) -> Fraction:
     return Fraction(*libmp.to_rational(x))
 
 
-def _lnln_and_threshold(n: int, exponent) -> tuple[Fraction, Fraction]:
-    """ln ln n and (ln ln n)^exponent / ln n, each rounded at _PREC bits.  n
-    converts to an mpf exactly, as mp.log(n) converts it, and ln n is taken
-    once."""
+def _lnln_and_threshold(n: int, exponent):
+    """ln ln n and (ln ln n)^exponent / ln n as raw mpfs, each rounded at
+    _PREC bits.  n converts to an mpf exactly, as mp.log(n) converts it, and
+    ln n is taken once."""
     ln_n = libmp.mpf_log(libmp.from_int(n), _PREC, _RND)
     lnln = libmp.mpf_log(ln_n, _PREC, _RND)
-    thr = libmp.mpf_div(libmp.mpf_pow(lnln, exponent, _PREC, _RND), ln_n, _PREC, _RND)
-    return _fraction(lnln), _fraction(thr)
+    return lnln, libmp.mpf_div(libmp.mpf_pow(lnln, exponent, _PREC, _RND), ln_n, _PREC, _RND)
+
+
+def _threshold(n: int, exponent) -> Fraction:
+    """(ln ln n)^exponent / ln n rounded at _PREC bits, exactly as a Fraction."""
+    return _fraction(_lnln_and_threshold(n, exponent)[1])
 
 
 def littlewood_threshold_bounds(n: int, epsilon: Fraction) -> tuple[Fraction, Fraction]:
@@ -100,7 +105,7 @@ def littlewood_threshold_bounds(n: int, epsilon: Fraction) -> tuple[Fraction, Fr
     widened by _THR_GUARD on each side."""
     if n < 3:
         raise ValueError("threshold defined for n >= 3")
-    _, v = _lnln_and_threshold(n, _exponent(Fraction(epsilon)))
+    v = _threshold(n, _exponent(Fraction(epsilon)))
     return v - _THR_GUARD, v + _THR_GUARD
 
 
@@ -121,10 +126,10 @@ def _chunk_threshold(n0: int, n1: int, epsilon: Fraction) -> Fraction:
     side test within _THR_GUARD of s is undecided and takes the peak,
     which bounds every n."""
     s, exponent = 2 + epsilon, _exponent(epsilon)
-    lnln, thr = _lnln_and_threshold(n1, exponent)
+    lnln, thr = map(_fraction, _lnln_and_threshold(n1, exponent))
     if lnln + _THR_GUARD <= s:
         return thr + _THR_GUARD
-    lnln, thr = _lnln_and_threshold(n0, exponent)
+    lnln, thr = map(_fraction, _lnln_and_threshold(n0, exponent))
     if lnln - _THR_GUARD >= s:
         return thr + _THR_GUARD
     return _peak_threshold(epsilon)
@@ -265,12 +270,12 @@ def _product_at_most(pa, pb, t: Fraction) -> bool:
 
 
 def _confirm_solution(alpha, beta, eta, zeta, n, thr_lo: Fraction) -> tuple[bool, float]:
-    """Whether n ||an-e|| ||bn-z|| <= thr_lo, decided exactly, and a float
-    view built from ||an-e|| <= 1/2 and n ||bn-z|| only, so it never
-    converts n itself."""
-    da = _distance(alpha, n, eta)
+    """Whether n ||an-e|| ||bn-z|| <= thr_lo for exact (_as_exact) alpha,
+    beta, eta and zeta, decided exactly, and a float view built from
+    ||an-e|| <= 1/2 and n ||bn-z|| only, so it never converts n itself."""
+    da = affine_dist_to_int(alpha, n, eta)
     pa = da * n
-    pb = exact_product(beta, n, zeta)
+    pb = affine_dist_to_int(beta, n, zeta) * n
     # n ||an-e|| ||bn-z|| = (n ||an-e||) * (n ||bn-z||) / n
     return _product_at_most(pa, pb, thr_lo * n), float(da) * float(pb)
 
@@ -296,6 +301,8 @@ def littlewood_scan(
     epsilon = Fraction(epsilon)
     if (n_values is None) == (n_limit is None):
         raise ValueError("give exactly one of n_values / n_limit")
+    exponent = _exponent(epsilon)
+    alpha, beta, eta, zeta = map(_as_exact, (alpha, beta, eta, zeta))
     solutions = []
     blocks = {}
     if n_values is not None:
@@ -305,7 +312,7 @@ def littlewood_scan(
         scanned = max(n_limit - 2, 0)
         candidates = _brute_candidates(alpha, beta, eta, zeta, epsilon, n_limit)
     for n in candidates:
-        thr_lo, thr_hi = littlewood_threshold_bounds(n, epsilon)
+        thr_lo = _threshold(n, exponent) - _THR_GUARD  # littlewood_threshold_bounds' lower end
         ok, prod_f = _confirm_solution(alpha, beta, eta, zeta, n, thr_lo)
         if ok:
             solutions.append((n, prod_f, float(thr_lo)))

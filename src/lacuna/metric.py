@@ -127,41 +127,102 @@ def parse_measure(measure: str) -> tuple[str, int | None]:
     return f"bounded-cf:{b}", b
 
 
-def _continuant_matrix(quotients):
-    """M(c_1)...M(c_m) with M(c) = [[c, 1], [1, 0]], as the row-major tuple
-    (a, b, c, d).
+_DRAW_WORDS = 1 << 13  # 32-bit words per getrandbits call, so memory stays flat
 
-    A balanced product tree (binary splitting): both halves of a product are
-    about equally wide, so CPython's Karatsuba multiply makes the whole
-    product quasi-linear in its bits.  Runs of at most 16 quotients, whose
-    entries are a few machine words, multiply in a plain loop.
+
+def _randint_draws(rng: random.Random, bound: int, count: int) -> np.ndarray:
+    """At least count of the values rng.randint(1, bound) would return next,
+    in order, taken from bulk getrandbits words.
+
+    CPython's randint(1, B) is 1 + getrandbits(k) with k = bit_length(B),
+    drawn again while the value is >= B.  getrandbits(k) takes w = ceil(k/32)
+    32-bit words, least significant first, and shifts the last right by
+    32 w - k; getrandbits(32 W) puts word i at bits [32 i, 32 i + 32).  So
+    every w consecutive words are one draw, accepted or not.  The values
+    are int64 when k <= 32 and Python ints (dtype object) above."""
+    k = bound.bit_length()
+    w = -(-k // 32)
+    shift = 32 * w - k
+    chunks, got = [], 0
+    while got < count:
+        # a draw is kept with probability bound / 2^k > 1/2
+        draws = min((count - got) * (1 << k) // bound + 16, max(_DRAW_WORDS // w, 1))
+        raw = rng.getrandbits(32 * w * draws).to_bytes(4 * w * draws, "little")
+        if w == 1:
+            v = (np.frombuffer(raw, dtype="<u4") >> np.uint32(shift)).astype(np.int64)
+        else:
+            low = 32 * (w - 1)
+            groups = (int.from_bytes(raw[i:i + 4 * w], "little") for i in range(0, len(raw), 4 * w))
+            v = np.array([g & ((1 << low) - 1) | g >> (low + shift) << low for g in groups],
+                         dtype=object)
+        v = v[v < bound] + 1
+        chunks.append(v)
+        got += len(v)
+    return np.concatenate(chunks)
+
+
+def _pair_products(mats: np.ndarray) -> np.ndarray:
+    """The products of neighbouring 2x2 matrices of a stack, in order; an
+    odd last one is paired with the identity."""
+    if len(mats) % 2:
+        mats = np.concatenate((mats, np.identity(2, dtype=mats.dtype)[None]))
+    return mats[0::2] @ mats[1::2]
+
+
+def _continuant_matrix(quotients: np.ndarray, bound: int):
+    """M(c_1)...M(c_m) with M(c) = [[c, 1], [1, 0]], as the row-major tuple
+    (a, b, c, d), for quotients c_i in 1..bound.
+
+    Neighbours multiply pairwise, level by level, so both halves of every
+    product are about equally wide and CPython's Karatsuba multiply makes the
+    whole product quasi-linear in its bits.  The entries of a product of L
+    matrices are continuants, at most (bound + 1)^L, and so is every term of
+    the sums that form them, so the levels run in int64 while
+    (bound + 1)^(2L) < 2^63, on slices of _DRAW_WORDS quotients so memory
+    stays flat, and in exact Python ints (dtype object) after.  Up to 128
+    quotients, below the cost of numpy's calls, multiply in a plain loop.
     """
-    if len(quotients) <= 16:
+    if len(quotients) <= 128:
         a, b, c, d = 1, 0, 0, 1
-        for x in quotients:
+        for x in quotients.tolist():
             a, b, c, d = a * x + b, a, c * x + d, c
         return a, b, c, d
-    mid = len(quotients) // 2
-    a, b, c, d = _continuant_matrix(quotients[:mid])
-    e, f, g, h = _continuant_matrix(quotients[mid:])
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    leaves = []
+    for i in range(0, len(quotients), _DRAW_WORDS):
+        part = quotients[i:i + _DRAW_WORDS]
+        mats = np.empty((len(part), 2, 2), dtype=part.dtype)
+        mats[:, 0, 0] = part
+        mats[:, 0, 1] = mats[:, 1, 0] = 1
+        mats[:, 1, 1] = 0
+        span = 1
+        while len(mats) > 1 and (bound + 1) ** (2 * span) < 1 << 63:
+            mats = _pair_products(mats)
+            span *= 2
+        leaves.append(mats.astype(object))
+    mats = np.concatenate(leaves)
+    while len(mats) > 1:
+        mats = _pair_products(mats)
+    (a, b), (c, d) = mats[0].tolist()
+    return a, b, c, d
 
 
 def sample_alpha(measure: str, rng_seed: int, precision_bits: int = 96) -> DyadicReal:
     """One dilation factor from the named measure, deterministic in the seed.
 
     bounded-cf:B (or bounded-cf(B)) draws i.i.d. partial quotients uniform on
-    1..B.  It returns the first convergent p/q whose denominator has more
-    than precision_bits + 16 bits, rounded to precision_bits bits.  This is a
-    heuristic stand-in for sampling the badly-approximable numbers, not a
-    certified measure; tables carry the label.
+    1..B, the values random.Random(rng_seed).randint(1, B) returns
+    (_randint_draws).  It returns the first convergent p/q whose denominator
+    has more than precision_bits + 16 bits, rounded to precision_bits bits.
+    This is a heuristic stand-in for sampling the badly-approximable
+    numbers, not a certified measure; tables carry the label.
 
-    The quotients are drawn in rounds.  With H = precision_bits + 16 and
-    w = bit_length(B + 1), a round of m = max(1, (H - bit_length(q)) // w)
+    The quotients are multiplied out in rounds.  With H = precision_bits + 16
+    and w = bit_length(B + 1), a round of m = max(1, (H - bit_length(q)) // w)
     quotients is multiplied out by ``_continuant_matrix``.  Since
     q_(k+1) <= (B + 1) q_k, a round of m >= 2 never passes H bits, so the stop
     falls in a round of one quotient, at the convergent where the
-    one-quotient-at-a-time recurrence stops.
+    one-quotient-at-a-time recurrence stops.  Convergents are coprime, so
+    p/q is rounded without a gcd.
     """
     _, bound = parse_measure(measure)
     rng = random.Random(rng_seed)
@@ -170,13 +231,17 @@ def sample_alpha(measure: str, rng_seed: int, precision_bits: int = 96) -> Dyadi
         return DyadicReal(m, -precision_bits, precision_bits)
     horizon = precision_bits + 16
     width = (bound + 1).bit_length()
+    pending = np.zeros(0, dtype=np.int64)
     p, pm1, q, qm1 = 0, 1, 1, 0
     while q.bit_length() <= horizon:
         m = max(1, (horizon - q.bit_length()) // width)
-        a, b, c, d = _continuant_matrix([rng.randint(1, bound) for _ in range(m)])
+        if len(pending) < m:
+            pending = np.concatenate((pending, _randint_draws(rng, bound, m - len(pending))))
+        a, b, c, d = _continuant_matrix(pending[:m], bound)
+        pending = pending[m:]
         p, pm1 = p * a + pm1 * c, p * b + pm1 * d
         q, qm1 = q * a + qm1 * c, q * b + qm1 * d
-    return DyadicReal.from_fraction(Fraction(p, q), precision_bits)
+    return DyadicReal.from_ratio(p, q, precision_bits)
 
 
 # ---------------------------------------------------------------------------

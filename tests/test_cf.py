@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lacuna.cf import (
     ContinuedFraction,
     QuadraticReal,
+    affine_dist_to_int,
     dist_to_int,
     expand,
     lambda_estimate,
@@ -449,3 +450,21 @@ class TestInhomDistance:
     def test_n_zero(self):
         assert dist_to_int(PHI * 0 - Fraction(1, 4)) == Fraction(1, 4)
         assert exact_product(PHI, 0, Fraction(1, 4)) == 0
+
+
+class TestAffineDistance:
+    @given(
+        st.fractions(min_value=-10, max_value=10, max_denominator=60),
+        st.fractions(min_value=-10, max_value=10, max_denominator=60),
+        st.sampled_from([2, 3, 5, 7, 13]),
+        st.integers(0, 1 << 40),
+        st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 7)]),
+    )
+    def test_matches_the_generic_arithmetic(self, x, y, d, n, s):
+        # one isqrt and one reduction against dist_to_int(v n - s) in
+        # QuadraticReal arithmetic; y = 0 and a shift in v's field included
+        v = QuadraticReal(x, y, d)
+        for shift in (s, QuadraticReal(s, y / 3, d)):
+            got, want = affine_dist_to_int(v, n, shift), dist_to_int(v * n - shift)
+            assert (got.a, got.b, got.c, got.d) == (want.a, want.b, want.c, want.d)
+        assert affine_dist_to_int(x, n, s) == dist_to_int(x * n - s)

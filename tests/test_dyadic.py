@@ -41,6 +41,21 @@ def dy(num, den=1, bits=96):
     return DyadicReal.from_fraction(Fraction(num, den), bits)
 
 
+def round_oracle(x: Fraction, bits: int) -> Fraction:
+    """x rounded to bits significant bits, ties to even, in Fractions."""
+    if x == 0:
+        return x
+    y = abs(x)
+    k = y.numerator.bit_length() - y.denominator.bit_length()
+    if Fraction(2) ** k > y:
+        k -= 1  # 2^k <= y < 2^(k+1)
+    ulp = Fraction(2) ** (k - bits + 1)
+    m, rest = divmod(y, ulp)
+    if rest > ulp / 2 or (rest == ulp / 2 and m % 2):
+        m += 1
+    return (m * ulp) if x > 0 else -(m * ulp)
+
+
 ONE = DyadicReal(1, 0)
 
 
@@ -108,6 +123,33 @@ class TestRounding:
         x = DyadicReal.from_fraction(fr, bits)
         ulp = Fraction(2) ** (abs(fr).numerator.bit_length() - abs(fr).denominator.bit_length() - bits + 2)
         assert abs(x.to_fraction() - fr) <= ulp
+
+    @given(
+        st.integers(-(1 << 200), 1 << 200),
+        st.integers(1, 1 << 200),
+        st.integers(1, 5),
+        st.integers(1, 160),
+    )
+    def test_from_ratio_matches_the_fraction_oracle(self, num, den, g, bits):
+        # num/den spans both signs and quotients far above 2^bits (a negative
+        # shift) and far below; the pair need not be reduced
+        want = round_oracle(Fraction(num, den), bits)
+        x = DyadicReal.from_ratio(num * g, den * g, bits)
+        assert x.to_fraction() == want and x.precision_bits == bits
+        assert DyadicReal.from_fraction(Fraction(num, den), bits) == x
+
+    @given(st.integers(1, 64), st.data(), st.integers(-90, 90), st.booleans(),
+           st.sampled_from([1, 3, 5, 7]))
+    def test_exact_halves_round_to_even(self, bits, data, e, negative, g):
+        # (2m + 1) 2^e with m of bits bits lies halfway between m 2^(e+1)
+        # and (m + 1) 2^(e+1).  Reduced, the tie is always in the surplus
+        # bit; a common odd factor g can put it in the remainder instead
+        m = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        x = (2 * m + 1) * Fraction(2) ** e * (-1 if negative else 1)
+        want = (m + m % 2) * Fraction(2) ** (e + 1) * (-1 if negative else 1)
+        assert round_oracle(x, bits) == want
+        y = DyadicReal.from_ratio(x.numerator * g, x.denominator * g, bits)
+        assert y.to_fraction() == want
 
 
 class TestFracAndDistance:

@@ -83,6 +83,21 @@ class TestThreshold:
             assert littlewood_threshold_bounds(n, epsilon) == oracle(n)
 
 
+    def test_values_are_pinned(self):
+        # thr_lo = v - 2^-50 as printed before the threshold's refactors
+        pins = {
+            3: (39882273448034423177156093938637058421971, 142),
+            4: (1584858593551270459011321795903510596145, 134),
+            10**3: (24340199191363000394173639397540837337123, 135),
+            10**6: (45624287987400679599199740220596022647739, 136),
+            10**12: (73749826182120455828852927510900705115379, 137),
+        }
+        for n, (num, e) in pins.items():
+            lo, hi = littlewood_threshold_bounds(n, Fraction(1, 20))
+            assert lo == Fraction(num, 1 << e)
+            assert hi == lo + Fraction(1, 1 << 49)
+
+
 class TestCzBuild:
     def test_sqrt2_homogeneous(self):
         seq = cz_build(SQRT2, 0, 12)
@@ -287,6 +302,9 @@ class TestBrutePrefilter:
         assert n_star in _brute_candidates(alpha, 0, 0, zeta, eps, n_star)
         rep = littlewood_scan(alpha, 0, 0, zeta, eps, n_limit=n_star)
         assert rep.solutions[-1][0] == n_star
+        # a product 2^-60 above thr_lo, inside the enclosure, is no solution
+        alpha = (648059 - 2 * (thr_lo + Fraction(1, 1 << 60)) / n_star) / n_star
+        assert littlewood_scan(alpha, 0, 0, zeta, eps, n_values=[n_star]).solutions == ()
 
     @pytest.mark.parametrize("chunks, extra", [(1, 2), (1, 3), (2, 2)])
     def test_chunk_edges(self, monkeypatch, chunks, extra):

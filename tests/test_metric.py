@@ -126,12 +126,25 @@ class TestSampling:
 
 
 class TestBoundedCfRounds:
-    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 1000])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 1000, 2**31 + 1, 2**32, 2**40 + 3, 10**30])
     @pytest.mark.parametrize("precision", [1, 96, 160, 192, 1100, 13049, 65601])
     def test_matches_the_stepwise_loop(self, bound, precision):
         for seed in range(5):
             want, _ = stepwise_bounded_cf(bound, seed, precision)
             assert sample_alpha(f"bounded-cf:{bound}", seed, precision) == want
+
+    @pytest.mark.parametrize(
+        "bound", [1, 5, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 7, 2**40 + 3, 2**64 + 1, 10**30]
+    )
+    def test_bulk_draws_are_the_randint_stream(self, bound):
+        # sample_alpha's quotients must stay the ones random.randint returns;
+        # two calls, each past the words-per-call cap, continue one stream
+        from lacuna.metric import _randint_draws
+
+        rng = random.Random(11)
+        got = _randint_draws(rng, bound, 9000).tolist() + _randint_draws(rng, bound, 1).tolist()
+        ref = random.Random(11)
+        assert got == [ref.randint(1, bound) for _ in got]
 
     def test_multi_quotient_round_ending_at_the_horizon(self):
         # B = 1000, seed 2, 88 bits: horizon H = 104 and width w = 10.  One
