@@ -94,9 +94,11 @@ def _lnln_and_threshold(n: int, exponent):
     return lnln, libmp.mpf_div(libmp.mpf_pow(lnln, exponent, _PREC, _RND), ln_n, _PREC, _RND)
 
 
-def _threshold(n: int, exponent) -> Fraction:
-    """(ln ln n)^exponent / ln n rounded at _PREC bits, exactly as a Fraction."""
-    return _fraction(_lnln_and_threshold(n, exponent)[1])
+def _threshold_bounds(n: int, exponent) -> tuple[Fraction, Fraction]:
+    """(ln ln n)^exponent / ln n rounded at _PREC bits, exactly as a
+    Fraction, widened by _THR_GUARD on each side."""
+    v = _fraction(_lnln_and_threshold(n, exponent)[1])
+    return v - _THR_GUARD, v + _THR_GUARD
 
 
 def littlewood_threshold_bounds(n: int, epsilon: Fraction) -> tuple[Fraction, Fraction]:
@@ -105,8 +107,7 @@ def littlewood_threshold_bounds(n: int, epsilon: Fraction) -> tuple[Fraction, Fr
     widened by _THR_GUARD on each side."""
     if n < 3:
         raise ValueError("threshold defined for n >= 3")
-    v = _threshold(n, _exponent(Fraction(epsilon)))
-    return v - _THR_GUARD, v + _THR_GUARD
+    return _threshold_bounds(n, _exponent(Fraction(epsilon)))
 
 
 def _peak_threshold(epsilon: Fraction) -> Fraction:
@@ -312,7 +313,7 @@ def littlewood_scan(
         scanned = max(n_limit - 2, 0)
         candidates = _brute_candidates(alpha, beta, eta, zeta, epsilon, n_limit)
     for n in candidates:
-        thr_lo = _threshold(n, exponent) - _THR_GUARD  # littlewood_threshold_bounds' lower end
+        thr_lo = _threshold_bounds(n, exponent)[0]
         ok, prod_f = _confirm_solution(alpha, beta, eta, zeta, n, thr_lo)
         if ok:
             solutions.append((n, prod_f, float(thr_lo)))

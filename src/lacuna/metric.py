@@ -132,29 +132,23 @@ _DRAW_WORDS = 1 << 13  # 32-bit words per getrandbits call, so memory stays flat
 
 def _randint_draws(rng: random.Random, bound: int, count: int) -> np.ndarray:
     """At least count of the values rng.randint(1, bound) would return next,
-    in order, taken from bulk getrandbits words.
+    in order.
 
     CPython's randint(1, B) is 1 + getrandbits(k) with k = bit_length(B),
-    drawn again while the value is >= B.  getrandbits(k) takes w = ceil(k/32)
-    32-bit words, least significant first, and shifts the last right by
-    32 w - k; getrandbits(32 W) puts word i at bits [32 i, 32 i + 32).  So
-    every w consecutive words are one draw, accepted or not.  The values
-    are int64 when k <= 32 and Python ints (dtype object) above."""
+    drawn again while the value is >= B.  For k <= 32, getrandbits(k) is the
+    next 32-bit word shifted right by 32 - k, and getrandbits(32 W) puts word
+    i at bits [32 i, 32 i + 32), so every word is one draw, accepted or not,
+    and the values come from bulk words as int64.  Wider bounds call randint
+    itself and return Python ints (dtype object)."""
     k = bound.bit_length()
-    w = -(-k // 32)
-    shift = 32 * w - k
+    if k > 32:
+        return np.array([rng.randint(1, bound) for _ in range(count)], dtype=object)
     chunks, got = [], 0
     while got < count:
         # a draw is kept with probability bound / 2^k > 1/2
-        draws = min((count - got) * (1 << k) // bound + 16, max(_DRAW_WORDS // w, 1))
-        raw = rng.getrandbits(32 * w * draws).to_bytes(4 * w * draws, "little")
-        if w == 1:
-            v = (np.frombuffer(raw, dtype="<u4") >> np.uint32(shift)).astype(np.int64)
-        else:
-            low = 32 * (w - 1)
-            groups = (int.from_bytes(raw[i:i + 4 * w], "little") for i in range(0, len(raw), 4 * w))
-            v = np.array([g & ((1 << low) - 1) | g >> (low + shift) << low for g in groups],
-                         dtype=object)
+        words = min((count - got) * (1 << k) // bound + 16, _DRAW_WORDS)
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        v = (np.frombuffer(raw, dtype="<u4") >> np.uint32(32 - k)).astype(np.int64)
         v = v[v < bound] + 1
         chunks.append(v)
         got += len(v)
@@ -169,6 +163,9 @@ def _pair_products(mats: np.ndarray) -> np.ndarray:
     return mats[0::2] @ mats[1::2]
 
 
+_LEAF_SLICE = 1 << 13  # quotients per int64 stack in _continuant_matrix, so the stacks stay small
+
+
 def _continuant_matrix(quotients: np.ndarray, bound: int):
     """M(c_1)...M(c_m) with M(c) = [[c, 1], [1, 0]], as the row-major tuple
     (a, b, c, d), for quotients c_i in 1..bound.
@@ -178,9 +175,9 @@ def _continuant_matrix(quotients: np.ndarray, bound: int):
     whole product quasi-linear in its bits.  The entries of a product of L
     matrices are continuants, at most (bound + 1)^L, and so is every term of
     the sums that form them, so the levels run in int64 while
-    (bound + 1)^(2L) < 2^63, on slices of _DRAW_WORDS quotients so memory
-    stays flat, and in exact Python ints (dtype object) after.  Up to 128
-    quotients, below the cost of numpy's calls, multiply in a plain loop.
+    (bound + 1)^(2L) < 2^63, on slices of _LEAF_SLICE quotients, and in
+    exact Python ints (dtype object) after.  Up to 128 quotients, below the
+    cost of numpy's calls, multiply in a plain loop.
     """
     if len(quotients) <= 128:
         a, b, c, d = 1, 0, 0, 1
@@ -188,8 +185,8 @@ def _continuant_matrix(quotients: np.ndarray, bound: int):
             a, b, c, d = a * x + b, a, c * x + d, c
         return a, b, c, d
     leaves = []
-    for i in range(0, len(quotients), _DRAW_WORDS):
-        part = quotients[i:i + _DRAW_WORDS]
+    for i in range(0, len(quotients), _LEAF_SLICE):
+        part = quotients[i:i + _LEAF_SLICE]
         mats = np.empty((len(part), 2, 2), dtype=part.dtype)
         mats[:, 0, 0] = part
         mats[:, 0, 1] = mats[:, 1, 0] = 1
