@@ -10,7 +10,8 @@ with j = floor(x + 1/2), its sign read from one floor of 2x;
 affine_dist_to_int is the same for x = v n - s, with one reduction.
 
 Every expansion is an integer loop.  Fractions and DyadicReals share one
-Euclid loop, a DyadicReal's quotients trusted only while the continuant
+Euclid loop (Lehmer's: most quotients come from the leading bits of the
+pair), a DyadicReal's quotients trusted only while the continuant
 stays well below sqrt(2^precision); a QuadraticReal is (P + sqrt(D)) / Q
 with Q dividing D - P^2 under the classical recurrence on (P, Q), so its
 expansion never hits a precision horizon."""
@@ -258,16 +259,48 @@ def _from_quotients(a0: int, quotients, rational_terminated=False) -> ContinuedF
     return ContinuedFraction(a0, quotients, tuple(p), tuple(q), rational_terminated)
 
 
+_LEHMER_BITS = 120  # bits of the leading parts that Lehmer's inner loop divides
+
+
 def _expand_fraction(fr: Fraction, depth: int) -> ContinuedFraction:
     """The Euclidean algorithm on the fractional part of fr, stopped at depth
-    quotients or when it terminates."""
+    quotients or when it terminates, by Lehmer's method (Knuth, TAOCP
+    Vol. 2, 4.5.2, Algorithm L).
+
+    Each round runs Euclid on x = floor(num / 2^k) and y = floor(den / 2^k),
+    the leading _LEHMER_BITS bits of num, and keeps the cofactors
+    (a, b, c, d) with the pair after the quotients so far being
+    (a num + b den, c num + d den).  Since num / 2^k lies in [x, x + 1),
+    den / 2^k in [y, y + 1) and the cofactors alternate in sign, the ratio
+    of that pair lies between (x + a) / (y + c) and (x + b) / (y + d).  So a
+    quotient k is accepted only when (x + a) // (y + c) and
+    (x + b) // (y + d) agree, and it is the quotient plain Euclid takes.  The
+    round then moves the full pair by its cofactors, one 2x2 update for all
+    its quotients; a round that accepts none takes one quotient by divmod.
+    The quotients and the final pair are those of the one-divmod-per-quotient
+    loop."""
     a0 = math.floor(fr)
     num, den = (fr - a0).denominator, (fr - a0).numerator
     quotients = []
     while den and len(quotients) < depth:
-        a, r = divmod(num, den)
-        num, den = den, r
-        quotients.append(a)
+        shift = max(num.bit_length() - _LEHMER_BITS, 0)
+        x, y = num >> shift, den >> shift
+        a, b, c, d = 1, 0, 0, 1
+        room = depth - len(quotients)
+        while room and y + c and y + d:
+            k = (x + a) // (y + c)
+            if k != (x + b) // (y + d):
+                break
+            quotients.append(k)
+            room -= 1
+            a, b, c, d = c, d, a - k * c, b - k * d
+            x, y = y, x - k * y
+        if b:
+            num, den = a * num + b * den, c * num + d * den
+        else:
+            k, r = divmod(num, den)
+            num, den = den, r
+            quotients.append(k)
     return _from_quotients(a0, quotients, rational_terminated=(den == 0))
 
 

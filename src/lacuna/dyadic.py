@@ -14,9 +14,10 @@ stored recurrence q * a_{n+1} = p * a_n + delta_n
 (lacuna.sequences.Recurrence.residues), never dividing a term by a term,
 so each residue follows from the last by a multiply-add and an exact
 division by q.  dilate() wraps them in a DilatedSet, gap_report() sorts and
-differences the integers, and the 64-bit scans and float views in
-lacuna.metric read them as they stream.  (The 64-bit scan of the doubling
-sequence 2^n reads windows of alpha's binary expansion instead.)
+differences the integers, and the float views in lacuna.metric read them as
+they stream.  The 64-bit scans there read the top 64 bits of the same
+residues from seq.keys, and the one of the doubling sequence 2^n from
+windows of alpha's binary expansion.
 """
 
 from __future__ import annotations

@@ -14,10 +14,14 @@ Three layers:
 Scan tables use 64-bit truncated points: the maximal gap survives truncation
 up to 2^-63, far below every tolerance used here, and the run cost drops by
 orders of magnitude.  The exact gap of the first n dilates is
-gap_report(dilate(alpha, seq, 1, n)).  Every view of the dilates here
-(truncated, float) reads the residue stream of lacuna.dyadic.residues, which
-steps by the relation the sequence stores, so a scan never holds or
-computes the wide terms; only the doubling sequence 2^e0, 2^(e0+1), ... takes
+gap_report(dilate(alpha, seq, 1, n)).  The float views of the dilates here
+read the residue stream of lacuna.dyadic.residues, which steps by the
+relation the sequence stores, so a scan never holds or computes the wide
+terms.  The truncated points are the keys of seq.keys, the same bits: at a
+ratio p/2^s (r = 3, 5/2, 3/2, ...) a key walk jumps exactly every B terms
+and reads each key in between from a short window, so a key costs a step
+over a few hundred bits, not over the P-bit residue; odd q > 1 keeps the
+exact stream.  Only the doubling sequence 2^e0, 2^(e0+1), ... takes
 its truncated points from byte windows of alpha's binary expansion instead.
 dispersion_scan recognises it from the ratio the sequence has checked: with
 r >= 2 every step at least doubles, so a power-of-two a_1 and
@@ -298,16 +302,10 @@ def _pow2_truncated_points(alpha: DyadicReal, e0: int, n_max: int) -> np.ndarray
 
 
 def _truncated_points(alpha: DyadicReal, seq, n: int) -> np.ndarray:
-    """floor({alpha * a} * 2^64) for a_1..a_n of a sequence: the top 64 bits
-    of each exact residue, taken as it streams, so the exact vector is never
-    held."""
-    shift = residue_bits(alpha) - 64
-    stream = residues(alpha, seq, 1, n)
-    if shift >= 0:
-        tops = (r >> shift for r in stream)
-    else:
-        tops = (r << -shift for r in stream)
-    return np.fromiter(tops, dtype=np.uint64, count=n)
+    """floor({alpha * a} * 2^64) for a_1..a_n of a sequence: the 64-bit keys
+    of seq.keys, written into one uint64 array as they stream, so neither
+    the exact vector nor a list of the keys is held."""
+    return np.fromiter(seq.keys(alpha.mantissa, residue_bits(alpha), n), dtype=np.uint64, count=n)
 
 
 def _max_gap_u64(sorted_vals: np.ndarray) -> int:

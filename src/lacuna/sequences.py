@@ -15,6 +15,11 @@ carries y_n = m * a_n exactly and steps y <- (p * y + m * delta_n) / q, a
 shift for q = 2^s and one // otherwise.  With m = 1 it gives the terms
 (seq.terms, a read-only view), and with any m masked to P bits the dilates
 m * a_n mod 2^P (seq.residues), so no other module reads the checkpoints.
+The top 64 bits of those dilates (seq.keys) come from a key walk for
+q = 2^s: it jumps exactly every B terms and reads the keys in between from
+a short window of the leading bits, taking a key from the exact walk only
+where the window's carry bound could reach it; odd q > 1, a delta_n < 0 or
+a P too short for the window take every key from the exact walk.
 For a LacunarySequence a_{n+1} >= r * a_n is delta_n >= 0, N short
 comparisons.  geometric_sequence streams its terms once and keeps only the
 checkpoints.
@@ -87,6 +92,27 @@ def _stride(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n > 0 else 1
 
 
+_JUMP_BITS = 512  # bits of p^B, the short factor of each exact jump of the key walk
+_KEY_GUARD = 64  # bits of the key walk's window between its carry bound and the key
+
+
+def _key_guard(p: int, s: int, B: int, dmax: int) -> int:
+    """G, the bits of the key walk's window below the key: about _KEY_GUARD
+    more than bits(E_(B-1)) for the carry bounds E_j of r = p/2^s with every
+    delta <= dmax, which grow about as (p + dmax) j max(1, p/2^s)^j."""
+    growth = max(0, (p**B).bit_length() - s * B)  # bits of (p/2^s)^B
+    return _KEY_GUARD + (p + dmax).bit_length() + B.bit_length() + growth
+
+
+def _carry_bounds(p: int, s: int, dmax: int, B: int) -> list[int]:
+    """E_0..E_(B-1) of Recurrence._window_keys: E_0 = 0 and
+    E_(j+1) = ceil((p E_j + p + dmax) / 2^s)."""
+    E = [0]
+    for _ in range(B - 1):
+        E.append(-(-(p * E[-1] + p + dmax) >> s))
+    return E
+
+
 def _first_descent(deltas) -> int | None:
     """The 1-based n + 1 of the first delta_n < 0, i.e. the first a_{n+1} <
     r * a_n; None when every delta_n >= 0."""
@@ -122,7 +148,9 @@ class Recurrence:
     the recurrence (_stream) gives the terms, read through seq.terms
     (iterating seq reads them too), and the dilates m * a_n mod 2^P, read
     through seq.residues; only the walk reads the checkpoints and the
-    stride."""
+    stride.  Their top 64 bits, seq.keys, come from the key walk
+    (_window_keys) at q = 2^s, with the exact walk as its fallback, and
+    from the exact walk alone otherwise."""
 
     growth_factor_r: Fraction
     deltas: tuple[int, ...]
@@ -210,6 +238,104 @@ class Recurrence:
         if start > stop:
             return iter(())
         return islice(self._stream(start - 1, m, (1 << P) - 1), stop - start + 1)
+
+    def keys(self, m: int, P: int, n: int | None = None) -> Iterator[int]:
+        """The 64-bit keys of a_1..a_n (n=None: a_N): the top 64 bits of
+        each residue m * a_k mod 2^P, floor((m * a_k mod 2^P) * 2^(64 - P)),
+        equal bit for bit to those of seq.residues.
+
+        For q = 2^s, every delta_k >= 0 and P >= 64 + G they come from the
+        key walk (_window_keys), which carries the exact y = m * a_k only
+        at every B-th term and reads the keys in between from a short
+        window; every other input takes them from the exact walk, shifted.
+        B and G depend only on the ratio and the widest delta_k."""
+        size = len(self)
+        _require(size, n)
+        n = size if n is None else n
+        p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
+        s = q.bit_length() - 1
+        block = max(1, _JUMP_BITS // p.bit_length())  # p^B has about _JUMP_BITS bits
+        deltas = self.deltas[: max(n - 1, 0)]
+        dmax = max(deltas, default=0)
+        guard = _key_guard(p, s, block, dmax)
+        if not n or q != 1 << s or min(deltas, default=0) < 0 or P < 64 + guard:
+            shift = P - 64
+            tops = self.residues(m, P, 1, n)
+            return (r >> shift for r in tops) if shift >= 0 else (r << -shift for r in tops)
+        return self._window_keys(m, P, n, block, guard, _carry_bounds(p, s, dmax, block))
+
+    def _window_keys(self, m: int, P: int, n: int, B: int, G: int, E: list[int]) -> Iterator[int]:
+        """The key walk for r = p/2^s with every delta_k >= 0 and P >= 64 + G.
+
+        Write Y_j = y_(k+j) for a block that starts at the term k, where the
+        exact Y_0 is known: Y_j = m * a_(k+j), reduced mod 2^P when s = 0.
+        The key of Y_j is bits [P - 64, P) of Y_j.  With L = P - 64 - G,
+        the window is X_j = floor(Y_j / 2^L) mod 2^W, W = 64 + G + sB, and
+        the key is bits [G, G + 64) of X_j.
+
+        Window step.  Write m = M 2^L + mu and Y_j = X_j 2^L + eps_j with
+        0 <= mu, eps_j < 2^L (M = floor(m / 2^L), m of either sign).  Then
+        2^s Y_(j+1) = p Y_j + m delta_j gives
+            floor(Y_(j+1) / 2^L) = floor((p X_j + M delta_j + f_j) / 2^s),
+            f_j = (p eps_j + mu delta_j) / 2^L in [0, p + delta_j),
+        and for s = 0 the same holds mod 2^(P - L), since 2^L divides 2^P.
+        The walk steps H_(j+1) = floor((p H_j + M delta_j) / 2^s) from the
+        exact H_0 = X_0.  Each step loses the s top bits of the window (the
+        bits of Y_j from P + s(B - j) up depend on bits it dropped), so
+        mod 2^W the bits of H_j below P - L + s(B - j) >= G + 64 are valid.
+
+        Carry bound.  Let e_j = floor(Y_j / 2^L) - H_j, e_0 = 0.  Since
+        floor((a + b) / c) - floor(a / c) lies in [0, ceil(b / c)] for real
+        b >= 0, and b = p e_j + f_j < p E_j + p + delta_j,
+            0 <= e_(j+1) <= E_(j+1) = ceil((p E_j + p + dmax) / 2^s)
+        with dmax >= every delta_j (_carry_bounds).  So the key,
+        floor((H_j + e_j) / 2^G) mod 2^64, is (H_j >> G) mod 2^64 whenever
+        (H_j mod 2^G) + E_j < 2^G: no carry reaches bit G.  Any other key
+        is read from the exact walk (_stream) at that index; one exact walk
+        serves every such key from its checkpoint on, so all of them
+        together cost at most one exact walk of the n terms.
+
+        Jump.  After B steps, 2^(sB) Y_B = p^B Y_0 + m D_B with
+        D_(j+1) = p D_j + 2^(sj) delta_(k+j), D_0 = 0, so the next block
+        starts from the exact Y_B = (p^B Y_0 + m D_B) >> sB (mod 2^P for
+        s = 0).  E_j grows like (p / 2^s)^j, and G leaves about _KEY_GUARD
+        bits above E_(B-1), so for a random m a key is read from the exact
+        walk about once in 2^_KEY_GUARD."""
+        p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
+        s = q.bit_length() - 1
+        L = P - 64 - G
+        wmask, gmask = (1 << 64 + G + s * B) - 1, (1 << G) - 1
+        kmask, pmask = (1 << 64) - 1, (1 << P) - 1
+        M = m >> L
+        limits = [(1 << G) - e for e in E]
+        jump = p**B
+        deltas = self.deltas
+        c = self.stride
+        exact, at = None, -1  # the exact walk of the fallback, next at term at
+        y = m * self.checkpoints[0]
+        for k in range(0, n, B):
+            if k:
+                y = (jump * y + m * D) >> s * B
+            if not s:
+                y &= pmask
+            h = (y >> L) & wmask
+            D = 0
+            for i, lim in enumerate(limits[: n - k], k):
+                if h & gmask < lim:
+                    yield (h >> G) & kmask
+                else:
+                    if at < i - i % c:  # restart from the checkpoint below i
+                        exact, at = self._stream(i, m, pmask), i
+                    yield next(islice(exact, i - at, None)) >> (L + G)
+                    at = i + 1
+                if i + 1 < n:
+                    d = deltas[i]
+                    if d:
+                        h = ((p * h + M * d) >> s) & wmask
+                        D = p * D + (d << s * (i - k))
+                    else:
+                        h = ((p * h) >> s) & wmask
+                        D *= p
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -332,6 +458,19 @@ def geometric_sequence(r: Fraction, n_terms: int) -> LacunarySequence:
         for _ in range(c, n_terms, c):
             checkpoints.append(checkpoints[-1] * jump)
         deltas = (0,) * max(n_terms - 1, 0)
+    elif q & (q - 1) == 0:
+        # q = 2^s: delta = (-p t) mod 2^s is a mask and the division a shift
+        s, low = q.bit_length() - 1, q - 1
+        checkpoints, deltas = [], []
+        t = 1
+        for i in range(n_terms):
+            pt = p * t
+            d = -(pt & low) & low
+            t = (pt + d) >> s
+            if i:
+                deltas.append(d)
+            if i % c == 0:
+                checkpoints.append(t)
     else:
         checkpoints, deltas = [], []
         t = 1

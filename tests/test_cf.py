@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -384,6 +385,60 @@ class TestExpansion:
         assert parse_value_spec("rat:3/7") == Fraction(3, 7)
         q = parse_value_spec("quad:1,5,2")
         assert q == PHI
+
+
+def plain_euclid(fr, depth):
+    """The reference expansion: one divmod per quotient on the fractional
+    part of fr, with the convergents from their recurrence.  Returns
+    (a0, quotients, p, q, rational_terminated)."""
+    a0 = math.floor(fr)
+    num, den = (fr - a0).denominator, (fr - a0).numerator
+    quotients = []
+    while den and len(quotients) < depth:
+        a, r = divmod(num, den)
+        num, den = den, r
+        quotients.append(a)
+    p, q = [a0], [1]
+    pm1, qm1 = 1, 0
+    for c in quotients:
+        p.append(c * p[-1] + pm1)
+        q.append(c * q[-1] + qm1)
+        pm1, qm1 = p[-2], q[-2]
+    return a0, tuple(quotients), tuple(p), tuple(q), den == 0
+
+
+def wide_fractions():
+    """Fractions of 1-5000 bits of either sign: ratios, integers and 1/n."""
+    wide = st.integers(1, 5000).flatmap(lambda bits: st.integers(1, 1 << bits))
+    signs = st.sampled_from([1, -1])
+    return st.one_of(
+        st.builds(lambda s, n, d: Fraction(s * n, d), signs, wide, wide),
+        st.builds(lambda s, n: Fraction(s * n), signs, wide),
+        st.builds(lambda s, n: Fraction(s, n), signs, wide),
+    )
+
+
+class TestLehmerExpansion:
+    """Lehmer's rounds take many quotients per full-width update; the
+    quotients, convergents and termination must be those of one divmod per
+    quotient, also where a round meets the depth or the end of Euclid."""
+
+    @staticmethod
+    def expanded(x, depth):
+        cf = expand(x, depth)
+        return cf.a0, cf.partial_quotients, cf.p, cf.q, cf.rational_terminated
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_fractions())
+    def test_matches_plain_euclid_around_termination(self, fr):
+        length = len(plain_euclid(fr, math.inf)[1])
+        for depth in {max(length - 1, 1), max(length, 1), length + 1}:
+            assert self.expanded(fr, depth) == plain_euclid(fr, depth)
+
+    def test_wide_dyadic_to_depth_ten_thousand(self):
+        x = DyadicReal(random.Random(3).getrandbits(40_000) | 1, -40_000, 40_000)
+        a0, quotients, p, q, _ = plain_euclid(x.to_fraction(), 10**4)
+        assert self.expanded(x, 10**4) == (a0, quotients, p, q, False)
 
 
 class TestConvergentProperties:

@@ -18,8 +18,10 @@ from lacuna.errors import (
     NotLacunaryError,
     SequenceTooShortError,
 )
+from lacuna import sequences
 from lacuna.sequences import (
     LacunarySequence,
+    Recurrence,
     TermsView,
     geometric_sequence,
     ln_bounds,
@@ -147,7 +149,10 @@ def power_loop_geometric(r, n_terms):
 class TestGeometricRecurrence:
     @pytest.mark.parametrize(
         "r",
-        [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3), Fraction(11, 10)],
+        [
+            Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3),
+            Fraction(11, 10), Fraction(7, 4), Fraction(9, 8),
+        ],
     )
     def test_matches_power_loop(self, r):
         assert list(geometric_sequence(r, 2000).terms) == power_loop_geometric(r, 2000)
@@ -365,6 +370,125 @@ class TestTermsView:
             r.denominator * b - r.numerator * a for a, b in zip(want, want[1:])
         )
         self.check_view(seq, want, data)
+
+
+# q in {1, 2, 4, 8}: the ratios whose keys the key walk reads
+KEY_RATIOS = [
+    Fraction(3), Fraction(4), Fraction(5, 2), Fraction(3, 2), Fraction(7, 4), Fraction(9, 8),
+]
+
+
+def exact_keys(seq, m, P, n):
+    """The oracle of seq.keys: floor(v 2^(64 - P)) for each exact residue v."""
+    return [v >> (P - 64) if P >= 64 else v << (64 - P) for v in seq.residues(m, P, 1, n)]
+
+
+def key_walk_floor(seq, n):
+    """64 + G: the least P at which the first n keys take the key walk."""
+    p, q = seq.growth_factor_r.numerator, seq.growth_factor_r.denominator
+    dmax = max(seq.deltas[: n - 1], default=0)
+    block = max(1, sequences._JUMP_BITS // p.bit_length())
+    return 64 + sequences._key_guard(p, q.bit_length() - 1, block, dmax)
+
+
+class TestKeyWalk:
+    """seq.keys reads most keys from a window between exact jumps; every key
+    must equal the top 64 bits of the exact residue, on the walk and off it."""
+
+    @staticmethod
+    def walk(seq, m, P, n, patch):
+        """(keys, whether the key walk ran, terms the exact walk stepped to
+        inside it)."""
+        ran, steps = [], []
+        window_keys, stream = Recurrence._window_keys, Recurrence._stream
+
+        def spy_walk(self, *args):
+            ran.append(True)
+            for key in window_keys(self, *args):
+                yield key
+
+        def spy_stream(self, *args):
+            for y in stream(self, *args):
+                steps.append(ran[:1])
+                yield y
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Recurrence, "_window_keys", spy_walk)
+            mp.setattr(Recurrence, "_stream", spy_stream)
+            patch(mp)
+            keys = list(seq.keys(m, P, n))
+        return keys, bool(ran), sum(1 for inside in steps if inside)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        r=st.sampled_from(KEY_RATIOS),
+        first=st.integers(1, 1 << 70),
+        extras=st.one_of(
+            st.none(),  # the geometric sequence
+            st.lists(st.integers(0, 1 << 12), min_size=1, max_size=300),
+            st.lists(st.integers(0, 1 << 200), min_size=1, max_size=40),
+        ),
+        # B = 1 at 1 bit, else about jump_bits / bits(p) terms per block
+        jump_bits=st.sampled_from([None, 1, 8, 30, 200]),
+        # a short G makes carries into the key common, and fallbacks with them
+        guard=st.sampled_from([None, 0, 8, 24]),
+        offset=st.one_of(st.integers(-2, 2), st.integers(3, 3000)),
+        data=st.data(),
+    )
+    def test_matches_top_bits_of_residues(self, r, first, extras, jump_bits, guard, offset, data):
+        if extras is None:
+            terms = power_loop_geometric(r, data.draw(st.integers(1, 300)))
+        else:
+            terms = wide_delta_terms(r, first, extras)
+        seq = LacunarySequence(terms, r)
+        n = data.draw(st.integers(1, len(terms)))
+
+        def patch(mp):
+            if jump_bits is not None:
+                mp.setattr(sequences, "_JUMP_BITS", jump_bits)
+            if guard is not None:
+                mp.setattr(sequences, "_key_guard", lambda *args: guard)
+
+        with pytest.MonkeyPatch.context() as mp:
+            patch(mp)
+            P = max(key_walk_floor(seq, n) + offset, 0)
+        m = data.draw(st.integers(-(1 << P), 1 << P))
+        keys, ran, steps = self.walk(seq, m, P, n, patch)
+        assert keys == exact_keys(seq, m, P, n)
+        assert ran == (offset >= 0)
+        assert steps <= n  # the fallbacks share one exact walk
+
+    @pytest.mark.parametrize("r", KEY_RATIOS)
+    def test_every_key_from_the_exact_fallback(self, r):
+        # carry bounds past 2^G fail every read from the window
+        seq = geometric_sequence(r, 200)
+        n, P = 187, key_walk_floor(seq, 187) + 50
+        m = -(3**P % (1 << P))
+
+        def patch(mp):
+            bounds = sequences._carry_bounds
+            mp.setattr(sequences, "_carry_bounds", lambda *a: [e + (1 << P) for e in bounds(*a)])
+
+        keys, ran, steps = self.walk(seq, m, P, n, patch)
+        assert ran and steps == n
+        assert keys == exact_keys(seq, m, P, n)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            geometric_sequence(Fraction(4, 3), 300),  # odd q
+            Recurrence([5, 9, 30, 80, 150, 600], Fraction(5, 2)),  # a delta < 0
+            Recurrence([3, 9, 20, 61, 160, 500], Fraction(3)),
+        ],
+        ids=["r=4/3", "q=2 descent", "q=1 descent"],
+    )
+    def test_exact_walk_only(self, seq):
+        n = len(seq)
+        P = key_walk_floor(seq, n) + 100
+        m = 7**P % (1 << P)
+        keys, ran, _ = self.walk(seq, m, P, n, lambda mp: None)
+        assert not ran
+        assert keys == exact_keys(seq, m, P, n)
 
 
 class TestRecurrenceMemory:
