@@ -4,7 +4,7 @@ A dyadic real is a value, mantissa * 2**exponent with an odd (or zero)
 mantissa, so the representation is unique; two dyadics are equal when their
 values are, whatever precision_bits they carry.  Rounding happens only where
 a rational becomes a dyadic, in from_fraction() (round-to-nearest-even).
-Sorting and the maximal gap are exact integer arithmetic at a common
+The maximal gap is decided by exact integer arithmetic at a common
 exponent.
 
 A dilated point set {alpha * a_n} has one form, its residue vector: with
@@ -13,21 +13,30 @@ exponent -P.  residues() is the one way to them: the sequence walks its
 stored recurrence q * a_{n+1} = p * a_n + delta_n
 (lacuna.sequences.Recurrence.residues), never dividing a term by a term,
 so each residue follows from the last by a multiply-add and an exact
-division by q.  dilate() wraps them in a DilatedSet, gap_report() sorts and
-differences the integers, and the float views in lacuna.metric read them as
-they stream.  The 64-bit scans there read the top 64 bits of the same
-residues from seq.keys, and the one of the doubling sequence 2^n from
+division by q.  dilate() wraps them in a DilatedSet whose residues are a
+read-only view (Residues), computed on demand: it holds none of them.
+Their top 64 bits, the keys, come from the key walk seq.keys(m, P, start,
+stop), which begins at the checkpoint below the window's first term;
+residue_keys() writes them into one uint64 array.  gap_report() sorts the
+keys and decides the exact gap from them: only the few pairs within one
+key unit of the key maximum are resolved to exact residues, read from one
+exact walk (its docstring proves the rule).  A tuple of residues built by
+a caller is a DilatedSet as well, keyed by one shift per residue.  The
+64-bit scans of lacuna.metric print the gap of the keys themselves, through
+the same sorted-key step (key_gaps), and the float views there read the
+residues as they stream; the doubling sequence 2^n takes its keys from
 windows of alpha's binary expansion.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import EmptyConfigurationError, PrecisionTooLowError
 
@@ -207,20 +216,83 @@ def _normalized_map(n: int, max_gap: Fraction) -> dict:
     return out
 
 
+def key_gaps(sorted_keys: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(inner, wrap, top) of nonempty 64-bit keys in increasing order, in
+    key units of 2^-64: the gaps between neighbours, the wrap-around gap
+    2^64 - k_last + k_first, and the largest of them all, which is the
+    maximal gap of the keys on the circle.  dispersion_scan prints top as
+    its truncated gap; gap_report decides the exact gap from all three."""
+    inner = np.diff(sorted_keys)
+    wrap = (1 << 64) - int(sorted_keys[-1]) + int(sorted_keys[0])
+    return inner, wrap, max(int(inner.max(initial=0)), wrap)
+
+
 def gap_report(points: DilatedSet) -> GapReport:
     """Exact maximal gap, the wrap-around gap through 1 included, of a
-    DilatedSet, read as its residues in one pass over the sorted integers."""
-    if not points.residues:
+    DilatedSet, decided on the 64-bit keys of its residues.
+
+    With P = -exponent and t = P - 64, the key of a residue v is
+    k = floor(v / 2^t), its top 64 bits.  A Residues view reads the keys
+    from the key walk (seq.keys), any other sequence with one shift per
+    residue.  The keys are sorted, and D is their largest gap in key units,
+    the wrap-around gap included (key_gaps).
+
+    For t <= 0 the keys are the residues times 2^-t, so the maximal gap is
+    D * 2^t exactly.  For t > 0, measure gaps in units of 2^t.  v -> k is
+    monotone, so sorting the residues sorts the keys, and each exact gap
+    between neighbours is of one of two kinds:
+      * inside a run of equal keys: below 1, both ends lying in one
+        [k 2^t, (k + 1) 2^t);
+      * across the key gap d between two neighbouring runs (or the wrap
+        gap, lifted by 2^P): from the largest residue of the lower run to
+        the smallest of the upper, in (d - 1, d + 1), since each end lies
+        less than one unit above k 2^t.
+    The key gaps sum to 2^64 over at most n runs, so D >= 2^64 / n >= 2,
+    and the exact maximum G exceeds D - 1 >= 1 at the pair that holds D.
+    A gap inside a run is below 1 <= D - 1 < G, and a pair with d <= D - 2
+    is below d + 1 <= D - 1 < G, so neither holds G: G is the largest exact
+    gap over the pairs with d >= D - 1.  Each such candidate is resolved to
+    the exact ends of its two runs: the residues of those runs come from
+    one exact walk (Residues.at), two per candidate unless keys tie, and
+    only the least and the greatest of each run are kept."""
+    res = points.residues
+    n = len(res)
+    if not n:
         raise EmptyConfigurationError("empty-configuration")
-    ints = sorted(points.residues)
     e = points.exponent
     one = 1 << -e
-    inner = max(map(operator.sub, ints[1:], ints), default=0)
-    max_i = max(inner, one - ints[-1] + ints[0])
+    t = -e - 64
+    if isinstance(res, Residues):
+        keys, exact = res.keys(), res.at
+    else:
+        tops = (v >> t for v in res) if t >= 0 else (v << -t for v in res)
+        keys, exact = np.fromiter(tops, dtype=np.uint64, count=n), lambda js: map(res.__getitem__, js)
+    if t <= 0:
+        max_i = key_gaps(np.sort(keys))[2] >> -t
+    else:
+        order = np.argsort(keys)
+        ks = keys[order]
+        inner, wrap, top = key_gaps(ks)
+        # each candidate as (its lower run, its upper run, lift), a run of
+        # equal keys named by its first position in key order
+        js = np.flatnonzero(inner >= top - 1)
+        pairs = [(lo, j + 1, 0) for lo, j in zip(np.searchsorted(ks, ks[js]).tolist(), js.tolist())]
+        if wrap >= top - 1:
+            pairs.append((int(np.searchsorted(ks, ks[-1])), 0, one))
+        runs = sorted({run for lower, upper, _ in pairs for run in (lower, upper)})
+        sizes = np.searchsorted(ks, ks[runs], "right") - runs
+        members = np.concatenate([order[run : run + size] for run, size in zip(runs, sizes.tolist())])
+        by_index = np.argsort(members)
+        # the least and the greatest exact residue of each run, from one walk
+        low, high = {}, {}
+        for run, v in zip(np.repeat(runs, sizes)[by_index].tolist(), exact(members[by_index].tolist())):
+            low[run] = min(low.get(run, v), v)
+            high[run] = max(high.get(run, v), v)
+        max_i = max(lift + low[upper] - high[lower] for lower, upper, lift in pairs)
     return GapReport(
-        n_points=len(ints),
+        n_points=n,
         max_gap=DyadicReal(max_i, e),
-        normalized=_normalized_map(len(ints), Fraction(max_i, one)),
+        normalized=_normalized_map(n, Fraction(max_i, one)),
     )
 
 
@@ -264,12 +336,79 @@ def residues(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) ->
     return seq.residues(alpha.mantissa, residue_bits(alpha), start, stop)
 
 
+def residue_keys(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> np.ndarray:
+    """floor({alpha * a_n} * 2^64) for a_start..a_stop of a sequence (1-based,
+    inclusive; stop=None: to the last term): the 64-bit keys of seq.keys,
+    written into one uint64 array as they stream, so neither the exact
+    residues nor a list of the keys is held."""
+    stop = len(seq) if stop is None else stop
+    keys = seq.keys(alpha.mantissa, residue_bits(alpha), start, stop)
+    return np.fromiter(keys, dtype=np.uint64, count=max(stop - start + 1, 0))
+
+
+class Residues(Sequence):
+    """The residues m * a_n mod 2^P of a dilation by alpha = m * 2^-P, for n
+    in a range of 1-based term indices of a sequence, read-only and computed
+    on demand, as seq.terms is a TermsView: len, iteration (one exact walk,
+    seq.residues), a residue by index (stepped from the checkpoint below its
+    term), contiguous slices, which are views again, and == against any
+    sequence of the same integers.  It holds no residue: keys() reads the
+    64-bit keys of all of them from the key walk, and at() the exact
+    residues at some positions from one exact walk."""
+
+    __slots__ = ("_alpha", "_seq", "_idx")
+
+    def __init__(self, alpha: DyadicReal, seq, idx: range):
+        self._alpha = alpha
+        self._seq = seq
+        self._idx = idx
+
+    def __len__(self):
+        return len(self._idx)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            if i.step not in (None, 1):
+                raise ValueError("a residues view slices contiguous windows only")
+            return Residues(self._alpha, self._seq, self._idx[i])
+        n = self._idx[i]
+        return next(residues(self._alpha, self._seq, n, n))
+
+    def __iter__(self):
+        idx = self._idx
+        return residues(self._alpha, self._seq, idx[0], idx[-1]) if idx else iter(())
+
+    def keys(self) -> np.ndarray:
+        """The 64-bit keys of the residues, in order (residue_keys)."""
+        idx = self._idx
+        return residue_keys(self._alpha, self._seq, idx.start, idx.stop - 1)
+
+    def at(self, positions) -> Iterator[int]:
+        """The residues at increasing 0-based positions, one at a time, all
+        from one exact walk (seq.residues_at)."""
+        first, m, P = self._idx.start, self._alpha.mantissa, residue_bits(self._alpha)
+        return self._seq.residues_at(m, P, (first + j for j in positions))
+
+    def __eq__(self, other):
+        """Residue by residue against any sequence, as a tuple would."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Residues({self._alpha!r}, {self._seq!r}, {self._idx})"
+
+
 @dataclass(frozen=True)
 class DilatedSet:
     """A dilated point set as residues at one exponent: point i is
-    residues[i] * 2^exponent, with 0 <= residues[i] < 2^-exponent."""
+    residues[i] * 2^exponent, with 0 <= residues[i] < 2^-exponent.  The
+    residues are any sequence of integers: dilate() gives a Residues view,
+    which computes them on demand, and a tuple serves as well."""
 
-    residues: tuple[int, ...]
+    residues: Sequence[int]
     exponent: int
 
     def __len__(self) -> int:
@@ -278,7 +417,8 @@ class DilatedSet:
 
 def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> DilatedSet:
     """Fractional parts {alpha * a_n} of a LacunarySequence or a
-    ThinnedSequence for n in [start, stop] (1-based, inclusive).
+    ThinnedSequence for n in [start, stop] (1-based, inclusive), as a
+    Residues view: no residue is computed here.
 
     Passes the window through require_precision first; a window past the
     last term raises SequenceTooShortError.
@@ -286,4 +426,4 @@ def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> D
     window = seq.terms[start - 1 : stop]
     if window:
         require_precision(alpha, window)
-    return DilatedSet(tuple(residues(alpha, seq, start, stop)), -residue_bits(alpha))
+    return DilatedSet(Residues(alpha, seq, range(start, start + len(window))), -residue_bits(alpha))

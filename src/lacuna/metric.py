@@ -14,10 +14,13 @@ Three layers:
 Scan tables use 64-bit truncated points: the maximal gap survives truncation
 up to 2^-63, far below every tolerance used here, and the run cost drops by
 orders of magnitude.  The exact gap of the first n dilates is
-gap_report(dilate(alpha, seq, 1, n)).  The float views of the dilates here
-read the residue stream of lacuna.dyadic.residues, which steps by the
-relation the sequence stores, so a scan never holds or computes the wide
-terms.  The truncated points are the keys of seq.keys, the same bits: at a
+gap_report(dilate(alpha, seq, 1, n)), which sorts the same keys and reads
+exact residues only where they decide; a scan prints the gap of the keys
+themselves, the one sorted-key step both share (lacuna.dyadic.key_gaps).
+The float views of the dilates here read the residue stream of
+lacuna.dyadic.residues, which steps by the relation the sequence stores, so
+a scan never holds or computes the wide terms.  The truncated points are
+lacuna.dyadic.residue_keys, the keys of seq.keys, the same bits: at a
 ratio p/2^s (r = 3, 5/2, 3/2, ...) a key walk jumps exactly every B terms
 and reads each key in between from a short window, so a key costs a step
 over a few hundred bits, not over the P-bit residue; odd q > 1 keeps the
@@ -41,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bump import BumpFunction
-from .dyadic import DyadicReal, dyadic_to_float, residue_bits, residues
+from .dyadic import DyadicReal, dyadic_to_float, key_gaps, residue_bits, residue_keys, residues
 from .errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
@@ -301,22 +304,6 @@ def _pow2_truncated_points(alpha: DyadicReal, e0: int, n_max: int) -> np.ndarray
     return vals
 
 
-def _truncated_points(alpha: DyadicReal, seq, n: int) -> np.ndarray:
-    """floor({alpha * a} * 2^64) for a_1..a_n of a sequence: the 64-bit keys
-    of seq.keys, written into one uint64 array as they stream, so neither
-    the exact vector nor a list of the keys is held."""
-    return np.fromiter(seq.keys(alpha.mantissa, residue_bits(alpha), n), dtype=np.uint64, count=n)
-
-
-def _max_gap_u64(sorted_vals: np.ndarray) -> int:
-    if len(sorted_vals) == 1:
-        return 1 << 64
-    d = np.diff(sorted_vals)
-    inner = int(d.max()) if len(d) else 0
-    wrap = (1 << 64) - int(sorted_vals[-1]) + int(sorted_vals[0])
-    return max(inner, wrap)
-
-
 def dispersion_scan(
     seq: LacunarySequence,
     alphas,
@@ -344,9 +331,9 @@ def dispersion_scan(
         if pow2:
             vals = _pow2_truncated_points(alpha, a1.bit_length() - 1, n_max)
         else:
-            vals = _truncated_points(alpha, seq, n_max)
+            vals = residue_keys(alpha, seq, 1, n_max)
         for n in n_list:
-            g = Fraction(_max_gap_u64(np.sort(vals[:n])), 1 << 64)
+            g = Fraction(key_gaps(np.sort(vals[:n]))[2], 1 << 64)
             rows.append(_mk_row(aid, n, g, eps))
     return ScanTable(
         rows=tuple(rows),

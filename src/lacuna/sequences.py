@@ -15,11 +15,15 @@ carries y_n = m * a_n exactly and steps y <- (p * y + m * delta_n) / q, a
 shift for q = 2^s and one // otherwise.  With m = 1 it gives the terms
 (seq.terms, a read-only view), and with any m masked to P bits the dilates
 m * a_n mod 2^P (seq.residues), so no other module reads the checkpoints.
-The top 64 bits of those dilates (seq.keys) come from a key walk for
-q = 2^s: it jumps exactly every B terms and reads the keys in between from
-a short window of the leading bits, taking a key from the exact walk only
-where the window's carry bound could reach it; odd q > 1, a delta_n < 0 or
-a P too short for the window take every key from the exact walk.
+The top 64 bits of those dilates over a window a_start..a_stop
+(seq.keys(m, P, start, stop)) come from a key walk for q = 2^s: it begins
+at the checkpoint at or below a_start, jumps exactly every B terms and
+reads the keys in between from a short window of the leading bits, taking
+a key from the exact walk only where the window's carry bound could reach
+it; odd q > 1, a delta_n < 0 or a P too short for the window take every key
+from the exact walk.  seq.residues_at reads exact dilates at a few indices,
+each stepped from the checkpoint below it, all within one exact walk: this
+is how lacuna.dyadic.gap_report resolves the candidates its keys leave.
 For a LacunarySequence a_{n+1} >= r * a_n is delta_n >= 0, N short
 comparisons.  geometric_sequence streams its terms once and keeps only the
 checkpoints.
@@ -147,10 +151,11 @@ class Recurrence:
     short.  Built from explicit terms, Recurrence(terms, r).  One walk of
     the recurrence (_stream) gives the terms, read through seq.terms
     (iterating seq reads them too), and the dilates m * a_n mod 2^P, read
-    through seq.residues; only the walk reads the checkpoints and the
-    stride.  Their top 64 bits, seq.keys, come from the key walk
-    (_window_keys) at q = 2^s, with the exact walk as its fallback, and
-    from the exact walk alone otherwise."""
+    through seq.residues, or at a few indices through seq.residues_at;
+    only the walk reads the checkpoints and the stride.  Their top 64
+    bits, seq.keys, come from the key walk (_window_keys) at q = 2^s, with
+    the exact walk as its fallback, and from the exact walk alone
+    otherwise."""
 
     growth_factor_r: Fraction
     deltas: tuple[int, ...]
@@ -239,33 +244,66 @@ class Recurrence:
             return iter(())
         return islice(self._stream(start - 1, m, (1 << P) - 1), stop - start + 1)
 
-    def keys(self, m: int, P: int, n: int | None = None) -> Iterator[int]:
-        """The 64-bit keys of a_1..a_n (n=None: a_N): the top 64 bits of
-        each residue m * a_k mod 2^P, floor((m * a_k mod 2^P) * 2^(64 - P)),
-        equal bit for bit to those of seq.residues.
+    def residues_at(self, m: int, P: int, ns) -> Iterator[int]:
+        """m * a_n mod 2^P at the increasing 1-based n of ns, one at a time,
+        all from one exact walk (_exact_at): together they cost at most one
+        walk of a_(min ns)..a_(max ns), and n terms far apart cost about a
+        stride each."""
+        at = self._exact_at(m, (1 << P) - 1)
+        return (at(n - 1) for n in ns)
+
+    def _exact_at(self, m: int, mask: int):
+        """The function i -> y_(i+1) & mask (_stream) for increasing 0-based
+        i: it continues one exact walk, and restarts it from the checkpoint
+        at or below i only when that checkpoint lies past the walk, so the
+        calls together step at most once over each term."""
+        c = self.stride
+        walk, at = None, -1  # the walk's next value is that of index at
+
+        def exact(i: int) -> int:
+            nonlocal walk, at
+            if at < i - i % c:
+                walk, at = self._stream(i, m, mask), i
+            y = next(islice(walk, i - at, None))
+            at = i + 1
+            return y
+
+        return exact
+
+    def keys(self, m: int, P: int, start: int = 1, stop: int | None = None) -> Iterator[int]:
+        """The 64-bit keys of a_start..a_stop (1-based, inclusive; stop=None:
+        a_N): the top 64 bits of each residue m * a_k mod 2^P,
+        floor((m * a_k mod 2^P) * 2^(64 - P)), equal bit for bit to those of
+        seq.residues.
 
         For q = 2^s, every delta_k >= 0 and P >= 64 + G they come from the
-        key walk (_window_keys), which carries the exact y = m * a_k only
-        at every B-th term and reads the keys in between from a short
-        window; every other input takes them from the exact walk, shifted.
-        B and G depend only on the ratio and the widest delta_k."""
+        key walk (_window_keys), which begins at the checkpoint at or below
+        a_start, carries the exact y = m * a_k only at every B-th term and
+        reads the keys in between from a short window; every other input
+        takes them from the exact walk, shifted.  B and G depend only on
+        the ratio and the widest delta_k the walk steps over."""
         size = len(self)
-        _require(size, n)
-        n = size if n is None else n
+        _require(size, stop)
+        stop = size if stop is None else stop
+        if start > stop:
+            return iter(())
         p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
         s = q.bit_length() - 1
         block = max(1, _JUMP_BITS // p.bit_length())  # p^B has about _JUMP_BITS bits
-        deltas = self.deltas[: max(n - 1, 0)]
+        k = (start - 1) - (start - 1) % self.stride  # the checkpoint at or below a_start
+        deltas = self.deltas[k : stop - 1]
         dmax = max(deltas, default=0)
         guard = _key_guard(p, s, block, dmax)
-        if not n or q != 1 << s or min(deltas, default=0) < 0 or P < 64 + guard:
+        if q != 1 << s or min(deltas, default=0) < 0 or P < 64 + guard:
             shift = P - 64
-            tops = self.residues(m, P, 1, n)
+            tops = self.residues(m, P, start, stop)
             return (r >> shift for r in tops) if shift >= 0 else (r << -shift for r in tops)
-        return self._window_keys(m, P, n, block, guard, _carry_bounds(p, s, dmax, block))
+        keys = self._window_keys(m, P, k, stop, block, guard, _carry_bounds(p, s, dmax, block))
+        return islice(keys, start - 1 - k, None) if start - 1 > k else keys
 
-    def _window_keys(self, m: int, P: int, n: int, B: int, G: int, E: list[int]) -> Iterator[int]:
-        """The key walk for r = p/2^s with every delta_k >= 0 and P >= 64 + G.
+    def _window_keys(self, m: int, P: int, k0: int, n: int, B: int, G: int, E: list[int]) -> Iterator[int]:
+        """The key walk for r = p/2^s with every delta_k >= 0 and P >= 64 + G,
+        over the terms k0 + 1..n (k0 0-based, at a checkpoint).
 
         Write Y_j = y_(k+j) for a block that starts at the term k, where the
         exact Y_0 is known: Y_j = m * a_(k+j), reduced mod 2^P when s = 0.
@@ -291,11 +329,11 @@ class Recurrence:
         with dmax >= every delta_j (_carry_bounds).  So the key,
         floor((H_j + e_j) / 2^G) mod 2^64, is (H_j >> G) mod 2^64 whenever
         (H_j mod 2^G) + E_j < 2^G: no carry reaches bit G.  Any other key
-        is read from the exact walk (_stream) at that index; one exact walk
-        serves every such key from its checkpoint on, so all of them
-        together cost at most one exact walk of the n terms.
+        is read from the exact walk at that index (_exact_at), so all of
+        them together cost at most one exact walk of the terms.
 
-        Jump.  After B steps, 2^(sB) Y_B = p^B Y_0 + m D_B with
+        Jump.  The first block starts at k0 from m times the checkpoint
+        there.  After B steps, 2^(sB) Y_B = p^B Y_0 + m D_B with
         D_(j+1) = p D_j + 2^(sj) delta_(k+j), D_0 = 0, so the next block
         starts from the exact Y_B = (p^B Y_0 + m D_B) >> sB (mod 2^P for
         s = 0).  E_j grows like (p / 2^s)^j, and G leaves about _KEY_GUARD
@@ -310,11 +348,10 @@ class Recurrence:
         limits = [(1 << G) - e for e in E]
         jump = p**B
         deltas = self.deltas
-        c = self.stride
-        exact, at = None, -1  # the exact walk of the fallback, next at term at
-        y = m * self.checkpoints[0]
-        for k in range(0, n, B):
-            if k:
+        exact = self._exact_at(m, pmask)
+        y = m * self.checkpoints[k0 // self.stride]
+        for k in range(k0, n, B):
+            if k > k0:
                 y = (jump * y + m * D) >> s * B
             if not s:
                 y &= pmask
@@ -324,10 +361,7 @@ class Recurrence:
                 if h & gmask < lim:
                     yield (h >> G) & kmask
                 else:
-                    if at < i - i % c:  # restart from the checkpoint below i
-                        exact, at = self._stream(i, m, pmask), i
-                    yield next(islice(exact, i - at, None)) >> (L + G)
-                    at = i + 1
+                    yield exact(i) >> (L + G)
                 if i + 1 < n:
                     d = deltas[i]
                     if d:

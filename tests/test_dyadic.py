@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 from lacuna.dyadic import (
     DilatedSet,
     DyadicReal,
+    GapReport,
+    Residues,
+    _normalized_map,
     alpha_precision,
     dilate,
     format_decimal,
@@ -243,6 +248,24 @@ class TestDilate:
             got = dilate(alpha, seq, start, stop)
             assert got == DilatedSet(full.residues[start - 1 : stop], full.exponent)
 
+    def test_residues_are_a_view(self):
+        # dilate computes nothing: its residues are read on demand, and read
+        # as a tuple of them would be
+        seq = geometric_sequence(Fraction(5, 2), 300)
+        alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
+        view = dilate(alpha, seq, 40, 260).residues
+        want = tuple(residues(alpha, seq, 40, 260))
+        assert isinstance(view, Residues) and len(view) == len(want) == 221
+        assert view == want and want == view and view != want[1:]
+        assert [view[i] for i in (0, 57, -1, -221)] == [want[i] for i in (0, 57, -1, -221)]
+        assert isinstance(view[10:50], Residues) and view[10:50] == want[10:50]
+        assert view[200:400] == want[200:400] and len(view[300:]) == 0
+        assert list(view.at([0, 3, 150, 220])) == [want[i] for i in (0, 3, 150, 220)]
+        with pytest.raises(IndexError):
+            view[221]
+        with pytest.raises(ValueError):
+            view[::2]
+
     def test_precision_gate(self):
         seq = geometric_sequence(2, 100)
         with pytest.raises(PrecisionTooLowError) as exc:
@@ -257,6 +280,176 @@ class TestDilate:
         g1 = gap_report(dilate(DyadicReal.from_fraction(Fraction(7, 10), p), seq)).max_gap
         g2 = gap_report(dilate(DyadicReal.from_fraction(Fraction(7, 10), 2 * p), seq)).max_gap
         assert abs(g1.to_fraction() - g2.to_fraction()) < 2 * a_n * Fraction(2) ** (-p)
+
+
+def full_sort_report(res, exponent):
+    """The oracle of gap_report: every exact residue, sorted as integers and
+    differenced, the wrap-around gap included."""
+    ints = sorted(res)
+    one = 1 << -exponent
+    max_i = max([b - a for a, b in zip(ints, ints[1:])] + [one - ints[-1] + ints[0]])
+    return GapReport(len(ints), DyadicReal(max_i, exponent), _normalized_map(len(ints), Fraction(max_i, one)))
+
+
+GAP_RATIOS = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(4, 3)]
+
+
+class TestKeyDecidedGap:
+    """gap_report decides the exact gap from 64-bit keys and resolves only
+    the candidates within one key unit of the key maximum; it must equal a
+    full sort of the exact residues, ties among the keys included."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        r=st.sampled_from(GAP_RATIOS),
+        kind=st.sampled_from(["full", "few-bits", "few-bits-tail", "p-above-64"]),
+        data=st.data(),
+    )
+    def test_windows_match_full_sort(self, r, kind, data):
+        # r = 4/3 takes its keys from the exact walk; the others take the key
+        # walk once P clears 64 + G, which the wide alphas here do
+        n = data.draw(st.integers(1, 400))
+        seq = geometric_sequence(r, n)
+        start = data.draw(st.integers(1, n))
+        stop = data.draw(st.integers(start, n))
+        if kind == "full":
+            P = seq.term(n).bit_length() + data.draw(st.integers(32, 2000))
+            m = data.draw(st.integers(0, (1 << P) - 1))
+        elif kind == "few-bits":  # P < 64: long runs of equal points
+            P = data.draw(st.integers(1, 63))
+            m = data.draw(st.integers(0, (1 << P) - 1))
+        elif kind == "few-bits-tail":  # j/2^b plus a tail far below 2^-64
+            P = data.draw(st.integers(65, 3000))
+            b = data.draw(st.integers(1, 8))
+            tail = data.draw(st.integers(0, 1 << data.draw(st.integers(0, 40))))
+            m = (data.draw(st.integers(0, (1 << b) - 1)) << (P - b)) + tail
+        else:
+            P = data.draw(st.integers(65, 72))
+            m = data.draw(st.integers(0, (1 << P) - 1))
+        alpha = DyadicReal(m, -P, 1 << 16)
+        pts = dilate(alpha, seq, start, stop)
+        want = full_sort_report(residues(alpha, seq, start, stop), pts.exponent)
+        assert gap_report(pts) == want
+        assert gap_report(DilatedSet(tuple(pts.residues), pts.exponent)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        P=st.sampled_from([65, 66, 70, 100, 300]),
+        tops=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_shared_top_bits(self, P, tops, data):
+        # many residues share their top 64 bits, so the candidates' runs of
+        # equal keys are long and their exact ends decide the gap
+        t = P - 64
+        lows = st.integers(0, (1 << t) - 1)
+        raw = data.draw(st.lists(st.tuples(st.sampled_from(tops), lows), min_size=1, max_size=60))
+        res = [(k << t) | low for k, low in raw]
+        assert gap_report(DilatedSet(tuple(res), -P)) == full_sort_report(res, -P)
+        # the same residues through a view: alpha = 2^-P over explicit terms
+        pts = dilate(DyadicReal(1, -P, 1 << 16), explicit(res))
+        assert pts.residues == res
+        assert gap_report(pts) == full_sort_report(res, -P)
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["inner", "wrap"])
+    def test_the_maximum_one_key_unit_below_the_key_maximum(self, wrap):
+        # P = 66, so a key unit is 4: the key gap D spans 4D - 3 exactly and
+        # the key gap D - 1 spans 4D - 1, the maximum; the third gap, D - 4
+        # key units, is neither.  D is the least with 3D - 5 >= 2^64.
+        D = -(-((1 << 64) + 5) // 3)
+        if wrap:  # keys 0, D, 2^64 - D + 1: the wrap gap is the D - 1 one
+            res = [3, 4 * D, 4 * ((1 << 64) - D + 1)]
+        else:  # keys 0, D, 2D - 1 with ends that widen the second gap
+            res = [3, 4 * D, 4 * (2 * D - 1) + 3]
+        want = full_sort_report(res, -66)
+        assert want.max_gap.to_fraction() == Fraction(4 * D - 1, 1 << 66)
+        assert gap_report(DilatedSet(tuple(res), -66)) == want
+        assert gap_report(dilate(DyadicReal(1, -66, 1 << 16), explicit(res))) == want
+
+    @pytest.mark.parametrize("P", [0, 3, 63, 64, 65, 300])
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_one_point_and_all_points_equal(self, P, n):
+        v = (1 << P) - 1 if P else 0
+        rep = gap_report(DilatedSet((v,) * n, -P))
+        assert rep == full_sort_report((v,) * n, -P)
+        assert rep.max_gap == ONE and rep.n_points == n
+
+    @pytest.mark.parametrize("r", GAP_RATIOS)
+    def test_one_point_windows(self, r):
+        seq = geometric_sequence(r, 50)
+        alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
+        for k in (1, 25, 50):
+            assert gap_report(dilate(alpha, seq, k, k)).max_gap == ONE
+
+    def test_gaps_of_one_half_at_r_2(self, capsys):
+        # {a_n / 2} = 0 for every a_n = 2^n: all 64 points equal, gap 1
+        from lacuna import cli
+
+        assert cli.main(["gaps", "--r", "2", "--n", "64", "--alpha", "1/2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        seq = geometric_sequence(2, 64)
+        alpha = DyadicReal.from_fraction(Fraction(1, 2), alpha_precision(seq.terms))
+        assert list(residues(alpha, seq)) == [0] * 64
+        want = full_sort_report([0] * 64, -residue_bits(alpha))
+        assert out["max_gap"] == want.max_gap.decimal_str(30) == "1"
+        assert out["n"] == 64
+
+    @pytest.mark.parametrize("r", [Fraction(2), Fraction(3), Fraction(5, 2)])
+    def test_reads_few_exact_residues(self, r):
+        # a generic alpha has one candidate (and perhaps the wrap gap): the
+        # exact step reads a residue at each of its ends, not the window
+        # and steps to each from the checkpoint below it, not across the window
+        seq = geometric_sequence(r, 2048)
+        P = alpha_precision(seq.terms)
+        read, steps = [], []
+        real, stream = Recurrence.residues_at, Recurrence._stream
+
+        def spy(self, m, P, ns):
+            ns = list(ns)
+            read.extend(ns)
+            return real(self, m, P, ns)
+
+        def spy_stream(self, *args):
+            for y in stream(self, *args):
+                steps.append(1)
+                yield y
+
+        rng = random.Random(11)
+        for _ in range(5):
+            alpha = DyadicReal(rng.getrandbits(P) | 1, -P, P)
+            pts = dilate(alpha, seq, 100, 2048)
+            read.clear()
+            steps.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Recurrence, "residues_at", spy)
+                mp.setattr(Recurrence, "_stream", spy_stream)
+                rep = gap_report(pts)
+            assert 2 <= len(read) <= 4
+            assert len(steps) <= len(read) * seq.stride
+            assert rep == full_sort_report(pts.residues, pts.exponent)
+
+
+class TestGapReportMemory:
+    """gap_report over a dilation holds keys, not residues: at r = 3 and
+    N = 2^14 the residues alone would take N * P / 8 bytes, about 53 MB."""
+
+    @pytest.mark.parametrize("alpha", ["generic", "7/10"])
+    def test_peak_below_a_tenth_of_the_residues(self, alpha):
+        n = 1 << 14
+        seq = geometric_sequence(Fraction(3), n)
+        P = alpha_precision(seq.terms)
+        if alpha == "generic":
+            alpha = DyadicReal(random.Random(3).getrandbits(P) | 1, -P, P)
+        else:  # 3^n mod 10 takes four values: four clusters of tied keys
+            alpha = DyadicReal.from_fraction(Fraction(7, 10), P)
+        tracemalloc.start()
+        try:
+            rep = gap_report(dilate(alpha, seq, 1, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.n_points == n
+        assert peak < n * residue_bits(alpha) // 8 // 10
 
 
 class TestResidueForm:

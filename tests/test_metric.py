@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacuna.bump import standard_bump
-from lacuna.dyadic import DyadicReal, alpha_precision, dilate, dyadic_to_float, gap_report
+from lacuna.dyadic import (
+    DyadicReal,
+    alpha_precision,
+    dilate,
+    dyadic_to_float,
+    gap_report,
+    residue_keys,
+)
 from lacuna.errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
@@ -176,10 +183,10 @@ class TestDispersionScan:
     def test_pow2_fast_path_matches_generic(self):
         seq = geometric_sequence(Fraction(2), 2048)
         alpha = sample_alpha("lebesgue", 42, 128)
-        from lacuna.metric import _pow2_truncated_points, _truncated_points
+        from lacuna.metric import _pow2_truncated_points
 
         fast = _pow2_truncated_points(alpha, 1, 2048)
-        slow = _truncated_points(alpha, seq, 2048)
+        slow = residue_keys(alpha, seq, 1, 2048)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("measure", ["lebesgue", "bounded-cf:5"])
@@ -204,15 +211,13 @@ class TestDispersionScan:
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2)])
     def test_truncated_stream_is_top_bits_of_exact_residues(self, r):
-        from lacuna.metric import _truncated_points
-
         seq = geometric_sequence(r, 300)
         alpha = sample_alpha("lebesgue", 5, 600)
         exact = dilate(alpha, seq)
         shift = -exact.exponent - 64
         assert shift > 0
         want = [v >> shift for v in exact.residues]
-        assert _truncated_points(alpha, seq, len(seq)).tolist() == want
+        assert residue_keys(alpha, seq).tolist() == want
 
     def test_five_halves_scan_reads_top_bits_of_exact_residues(self, monkeypatch):
         # dispersion_scan streams r = 5/2 through the q = 2 recurrence; every
@@ -222,13 +227,13 @@ class TestDispersionScan:
         seq = geometric_sequence(Fraction(5, 2), 1500)
         alphas = [sample_alpha("lebesgue", s, alpha_precision(seq.terms)) for s in (3, 4)]
         streams = []
-        real = metric._truncated_points
+        real = metric.residue_keys
 
-        def spy(alpha, seq, n):
-            streams.append((alpha, seq.rho, real(alpha, seq, n)))
+        def spy(alpha, seq, *window):
+            streams.append((alpha, seq.rho, real(alpha, seq, *window)))
             return streams[-1][2]
 
-        monkeypatch.setattr(metric, "_truncated_points", spy)
+        monkeypatch.setattr(metric, "residue_keys", spy)
         table = dispersion_scan(seq, alphas, [500, 1500])
         assert [q for _, q, _ in streams] == [2, 2]
         for alpha, _, vals in streams:
@@ -275,13 +280,11 @@ class TestDispersionScan:
         assert scan("# r=2\n", [2, 4, 9, 18], 4)[1] is False
 
     def test_truncated_stream_of_short_alpha(self):
-        from lacuna.metric import _truncated_points
-
         # alpha = 5/1024 has fewer than 64 fractional bits: residues move up
         alpha = DyadicReal(5, -10, 128)
         seq = geometric_sequence(Fraction(3), 40)
         want = [math.floor(Fraction(5 * a, 1024) % 1 * (1 << 64)) for a in seq.terms]
-        assert _truncated_points(alpha, seq, 40).tolist() == want
+        assert residue_keys(alpha, seq, 1, 40).tolist() == want
 
     def test_pigeonhole(self, seq2):
         alphas = [sample_alpha("lebesgue", s, 128) for s in range(5)]

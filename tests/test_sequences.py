@@ -378,15 +378,17 @@ KEY_RATIOS = [
 ]
 
 
-def exact_keys(seq, m, P, n):
+def exact_keys(seq, m, P, n, start=1):
     """The oracle of seq.keys: floor(v 2^(64 - P)) for each exact residue v."""
-    return [v >> (P - 64) if P >= 64 else v << (64 - P) for v in seq.residues(m, P, 1, n)]
+    return [v >> (P - 64) if P >= 64 else v << (64 - P) for v in seq.residues(m, P, start, n)]
 
 
-def key_walk_floor(seq, n):
-    """64 + G: the least P at which the first n keys take the key walk."""
+def key_walk_floor(seq, n, start=1):
+    """64 + G: the least P at which the keys of a_start..a_n take the key
+    walk, which steps from the checkpoint at or below a_start."""
     p, q = seq.growth_factor_r.numerator, seq.growth_factor_r.denominator
-    dmax = max(seq.deltas[: n - 1], default=0)
+    k = (start - 1) - (start - 1) % seq.stride
+    dmax = max(seq.deltas[k : n - 1], default=0)
     block = max(1, sequences._JUMP_BITS // p.bit_length())
     return 64 + sequences._key_guard(p, q.bit_length() - 1, block, dmax)
 
@@ -396,7 +398,7 @@ class TestKeyWalk:
     must equal the top 64 bits of the exact residue, on the walk and off it."""
 
     @staticmethod
-    def walk(seq, m, P, n, patch):
+    def walk(seq, m, P, n, patch, start=1):
         """(keys, whether the key walk ran, terms the exact walk stepped to
         inside it)."""
         ran, steps = [], []
@@ -416,7 +418,7 @@ class TestKeyWalk:
             mp.setattr(Recurrence, "_window_keys", spy_walk)
             mp.setattr(Recurrence, "_stream", spy_stream)
             patch(mp)
-            keys = list(seq.keys(m, P, n))
+            keys = list(seq.keys(m, P, start, n))
         return keys, bool(ran), sum(1 for inside in steps if inside)
 
     @settings(max_examples=80, deadline=None)
@@ -442,6 +444,7 @@ class TestKeyWalk:
             terms = wide_delta_terms(r, first, extras)
         seq = LacunarySequence(terms, r)
         n = data.draw(st.integers(1, len(terms)))
+        start = data.draw(st.one_of(st.just(1), st.integers(1, n)))  # a window from a_start
 
         def patch(mp):
             if jump_bits is not None:
@@ -451,10 +454,10 @@ class TestKeyWalk:
 
         with pytest.MonkeyPatch.context() as mp:
             patch(mp)
-            P = max(key_walk_floor(seq, n) + offset, 0)
+            P = max(key_walk_floor(seq, n, start) + offset, 0)
         m = data.draw(st.integers(-(1 << P), 1 << P))
-        keys, ran, steps = self.walk(seq, m, P, n, patch)
-        assert keys == exact_keys(seq, m, P, n)
+        keys, ran, steps = self.walk(seq, m, P, n, patch, start)
+        assert keys == exact_keys(seq, m, P, n, start)
         assert ran == (offset >= 0)
         assert steps <= n  # the fallbacks share one exact walk
 
@@ -472,6 +475,23 @@ class TestKeyWalk:
         keys, ran, steps = self.walk(seq, m, P, n, patch)
         assert ran and steps == n
         assert keys == exact_keys(seq, m, P, n)
+
+    @pytest.mark.parametrize("r", KEY_RATIOS)
+    def test_window_bounds_every_delta_from_its_checkpoint(self, r):
+        # the walk of a window from a_5 steps from the checkpoint a_1, over
+        # the one wide delta (a_1 to a_2); a carry bound read from the
+        # window's own deltas would miss it and read wrong keys from H
+        seq = LacunarySequence(wide_delta_terms(r, 1, [1 << 300] + [0] * 98), r)
+        start, n = 5, len(seq)
+        P = seq.term(n).bit_length() + 64
+        m = 7**P % (1 << P)
+
+        def patch(mp):
+            mp.setattr(sequences, "_key_guard", lambda *args: 8)
+
+        keys, ran, _ = self.walk(seq, m, P, n, patch, start)
+        assert ran
+        assert keys == exact_keys(seq, m, P, n, start)
 
     @pytest.mark.parametrize(
         "seq",
