@@ -9,29 +9,28 @@ exponent.
 
 A dilated point set {alpha * a_n} has one form, its residue vector: with
 alpha = m * 2^-P, the dilates are the integers m * a_n mod 2^P at the common
-exponent -P.  residues() is the one way to them: the sequence walks its
-stored recurrence q * a_{n+1} = p * a_n + delta_n
-(lacuna.sequences.Recurrence.residues), never dividing a term by a term,
-so each residue follows from the last by a multiply-add and an exact
-division by q.  dilate() wraps them in a DilatedSet whose residues are a
-read-only view (Residues), computed on demand: it holds none of them.
-Their top 64 bits, the keys, come from the key walk seq.keys(m, P, start,
-stop), which begins at the checkpoint below the window's first term;
-residue_keys() writes them into one uint64 array.  gap_report() sorts the
-keys and decides the exact gap from them: only the few pairs within one
-key unit of the key maximum are resolved to exact residues, read from one
-exact walk (its docstring proves the rule).  A tuple of residues built by
-a caller is a DilatedSet as well, keyed by one shift per residue.  The
-64-bit scans of lacuna.metric print the gap of the keys themselves, through
-the same sorted-key step (key_gaps), and the float views there read the
-residues as they stream; the doubling sequence 2^n takes its keys from
-windows of alpha's binary expansion.
+exponent -P.  residues() is the one way to them: it turns alpha into (m, P)
+and returns the sequence's Walk of them
+(lacuna.sequences.Recurrence.residues), a read-only view of the stored recurrence q * a_{n+1} = p * a_n + delta_n,
+never dividing a term by a term, so each residue follows from the last by a
+multiply-add and an exact division by q.  dilate() wraps that view in a
+DilatedSet: it holds none of the residues.  The view's keys(), their top 64
+bits in one uint64 array, come from the key walk, which begins at the
+checkpoint below the window's first term.  gap_report() sorts the keys and
+decides the exact gap from them: only the few pairs within one key unit of
+the key maximum are resolved to exact residues, read from one exact walk
+by the view's at() (gap_report's docstring proves the rule).  A tuple of
+residues built by a caller is a DilatedSet as well, keyed by one shift per
+residue.  The 64-bit scans of lacuna.metric print the gap of the keys
+themselves, through the same sorted-key step (key_gaps), and the float
+views there read the residues as they stream; the doubling sequence 2^n
+takes its keys from windows of alpha's binary expansion.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -39,6 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyConfigurationError, PrecisionTooLowError
+from .sequences import Walk
 
 DEFAULT_PRECISION_BITS = 96
 
@@ -232,10 +232,10 @@ def gap_report(points: DilatedSet) -> GapReport:
     DilatedSet, decided on the 64-bit keys of its residues.
 
     With P = -exponent and t = P - 64, the key of a residue v is
-    k = floor(v / 2^t), its top 64 bits.  A Residues view reads the keys
-    from the key walk (seq.keys), any other sequence with one shift per
-    residue.  The keys are sorted, and D is their largest gap in key units,
-    the wrap-around gap included (key_gaps).
+    k = floor(v / 2^t), its top 64 bits.  A Walk reads the keys from the
+    key walk (Walk.keys), any other sequence with one shift per residue.
+    The keys are sorted, and D is their largest gap in key units, the
+    wrap-around gap included (key_gaps).
 
     For t <= 0 the keys are the residues times 2^-t, so the maximal gap is
     D * 2^t exactly.  For t > 0, measure gaps in units of 2^t.  v -> k is
@@ -253,7 +253,7 @@ def gap_report(points: DilatedSet) -> GapReport:
     is below d + 1 <= D - 1 < G, so neither holds G: G is the largest exact
     gap over the pairs with d >= D - 1.  Each such candidate is resolved to
     the exact ends of its two runs: the residues of those runs come from
-    one exact walk (Residues.at), two per candidate unless keys tie, and
+    one exact walk (Walk.at), two per candidate unless keys tie, and
     only the least and the greatest of each run are kept."""
     res = points.residues
     n = len(res)
@@ -262,7 +262,7 @@ def gap_report(points: DilatedSet) -> GapReport:
     e = points.exponent
     one = 1 << -e
     t = -e - 64
-    if isinstance(res, Residues):
+    if isinstance(res, Walk):
         keys, exact = res.keys(), res.at
     else:
         tops = (v >> t for v in res) if t >= 0 else (v << -t for v in res)
@@ -327,86 +327,21 @@ def residue_bits(alpha: DyadicReal) -> int:
     return max(-alpha.exponent, 0)
 
 
-def residues(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> Iterator[int]:
+def residues(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> Walk:
     """The dilates {alpha * a_n} of a_start..a_stop (1-based, inclusive;
     stop=None: to the last term) of a sequence (a lacuna.sequences
-    Recurrence: a LacunarySequence or a ThinnedSequence), scaled by 2^P, one
-    at a time: m * a_n mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha),
-    as seq.residues walks its stored recurrence."""
+    Recurrence: a LacunarySequence or a ThinnedSequence), scaled by 2^P:
+    the Walk of m * a_n mod 2^P for alpha = m * 2^-P, P = residue_bits(alpha),
+    read on demand from the sequence's stored recurrence (seq.residues)."""
     return seq.residues(alpha.mantissa, residue_bits(alpha), start, stop)
-
-
-def residue_keys(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> np.ndarray:
-    """floor({alpha * a_n} * 2^64) for a_start..a_stop of a sequence (1-based,
-    inclusive; stop=None: to the last term): the 64-bit keys of seq.keys,
-    written into one uint64 array as they stream, so neither the exact
-    residues nor a list of the keys is held."""
-    stop = len(seq) if stop is None else stop
-    keys = seq.keys(alpha.mantissa, residue_bits(alpha), start, stop)
-    return np.fromiter(keys, dtype=np.uint64, count=max(stop - start + 1, 0))
-
-
-class Residues(Sequence):
-    """The residues m * a_n mod 2^P of a dilation by alpha = m * 2^-P, for n
-    in a range of 1-based term indices of a sequence, read-only and computed
-    on demand, as seq.terms is a TermsView: len, iteration (one exact walk,
-    seq.residues), a residue by index (stepped from the checkpoint below its
-    term), contiguous slices, which are views again, and == against any
-    sequence of the same integers.  It holds no residue: keys() reads the
-    64-bit keys of all of them from the key walk, and at() the exact
-    residues at some positions from one exact walk."""
-
-    __slots__ = ("_alpha", "_seq", "_idx")
-
-    def __init__(self, alpha: DyadicReal, seq, idx: range):
-        self._alpha = alpha
-        self._seq = seq
-        self._idx = idx
-
-    def __len__(self):
-        return len(self._idx)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            if i.step not in (None, 1):
-                raise ValueError("a residues view slices contiguous windows only")
-            return Residues(self._alpha, self._seq, self._idx[i])
-        n = self._idx[i]
-        return next(residues(self._alpha, self._seq, n, n))
-
-    def __iter__(self):
-        idx = self._idx
-        return residues(self._alpha, self._seq, idx[0], idx[-1]) if idx else iter(())
-
-    def keys(self) -> np.ndarray:
-        """The 64-bit keys of the residues, in order (residue_keys)."""
-        idx = self._idx
-        return residue_keys(self._alpha, self._seq, idx.start, idx.stop - 1)
-
-    def at(self, positions) -> Iterator[int]:
-        """The residues at increasing 0-based positions, one at a time, all
-        from one exact walk (seq.residues_at)."""
-        first, m, P = self._idx.start, self._alpha.mantissa, residue_bits(self._alpha)
-        return self._seq.residues_at(m, P, (first + j for j in positions))
-
-    def __eq__(self, other):
-        """Residue by residue against any sequence, as a tuple would."""
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Residues({self._alpha!r}, {self._seq!r}, {self._idx})"
 
 
 @dataclass(frozen=True)
 class DilatedSet:
     """A dilated point set as residues at one exponent: point i is
     residues[i] * 2^exponent, with 0 <= residues[i] < 2^-exponent.  The
-    residues are any sequence of integers: dilate() gives a Residues view,
-    which computes them on demand, and a tuple serves as well."""
+    residues are any sequence of integers: dilate() gives the Walk of
+    residues(), which computes them on demand, and a tuple serves as well."""
 
     residues: Sequence[int]
     exponent: int
@@ -417,8 +352,8 @@ class DilatedSet:
 
 def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> DilatedSet:
     """Fractional parts {alpha * a_n} of a LacunarySequence or a
-    ThinnedSequence for n in [start, stop] (1-based, inclusive), as a
-    Residues view: no residue is computed here.
+    ThinnedSequence for n in [start, stop] (1-based, inclusive), as the
+    Walk of residues(): no residue is computed here.
 
     Passes the window through require_precision first; a window past the
     last term raises SequenceTooShortError.
@@ -426,4 +361,4 @@ def dilate(alpha: DyadicReal, seq, start: int = 1, stop: int | None = None) -> D
     window = seq.terms[start - 1 : stop]
     if window:
         require_precision(alpha, window)
-    return DilatedSet(Residues(alpha, seq, range(start, start + len(window))), -residue_bits(alpha))
+    return DilatedSet(residues(alpha, seq, start, stop), -residue_bits(alpha))

@@ -17,15 +17,15 @@ orders of magnitude.  The exact gap of the first n dilates is
 gap_report(dilate(alpha, seq, 1, n)), which sorts the same keys and reads
 exact residues only where they decide; a scan prints the gap of the keys
 themselves, the one sorted-key step both share (lacuna.dyadic.key_gaps).
-The float views of the dilates here read the residue stream of
-lacuna.dyadic.residues, which steps by the relation the sequence stores, so
-a scan never holds or computes the wide terms.  The truncated points are
-lacuna.dyadic.residue_keys, the keys of seq.keys, the same bits: at a
-ratio p/2^s (r = 3, 5/2, 3/2, ...) a key walk jumps exactly every B terms
-and reads each key in between from a short window, so a key costs a step
-over a few hundred bits, not over the P-bit residue; odd q > 1 keeps the
-exact stream.  Only the doubling sequence 2^e0, 2^(e0+1), ... takes
-its truncated points from byte windows of alpha's binary expansion instead.
+The float views of the dilates here iterate the view lacuna.dyadic.residues
+returns, which steps by the relation the sequence stores, so a scan never
+holds or computes the wide terms.  The truncated points are that view's
+keys(), the same bits: at a ratio p/2^s (r = 3, 5/2, 3/2, ...) a key walk
+jumps exactly every B terms and reads each key in between from a short
+window, so a key costs a step over a few hundred bits, not over the P-bit
+residue; odd q > 1 keeps the exact stream.  Only the doubling sequence
+2^e0, 2^(e0+1), ... takes its truncated points from byte windows of alpha's
+binary expansion instead.
 dispersion_scan recognises it from the ratio the sequence has checked: with
 r >= 2 every step at least doubles, so a power-of-two a_1 and
 a_n = a_1 * 2^(n-1) leave only exact doublings, and it reads only a_1 and
@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bump import BumpFunction
-from .dyadic import DyadicReal, dyadic_to_float, key_gaps, residue_bits, residue_keys, residues
+from .dyadic import DyadicReal, dyadic_to_float, key_gaps, residue_bits, residues
 from .errors import (
     FitUnderdeterminedError,
     MeasureUnsupportedError,
@@ -93,6 +93,12 @@ class MetricParameters:
         m = DyadicReal(q.mantissa**2, 2 * q.exponent, q.precision_bits)
         r_exact = m.to_fraction() / p.to_fraction()
         return cls(n=n, epsilon=epsilon, q=q, m=m, p=p, r_exact=r_exact)
+
+    @property
+    def width(self) -> float:
+        """The window half-width M/N as a float, the scale of every window
+        count and of the Fourier coefficients."""
+        return self.m.to_float() / self.n
 
     @property
     def k_cut(self) -> int:
@@ -331,7 +337,7 @@ def dispersion_scan(
         if pow2:
             vals = _pow2_truncated_points(alpha, a1.bit_length() - 1, n_max)
         else:
-            vals = residue_keys(alpha, seq, 1, n_max)
+            vals = residues(alpha, seq, 1, n_max).keys()
         for n in n_list:
             g = Fraction(key_gaps(np.sort(vals[:n]))[2], 1 << 64)
             rows.append(_mk_row(aid, n, g, eps))
@@ -383,9 +389,8 @@ def iid_baseline(n: int, trials: int, rng_seed: int) -> dict:
 def _residue_floats(alpha: DyadicReal, seq) -> np.ndarray:
     """{alpha * a} for every term of a sequence as floats, rounded as
     DyadicReal.to_float rounds them."""
-    e = -residue_bits(alpha)
-    floats = (dyadic_to_float(r, e) for r in residues(alpha, seq))
-    return np.fromiter(floats, dtype=np.float64, count=len(seq.terms))
+    e, res = -residue_bits(alpha), residues(alpha, seq)
+    return np.fromiter((dyadic_to_float(r, e) for r in res), dtype=np.float64, count=len(res))
 
 
 def smooth_count_direct(
@@ -400,11 +405,10 @@ def smooth_count_direct(
     The window half-width M/N is below 1/2 at every supported N, so at most
     one shift u contributes per point.
     """
-    width = params.m.to_float() / params.n
     x = _residue_floats(alpha, thinned)
     d = x - (t % 1.0)
     d -= np.round(d)  # representative in [-1/2, 1/2): the only candidate shift
-    return float(np.sum(bump.value(d / width)))
+    return float(np.sum(bump.value(d / params.width)))
 
 
 def smooth_count_fourier(
@@ -418,7 +422,7 @@ def smooth_count_fourier(
     """(M/N) * sum_{|k| <= k_max} Ff(Mk/N) * sum_n cos(2 pi k (alpha*a~_n - t))."""
     if k_max < params.k_cut:
         raise ValueError(f"k_max {k_max} below truncation floor N/P = {params.k_cut}")
-    width = params.m.to_float() / params.n
+    width = params.width
     x = _residue_floats(alpha, thinned) - (t % 1.0)
     k = np.arange(1, k_max + 1)
     coeffs = bump.fourier(width * k)
@@ -429,7 +433,7 @@ def smooth_count_fourier(
 def fourier_tail_bound(params: MetricParameters, bump: BumpFunction, k_max: int, count: int) -> float:
     """Bound on the direct-vs-Fourier discrepancy from the transform envelope
     ``bump.tail_bound``: (M/N) * count * 2 * sum_{k > k_max} |Ff(Mk/N)|."""
-    width = params.m.to_float() / params.n
+    width = params.width
     total = 0.0
     k = k_max + 1
     while True:
@@ -466,7 +470,7 @@ class MomentCheck:
 
 
 def _omega_weights(params: MetricParameters, bump: BumpFunction) -> np.ndarray:
-    width = params.m.to_float() / params.n
+    width = params.width
     k = np.arange(1, params.k_cut + 1)
     return width * bump.fourier(width * k)
 

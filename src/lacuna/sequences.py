@@ -12,16 +12,16 @@ a_n at every stride-th term, stride = ceil(sqrt(N)), never the N wide terms.
 So it holds O(N) short integers and O(sqrt(N)) wide ones.  One walk reads
 them: from m times the checkpoint at or below the first term wanted, it
 carries y_n = m * a_n exactly and steps y <- (p * y + m * delta_n) / q, a
-shift for q = 2^s and one // otherwise.  With m = 1 it gives the terms
-(seq.terms, a read-only view), and with any m masked to P bits the dilates
-m * a_n mod 2^P (seq.residues), so no other module reads the checkpoints.
-The top 64 bits of those dilates over a window a_start..a_stop
-(seq.keys(m, P, start, stop)) come from a key walk for q = 2^s: it begins
-at the checkpoint at or below a_start, jumps exactly every B terms and
-reads the keys in between from a short window of the leading bits, taking
-a key from the exact walk only where the window's carry bound could reach
-it; odd q > 1, a delta_n < 0 or a P too short for the window take every key
-from the exact walk.  seq.residues_at reads exact dilates at a few indices,
+shift for q = 2^s and one // otherwise.  One read-only view, a Walk, reads
+y_n over a window of terms: with m = 1 it is the terms (seq.terms), and with
+any m masked to P bits the dilates m * a_n mod 2^P (seq.residues), so no
+other module reads the checkpoints.  A window's keys(), the top 64 bits of
+its dilates, come from a key walk for q = 2^s: it begins at the checkpoint
+at or below the window's first term, jumps exactly every B terms and reads
+the keys in between from a short window of the leading bits, taking a key
+from the exact walk only where the window's carry bound could reach it; odd
+q > 1, a delta_n < 0 or a P too short for the window take every key from
+the exact walk.  A window's at() reads exact dilates at a few positions,
 each stepped from the checkpoint below it, all within one exact walk: this
 is how lacuna.dyadic.gap_report resolves the candidates its keys leave.
 For a LacunarySequence a_{n+1} >= r * a_n is delta_n >= 0, N short
@@ -46,6 +46,7 @@ from fractions import Fraction
 from itertools import islice
 
 import mpmath as mp
+import numpy as np
 
 from .errors import (
     MalformedSequenceFileError,
@@ -149,13 +150,12 @@ class Recurrence:
     a_{k * stride + 1}, stride = ceil(sqrt(N)).  Every ratio describes
     every list of integers; the ratio a list grows by keeps its deltas
     short.  Built from explicit terms, Recurrence(terms, r).  One walk of
-    the recurrence (_stream) gives the terms, read through seq.terms
-    (iterating seq reads them too), and the dilates m * a_n mod 2^P, read
-    through seq.residues, or at a few indices through seq.residues_at;
-    only the walk reads the checkpoints and the stride.  Their top 64
-    bits, seq.keys, come from the key walk (_window_keys) at q = 2^s, with
-    the exact walk as its fallback, and from the exact walk alone
-    otherwise."""
+    the recurrence (_stream) gives y_n = m * a_n, read through a Walk: the
+    terms (seq.terms; iterating seq reads them too) and the dilates
+    m * a_n mod 2^P (seq.residues); only the walk reads the checkpoints and
+    the stride.  The top 64 bits of the dilates come from the key walk
+    (_window_keys) at q = 2^s, with the exact walk as its fallback, and
+    from the exact walk alone otherwise."""
 
     growth_factor_r: Fraction
     deltas: tuple[int, ...]
@@ -195,8 +195,8 @@ class Recurrence:
         return f"{type(self).__name__}(r={self.growth_factor_r}, N={len(self)})"
 
     @property
-    def terms(self) -> TermsView:
-        return TermsView(self, range(len(self)))
+    def terms(self) -> Walk:
+        return Walk(self, range(len(self)))
 
     def term(self, n: int) -> int:
         """1-based access: a_n, stepped from the checkpoint below it."""
@@ -233,26 +233,13 @@ class Recurrence:
                 y &= step_mask
         yield y if mask is None else y & mask
 
-    def residues(self, m: int, P: int, start: int = 1, stop: int | None = None) -> Iterator[int]:
-        """m * a_n mod 2^P for a_start..a_stop (1-based, inclusive; stop=None:
-        a_N), one at a time: the walk of the terms with y_n = m * a_n, each
-        masked to its low P bits."""
-        n = len(self)
-        _require(n, stop)
-        stop = n if stop is None else stop
-        if start > stop:
-            return iter(())
-        return islice(self._stream(start - 1, m, (1 << P) - 1), stop - start + 1)
+    def residues(self, m: int, P: int, start: int = 1, stop: int | None = None) -> Walk:
+        """The view of m * a_n mod 2^P for a_start..a_stop (1-based,
+        inclusive; stop=None: a_N): the walk of the terms with y_n = m * a_n,
+        each masked to its low P bits."""
+        return Walk(self, range(len(self)), m, P)[start - 1 : stop]
 
-    def residues_at(self, m: int, P: int, ns) -> Iterator[int]:
-        """m * a_n mod 2^P at the increasing 1-based n of ns, one at a time,
-        all from one exact walk (_exact_at): together they cost at most one
-        walk of a_(min ns)..a_(max ns), and n terms far apart cost about a
-        stride each."""
-        at = self._exact_at(m, (1 << P) - 1)
-        return (at(n - 1) for n in ns)
-
-    def _exact_at(self, m: int, mask: int):
+    def _exact_at(self, m: int, mask: int | None):
         """The function i -> y_(i+1) & mask (_stream) for increasing 0-based
         i: it continues one exact walk, and restarts it from the checkpoint
         at or below i only when that checkpoint lies past the walk, so the
@@ -269,37 +256,6 @@ class Recurrence:
             return y
 
         return exact
-
-    def keys(self, m: int, P: int, start: int = 1, stop: int | None = None) -> Iterator[int]:
-        """The 64-bit keys of a_start..a_stop (1-based, inclusive; stop=None:
-        a_N): the top 64 bits of each residue m * a_k mod 2^P,
-        floor((m * a_k mod 2^P) * 2^(64 - P)), equal bit for bit to those of
-        seq.residues.
-
-        For q = 2^s, every delta_k >= 0 and P >= 64 + G they come from the
-        key walk (_window_keys), which begins at the checkpoint at or below
-        a_start, carries the exact y = m * a_k only at every B-th term and
-        reads the keys in between from a short window; every other input
-        takes them from the exact walk, shifted.  B and G depend only on
-        the ratio and the widest delta_k the walk steps over."""
-        size = len(self)
-        _require(size, stop)
-        stop = size if stop is None else stop
-        if start > stop:
-            return iter(())
-        p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
-        s = q.bit_length() - 1
-        block = max(1, _JUMP_BITS // p.bit_length())  # p^B has about _JUMP_BITS bits
-        k = (start - 1) - (start - 1) % self.stride  # the checkpoint at or below a_start
-        deltas = self.deltas[k : stop - 1]
-        dmax = max(deltas, default=0)
-        guard = _key_guard(p, s, block, dmax)
-        if q != 1 << s or min(deltas, default=0) < 0 or P < 64 + guard:
-            shift = P - 64
-            tops = self.residues(m, P, start, stop)
-            return (r >> shift for r in tops) if shift >= 0 else (r << -shift for r in tops)
-        keys = self._window_keys(m, P, k, stop, block, guard, _carry_bounds(p, s, dmax, block))
-        return islice(keys, start - 1 - k, None) if start - 1 > k else keys
 
     def _window_keys(self, m: int, P: int, k0: int, n: int, B: int, G: int, E: list[int]) -> Iterator[int]:
         """The key walk for r = p/2^s with every delta_k >= 0 and P >= 64 + G,
@@ -391,19 +347,22 @@ class LacunarySequence(Recurrence):
         super()._build(r, deltas, checkpoints)
 
 
-class TermsView(Sequence):
-    """The terms of a Recurrence at some indices, read-only and computed on
-    demand: len, a_n by index (stepped from the checkpoint below it),
-    iteration (one pass, each term from the one before) and forward slices,
-    which are views again.  It equals any sequence of the same terms.  A
-    slice that ends past the last term raises SequenceTooShortError naming
-    both lengths, where a tuple would cut it short."""
+class Walk(Sequence):
+    """y_n = m * a_n of a Recurrence at some 0-based term indices, masked to
+    its low P bits when P is given, read-only and computed on demand: len,
+    y_n by index (stepped from the checkpoint below it), iteration (one
+    pass, each value from the one before) and forward slices, which are
+    views again.  With m = 1 and no P it is the terms (seq.terms), with P
+    the dilates m * a_n mod 2^P (seq.residues).  It equals any sequence of
+    the same integers.  A slice that ends past the last term raises
+    SequenceTooShortError naming both lengths, where a tuple would cut it
+    short.  keys() and at() read a contiguous window only."""
 
-    __slots__ = ("_seq", "_idx")
+    __slots__ = ("_seq", "_idx", "_m", "_P", "_mask")
 
-    def __init__(self, seq: Recurrence, idx: range):
-        self._seq = seq
-        self._idx = idx
+    def __init__(self, seq: Recurrence, idx: range, m: int = 1, P: int | None = None):
+        self._seq, self._idx, self._m, self._P = seq, idx, m, P
+        self._mask = None if P is None else (1 << P) - 1
 
     def __len__(self):
         return len(self._idx)
@@ -411,19 +370,66 @@ class TermsView(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             if i.step is not None and i.step < 0:
-                raise ValueError("a terms view steps forward only")
+                raise ValueError("a walk steps forward only")
             _require(len(self._idx), i.stop)
-            return TermsView(self._seq, self._idx[i])
-        return next(self._seq._stream(self._idx[i]))
+            return Walk(self._seq, self._idx[i], self._m, self._P)
+        return next(self._seq._stream(self._idx[i], self._m, self._mask))
 
     def __iter__(self):
         idx = self._idx
         if not idx:
             return iter(())
-        return islice(self._seq._stream(idx[0]), 0, idx[-1] - idx[0] + 1, idx.step)
+        walk = self._seq._stream(idx[0], self._m, self._mask)
+        return islice(walk, 0, idx[-1] - idx[0] + 1, idx.step)
+
+    def _window(self) -> range:
+        if self._idx.step != 1:
+            raise ValueError("keys and at read a contiguous window only")
+        return self._idx
+
+    def keys(self) -> np.ndarray:
+        """The 64-bit keys of the window, in one uint64 array: the top 64
+        bits of each dilate, floor((m * a_k mod 2^P) * 2^(64 - P)), equal
+        bit for bit to those of the view's own values.
+
+        For q = 2^s, every delta_k >= 0 and P >= 64 + G they come from the
+        key walk (_window_keys), which begins at the checkpoint at or below
+        the window's first term, carries the exact y = m * a_k only at
+        every B-th term and reads the keys in between from a short window;
+        every other input takes them from the exact walk, shifted.  B and G
+        depend only on the ratio and the widest delta_k the walk steps
+        over.  Neither the exact dilates nor a list of the keys is held."""
+        idx, seq, m, P = self._window(), self._seq, self._m, self._P
+        if not idx:
+            return np.empty(0, dtype=np.uint64)
+        start, stop = idx.start, idx.stop  # the terms start + 1..stop
+        p, q = seq.growth_factor_r.numerator, seq.growth_factor_r.denominator
+        s = q.bit_length() - 1
+        block = max(1, _JUMP_BITS // p.bit_length())  # p^B has about _JUMP_BITS bits
+        k = start - start % seq.stride  # the checkpoint at or below the first term
+        deltas = seq.deltas[k : stop - 1]
+        dmax = max(deltas, default=0)
+        guard = _key_guard(p, s, block, dmax)
+        if q != 1 << s or min(deltas, default=0) < 0 or P < 64 + guard:
+            shift = P - 64
+            keys = (r >> shift for r in self) if shift >= 0 else (r << -shift for r in self)
+        else:
+            keys = seq._window_keys(m, P, k, stop, block, guard, _carry_bounds(p, s, dmax, block))
+            if start > k:
+                keys = islice(keys, start - k, None)
+        return np.fromiter(keys, dtype=np.uint64, count=len(idx))
+
+    def at(self, positions) -> Iterator[int]:
+        """The values at increasing 0-based positions of the window, one at
+        a time, all from one exact walk (_exact_at): together they cost at
+        most one walk between the first and the last, and positions far
+        apart cost about a stride each."""
+        first = self._window().start
+        exact = self._seq._exact_at(self._m, self._mask)
+        return (exact(first + j) for j in positions)
 
     def __eq__(self, other):
-        """Term by term against any sequence, as a tuple of the terms would."""
+        """Value by value against any sequence, as a tuple of them would."""
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
@@ -431,7 +437,7 @@ class TermsView(Sequence):
     __hash__ = None
 
     def __repr__(self):
-        return f"TermsView({self._seq!r}, {self._idx})"
+        return f"Walk({self._seq!r}, {self._idx}, m={self._m}, P={self._P})"
 
 
 @dataclass(frozen=True, init=False, repr=False)

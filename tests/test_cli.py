@@ -204,6 +204,21 @@ class TestByteIdentity:
                 0,
                 "dba7f5b585fffe5f4538c60c1ab36236a56234a35174e74ae2dc0e33e2ec0c51",
             ),
+            (
+                # odd q: keys from the exact walk, long tie runs resolved by at()
+                ("gaps", "--r", "4/3", "--n", "2048", "--alpha", "7/10"),
+                0,
+                "d022f3dda93c03401c179ee1cfac57a85cf49c084d5554197821b620e460694f",
+            ),
+            (
+                # q = 1: the key walk inside dispersion_scan
+                (
+                    "metric-scan", "--r", "3", "--n-min", "1024", "--n-max", "8192",
+                    "--alphas", "4", "--seed", "0",
+                ),
+                0,
+                "426b5f68a01d65a3ba4587fad277fd39c1f9a4822a69015c5ff695c160d25e6a",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, code, sha):

@@ -13,7 +13,6 @@ from lacuna.dyadic import (
     DilatedSet,
     DyadicReal,
     GapReport,
-    Residues,
     _normalized_map,
     alpha_precision,
     dilate,
@@ -34,6 +33,7 @@ from lacuna.errors import (
 from lacuna.sequences import (
     LacunarySequence,
     Recurrence,
+    Walk,
     geometric_sequence,
     load_sequence,
     save_sequence,
@@ -244,27 +244,11 @@ class TestDilate:
         seq = geometric_sequence(r, 300)
         alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
         full = dilate(alpha, seq)
+        # dilate computes nothing: its residues are the sequence's view of them
+        assert isinstance(full.residues, Walk) and full.residues == tuple(residues(alpha, seq))
         for start, stop in [(1, 300), (2, 2), (57, 211), (120, 300)]:
             got = dilate(alpha, seq, start, stop)
             assert got == DilatedSet(full.residues[start - 1 : stop], full.exponent)
-
-    def test_residues_are_a_view(self):
-        # dilate computes nothing: its residues are read on demand, and read
-        # as a tuple of them would be
-        seq = geometric_sequence(Fraction(5, 2), 300)
-        alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
-        view = dilate(alpha, seq, 40, 260).residues
-        want = tuple(residues(alpha, seq, 40, 260))
-        assert isinstance(view, Residues) and len(view) == len(want) == 221
-        assert view == want and want == view and view != want[1:]
-        assert [view[i] for i in (0, 57, -1, -221)] == [want[i] for i in (0, 57, -1, -221)]
-        assert isinstance(view[10:50], Residues) and view[10:50] == want[10:50]
-        assert view[200:400] == want[200:400] and len(view[300:]) == 0
-        assert list(view.at([0, 3, 150, 220])) == [want[i] for i in (0, 3, 150, 220)]
-        with pytest.raises(IndexError):
-            view[221]
-        with pytest.raises(ValueError):
-            view[::2]
 
     def test_precision_gate(self):
         seq = geometric_sequence(2, 100)
@@ -402,12 +386,12 @@ class TestKeyDecidedGap:
         seq = geometric_sequence(r, 2048)
         P = alpha_precision(seq.terms)
         read, steps = [], []
-        real, stream = Recurrence.residues_at, Recurrence._stream
+        real, stream = Walk.at, Recurrence._stream
 
-        def spy(self, m, P, ns):
-            ns = list(ns)
-            read.extend(ns)
-            return real(self, m, P, ns)
+        def spy(self, positions):
+            positions = list(positions)
+            read.extend(positions)
+            return real(self, positions)
 
         def spy_stream(self, *args):
             for y in stream(self, *args):
@@ -421,7 +405,7 @@ class TestKeyDecidedGap:
             read.clear()
             steps.clear()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(Recurrence, "residues_at", spy)
+                mp.setattr(Walk, "at", spy)
                 mp.setattr(Recurrence, "_stream", spy_stream)
                 rep = gap_report(pts)
             assert 2 <= len(read) <= 4

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lacuna.dyadic import (
     dilate,
     dyadic_to_float,
     gap_report,
-    residue_keys,
+    residues,
 )
 from lacuna.errors import (
     FitUnderdeterminedError,
@@ -186,7 +187,7 @@ class TestDispersionScan:
         from lacuna.metric import _pow2_truncated_points
 
         fast = _pow2_truncated_points(alpha, 1, 2048)
-        slow = residue_keys(alpha, seq, 1, 2048)
+        slow = residues(alpha, seq, 1, 2048).keys()
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("measure", ["lebesgue", "bounded-cf:5"])
@@ -217,7 +218,7 @@ class TestDispersionScan:
         shift = -exact.exponent - 64
         assert shift > 0
         want = [v >> shift for v in exact.residues]
-        assert residue_keys(alpha, seq).tolist() == want
+        assert residues(alpha, seq).keys().tolist() == want
 
     def test_five_halves_scan_reads_top_bits_of_exact_residues(self, monkeypatch):
         # dispersion_scan streams r = 5/2 through the q = 2 recurrence; every
@@ -227,13 +228,14 @@ class TestDispersionScan:
         seq = geometric_sequence(Fraction(5, 2), 1500)
         alphas = [sample_alpha("lebesgue", s, alpha_precision(seq.terms)) for s in (3, 4)]
         streams = []
-        real = metric.residue_keys
+        real = metric.residues
 
         def spy(alpha, seq, *window):
-            streams.append((alpha, seq.rho, real(alpha, seq, *window)))
-            return streams[-1][2]
+            keys = real(alpha, seq, *window).keys()
+            streams.append((alpha, seq.rho, keys))
+            return SimpleNamespace(keys=lambda: keys)
 
-        monkeypatch.setattr(metric, "residue_keys", spy)
+        monkeypatch.setattr(metric, "residues", spy)
         table = dispersion_scan(seq, alphas, [500, 1500])
         assert [q for _, q, _ in streams] == [2, 2]
         for alpha, _, vals in streams:
@@ -284,7 +286,7 @@ class TestDispersionScan:
         alpha = DyadicReal(5, -10, 128)
         seq = geometric_sequence(Fraction(3), 40)
         want = [math.floor(Fraction(5 * a, 1024) % 1 * (1 << 64)) for a in seq.terms]
-        assert residue_keys(alpha, seq, 1, 40).tolist() == want
+        assert residues(alpha, seq, 1, 40).keys().tolist() == want
 
     def test_pigeonhole(self, seq2):
         alphas = [sample_alpha("lebesgue", s, 128) for s in range(5)]

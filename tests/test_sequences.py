@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from lacuna import sequences
 from lacuna.sequences import (
     LacunarySequence,
     Recurrence,
-    TermsView,
+    Walk,
     geometric_sequence,
     ln_bounds,
     ln_lower,
@@ -312,41 +313,69 @@ def wide_delta_terms(r, first, extras):
     return terms
 
 
-class TestTermsView:
-    """seq.terms is a view of the stored recurrence; every way of reading it
-    must give the explicit terms."""
+def top_bits(values, P):
+    """The 64-bit keys of residues mod 2^P: floor(v 2^(64 - P)) for each v."""
+    return [v >> (P - 64) if P >= 64 else v << (64 - P) for v in values]
+
+
+class TestWalk:
+    """seq.terms (m = 1, no mask) and seq.residues(m, P) are one view of the
+    stored recurrence, y_n = m * a_n masked to P bits when P is given; every
+    way of reading it must give the explicit values."""
 
     @staticmethod
-    def check_view(seq, want, data):
-        n = len(want)
-        view = seq.terms
-        assert isinstance(view, TermsView)
+    def check_view(seq, terms, data):
+        n = len(terms)
+        P = data.draw(st.one_of(st.none(), st.integers(0, terms[-1].bit_length() + 80)), label="P")
+        if P is None:
+            view, want = seq.terms, terms
+        else:
+            m = data.draw(st.integers(-(1 << P), 1 << P), label="m")
+            view, want = seq.residues(m, P), [m * a & ((1 << P) - 1) for a in terms]
+            with pytest.raises(SequenceTooShortError, match=f"have {n} terms, need {n + 1}"):
+                seq.residues(m, P, 1, n + 1)
+            empty = view[n:].keys()
+            assert empty.dtype == np.uint64 and empty.size == 0
+            assert view.keys().tolist() == top_bits(want, P)
+        assert isinstance(view, Walk)
         assert len(view) == len(seq) == n
         assert list(view) == want
-        # equal, term by term, to any sequence of the same terms
+        # equal, value by value, to any sequence of the same integers
         assert view == want and view == tuple(want) and tuple(want) == view
         assert view != want[:-1] and view != [*want[:-1], want[-1] + 1]
         assert [view[i] for i in range(-n, n)] == want + want
-        assert [seq.term(k) for k in range(1, n + 1)] == want
+        with pytest.raises(IndexError):
+            view[n]
         for _ in range(3):
             i = data.draw(st.integers(-n - 2, n + 2))
             j = data.draw(st.one_of(st.none(), st.integers(-n - 2, n)))
             k = data.draw(st.sampled_from([None, 1, 2, 3]))
-            part = view[i:j:k]
-            assert isinstance(part, TermsView)
-            assert len(part) == len(want[i:j:k])
-            assert list(part) == want[i:j:k]
-            assert part[1:] == want[i:j:k][1:]
+            part, sub = view[i:j:k], want[i:j:k]
+            assert isinstance(part, Walk)
+            assert len(part) == len(sub)
+            assert list(part) == sub
+            assert part[1:] == sub[1:]
+            if k in (None, 1) and sub:
+                picks = sorted(data.draw(st.sets(st.integers(0, len(sub) - 1), max_size=6)))
+                assert list(part.at(picks)) == [sub[x] for x in picks]
+                if P is not None:
+                    assert part.keys().tolist() == top_bits(sub, P)
         with pytest.raises(ValueError, match="forward only"):
             view[::-1]
         with pytest.raises(SequenceTooShortError, match=f"have {n} terms, need {n + 1}"):
             view[: n + 1]
+        # keys and at read a contiguous window; a stepped view has neither
+        with pytest.raises(ValueError, match="contiguous"):
+            view[::2].keys()
+        with pytest.raises(ValueError, match="contiguous"):
+            view[::2].at([0])
+        assert [seq.term(k) for k in range(1, n + 1)] == terms
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "seq.txt"
             save_sequence(path, seq)
-            assert path.read_text().split("\n")[1:-1] == [str(t) for t in want]
+            assert path.read_text().split("\n")[1:-1] == [str(t) for t in terms]
             back = load_sequence(path)
-        assert back == seq and list(back.terms) == want
+        assert back == seq and list(back.terms) == terms
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(VIEW_RATIOS), st.integers(1, 300), st.data())
@@ -379,8 +408,9 @@ KEY_RATIOS = [
 
 
 def exact_keys(seq, m, P, n, start=1):
-    """The oracle of seq.keys: floor(v 2^(64 - P)) for each exact residue v."""
-    return [v >> (P - 64) if P >= 64 else v << (64 - P) for v in seq.residues(m, P, start, n)]
+    """The oracle of the keys of seq.residues(m, P, start, n): the top bits
+    of each exact residue."""
+    return top_bits(seq.residues(m, P, start, n), P)
 
 
 def key_walk_floor(seq, n, start=1):
@@ -394,7 +424,7 @@ def key_walk_floor(seq, n, start=1):
 
 
 class TestKeyWalk:
-    """seq.keys reads most keys from a window between exact jumps; every key
+    """Walk.keys reads most keys from a window between exact jumps; every key
     must equal the top 64 bits of the exact residue, on the walk and off it."""
 
     @staticmethod
@@ -418,7 +448,7 @@ class TestKeyWalk:
             mp.setattr(Recurrence, "_window_keys", spy_walk)
             mp.setattr(Recurrence, "_stream", spy_stream)
             patch(mp)
-            keys = list(seq.keys(m, P, start, n))
+            keys = seq.residues(m, P, start, n).keys().tolist()
         return keys, bool(ran), sum(1 for inside in steps if inside)
 
     @settings(max_examples=80, deadline=None)
