@@ -10,21 +10,21 @@ exponent.
 A dilated point set {alpha * a_n} has one form, its residue vector: with
 alpha = m * 2^-P, the dilates are the integers m * a_n mod 2^P at the common
 exponent -P.  residues() is the one way to them: it turns alpha into (m, P)
-and returns the sequence's Walk of them
-(lacuna.sequences.Recurrence.residues), a read-only view of the stored recurrence q * a_{n+1} = p * a_n + delta_n,
+and returns the sequence's Walk of them (lacuna.sequences.Recurrence.residues),
+a read-only view of the stored recurrence q * a_{n+1} = p * a_n + delta_n,
 never dividing a term by a term, so each residue follows from the last by a
 multiply-add and an exact division by q.  dilate() wraps that view in a
 DilatedSet: it holds none of the residues.  The view's keys(), their top 64
-bits in one uint64 array, come from the key walk, which begins at the
-checkpoint below the window's first term.  gap_report() sorts the keys and
+bits in one uint64 array, come from the reader the window picks
+(lacuna.sequences.Walk.keys): byte windows of m for powers of two, the key
+walk at q = 2^s, or the exact walk.  gap_report() sorts the keys and
 decides the exact gap from them: only the few pairs within one key unit of
 the key maximum are resolved to exact residues, read from one exact walk
 by the view's at() (gap_report's docstring proves the rule).  A tuple of
 residues built by a caller is a DilatedSet as well, keyed by one shift per
 residue.  The 64-bit scans of lacuna.metric print the gap of the keys
 themselves, through the same sorted-key step (key_gaps), and the float
-views there read the residues as they stream; the doubling sequence 2^n
-takes its keys from windows of alpha's binary expansion.
+views there read the residues as they stream.
 """
 
 from __future__ import annotations
@@ -232,8 +232,9 @@ def gap_report(points: DilatedSet) -> GapReport:
     DilatedSet, decided on the 64-bit keys of its residues.
 
     With P = -exponent and t = P - 64, the key of a residue v is
-    k = floor(v / 2^t), its top 64 bits.  A Walk reads the keys from the
-    key walk (Walk.keys), any other sequence with one shift per residue.
+    k = floor(v / 2^t), its top 64 bits.  A Walk reads the keys with the
+    reader its window picks (Walk.keys), any other sequence with one shift
+    per residue.
     The keys are sorted, and D is their largest gap in key units, the
     wrap-around gap included (key_gaps).
 

@@ -20,16 +20,11 @@ themselves, the one sorted-key step both share (lacuna.dyadic.key_gaps).
 The float views of the dilates here iterate the view lacuna.dyadic.residues
 returns, which steps by the relation the sequence stores, so a scan never
 holds or computes the wide terms.  The truncated points are that view's
-keys(), the same bits: at a ratio p/2^s (r = 3, 5/2, 3/2, ...) a key walk
-jumps exactly every B terms and reads each key in between from a short
-window, so a key costs a step over a few hundred bits, not over the P-bit
-residue; odd q > 1 keeps the exact stream.  Only the doubling sequence
-2^e0, 2^(e0+1), ... takes its truncated points from byte windows of alpha's
-binary expansion instead.
-dispersion_scan recognises it from the ratio the sequence has checked: with
-r >= 2 every step at least doubles, so a power-of-two a_1 and
-a_n = a_1 * 2^(n-1) leave only exact doublings, and it reads only a_1 and
-a_N.
+keys(), the same bits, for every sequence; the view picks how to read them
+(lacuna.sequences.Walk.keys): byte windows of alpha's binary expansion when
+every term is a power of two (the doubling sequence), a key walk at a ratio
+p/2^s (r = 3, 5/2, 3/2, ...), which costs a step over a few hundred bits
+per key, not over the P-bit residue, and the exact stream otherwise.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bump import BumpFunction
 from .dyadic import DyadicReal, dyadic_to_float, key_gaps, residue_bits, residues
@@ -288,28 +282,6 @@ class ScanTable:
         return "\n".join(lines) + "\n"
 
 
-def _pow2_truncated_points(alpha: DyadicReal, e0: int, n_max: int) -> np.ndarray:
-    """Top-64-bit windows of the binary expansion of alpha at offsets
-    e0, e0+1, ..., e0+n_max-1: these are the truncated dilates by 2^(e0+i)."""
-    s = e0 + n_max + 72
-    s += (-s) % 8
-    m, e = alpha.mantissa, alpha.exponent  # floor(alpha 2^s) is one shift
-    big = (m << (s + e) if s + e >= 0 else m >> -(s + e)) % (1 << s)
-    raw = np.frombuffer(big.to_bytes(s // 8, "big"), dtype=np.uint8)
-    words = (
-        sliding_window_view(raw, 8).astype(np.uint64)
-        * (np.uint64(256) ** np.arange(7, -1, -1, dtype=np.uint64))
-    ).sum(axis=1, dtype=np.uint64)
-    offs = e0 + np.arange(n_max)
-    j = offs >> 3
-    sh = (offs & 7).astype(np.uint64)
-    nxt = raw[j + 8].astype(np.uint64)
-    vals = words[j] << sh
-    with np.errstate(over="ignore"):
-        vals |= np.where(sh > 0, nxt >> (np.uint64(8) - sh), np.uint64(0))
-    return vals
-
-
 def dispersion_scan(
     seq: LacunarySequence,
     alphas,
@@ -327,17 +299,10 @@ def dispersion_scan(
     if not n_list or n_list[0] < 1:
         raise ValueError("N values must be positive")
     n_max = n_list[-1]
-    window = seq.terms[:n_max]
-    a1 = window[0]
-    # a_(n+1) >= r * a_n >= 2 * a_n: a_N = a_1 * 2^(N-1) only if every step doubles
-    pow2 = (seq.growth_factor_r >= 2 and not a1 & (a1 - 1)
-            and window[-1] == a1 << (n_max - 1))
+    seq.terms[:n_max]  # a sequence shorter than n_max raises here, before any alpha
     rows = []
     for aid, alpha in enumerate(alphas):
-        if pow2:
-            vals = _pow2_truncated_points(alpha, a1.bit_length() - 1, n_max)
-        else:
-            vals = residues(alpha, seq, 1, n_max).keys()
+        vals = residues(alpha, seq, 1, n_max).keys()
         for n in n_list:
             g = Fraction(key_gaps(np.sort(vals[:n]))[2], 1 << 64)
             rows.append(_mk_row(aid, n, g, eps))

@@ -16,12 +16,16 @@ shift for q = 2^s and one // otherwise.  One read-only view, a Walk, reads
 y_n over a window of terms: with m = 1 it is the terms (seq.terms), and with
 any m masked to P bits the dilates m * a_n mod 2^P (seq.residues), so no
 other module reads the checkpoints.  A window's keys(), the top 64 bits of
-its dilates, come from a key walk for q = 2^s: it begins at the checkpoint
-at or below the window's first term, jumps exactly every B terms and reads
-the keys in between from a short window of the leading bits, taking a key
-from the exact walk only where the window's carry bound could reach it; odd
-q > 1, a delta_n < 0 or a P too short for the window take every key from
-the exact walk.  A window's at() reads exact dilates at a few positions,
+its dilates, come from one of three readers, chosen from the window alone
+(Walk.keys).  When every term from the checkpoint at or below the window's
+first term is a power of two, a_j = 2^(e_j) with e_j rising by log2(p), the
+key of a_j is 64 bits of m read at a fixed offset, all of them from one
+byte string (byte windows).  Otherwise a key walk for q = 2^s begins at that
+checkpoint, jumps exactly every B terms and reads the keys in between from a
+short window of the leading bits, taking a key from the exact walk only
+where the window's carry bound could reach it; odd q > 1, a delta_n < 0 or a
+P too short for the window take every key from the exact walk.  A window's
+at() reads exact dilates at a few positions,
 each stepped from the checkpoint below it, all within one exact walk: this
 is how lacuna.dyadic.gap_report resolves the candidates its keys leave.
 For a LacunarySequence a_{n+1} >= r * a_n is delta_n >= 0, N short
@@ -153,9 +157,10 @@ class Recurrence:
     the recurrence (_stream) gives y_n = m * a_n, read through a Walk: the
     terms (seq.terms; iterating seq reads them too) and the dilates
     m * a_n mod 2^P (seq.residues); only the walk reads the checkpoints and
-    the stride.  The top 64 bits of the dilates come from the key walk
-    (_window_keys) at q = 2^s, with the exact walk as its fallback, and
-    from the exact walk alone otherwise."""
+    the stride.  The top 64 bits of the dilates come from byte windows of
+    m where every term is a power of two, from the key walk (_window_keys)
+    at q = 2^s, with the exact walk as its fallback, and from the exact
+    walk alone otherwise (Walk.keys)."""
 
     growth_factor_r: Fraction
     deltas: tuple[int, ...]
@@ -347,6 +352,27 @@ class LacunarySequence(Recurrence):
         super()._build(r, deltas, checkpoints)
 
 
+def _byte_window_keys(m: int, P: int, e0: int, t: int, n: int) -> np.ndarray:
+    """The keys of m * 2^(e_j) mod 2^P for e_j = e0 + t j, j < n: bits
+    [P - 64 - e_j, P - e_j) of m, zero below bit 0, so 0 once e_j >= P.
+
+    Only bits [P - 64 - e_(n-1), P - e0) of m are read, as one big-endian
+    byte string padded below to whole bytes and one spare byte; with
+    e_j clamped at P, the key of j is the 64 bits at offset e_j - e0 from
+    its top: the word at byte (e_j - e0) >> 3, shifted left by the rest,
+    with the top bits of the byte after it shifted in."""
+    first, last = min(e0, P), min(e0 + t * (n - 1), P)
+    low, width = P - 64 - last, last - first + 64
+    bits = (m >> low if low >= 0 else m << -low) & ((1 << width) - 1)
+    size = (width + 15) // 8
+    buf = (bits << (8 * size - width)).to_bytes(size, "big")
+    offs = np.minimum(e0 + t * np.arange(n, dtype=np.int64), P) - first
+    j, sh = offs >> 3, (offs & 7).astype(np.uint64)
+    words = np.ndarray((size - 7,), ">u8", buf, 0, (1,))  # a big-endian word at every byte
+    spare = np.frombuffer(buf, np.uint8)[j + 8].astype(np.uint64)
+    return (words[j].astype(np.uint64) << sh) | (spare >> (np.uint64(8) - sh))
+
+
 class Walk(Sequence):
     """y_n = m * a_n of a Recurrence at some 0-based term indices, masked to
     its low P bits when P is given, read-only and computed on demand: len,
@@ -390,24 +416,33 @@ class Walk(Sequence):
     def keys(self) -> np.ndarray:
         """The 64-bit keys of the window, in one uint64 array: the top 64
         bits of each dilate, floor((m * a_k mod 2^P) * 2^(64 - P)), equal
-        bit for bit to those of the view's own values.
-
-        For q = 2^s, every delta_k >= 0 and P >= 64 + G they come from the
-        key walk (_window_keys), which begins at the checkpoint at or below
-        the window's first term, carries the exact y = m * a_k only at
-        every B-th term and reads the keys in between from a short window;
-        every other input takes them from the exact walk, shifted.  B and G
-        depend only on the ratio and the widest delta_k the walk steps
-        over.  Neither the exact dilates nor a list of the keys is held."""
+        bit for bit to those of the view's own values.  Each reader starts
+        at the checkpoint at or below the window's first term, and the
+        window picks one of three:
+          * byte windows (_byte_window_keys) when every term from that
+            checkpoint on is a power of two: q = 1, p a power of two >= 2,
+            the checkpoint a power of two and every delta_k from it to the
+            window's end 0.  Then a_k = 2^(e_k), e_k rising by log2(p), and
+            the key is bits [P - 64 - e_k, P - e_k) of m, for any P;
+          * the key walk (_window_keys) for q = 2^s, every delta_k >= 0 and
+            P >= 64 + G: it carries the exact y = m * a_k only at every B-th
+            term and reads the keys in between from a short window; B and G
+            depend only on the ratio and the widest delta_k it steps over;
+          * the exact walk, shifted, for every other window.
+        Neither the exact dilates nor a list of the keys is held."""
         idx, seq, m, P = self._window(), self._seq, self._m, self._P
         if not idx:
             return np.empty(0, dtype=np.uint64)
         start, stop = idx.start, idx.stop  # the terms start + 1..stop
         p, q = seq.growth_factor_r.numerator, seq.growth_factor_r.denominator
+        c = seq.stride  # k, the checkpoint at or below the first term, and a, its value
+        k, a = start - start % c, seq.checkpoints[start // c]
+        deltas = seq.deltas[k : stop - 1]
+        t = p.bit_length() - 1  # log2(p) for a power of two p
+        if q == 1 and t and p == 1 << t and a > 0 and a & (a - 1) == 0 and not any(deltas):
+            return _byte_window_keys(m, P, a.bit_length() - 1 + t * (start - k), t, len(idx))
         s = q.bit_length() - 1
         block = max(1, _JUMP_BITS // p.bit_length())  # p^B has about _JUMP_BITS bits
-        k = start - start % seq.stride  # the checkpoint at or below the first term
-        deltas = seq.deltas[k : stop - 1]
         dmax = max(deltas, default=0)
         guard = _key_guard(p, s, block, dmax)
         if q != 1 << s or min(deltas, default=0) < 0 or P < 64 + guard:

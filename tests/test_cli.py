@@ -219,6 +219,24 @@ class TestByteIdentity:
                 0,
                 "426b5f68a01d65a3ba4587fad277fd39c1f9a4822a69015c5ff695c160d25e6a",
             ),
+            (
+                # r = 2: gap_report reads the keys of powers of two
+                ("find-alpha", "--r", "2", "--n", "4096"),
+                0,
+                "98114410531e2ebd957d21f6f377caef6ee5518949e40946e27217750ca06e2c",
+            ),
+            (
+                # r = 2, windows that start mid-sequence
+                ("nested-alpha", "--r", "2", "--k-start", "3", "--k-end", "5"),
+                0,
+                "5165849ec837484806e5a95725dda3faf824ce5af5b55098a8b832355b37ef4b",
+            ),
+            (
+                # P = 1 < 64: every point ties at 0
+                ("gaps", "--r", "2", "--n", "1024", "--alpha", "1/2"),
+                0,
+                "afed4cef9da29f0f61038c6448804121b862f7da4c35ac0b501b50f090d72703",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, code, sha):

@@ -35,7 +35,7 @@ from lacuna.metric import (
     smooth_count_direct,
     smooth_count_fourier,
 )
-from lacuna.sequences import ThinnedSequence, geometric_sequence, thin
+from lacuna.sequences import LacunarySequence, ThinnedSequence, geometric_sequence, thin
 
 
 def frac_float(alpha, a):
@@ -181,34 +181,25 @@ class TestDispersionScan:
             exact = gap_report(dilate(alphas[row.alpha_id], seq2, 1, row.n))
             assert abs(row.max_gap - exact.max_gap.to_fraction()) <= Fraction(1, 1 << 62)
 
-    def test_pow2_fast_path_matches_generic(self):
-        seq = geometric_sequence(Fraction(2), 2048)
-        alpha = sample_alpha("lebesgue", 42, 128)
-        from lacuna.metric import _pow2_truncated_points
-
-        fast = _pow2_truncated_points(alpha, 1, 2048)
-        slow = residues(alpha, seq, 1, 2048).keys()
-        assert np.array_equal(fast, slow)
-
     @pytest.mark.parametrize("measure", ["lebesgue", "bounded-cf:5"])
     @pytest.mark.parametrize("precision", [65_600, 2_000])
     @pytest.mark.parametrize("e0", [0, 5])
     def test_pow2_words_match_the_fraction_formula(self, measure, precision, e0):
-        # the byte windows read floor(alpha 2^s) mod 2^s from alpha's mantissa
-        # and exponent; the oracle takes it from the reduced fraction
-        from lacuna.metric import _pow2_truncated_points
-
+        # the keys of 2^e0, ..., 2^(e0 + n_max - 1) come from byte windows of
+        # alpha's mantissa; the oracle takes floor(alpha 2^s) mod 2^s from
+        # the reduced fraction
         alpha = sample_alpha(measure, 7, precision)
         shifted = DyadicReal(alpha.mantissa - (3 << -alpha.exponent), alpha.exponent)
         wide = DyadicReal(-alpha.mantissa, alpha.exponent + 70)  # 2^70 alpha
         n_max = 1000 if precision == 2_000 else 4096
+        seq = LacunarySequence([1 << i for i in range(e0 + n_max)], Fraction(2))
         for a in (alpha, shifted, wide):
             s = e0 + n_max + 72
             s += (-s) % 8
             fr = a.to_fraction()
             big = (fr.numerator << s) // fr.denominator % (1 << s)
             want = [big >> (s - e0 - i - 64) & ((1 << 64) - 1) for i in range(n_max)]
-            assert _pow2_truncated_points(a, e0, n_max).tolist() == want
+            assert residues(a, seq, e0 + 1).keys().tolist() == want
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2)])
     def test_truncated_stream_is_top_bits_of_exact_residues(self, r):
@@ -248,19 +239,18 @@ class TestDispersionScan:
             assert row.max_gap == Fraction(max(gaps), 1 << 64)
 
     def test_doubling_path_is_read_from_the_ratio(self, monkeypatch, tmp_path, capsys):
-        # r >= 2, a power-of-two a_1 and a_N = a_1 * 2^(N-1) take the byte
-        # windows; the same terms under r = 3/2 take the residue stream and
-        # print the same bytes
-        from lacuna import cli, metric
+        # powers of two stored at r = 2 take the byte windows of Walk.keys;
+        # the same terms under r = 3/2 do not, and print the same bytes
+        from lacuna import cli, sequences
 
         calls = []
-        real = metric._pow2_truncated_points
+        real = sequences._byte_window_keys
 
-        def spy(alpha, e0, n_max):
+        def spy(m, P, e0, t, n):
             calls.append(e0)
-            return real(alpha, e0, n_max)
+            return real(m, P, e0, t, n)
 
-        monkeypatch.setattr(metric, "_pow2_truncated_points", spy)
+        monkeypatch.setattr(sequences, "_byte_window_keys", spy)
         alpha = sample_alpha("lebesgue", 1, 128)
         dispersion_scan(geometric_sequence(Fraction(2), 64), [alpha], [64])
         assert calls == [1]
@@ -305,6 +295,8 @@ class TestDispersionScan:
             dispersion_scan(seq2, [alpha], [])
         with pytest.raises(SequenceTooShortError):
             dispersion_scan(seq2, [alpha], [1 << 20])
+        with pytest.raises(SequenceTooShortError):  # before any alpha, with none
+            dispersion_scan(seq2, [], [1 << 20])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**30))

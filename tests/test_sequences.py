@@ -423,6 +423,21 @@ def key_walk_floor(seq, n, start=1):
     return 64 + sequences._key_guard(p, q.bit_length() - 1, block, dmax)
 
 
+def takes_byte_windows(seq, n, start=1):
+    """Whether the keys of a_start..a_n come from byte windows: at an
+    integer ratio p, a power of two, every term from the checkpoint at or
+    below a_start to a_n is a power of two, p times the one before."""
+    p, q = seq.growth_factor_r.numerator, seq.growth_factor_r.denominator
+    k = (start - 1) - (start - 1) % seq.stride
+    terms = list(seq.terms[k:n])
+    return (
+        q == 1
+        and p & (p - 1) == 0
+        and all(a & (a - 1) == 0 for a in terms)
+        and all(b == p * a for a, b in zip(terms, terms[1:]))
+    )
+
+
 class TestKeyWalk:
     """Walk.keys reads most keys from a window between exact jumps; every key
     must equal the top 64 bits of the exact residue, on the walk and off it."""
@@ -488,23 +503,26 @@ class TestKeyWalk:
         m = data.draw(st.integers(-(1 << P), 1 << P))
         keys, ran, steps = self.walk(seq, m, P, n, patch, start)
         assert keys == exact_keys(seq, m, P, n, start)
-        assert ran == (offset >= 0)
+        assert ran == (offset >= 0 and not takes_byte_windows(seq, n, start))
         assert steps <= n  # the fallbacks share one exact walk
 
     @pytest.mark.parametrize("r", KEY_RATIOS)
     def test_every_key_from_the_exact_fallback(self, r):
-        # carry bounds past 2^G fail every read from the window
-        seq = geometric_sequence(r, 200)
-        n, P = 187, key_walk_floor(seq, 187) + 50
-        m = -(3**P % (1 << P))
+        # carry bounds past 2^G fail every read from the window; the powers
+        # of 4 take byte windows instead, and three times them the key walk
+        geometric = geometric_sequence(r, 200)
+        for seq in (geometric, LacunarySequence([3 * a for a in geometric.terms], r)):
+            n, P = 187, key_walk_floor(seq, 187) + 50
+            m = -(3**P % (1 << P))
 
-        def patch(mp):
-            bounds = sequences._carry_bounds
-            mp.setattr(sequences, "_carry_bounds", lambda *a: [e + (1 << P) for e in bounds(*a)])
+            def patch(mp):
+                bounds = sequences._carry_bounds
+                mp.setattr(sequences, "_carry_bounds", lambda *a: [e + (1 << P) for e in bounds(*a)])
 
-        keys, ran, steps = self.walk(seq, m, P, n, patch)
-        assert ran and steps == n
-        assert keys == exact_keys(seq, m, P, n)
+            keys, ran, steps = self.walk(seq, m, P, n, patch)
+            windows = takes_byte_windows(seq, n)
+            assert ran != windows and steps == (0 if windows else n)
+            assert keys == exact_keys(seq, m, P, n)
 
     @pytest.mark.parametrize("r", KEY_RATIOS)
     def test_window_bounds_every_delta_from_its_checkpoint(self, r):
@@ -539,6 +557,74 @@ class TestKeyWalk:
         keys, ran, _ = self.walk(seq, m, P, n, lambda mp: None)
         assert not ran
         assert keys == exact_keys(seq, m, P, n)
+
+
+class TestByteWindows:
+    """Walk.keys reads the keys of a window of powers of two,
+    2^(e0 + t j) at r = 2^t, from byte windows of m; every key must equal
+    the top 64 bits of the exact residue."""
+
+    @staticmethod
+    def keys(seq, m, P, start, stop):
+        """(keys, whether the byte windows were read)."""
+        calls = []
+        real = sequences._byte_window_keys
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequences, "_byte_window_keys", spy)
+            keys = seq.residues(m, P, start, stop).keys().tolist()
+        return keys, bool(calls)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=st.sampled_from([1, 2, 3]),
+        e0=st.integers(0, 100),
+        n=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_matches_top_bits_of_residues(self, t, e0, n, data):
+        seq = LacunarySequence([1 << e0 + t * i for i in range(n)], Fraction(1 << t))
+        start = data.draw(st.integers(1, n), label="start")
+        stop = data.draw(st.integers(start, n), label="stop")
+        top = seq.term(stop).bit_length()
+        P = data.draw(
+            st.one_of(
+                st.sampled_from([0, 1, 64]),
+                st.integers(2, 63),
+                st.integers(65, top + 64),
+                st.integers(top + 64, top + 300),  # past the last term's bits
+            ),
+            label="P",
+        )
+        m = data.draw(st.integers(-(1 << P + 70), 1 << P + 70), label="m")  # wider than P
+        keys, read = self.keys(seq, m, P, start, stop)
+        assert read
+        assert keys == exact_keys(seq, m, P, stop, start)
+
+    @pytest.mark.parametrize(
+        "terms, r, late",
+        [
+            ([3] + [1 << i for i in range(3, 51)], Fraction(2), True),  # a_1 = 3, then 2^i
+            ([2] + [5 << i for i in range(49)], Fraction(2), False),  # a_1 = 2, then 5 * 2^i
+            ([3**i for i in range(50)], Fraction(3), False),  # a_1 = 1 at an odd ratio
+        ],
+        ids=["odd first", "odd factor", "odd ratio"],
+    )
+    def test_reads_from_its_checkpoint(self, terms, r, late):
+        # a window reads byte windows only at a power-of-two ratio, from a
+        # power-of-two checkpoint with every delta 0 from there on; late:
+        # whether the windows past the first checkpoint do
+        seq = LacunarySequence(terms, r)
+        P = seq.term(len(seq)).bit_length() + 70
+        m = 7**P % (1 << P)
+        for start in range(1, len(seq) + 1):
+            keys, read = self.keys(seq, m, P, start, None)
+            assert read == (late and start > seq.stride)
+            assert keys == exact_keys(seq, m, P, len(seq), start)
 
 
 class TestRecurrenceMemory:
