@@ -12,14 +12,12 @@ from .sequences import (
     save_sequence,
     smallest_l,
     thin,
-    thin_block,
 )
 from .turan import (
     DilationCertificate,
     delta_lower_bound,
     find_alpha,
     find_dilation,
-    find_dilation_block,
     find_dilation_dense,
     turan_M,
 )

@@ -1,13 +1,16 @@
 """Fixed dilation factor via nested intervals over dyadic blocks.
 
 Block schedule: first 4^k_start terms, then translated blocks (4^k, 2*4^k] for
-k = k_start+1..k_end.  Around each block's dilation factor there is a stability
-interval of radius tau_k = ln(N_k)/(N_k * a_{N_k}); the next block is searched
-inside a centered subinterval of length 4/a_{N_{k+1}}, which must fit in half
-the current stability interval (reported as nesting-violated otherwise).  The
-midpoint of the final interval works for every block simultaneously, and every
-block gap is re-verified directly rather than trusted from the construction:
-a block whose verified gap exceeds 3l*ln(N_k)/N_k raises gap-bound-exceeded.
+k = k_start+1..k_end: each is the window of N_k = 4^k terms after an offset
+(0 for the first block, N_k above it), and one loop searches every block with
+lacuna.turan.find_alpha.  Around each block's dilation factor there is a
+stability interval of radius tau_k = ln(N_k)/(N_k * a_{N_k}); the next block
+is searched inside a centered subinterval of length 4/a_{N_{k+1}}, which must
+fit in half the current stability interval (reported as nesting-violated
+otherwise).  The midpoint of the final interval works for every block
+simultaneously, and every block gap is re-verified directly rather than
+trusted from the construction: a block whose verified gap exceeds
+3l*ln(N_k)/N_k raises gap-bound-exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from .dyadic import DyadicReal, alpha_precision, dilate, gap_report
 from .errors import GapBoundExceededError, NestingViolatedError, NOutOfRangeError
 from .sequences import LacunarySequence, ln_lower, ln_upper, smallest_l
-from .turan import find_alpha, find_dilation_block
+from .turan import find_alpha
 
 
 @dataclass(frozen=True)
@@ -78,18 +81,9 @@ def _block_window(k_start: int, k: int) -> tuple[int, int]:
     return 4**k + 1, 2 * 4**k
 
 
-def _tau(seq: LacunarySequence, n: int) -> Fraction:
-    """Stability radius ln(N)/(N * a_N), rounded downward."""
-    return ln_lower(n) / (n * seq.term(n))
-
-
 def gap_bound(l: int, n: int) -> Fraction:
     """The certified gap bound 3*l*ln(N)/N at N = n, logarithm rounded upward."""
     return Fraction(3 * l) * ln_upper(n) / n
-
-
-def _verified_gap(seq, alpha, start, stop) -> Fraction:
-    return gap_report(dilate(alpha, seq, start, stop)).max_gap.to_fraction()
 
 
 def chain_terms(k_start: int, k_end: int) -> int:
@@ -107,27 +101,25 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
     precision = alpha_precision(seq.terms[: chain_terms(k_start, k_end)])
     l = smallest_l(seq.growth_factor_r)
 
-    records = []  # (k, n_k, alpha_k, tilde, next_interval)
-    n0 = 4**k_start
-    cert = find_alpha(seq, n0)
-    alpha_f = cert.alpha.to_fraction()
-    tau = _tau(seq, n0)
-    tilde = (max(alpha_f - tau, Fraction(0)), min(alpha_f + tau, Fraction(1)))
-    records.append([k_start, n0, cert.alpha, tilde, None])
-
-    for k in range(k_start + 1, k_end + 1):
+    records = []  # [k, n_k, alpha_k, tilde, next_interval]
+    tilde = (Fraction(0), Fraction(1))
+    for k in range(k_start, k_end + 1):
         n = 4**k
-        width = Fraction(4, seq.term(n))
-        t_lo, t_hi = tilde
-        if width > (t_hi - t_lo) / 2:
-            raise NestingViolatedError(k)
-        mid = (t_lo + t_hi) / 2
-        nxt = (mid - width / 2, mid + width / 2)
-        records[-1][4] = nxt
-        cert = find_dilation_block(seq, n, nxt)
+        a_n = seq.term(n)
+        offset = 0 if k == k_start else n
+        iv = tilde
+        if offset:
+            width = Fraction(4, a_n)
+            t_lo, t_hi = tilde
+            if width > (t_hi - t_lo) / 2:
+                raise NestingViolatedError(k)
+            mid = (t_lo + t_hi) / 2
+            iv = records[-1][4] = (mid - width / 2, mid + width / 2)
+        cert = find_alpha(seq, n, iv, offset)
         alpha_f = cert.alpha.to_fraction()
-        tau = _tau(seq, n)
-        tilde = (max(alpha_f - tau, nxt[0]), min(alpha_f + tau, nxt[1]))
+        # stability radius ln(N)/(N * a_N), rounded downward
+        tau = ln_lower(n) / (n * a_n)
+        tilde = (max(alpha_f - tau, iv[0]), min(alpha_f + tau, iv[1]))
         records.append([k, n, cert.alpha, tilde, None])
 
     final_lo, final_hi = tilde
@@ -135,7 +127,8 @@ def build_nested_alpha(seq: LacunarySequence, k_start: int, k_end: int) -> Neste
 
     blocks = []
     for k, n, alpha_k, tl, nxt in records:
-        gap = _verified_gap(seq, alpha_final, *_block_window(k_start, k))
+        pts = dilate(alpha_final, seq, *_block_window(k_start, k))
+        gap = gap_report(pts).max_gap.to_fraction()
         bound = gap_bound(l, n)
         if gap > bound:
             raise GapBoundExceededError(k, gap, bound)

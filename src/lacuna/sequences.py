@@ -32,12 +32,13 @@ For a LacunarySequence a_{n+1} >= r * a_n is delta_n >= 0, N short
 comparisons.  geometric_sequence streams its terms once and keeps only the
 checkpoints.
 
-The thinned subsequence a~_n = a_{n*step} with step = l * floor(ln N) (l the
-smallest integer with r^l > e) has consecutive ratios exceeding N^xi with
-xi = l*ln r > 1, which is what makes small integer combinations of its terms
-linearly independent.  It is lacunary with ratio r^step, so a
-ThinnedSequence is the same recurrence at r^step, with rho = q^step and
-delta~_n = q^step * a~_{n+1} - p^step * a~_n.  A list of terms without a
+The thinned subsequence a~_n = a_{offset + n*step} of a window of N terms
+(offset 0 for the first N, N for the block (N, 2N]), with step =
+l * floor(ln N) (l the smallest integer with r^l > e), has consecutive
+ratios exceeding N^xi with xi = l*ln r > 1, which is what makes small
+integer combinations of its terms linearly independent.  It is lacunary
+with ratio r^step, so a ThinnedSequence is the same recurrence at r^step,
+with rho = q^step and delta~_n = q^step * a~_{n+1} - p^step * a~_n.  A list of terms without a
 parent is kept at ratio 1: delta_n = a_{n+1} - a_n, of any sign.
 """
 
@@ -573,23 +574,16 @@ def _floor_quotient(n: int, l: int) -> int:
         return int(mp.floor(n / (l * mp.log(n))))
 
 
-def thin(seq: LacunarySequence, N: int) -> ThinnedSequence:
-    """Step-strided subsequence a~_n = a_{n*step}, step = l*floor(ln N).
+def thin(seq: LacunarySequence, N: int, offset: int = 0) -> ThinnedSequence:
+    """Step-strided subsequence a~_n = a_{offset + n*step} for n = 1..K of
+    the N terms after the first offset: the first N terms at offset 0, the
+    translated block (N, 2N] at offset N.
 
-    K = floor(N / (l*ln N)); rejects N too small for a positive step or a
-    positive K instead of clamping.
+    step = l*floor(ln N) and K = floor(N / (l*ln N)), both set by N alone;
+    rejects N too small for a positive step or a positive K instead of
+    clamping, and a window past the sequence's end (sequence-too-short).
+    The window streams once.
     """
-    return _thin(seq, N, 0)
-
-
-def thin_block(seq: LacunarySequence, N: int) -> ThinnedSequence:
-    """Thinning of the translated block (N, 2N]: a~_n = a_{N + n*step}."""
-    return _thin(seq, N, N)
-
-
-def _thin(seq: LacunarySequence, N: int, offset: int) -> ThinnedSequence:
-    """a~_n = a_{offset + n*step} for n = 1..K, both sizes set by N alone;
-    the window of N terms streams once."""
     window = seq.terms[offset : offset + N]
     l = smallest_l(seq.growth_factor_r)
     if N < 3:

@@ -48,7 +48,12 @@ search's first step.
   res = m*a mod 2^P, {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P),
   exact because q*m*a and q*res agree mod q*2^P.  Its distance to the
   nearest integer is compared with eps by cross-multiplication and kept
-  unreduced in each Constraint.
+  unreduced in each Constraint, as its numerator and P: the denominator
+  q*2^P is derived when read, never stored.
+
+find_alpha is the one search for every block of the existence theorem: the
+first N terms, and each translated block (N, 2N] (lacuna.nested), are the
+window of N terms after an offset, thinned and searched alike.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ from .sequences import (
     ln_upper,
     smallest_l,
     thin,
-    thin_block,
 )
 
 @dataclass(frozen=True)
@@ -95,11 +99,17 @@ class TuranParameters:
 @dataclass(frozen=True)
 class Constraint:
     """||alpha*a~_n - target|| = achieved_num/achieved_den for constraint n,
-    kept unreduced; the Fraction is built only when read."""
+    kept unreduced.  achieved_den = q*2^bits, for the target's denominator q
+    and alpha's residue bits (one int, shared by every constraint), is
+    derived when read, as is the Fraction."""
 
     target: Fraction
     achieved_num: int
-    achieved_den: int
+    bits: int
+
+    @property
+    def achieved_den(self) -> int:
+        return self.target.denominator << self.bits
 
     @property
     def achieved(self) -> Fraction:
@@ -274,7 +284,7 @@ def find_dilation(
             raise InfeasibleAtStepError(
                 0, f"postcondition violated: achieved {Fraction(dist, den)} > eps {epsilon}"
             )
-        constraints.append(Constraint(x, dist, den))
+        constraints.append(Constraint(x, dist, P))
     bound = Fraction(1, thinned.K) + 2 * epsilon
     return DilationCertificate(
         alpha=alpha,
@@ -302,32 +312,23 @@ def find_alpha(
     seq: LacunarySequence,
     N: int,
     search_interval: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
+    offset: int = 0,
 ) -> DilationCertificate:
-    """Dilation factor for the first N terms with gap bound <= 3l*ln(N)/N.
+    """Dilation factor for the N terms after the first offset, with gap
+    bound <= 3l*ln(N)/N: the first N terms at offset 0, the translated
+    block (N, 2N] at offset N.
 
-    Thins the sequence, targets K equidistant points with eps = l*ln(N)/(2N);
-    the full-set gap is at most 1/K + 2*eps by set monotonicity.
+    Thins the window (thin), targets K equidistant points with
+    eps = l*ln(N)/(2N); the window's gap is at most 1/K + 2*eps by set
+    monotonicity.  For offset > 0 the interval must have length >=
+    4/a_offset (interval-below-4-over-aN).
     """
-    thinned = thin(seq, N)
-    eps = block_epsilon(seq, N)
-    targets = [Fraction(j, thinned.K) for j in range(thinned.K)]
-    return find_dilation(thinned, targets, eps, search_interval)
-
-
-def find_dilation_block(
-    seq: LacunarySequence,
-    N: int,
-    search_interval: tuple[Fraction, Fraction],
-) -> DilationCertificate:
-    """Dilation factor for the translated block (N, 2N], searched inside an
-    interval of length >= 4/a_N."""
-    thinned = thin_block(seq, N)
+    thinned = thin(seq, N, offset)
     lo, hi = Fraction(search_interval[0]), Fraction(search_interval[1])
-    a_N = seq.term(N)
-    if hi - lo < Fraction(4, a_N):
-        raise IntervalTooShortError(
-            f"interval-below-4-over-aN: length {hi - lo} < 4/{a_N}"
-        )
+    if offset:
+        a = seq.term(offset)
+        if hi - lo < Fraction(4, a):
+            raise IntervalTooShortError(f"interval-below-4-over-aN: length {hi - lo} < 4/{a}")
     eps = block_epsilon(seq, N)
     targets = [Fraction(j, thinned.K) for j in range(thinned.K)]
     return find_dilation(thinned, targets, eps, (lo, hi))

@@ -237,6 +237,18 @@ class TestByteIdentity:
                 0,
                 "afed4cef9da29f0f61038c6448804121b862f7da4c35ac0b501b50f090d72703",
             ),
+            (
+                # q = 2^s: translated blocks searched and verified mid-sequence
+                ("nested-alpha", "--r", "5/2", "--k-start", "3", "--k-end", "5"),
+                0,
+                "277b3f32dceb2424a20a3629ee565df5d357ccb32bbf964c023cab3d738d46e4",
+            ),
+            (
+                # odd q, with the thinned ratio r^step past 64 bits
+                ("nested-alpha", "--r", "11/10", "--k-start", "4", "--k-end", "6"),
+                0,
+                "0664dbb7ec723c64767a8ffece50acc13a1ccc995a9e8898665f3833876d472d",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, code, sha):

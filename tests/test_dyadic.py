@@ -38,7 +38,6 @@ from lacuna.sequences import (
     load_sequence,
     save_sequence,
     thin,
-    thin_block,
 )
 
 
@@ -487,7 +486,7 @@ class TestResidueRecurrence:
             geometric_sequence(Fraction(5, 2), 300).terms,
             geometric_sequence(Fraction(3), 300).terms,
             thin(geometric_sequence(Fraction(3), 2048), 2048).terms,
-            thin_block(geometric_sequence(Fraction(2), 1024), 512).terms,
+            thin(geometric_sequence(Fraction(2), 1024), 512, 512).terms,
         ],
     )
     def test_matches_products(self, terms):
@@ -684,7 +683,7 @@ class TestStoredRelation:
     def test_thinnings_match_products(self, r):
         seq = geometric_sequence(r, 2048)
         alpha = DyadicReal.from_fraction(Fraction(7, 10), alpha_precision(seq.terms))
-        for th in (thin(seq, 2048), thin_block(seq, 1024)):
+        for th in (thin(seq, 2048), thin(seq, 1024, 1024)):
             # every pair has its relation at r^step, at r = 11/10 too, where
             # p^step and rho = 10^step pass 64 bits
             p, rho = th.growth_factor_r.numerator, th.rho

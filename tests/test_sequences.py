@@ -31,7 +31,6 @@ from lacuna.sequences import (
     save_sequence,
     smallest_l,
     thin,
-    thin_block,
 )
 
 
@@ -230,6 +229,14 @@ class TestThin:
         assert th.l == 2 and th.step == 12 and th.K == 73
         assert th.terms[0] == seq.term(12)
         assert th.terms == tuple(seq.term(n * 12) for n in range(1, 74))
+        # any window of N terms: a~_n is the parent's term offset + n*step
+        longer = geometric_sequence(Fraction(2), 2048)
+        for offset in (0, 1024, 517):
+            th = thin(longer, 1024, offset)
+            assert (th.index_offset, th.step, th.K) == (offset, 12, 73)
+            assert th.terms == tuple(longer.term(offset + n * 12) for n in range(1, 74))
+        with pytest.raises(SequenceTooShortError):
+            thin(longer, 1024, 1025)
 
     def test_r3_n1024(self):
         seq = geometric_sequence(Fraction(3), 1024)
@@ -264,14 +271,14 @@ class TestThin:
 class TestThinBlock:
     def test_offsets(self):
         seq = geometric_sequence(Fraction(3), 128)
-        th = thin_block(seq, 64)
+        th = thin(seq, 64, 64)
         assert th.index_offset == 64
         assert th.terms[0] == seq.term(64 + th.step)
 
     def test_needs_2n_terms(self):
         seq = geometric_sequence(Fraction(3), 64)
         with pytest.raises(SequenceTooShortError, match="have 64 terms, need 128"):
-            thin_block(seq, 64)
+            thin(seq, 64, 64)
 
 
 class TestSerialization:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from lacuna import turan
 from lacuna.cf import dist_to_int
-from lacuna.dyadic import DyadicReal, alpha_precision, dilate, gap_report, residues
+from lacuna.dyadic import DyadicReal, alpha_precision, dilate, gap_report, residue_bits, residues
 from lacuna.errors import (
     DeltaUncertifiableError,
     EpsilonDomainError,
@@ -30,14 +30,12 @@ from lacuna.sequences import (
     load_sequence,
     save_sequence,
     thin,
-    thin_block,
 )
 from lacuna.turan import (
     _greedy_band_search,
     delta_lower_bound,
     find_alpha,
     find_dilation,
-    find_dilation_block,
     find_dilation_dense,
     turan_M,
 )
@@ -312,7 +310,7 @@ class TestFindDilationBlock:
         seq = geometric_sequence(Fraction(2), 512)
         a_n = seq.term(256)
         lo = Fraction(3, 10)
-        cert = find_dilation_block(seq, 256, (lo, lo + Fraction(4, a_n)))
+        cert = find_alpha(seq, 256, (lo, lo + Fraction(4, a_n)), 256)
         assert lo <= cert.alpha.to_fraction() <= lo + Fraction(4, a_n)
         # verify the block gap directly
         pts = dilate(cert.alpha, seq, 257, 512)
@@ -322,8 +320,8 @@ class TestFindDilationBlock:
     def test_short_interval_rejected(self):
         seq = geometric_sequence(Fraction(2), 512)
         a_n = seq.term(256)
-        with pytest.raises(IntervalTooShortError):
-            find_dilation_block(seq, 256, (Fraction(0), Fraction(1, a_n)))
+        with pytest.raises(IntervalTooShortError, match="interval-below-4-over-aN"):
+            find_alpha(seq, 256, (Fraction(0), Fraction(1, a_n)), 256)
 
 
 class TestFindDilationDense:
@@ -528,6 +526,8 @@ class TestResiduePostcondition:
         for c, a in zip(cert.constraints, thin(seq, N).terms, strict=True):
             assert c.achieved == dist_to_int(av * a - c.target)
             assert c.achieved <= cert.parameters.epsilon
+            # the unreduced denominator q*2^P is derived from the target
+            assert c.achieved_den == c.target.denominator << residue_bits(cert.alpha)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(small_fractions, min_size=3, max_size=3))
@@ -561,10 +561,10 @@ class TestCertificateJson:
 
     def test_block_index_is_offset(self):
         seq = geometric_sequence(Fraction(3), 512)
-        cert = find_dilation_block(seq, 256, (Fraction(0), Fraction(1)))
+        cert = find_alpha(seq, 256, (Fraction(0), Fraction(1)), 256)
         rows = cert.to_json_dict()["constraints"]
         assert rows[0]["index"] > 256
-        assert [seq.term(row["index"]) for row in rows] == list(thin_block(seq, 256).terms)
+        assert [seq.term(row["index"]) for row in rows] == list(thin(seq, 256, 256).terms)
 
     def test_frequencies_past_the_int_to_str_limit(self):
         # 2^14300 has 4305 decimal digits, past Python's default limit of
@@ -674,9 +674,9 @@ class TestShortStep:
         N = 1024
         a_N = seq.term(N)
         for lo in (Fraction(1, 3), Fraction(5, 7), Fraction(1, 10**6)):
-            find_dilation_block(seq, N, (lo, lo + Fraction(4, a_N)))
+            find_alpha(seq, N, (lo, lo + Fraction(4, a_N)), N)
         assert len(calls) == 3
-        th = thin_block(seq, N)
+        th = thin(seq, N, N)
         eps = turan.block_epsilon(seq, N)
         for (searched, xs, lo, hi), out in calls:
             assert searched.growth_factor_r == r**th.step
@@ -775,11 +775,11 @@ RATIOS = [Fraction(5, 2), Fraction(3, 2), Fraction(7, 3), Fraction(11, 10), Frac
 
 def loaded_with_a_bump(n, pick, bump, block):
     """A file of the 2n terms 3^k, declared at ratio 2, loaded after the
-    term that the thinning (thin, or thin_block if block) of N = n takes
+    term that the thinning of N = n (at offset n if block, else 0) takes
     as a~_pick has been raised by bump; a~_pick + bump stays below
     3/2 * a~_pick, so the file keeps ratio 2."""
     plain = [3**k for k in range(1, 2 * n + 1)]
-    th = (thin_block if block else thin)(geometric_sequence(Fraction(2), 2 * n), n)
+    th = thin(geometric_sequence(Fraction(2), 2 * n), n, n if block else 0)
     i = th.index_offset + pick * th.step - 1
     plain[i] += 1 + bump % max(plain[i] // 2, 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -808,7 +808,7 @@ class TestThinnedRelation:
             seq = loaded_with_a_bump(n, pick, data.draw(st.integers(0, 1 << 200)), block)
         else:
             seq = geometric_sequence(r, 2 * n)
-        th = (thin_block if block else thin)(seq, n)
+        th = thin(seq, n, n if block else 0)
         terms = list(th.terms)
         first = th.index_offset + th.step
         assert terms == list(seq.terms[first - 1 : first + (th.K - 1) * th.step : th.step])
