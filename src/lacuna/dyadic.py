@@ -25,6 +25,11 @@ residues built by a caller is a DilatedSet as well, keyed by one shift per
 residue.  The 64-bit scans of lacuna.metric print the gap of the keys
 themselves, through the same sorted-key step (key_gaps), and the float
 views there read the residues as they stream.
+
+A GapReport holds the exact gap G of N points and nothing derived from it.
+Only its printed form (to_json_dict) takes the normalizations
+N*G/(ln N)^kappa, enclosed from lacuna.sequences.ln_bounds(N, 114), and
+prints the digits on which both ends of the enclosure agree.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyConfigurationError, PrecisionTooLowError
-from .sequences import Walk
+from .sequences import Walk, ln_bounds
 
 DEFAULT_PRECISION_BITS = 96
 
@@ -190,30 +195,39 @@ def format_ratio(num: int, den: int, digits: int = 30) -> str:
 @dataclass(frozen=True)
 class GapReport:
     """The maximal gap of a configuration on the torus, the wrap-around gap
-    through 1 included, and its normalizations."""
+    through 1 included."""
 
     n_points: int
     max_gap: DyadicReal
-    normalized: dict
 
-    def to_json_dict(self, digits: int = 30) -> dict:
+    def to_json_dict(self) -> dict:
+        """The gap to 30 digits, and its normalizations N*G/(ln N)^kappa
+        for kappa = 1, 2 to the digits their enclosure decides: ln_bounds(N,
+        114) puts each between two rationals, and the longest rounding, at
+        most 30 digits, that both ends share is printed.  Rounding is
+        monotone, so that is the rounding of the ratio itself.  For N < 2,
+        where ln N = 0, the ratios print as "0"."""
+        n, ratios = self.n_points, ["0", "0"]
+        if n >= 2:
+            lo, hi = ln_bounds(n, 114)
+            ng = n * self.max_gap.to_fraction()
+            ratios = [_shared_rounding(ng / hi**kappa, ng / lo**kappa) for kappa in (1, 2)]
         return {
-            "n": self.n_points,
-            "max_gap": self.max_gap.decimal_str(digits),
-            "normalized_log1": format_decimal(self.normalized.get(1.0, Fraction(0)), digits),
-            "normalized_log2": format_decimal(self.normalized.get(2.0, Fraction(0)), digits),
+            "n": n,
+            "max_gap": self.max_gap.decimal_str(30),
+            "normalized_log1": ratios[0],
+            "normalized_log2": ratios[1],
         }
 
 
-def _normalized_map(n: int, max_gap: Fraction) -> dict:
-    """N*G / (ln N)^kappa for kappa in {1, 2}; empty when ln N == 0."""
-    if n < 2:
-        return {}
-    ln_n = math.log(n)
-    out = {}
-    for kappa in (1.0, 2.0):
-        out[kappa] = Fraction(n) * max_gap / Fraction.from_float(ln_n**kappa)
-    return out
+def _shared_rounding(lo: Fraction, hi: Fraction) -> str:
+    """The longest rounding to at most 30 significant digits that lo < hi
+    share.  Two digit counts never both split an interval far narrower
+    than 10^-30 of its ends, so 30 or 29 digits always agree."""
+    return next(
+        text for digits in range(30, 0, -1)
+        if (text := format_decimal(lo, digits)) == format_decimal(hi, digits)
+    )
 
 
 def key_gaps(sorted_keys: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -290,11 +304,7 @@ def gap_report(points: DilatedSet) -> GapReport:
             low[run] = min(low.get(run, v), v)
             high[run] = max(high.get(run, v), v)
         max_i = max(lift + low[upper] - high[lower] for lower, upper, lift in pairs)
-    return GapReport(
-        n_points=n,
-        max_gap=DyadicReal(max_i, e),
-        normalized=_normalized_map(n, Fraction(max_i, one)),
-    )
+    return GapReport(n_points=n, max_gap=DyadicReal(max_i, e))
 
 
 # ---------------------------------------------------------------------------

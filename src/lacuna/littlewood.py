@@ -23,6 +23,10 @@ of 2^-64 of the true value, and each chunk compares against one upper bound
 on the threshold.  The margin of the keep rule is that error bound plus five
 float roundings (_brute_candidates), so no solution is dropped, and every
 kept n is confirmed exactly.
+
+The threshold, ln ln n and the peak (s/e)^s are evaluated by libmp at the
+one working precision, lacuna.sequences.PREC, and enter through its one
+enclosure rule (lacuna.sequences.enclose) at width _THR_WIDTH = 50.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ import numpy as np
 from .cf import ContinuedFraction, QuadraticReal, affine_dist_to_int, expand
 from .dyadic import DyadicReal
 from .errors import CzPoolExhaustedError, RationalBetaError
+from .sequences import PREC, RND, enclose
 from mpmath import libmp
 
-_THR_GUARD = Fraction(1, 1 << 50)
-_PREC, _RND = 136, libmp.round_nearest  # the precision of mp.workdps(40)
+_THR_WIDTH = 50  # the enclosures of the threshold are 2^-50 either side of it
 _CHUNK = 1 << 16  # n per step of the brute prefilter
 _ONE = 1 << 64  # fixed-point unit of the brute prefilter
 # (1 - 2^-53)^-5, the rounding allowance of the prefilter's float product
@@ -74,37 +78,30 @@ def _exponent(epsilon: Fraction):
     rounded, the denominator exact."""
     return libmp.mpf_add(
         libmp.from_int(2),
-        libmp.mpf_div(libmp.from_int(epsilon.numerator, _PREC, _RND),
-                      libmp.from_int(epsilon.denominator), _PREC, _RND),
-        _PREC, _RND,
+        libmp.mpf_div(libmp.from_int(epsilon.numerator, PREC, RND),
+                      libmp.from_int(epsilon.denominator), PREC, RND),
+        PREC, RND,
     )
-
-
-def _fraction(x) -> Fraction:
-    """The exact rational value of a raw mpf."""
-    return Fraction(*libmp.to_rational(x))
 
 
 def _lnln_and_threshold(n: int, exponent):
     """ln ln n and (ln ln n)^exponent / ln n as raw mpfs, each rounded at
-    _PREC bits.  n converts to an mpf exactly, as mp.log(n) converts it, and
+    PREC bits.  n converts to an mpf exactly, as mp.log(n) converts it, and
     ln n is taken once."""
-    ln_n = libmp.mpf_log(libmp.from_int(n), _PREC, _RND)
-    lnln = libmp.mpf_log(ln_n, _PREC, _RND)
-    return lnln, libmp.mpf_div(libmp.mpf_pow(lnln, exponent, _PREC, _RND), ln_n, _PREC, _RND)
+    ln_n = libmp.mpf_log(libmp.from_int(n), PREC, RND)
+    lnln = libmp.mpf_log(ln_n, PREC, RND)
+    return lnln, libmp.mpf_div(libmp.mpf_pow(lnln, exponent, PREC, RND), ln_n, PREC, RND)
 
 
 def _threshold_bounds(n: int, exponent) -> tuple[Fraction, Fraction]:
-    """(ln ln n)^exponent / ln n rounded at _PREC bits, exactly as a
-    Fraction, widened by _THR_GUARD on each side."""
-    v = _fraction(_lnln_and_threshold(n, exponent)[1])
-    return v - _THR_GUARD, v + _THR_GUARD
+    """The enclosure of (ln ln n)^exponent / ln n at width _THR_WIDTH."""
+    return enclose(_lnln_and_threshold(n, exponent)[1], _THR_WIDTH)
 
 
 def littlewood_threshold_bounds(n: int, epsilon: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure of (ln ln n)^(2+eps) / ln n; domain n >= 3.  The
-    value is the one mpmath gives at workdps(40) (136 bits, round-nearest),
-    widened by _THR_GUARD on each side."""
+    value is the one mpmath gives at 40 decimal digits (PREC = 136 bits,
+    round-nearest), enclosed 2^-_THR_WIDTH either side (enclose)."""
     if n < 3:
         raise ValueError("threshold defined for n >= 3")
     return _threshold_bounds(n, _exponent(Fraction(epsilon)))
@@ -115,24 +112,24 @@ def _peak_threshold(epsilon: Fraction) -> Fraction:
     With L = ln ln n the threshold is g(L) = L^s e^-L, which rises for
     L < s and falls after, so its maximum is g(s) = (s/e)^s."""
     s = _exponent(epsilon)
-    log_peak = libmp.mpf_mul(s, libmp.mpf_sub(libmp.mpf_log(s, _PREC, _RND), libmp.fone),
-                             _PREC, _RND)
-    return _fraction(libmp.mpf_exp(log_peak, _PREC, _RND)) + _THR_GUARD
+    log_peak = libmp.mpf_mul(s, libmp.mpf_sub(libmp.mpf_log(s, PREC, RND), libmp.fone),
+                             PREC, RND)
+    return enclose(libmp.mpf_exp(log_peak, PREC, RND), _THR_WIDTH)[1]
 
 
 def _chunk_threshold(n0: int, n1: int, epsilon: Fraction) -> Fraction:
     """An upper bound on the threshold over n0 <= n <= n1 (n0 >= 3): its
     value at n1 while ln ln n1 <= s (the rising side), at n0 once
     ln ln n0 >= s (the falling side), and the peak (s/e)^s otherwise.  A
-    side test within _THR_GUARD of s is undecided and takes the peak,
-    which bounds every n."""
+    side test that the enclosure of ln ln n leaves undecided takes the
+    peak, which bounds every n."""
     s, exponent = 2 + epsilon, _exponent(epsilon)
-    lnln, thr = map(_fraction, _lnln_and_threshold(n1, exponent))
-    if lnln + _THR_GUARD <= s:
-        return thr + _THR_GUARD
-    lnln, thr = map(_fraction, _lnln_and_threshold(n0, exponent))
-    if lnln - _THR_GUARD >= s:
-        return thr + _THR_GUARD
+    lnln, thr = (enclose(v, _THR_WIDTH) for v in _lnln_and_threshold(n1, exponent))
+    if lnln[1] <= s:
+        return thr[1]
+    lnln, thr = (enclose(v, _THR_WIDTH) for v in _lnln_and_threshold(n0, exponent))
+    if lnln[0] >= s:
+        return thr[1]
     return _peak_threshold(epsilon)
 
 

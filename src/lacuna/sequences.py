@@ -40,6 +40,16 @@ integer combinations of its terms linearly independent.  It is lacunary
 with ratio r^step, so a ThinnedSequence is the same recurrence at r^step,
 with rho = q^step and delta~_n = q^step * a~_{n+1} - p^step * a~_n.  A list of terms without a
 parent is kept at ratio 1: delta_n = a_{n+1} - a_n, of any sign.
+
+Every transcendental value lacuna decides with (ln x here, the Littlewood
+threshold (ln ln n)^(2+eps) / ln n in lacuna.littlewood, the printed
+N*G/(ln N)^kappa of lacuna.dyadic) is evaluated once by libmp at PREC = 136
+bits and enters through one rule, enclose(raw, width): the exact value v of
+the rounded result, widened to (v - 2^-width, v + 2^-width), with a width
+that must stay well above v's last place.  ln_bounds(x, width) is ln x so
+enclosed, at width 60 by default; thin takes floor(ln N) and
+floor(N / (l ln N)) where both ends of ln_bounds(N, 100) agree.
+mpf_fraction, the exact value of an mpf, is the one converter.
 """
 
 from __future__ import annotations
@@ -50,8 +60,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .errors import (
     MalformedSequenceFileError,
@@ -60,26 +70,43 @@ from .errors import (
     SequenceTooShortError,
 )
 
-_LN_DPS = 40
-_LN_GUARD = Fraction(1, 1 << 60)
+PREC, RND = 136, libmp.round_nearest  # the precision of mpmath at 40 decimal digits
+_ENCLOSE_GUARD = 16  # bits between an enclosure's half-width and its value's last place
 
 
 def mpf_fraction(x) -> Fraction:
-    """The exact rational value of an mpmath number."""
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    man, exp = int(man), int(exp)  # may be gmpy2 types; keep Fractions pure
-    val = Fraction(man) * Fraction(2) ** exp
-    return -val if sign else val
+    """The exact rational value of an mpmath number or its raw mpf tuple,
+    whatever the current mpmath context."""
+    return Fraction(*libmp.to_rational(getattr(x, "_mpf_", x)))
 
 
-def ln_bounds(x: Fraction | int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on ln(x), tight to ~2^-60."""
+def enclose(raw, width: int) -> tuple[Fraction, Fraction]:
+    """(v - 2^-width, v + 2^-width) for v the exact value of a raw mpf that
+    a libmp evaluation rounded at PREC bits: the one rule by which a
+    transcendental value enters as a rational enclosure.
+
+    2^-width must lie at least _ENCLOSE_GUARD bits above v's last place at
+    PREC, taken no finer than 1's (every argument enters rounded to PREC
+    bits, which alone moves a logarithm by up to 2^-PREC), so the few
+    roundings of the evaluation stay far inside the enclosure; a narrower
+    one raises ValueError."""
+    _, _, exp, bc = raw
+    if width + _ENCLOSE_GUARD > PREC - max(exp + bc, 0):
+        raise ValueError(f"an enclosure of width 2^-{width} is below the precision of {PREC} bits")
+    v, guard = mpf_fraction(raw), Fraction(1, 1 << width)
+    return v - guard, v + guard
+
+
+def ln_bounds(x: Fraction | int, width: int = 60) -> tuple[Fraction, Fraction]:
+    """Rational lower/upper bounds on ln(x), 2^-width from ln x evaluated
+    at PREC bits (enclose).  x is built as mpmath's mpf(num) / den builds
+    it: the numerator rounded at PREC bits, the denominator exact."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError("ln of non-positive value")
-    with mp.workdps(_LN_DPS):
-        v = mpf_fraction(mp.log(mp.mpf(x.numerator) / x.denominator))
-    return v - _LN_GUARD, v + _LN_GUARD
+    num = libmp.from_int(x.numerator, PREC, RND)
+    arg = libmp.mpf_div(num, libmp.from_int(x.denominator), PREC, RND)
+    return enclose(libmp.mpf_log(arg, PREC, RND), width)
 
 
 def ln_lower(x) -> Fraction:
@@ -562,34 +589,25 @@ def geometric_sequence(r: Fraction, n_terms: int) -> LacunarySequence:
     return LacunarySequence._from_recurrence(r, deltas, checkpoints)
 
 
-def _floor_log(n: int) -> int:
-    """floor(ln n), via high-precision evaluation."""
-    with mp.workdps(_LN_DPS):
-        return int(mp.floor(mp.log(n)))
-
-
-def _floor_quotient(n: int, l: int) -> int:
-    """floor(N / (l * ln N))."""
-    with mp.workdps(_LN_DPS):
-        return int(mp.floor(n / (l * mp.log(n))))
-
-
 def thin(seq: LacunarySequence, N: int, offset: int = 0) -> ThinnedSequence:
     """Step-strided subsequence a~_n = a_{offset + n*step} for n = 1..K of
     the N terms after the first offset: the first N terms at offset 0, the
     translated block (N, 2N] at offset N.
 
-    step = l*floor(ln N) and K = floor(N / (l*ln N)), both set by N alone;
-    rejects N too small for a positive step or a positive K instead of
-    clamping, and a window past the sequence's end (sequence-too-short).
-    The window streams once.
+    step = l*floor(ln N) and K = floor(N / (l*ln N)), both set by N alone
+    and each decided by both ends of ln_bounds(N, 100) (a floor they do not
+    decide raises ArithmeticError); rejects N too small for a positive step
+    or a positive K instead of clamping, and a window past the sequence's
+    end (sequence-too-short).  The window streams once.
     """
     window = seq.terms[offset : offset + N]
     l = smallest_l(seq.growth_factor_r)
     if N < 3:
         raise NBelowThresholdError(f"N-below-threshold: N={N}")
-    step = l * _floor_log(N)
-    K = _floor_quotient(N, l)
+    lo, hi = ln_bounds(N, 100)
+    step, K = l * math.floor(lo), N // (l * hi)
+    if (step, K) != (l * math.floor(hi), N // (l * lo)):
+        raise ArithmeticError(f"ln_bounds({N}, 100) does not decide step and K")
     if step < 1 or K < 1:
         raise NBelowThresholdError(f"N-below-threshold: N={N} gives step={step}, K={K}")
     xi = l * float(ln_lower(seq.growth_factor_r))

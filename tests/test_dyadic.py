@@ -5,6 +5,7 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from lacuna.dyadic import (
     DilatedSet,
     DyadicReal,
     GapReport,
-    _normalized_map,
     alpha_precision,
     dilate,
     format_decimal,
@@ -194,7 +194,37 @@ class TestGapReport:
     def test_single_point_gap_is_one(self):
         rep = gap_report(DilatedSet((5,), -3))
         assert rep.n_points == 1 and rep.max_gap == ONE
-        assert rep.normalized == {}
+        d = rep.to_json_dict()
+        assert d["normalized_log1"] == d["normalized_log2"] == "0"
+
+    @pytest.mark.parametrize(
+        "r,n,alpha",
+        [
+            (Fraction(2), 2, Fraction(7, 10)),
+            (Fraction(3), 5, Fraction(7, 10)),
+            (Fraction(3), 1000, Fraction(7, 10)),
+            (Fraction(3), 4096, Fraction(7, 10)),
+            (Fraction(4, 3), 2048, Fraction(7, 10)),
+            (Fraction(5, 2), 777, Fraction(3, 7)),
+            (Fraction(2), 1024, Fraction(1, 2)),
+            (Fraction(2), 1 << 14, Fraction(2, 3)),
+        ],
+    )
+    def test_normalized_ratios_match_mpmath(self, r, n, alpha):
+        # N*G/(ln N)^kappa at 200 bits takes a few roundings, each within
+        # 2^-199 of its value, so 2^-190 either side encloses the ratio;
+        # that enclosure decides the 30 digits the report must print
+        seq = geometric_sequence(r, n)
+        rep = gap_report(dilate(DyadicReal.from_fraction(alpha, alpha_precision(seq.terms)), seq))
+        gap = rep.max_gap.to_fraction()
+        for kappa in (1, 2):
+            with mp.workprec(200):
+                v = mp.mpf(n * gap.numerator) / gap.denominator / mp.log(n) ** kappa
+                ends = [v * (1 + side * mp.mpf(2) ** -190) for side in (-1, 1)]
+            lo, hi = (Fraction(*mp.libmp.to_rational(x._mpf_)) for x in ends)
+            want = decimal_ratio(lo.numerator, lo.denominator, 30)
+            assert want == decimal_ratio(hi.numerator, hi.denominator, 30)
+            assert rep.to_json_dict()[f"normalized_log{kappa}"] == want
 
     @given(
         st.lists(
@@ -271,7 +301,7 @@ def full_sort_report(res, exponent):
     ints = sorted(res)
     one = 1 << -exponent
     max_i = max([b - a for a, b in zip(ints, ints[1:])] + [one - ints[-1] + ints[0]])
-    return GapReport(len(ints), DyadicReal(max_i, exponent), _normalized_map(len(ints), Fraction(max_i, one)))
+    return GapReport(len(ints), DyadicReal(max_i, exponent))
 
 
 GAP_RATIOS = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(4, 3)]

@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,16 @@ from lacuna.errors import (
 )
 from lacuna import sequences
 from lacuna.sequences import (
+    PREC,
     LacunarySequence,
     Recurrence,
     Walk,
+    enclose,
     geometric_sequence,
     ln_bounds,
     ln_lower,
     load_sequence,
+    mpf_fraction,
     save_sequence,
     smallest_l,
     thin,
@@ -40,6 +44,23 @@ class TestLogBounds:
         lo, hi = ln_bounds(n)
         assert float(lo) <= math.log(n) <= float(hi)
         assert hi - lo < Fraction(1, 1 << 58)
+
+    def test_converter_is_exact_in_any_context(self):
+        # a 136-bit value converted at mpmath's default 53 bits
+        with mp.workprec(PREC):
+            x = mp.log(3)
+        assert mp.mp.prec == 53
+        assert mpf_fraction(x) == Fraction(*mp.libmp.to_rational(x._mpf_))
+
+    def test_width_below_the_precision_raises(self):
+        with mp.workprec(PREC):
+            raw = mp.log(3)._mpf_
+        lo, hi = enclose(raw, 60)
+        assert hi - lo == Fraction(1, 1 << 59)
+        with pytest.raises(ValueError):
+            enclose(raw, PREC)
+        with pytest.raises(ValueError):
+            ln_bounds(3, PREC)
 
 
 class TestSmallestL:
@@ -247,6 +268,30 @@ class TestThin:
         seq = geometric_sequence(Fraction(2), 10)
         th = thin(seq, 10)
         assert th.step == 4 and th.K == 2
+
+    def test_floors_match_mpmath(self, monkeypatch):
+        # step = l floor(ln N) and K = floor(N / (l ln N)) against mpmath at
+        # 60 digits for every N < 2^16, at l = 1, 2 and 11.  Both floors are
+        # non-decreasing in N in thin as in the oracle, so thin is called on
+        # both sides of each step of the oracle's floors, the N = floor(e^k)
+        # and ceil(e^k) among them; ThinnedSequence is replaced by its
+        # arguments, so no window is walked
+        monkeypatch.setattr(sequences, "ThinnedSequence", lambda _, l, step, K, *rest: (l, step, K))
+        with mp.workdps(60):
+            logs = {N: mp.log(N) for N in range(2, 1 << 16)}
+            e_edges = {int(f(mp.e**k)) for k in range(1, 12) for f in (mp.floor, mp.ceil)}
+        for r, l in ((Fraction(3), 1), (Fraction(2), 2), (Fraction(11, 10), 11)):
+            seq = geometric_sequence(r, 1 << 16)
+            with mp.workdps(60):
+                want = {N: (l * int(mp.floor(ln)), int(mp.floor(N / (l * ln)))) for N, ln in logs.items()}
+            edges = e_edges | {N for N in range(3, 1 << 16) if want[N] != want[N - 1]}
+            for N in sorted(edges | {N - 1 for N in edges if N > 2} | {(1 << 16) - 1}):
+                step, K = want[N]
+                if step < 1 or K < 1:
+                    with pytest.raises(NBelowThresholdError):
+                        thin(seq, N)
+                else:
+                    assert thin(seq, N) == (l, step, K)
 
     def test_small_n_rejected(self):
         seq = geometric_sequence(Fraction(2), 4)
