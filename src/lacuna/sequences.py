@@ -38,8 +38,13 @@ l * floor(ln N) (l the smallest integer with r^l > e), has consecutive
 ratios exceeding N^xi with xi = l*ln r > 1, which is what makes small
 integer combinations of its terms linearly independent.  It is lacunary
 with ratio r^step, so a ThinnedSequence is the same recurrence at r^step,
-with rho = q^step and delta~_n = q^step * a~_{n+1} - p^step * a~_n.  A list of terms without a
-parent is kept at ratio 1: delta_n = a_{n+1} - a_n, of any sign.
+with rho = q^step and delta~_n = q^step * a~_{n+1} - p^step * a~_n.  thin
+builds it from the parent's recurrence by one affine jump
+(Recurrence.jump): C * a_(k+m) = A * a_k + S with A = p^m, C = q^m and S
+a short sum of the deltas delta_k..delta_(k+m-1), so delta~_n is one such
+S and each checkpoint after a~_1 one jump over the thinned stride.  A list
+of terms without a parent is kept at ratio 1: delta_n = a_{n+1} - a_n, of
+any sign.
 
 Every transcendental value lacuna decides with (ln x here, the Littlewood
 threshold (ln ln n)^(2+eps) / ln n in lacuna.littlewood, the printed
@@ -158,6 +163,18 @@ def _first_descent(deltas) -> int | None:
     return next(n + 2 for n, d in enumerate(deltas) if d < 0)
 
 
+def _jump_sum(p: int, q: int, span) -> int:
+    """S = sum_(j<m) p^(m-1-j) * q^j * span[j] for the m = len(span) deltas
+    of one jump (Recurrence.jump), by Horner's rule; 0, with no step, when
+    they are all 0."""
+    S, qj = 0, 1
+    if any(span):
+        for d in span:
+            S = p * S + qj * d
+            qj *= q
+    return S
+
+
 def _recurrence(terms, r: Fraction, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(deltas, checkpoints) of n integer terms at the ratio r = p/q, in one
     pass over them: delta_k = q * a_(k+1) - p * a_k, and every stride-th
@@ -265,6 +282,16 @@ class Recurrence:
             elif step_mask is not None:
                 y &= step_mask
         yield y if mask is None else y & mask
+
+    def jump(self, k: int, m: int) -> tuple[int, int, int]:
+        """(A, S, C) with C * y_(k+m) = A * y_k + S for the 0-based terms
+        y_k = seq.terms[k]: A = p^m, C = q^m and
+        S = sum_(j<m) p^(m-1-j) * q^j * delta_(k+j), by Horner's rule over
+        the m deltas from delta_k, so no term is read.  S = 0 when they are
+        all 0, as at an integer ratio."""
+        _require(len(self), k + m + 1)
+        p, q = self.growth_factor_r.numerator, self.growth_factor_r.denominator
+        return p**m, _jump_sum(p, q, self.deltas[k : k + m]), q**m
 
     def residues(self, m: int, P: int, start: int = 1, stop: int | None = None) -> Walk:
         """The view of m * a_n mod 2^P for a_start..a_stop (1-based,
@@ -508,7 +535,12 @@ class ThinnedSequence(Recurrence):
     """K terms a~_n = parent term index_offset + n*step (1-based), kept as
     their recurrence at the parent's ratio r^step, so rho = den(r)^step;
     without a parent, at ratio 1, so rho = 1 and delta_n = a~_(n+1) - a~_n.
-    The terms are any iterable of K integers, read once."""
+    The terms are any iterable of K integers, read once, or None: then
+    they come from the parent's recurrence, and no wide term but the
+    checkpoints is formed.  delta~_n is the S of parent.jump from a~_n over
+    step terms, a~_1 is one parent term, and each later checkpoint is one
+    jump of the thinned recurrence over its stride from the one before:
+    (A * a + S) / C, a shift when C is a power of two."""
 
     parent: LacunarySequence | None
     l: int
@@ -519,10 +551,29 @@ class ThinnedSequence(Recurrence):
 
     def __init__(self, parent, l, step, K, terms, xi, index_offset=0):
         r = parent.growth_factor_r**step if parent is not None else Fraction(1)
-        self._build(r, *_recurrence(terms, r, K))
+        if terms is None:
+            first = index_offset + step - 1  # a~_1, 0-based in the parent
+            p, q = parent.growth_factor_r.numerator, parent.growth_factor_r.denominator
+            # delta~_n, the S of parent.jump from a~_n over step terms
+            starts = range(first, first + (K - 1) * step, step)
+            deltas = tuple(_jump_sum(p, q, parent.deltas[i : i + step]) for i in starts)
+            self._build(r, deltas, (parent.terms[first],))
+            self._build(r, deltas, self._jumped_checkpoints())
+        else:
+            self._build(r, *_recurrence(terms, r, K))
         if K < 1 or len(self) != K:
             raise ValueError(f"need K >= 1 terms, got {len(self)} for K = {K}")
         vars(self).update(parent=parent, l=l, step=step, K=K, xi=xi, index_offset=index_offset)
+
+    def _jumped_checkpoints(self) -> tuple[int, ...]:
+        """The first checkpoint, then each next one by a jump over the stride."""
+        c = self.stride
+        checkpoints = [self.checkpoints[0]]
+        for k in range(0, len(self) - c, c):
+            A, S, C = self.jump(k, c)
+            y = A * checkpoints[-1] + S
+            checkpoints.append(y >> (C.bit_length() - 1) if C & (C - 1) == 0 else y // C)
+        return tuple(checkpoints)
 
 
 def smallest_l(r: Fraction) -> int:
@@ -598,9 +649,12 @@ def thin(seq: LacunarySequence, N: int, offset: int = 0) -> ThinnedSequence:
     and each decided by both ends of ln_bounds(N, 100) (a floor they do not
     decide raises ArithmeticError); rejects N too small for a positive step
     or a positive K instead of clamping, and a window past the sequence's
-    end (sequence-too-short).  The window streams once.
+    end (sequence-too-short).  The thinning is built from seq's recurrence
+    (ThinnedSequence with terms None): it sums the window's short deltas
+    and reads one parent term, so no wide term but its checkpoints is
+    formed.
     """
-    window = seq.terms[offset : offset + N]
+    _require(len(seq), offset + N)
     l = smallest_l(seq.growth_factor_r)
     if N < 3:
         raise NBelowThresholdError(f"N-below-threshold: N={N}")
@@ -611,7 +665,7 @@ def thin(seq: LacunarySequence, N: int, offset: int = 0) -> ThinnedSequence:
     if step < 1 or K < 1:
         raise NBelowThresholdError(f"N-below-threshold: N={N} gives step={step}, K={K}")
     xi = l * float(ln_lower(seq.growth_factor_r))
-    return ThinnedSequence(seq, l, step, K, window[step - 1 : K * step : step], xi, offset)
+    return ThinnedSequence(seq, l, step, K, None, xi, offset)
 
 
 def save_sequence(path, seq: LacunarySequence) -> None:

@@ -44,12 +44,17 @@ search's first step.
   by the short rho*q and one with the short quotient d*c/rho, O(B) for
   B-bit terms, not the O(B^2) of the product a'*u.  j' is one floor
   division of O(B)-bit integers, exact for every integer d.
-- The postcondition reads the residue stream: for alpha = m*2^-P and
-  res = m*a mod 2^P, {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P),
-  exact because q*m*a and q*res agree mod q*2^P.  Its distance to the
-  nearest integer is compared with eps by cross-multiplication and kept
-  unreduced in each Constraint, as its numerator and P: the denominator
-  q*2^P is derived when read, never stored.
+- The postcondition is decided from the 64-bit keys of the thinned
+  residue walk, residues(alpha, thinned).keys(): for alpha = m*2^-P and
+  res = m*a mod 2^P, key k puts {alpha*a} in [k/2^64, (k+1)/2^64), and
+  ||. - x|| is 1-Lipschitz, so with d = ||k/2^64 - x||, taken as integers
+  at q*2^64, d + 2^-64 <= eps proves ||alpha*a - x|| <= eps.  Every other
+  constraint is read exactly (Walk.at): {alpha*a - x} =
+  ((q*res - p*2^P) mod q*2^P) / (q*2^P), exact because q*m*a and q*res
+  agree mod q*2^P, and compared with eps by cross-multiplication.  For
+  P < 64 the keys are the residues shifted up, so the same rule holds.
+  The certificate's constraints are a view over the same walk
+  (Constraints): each distance is derived when read, never stored.
 
 find_alpha is the one search for every block of the existence theorem: the
 first N terms, and each translated block (N, 2N] (lacuna.nested), are the
@@ -59,6 +64,7 @@ window of N terms after an offset, thinned and searched alike.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,6 +86,7 @@ from .errors import (
 from .sequences import (
     LacunarySequence,
     ThinnedSequence,
+    Walk,
     ln_lower,
     ln_upper,
     smallest_l,
@@ -99,9 +106,10 @@ class TuranParameters:
 @dataclass(frozen=True)
 class Constraint:
     """||alpha*a~_n - target|| = achieved_num/achieved_den for constraint n,
-    kept unreduced.  achieved_den = q*2^bits, for the target's denominator q
-    and alpha's residue bits (one int, shared by every constraint), is
-    derived when read, as is the Fraction."""
+    unreduced.  achieved_den = q*2^bits, for the target's denominator q and
+    alpha's residue bits, is derived when read, as is the Fraction.  A
+    certificate holds no Constraint: its Constraints view builds each one
+    when it is read."""
 
     target: Fraction
     achieved_num: int
@@ -116,11 +124,49 @@ class Constraint:
         return Fraction(self.achieved_num, self.achieved_den)
 
 
+class Constraints(Sequence):
+    """The constraints of a certificate, read-only and derived when read
+    from the targets x_n and the thinned residue walk, m*a~_n mod 2^P for
+    alpha = m*2^-P (a lacuna.sequences.Walk, which holds the short deltas
+    and about sqrt(K) checkpoints): len, indexing (stepped from the
+    checkpoint below), iteration in one exact walk, and forward slices, as
+    tuples.  No P-bit integer is held per constraint."""
+
+    __slots__ = ("_targets", "_residues", "_bits")
+
+    def __init__(self, targets, residues: Walk, bits: int):
+        self._targets, self._residues, self._bits = targets, residues, bits
+
+    def __len__(self):
+        return len(self._targets)
+
+    def _at(self, x: Fraction, res: int) -> Constraint:
+        """The constraint of x = p/q at res = m*a mod 2^P: {alpha*a - x} =
+        ((q*res - p*2^P) mod q*2^P) / (q*2^P), exact because q*m*a and
+        q*res agree mod q*2^P."""
+        p, q, P = x.numerator, x.denominator, self._bits
+        den = q << P
+        f = (q * res - (p << P)) % den
+        return Constraint(x, min(f, den - f), P)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._at, self._targets[i], self._residues[i]))
+        return self._at(self._targets[i], self._residues[i])
+
+    def __iter__(self):
+        return map(self._at, self._targets, self._residues)
+
+
 @dataclass(frozen=True)
 class DilationCertificate:
+    """alpha with its search interval, the certified gap bound, and the
+    constraints ||alpha*a~_n - x_n|| <= eps as a Constraints view over the
+    thinned residue walk."""
+
     alpha: DyadicReal
     search_interval: tuple[Fraction, Fraction]
-    constraints: tuple[Constraint, ...]
+    constraints: Constraints
     max_gap_bound: Fraction
     parameters: TuranParameters
     thinning: dict
@@ -233,12 +279,14 @@ def find_dilation(
     the interval; and hi - lo >= 4/delta when delta_lower_bound certifies
     delta.  Under them the band centre c_K of _greedy_band_search is within
     eps/(2*(1 + eps)) of every constraint; alpha is c_K rounded to
-    alpha_precision bits, and the exact residue postcondition is the guard.
+    alpha_precision bits, and the residue postcondition, decided from
+    keys and exact where they leave it open, is the guard.  Targets that
+    are Fractions are kept as they are.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise EpsilonDomainError(f"epsilon-domain: {epsilon}")
-    xs = [Fraction(t) for t in targets]
+    xs = [t if isinstance(t, Fraction) else Fraction(t) for t in targets]
     if len(xs) != thinned.K:
         raise ValueError(f"need {thinned.K} targets, got {len(xs)}")
     terms = thinned.terms
@@ -271,25 +319,30 @@ def find_dilation(
     parent = thinned.parent
     precision = alpha_precision(parent.terms if parent is not None else terms)
     alpha = DyadicReal.from_fraction(_greedy_band_search(thinned, xs, lo, hi), precision)
-    # postcondition on the residue stream: with alpha = m*2^-P and x = p/q,
-    # {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), res = m*a mod 2^P
+    # postcondition from the keys: key k puts {alpha*a} in [k/2^64, (k+1)/2^64)
+    # and ||. - x|| is 1-Lipschitz, so d = ||k/2^64 - x|| with d + 2^-64 <= eps
+    # decides it; every other constraint takes the exact rule
     P = residue_bits(alpha)
-    constraints = []
-    for x, res in zip(xs, residues(alpha, thinned)):
+    walk = residues(alpha, thinned)
+    undecided = []
+    for n, (x, k) in enumerate(zip(xs, walk.keys().tolist())):
         p, q = x.numerator, x.denominator
-        den = q << P
-        f = (q * res - (p << P)) % den
-        dist = min(f, den - f)
-        if dist * ed > en * den:
+        den = q << 64
+        f = (q * k - (p << 64)) % den
+        if (min(f, den - f) + q) * ed > en * den:
+            undecided.append(n)
+    constraints = Constraints(xs, walk, P)
+    for n, res in zip(undecided, walk.at(undecided)):
+        c = constraints._at(xs[n], res)
+        if c.achieved_num * ed > en * c.achieved_den:
             raise InfeasibleAtStepError(
-                0, f"postcondition violated: achieved {Fraction(dist, den)} > eps {epsilon}"
+                0, f"postcondition violated: achieved {c.achieved} > eps {epsilon}"
             )
-        constraints.append(Constraint(x, dist, P))
     bound = Fraction(1, thinned.K) + 2 * epsilon
     return DilationCertificate(
         alpha=alpha,
         search_interval=(lo, hi),
-        constraints=tuple(constraints),
+        constraints=constraints,
         max_gap_bound=bound,
         parameters=TuranParameters(thinned.K, epsilon, M, delta),
         thinning={

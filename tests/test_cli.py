@@ -129,7 +129,9 @@ class TestByteIdentity:
     enclosure decides, where a float ln N made every digit from the 17th on
     wrong (the three gaps pins).  The two bounded-cf pins were recorded
     before sample_alpha multiplied its partial quotients in product-tree
-    rounds."""
+    rounds.  The r = 11/10 and 4/3 find-alpha pins and the --seq pin were
+    recorded before thin summed the parent's deltas and the postcondition
+    read keys."""
 
     @pytest.mark.parametrize(
         "argv,code,sha",
@@ -252,6 +254,17 @@ class TestByteIdentity:
                 0,
                 "0664dbb7ec723c64767a8ffece50acc13a1ccc995a9e8898665f3833876d472d",
             ),
+            (
+                # odd q: the postcondition reads the thinned keys from the exact walk
+                ("find-alpha", "--r", "11/10", "--n", "2048"),
+                0,
+                "72e61466beedcc3794f3b6dda1899defcf51e4c5842405876b6361e014e40a5b",
+            ),
+            (
+                ("find-alpha", "--r", "4/3", "--n", "1024"),
+                0,
+                "8b7b06d78119228780c0b397daffc0dcdead6291c6fb0f1a08f9a0a553c1ac3b",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, code, sha):
@@ -263,6 +276,20 @@ class TestByteIdentity:
             assert captured.err == (
                 "error [infeasible-at-step]: frequency ratio at step 2 below 1/eps + 2\n"
             )
+
+    def test_seq_file_digest(self, capsys, tmp_path):
+        # an explicit list at ratio 3/2 with short, irregular deltas: the
+        # thinning sums them, so no two thinned deltas follow one pattern
+        terms = [7]
+        for n in range(1, 512):
+            terms.append(-(-3 * terms[-1] // 2) + n**3 % 97)
+        path = tmp_path / "irregular.txt"
+        path.write_text("# r=3/2\n" + "".join(f"{t}\n" for t in terms))
+        assert main(["find-alpha", "--seq", str(path), "--n", "512"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "aff5374371e588136eae417f535649ab7f56675a71f3b27eae513c87a856e3c1"
+        )
 
 
 class TestMetricScan:

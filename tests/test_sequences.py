@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -311,6 +313,85 @@ class TestThin:
         for m in range(th.K):
             for n in range(m + 1, th.K):
                 assert th.terms[m] * n_pow ** (n - m) <= th.terms[n]
+
+
+def full_width_thinning(seq, N, offset, step, K):
+    """The reference thinning: step the window's terms at full width, keep
+    every step-th, and subtract neighbouring terms at r^step."""
+    window = list(seq.terms[offset : offset + N])
+    terms = window[step - 1 : K * step : step]
+    ratio = seq.growth_factor_r**step
+    deltas = [ratio.denominator * b - ratio.numerator * a for a, b in zip(terms, terms[1:])]
+    return deltas, terms[:: math.isqrt(K - 1) + 1]
+
+
+class TestThinFromDeltas:
+    """thin builds its recurrence from the parent's deltas and jumps; the
+    full-width walk of the window is the oracle."""
+
+    @pytest.mark.parametrize(
+        "r", [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(4, 3), Fraction(11, 10)], ids=str
+    )
+    def test_matches_the_full_width_walk(self, r):
+        N = 1024
+        seq = geometric_sequence(r, 2 * N)
+        for offset in (0, N, random.Random(str(r)).randrange(1, N)):
+            th = thin(seq, N, offset)
+            deltas, checkpoints = full_width_thinning(seq, N, offset, th.step, th.K)
+            assert list(th.deltas) == deltas
+            assert list(th.checkpoints) == checkpoints
+
+    def test_irregular_wide_deltas(self):
+        terms = [5]
+        for n in range(1, 600):
+            terms.append(-(-7 * terms[-1] // 3) + (n * 7919) % 1009 * (1 << n % 90))
+        seq = LacunarySequence(terms, Fraction(7, 3))
+        for offset in (0, 37, 300):
+            th = thin(seq, 300, offset)
+            deltas, checkpoints = full_width_thinning(seq, 300, offset, th.step, th.K)
+            assert list(th.deltas) == deltas and any(deltas)
+            assert list(th.checkpoints) == checkpoints
+
+    def test_steps_the_parent_at_most_one_stride(self):
+        # the thinning reads one parent term (a~_1), stepped from the
+        # checkpoint below it; a full-width walk of the window would step
+        # 2^16 terms
+        seq = geometric_sequence(Fraction(3), 1 << 16)
+        stream, steps = seq._stream, []
+
+        def spy(i, m=1, mask=None):
+            steps.append(i % seq.stride)  # the steps up to the first value
+            for y in stream(i, m, mask):
+                yield y
+                steps.append(1)
+
+        vars(seq)["_stream"] = spy
+        th = thin(seq, 1 << 16)
+        assert th.K > 5000 and 0 < len(steps) and sum(steps) <= seq.stride
+
+
+class TestJump:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 10]),
+        st.integers(1, 40),
+        st.lists(st.integers(-(1 << 80), 1 << 80), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_matches_m_steps_of_the_walk(self, q, p, terms, data):
+        # any list of integers at any ratio: deltas of either sign
+        if math.gcd(p, q) != 1:
+            p = q + 1
+        seq = Recurrence(terms, Fraction(p, q))
+        k = data.draw(st.integers(0, len(terms) - 1))
+        m = data.draw(st.integers(0, len(terms) - 1 - k))
+        A, S, C = seq.jump(k, m)
+        assert (A, C) == (p**m, q**m)
+        walked = list(itertools.islice(seq._stream(k), m + 1))
+        assert walked == terms[k : k + m + 1]
+        assert C * walked[-1] == A * walked[0] + S
+        with pytest.raises(SequenceTooShortError):
+            seq.jump(k, len(terms) - k)
 
 
 class TestThinBlock:

@@ -550,6 +550,57 @@ class TestResiduePostcondition:
         assert exc.value.step == 0 and "postcondition violated" in str(exc.value)
 
 
+class TestKeyPostcondition:
+    """The postcondition decided from 64-bit keys against the exact rule on
+    every constraint: alpha is set by replacing the band search, eps sits
+    at the edge of a key's decision or of the exact distance, and alphas of
+    few bits (P < 64) on terms divisible by a power of two tie in long runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 1 << 80),
+        st.integers(0, 100),
+        st.lists(st.tuples(st.integers(1, 16), st.integers(0, 1 << 60)), min_size=0, max_size=6),
+        st.integers(0, 120).flatmap(lambda b: st.tuples(st.integers(0, 1 << b), st.just(b))),
+        st.data(),
+    )
+    def test_matches_the_exact_rule(self, first, t, steps, alpha_bits, data):
+        terms = [first << t]
+        for f, e in steps:  # ratios past 2^68 > 1/eps + 2 for every eps drawn
+            terms.append((terms[-1] * (f << 68) + e) << t)
+        xs = [data.draw(small_fractions) for _ in terms]
+        m, b = alpha_bits
+        alpha = DyadicReal.from_fraction(Fraction(m, 1 << b), alpha_precision(terms))
+        av = alpha.to_fraction()
+        exact = [dist_to_int(av * a - x) for a, x in zip(terms, xs)]
+        keyed = [dist_to_int(Fraction(math.floor((av * a) % 1 * (1 << 64)), 1 << 64) - x) for a, x in zip(terms, xs)]
+        n = data.draw(st.integers(0, len(terms) - 1))
+        edges = [exact[n], keyed[n], (exact[n] + keyed[n]) / 2, keyed[n] + Fraction(1, 1 << 64)]
+        edge = data.draw(st.sampled_from(edges))
+        eps = max(edge + data.draw(st.sampled_from([0, 1, -1])) * Fraction(1, 1 << 90), Fraction(1, 1 << 66))
+        th = pseudo_thinned(terms)
+        bad = next((d for d in exact if d > eps), None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(turan, "_greedy_band_search", lambda *args: av)
+            if bad is None:
+                cert = find_dilation(th, xs, eps, (Fraction(0), Fraction(1 << 200)))
+                assert cert.alpha == alpha
+                assert [(c.target, c.achieved) for c in cert.constraints] == list(zip(xs, exact))
+            else:
+                with pytest.raises(InfeasibleAtStepError) as exc:
+                    find_dilation(th, xs, eps, (Fraction(0), Fraction(1 << 200)))
+                assert str(exc.value).endswith(f"postcondition violated: achieved {bad} > eps {eps}")
+
+    def test_constraints_view(self):
+        seq = geometric_sequence(Fraction(5, 2), 1024)
+        cert = find_alpha(seq, 1024)
+        rows = list(cert.constraints)
+        assert len(cert.constraints) == len(rows) == cert.parameters.K
+        assert [cert.constraints[i] for i in (0, 5, -1)] == [rows[0], rows[5], rows[-1]]
+        assert cert.constraints[3:9] == tuple(rows[3:9])
+        assert all(c.bits == residue_bits(cert.alpha) for c in rows)
+
+
 class TestCertificateJson:
     @pytest.mark.parametrize("r,N", [(Fraction(3), 512), (Fraction(5, 2), 512)])
     def test_index_names_the_term(self, r, N):
