@@ -85,18 +85,25 @@ def mpf_fraction(x) -> Fraction:
     return Fraction(*libmp.to_rational(getattr(x, "_mpf_", x)))
 
 
+def error_exponent(top: int) -> int:
+    """The premise of the one enclosure rule: a value below 2^top in
+    magnitude that a libmp evaluation rounded at PREC bits lies within
+    2^error_exponent(top) of the exact value, _ENCLOSE_GUARD bits above its
+    last place at PREC, taken no finer than 1's (every argument enters
+    rounded to PREC bits, which alone moves a logarithm by up to 2^-PREC).
+    The few roundings of one evaluation stay far inside that."""
+    return _ENCLOSE_GUARD + max(top, 0) - PREC
+
+
 def enclose(raw, width: int) -> tuple[Fraction, Fraction]:
     """(v - 2^-width, v + 2^-width) for v the exact value of a raw mpf that
     a libmp evaluation rounded at PREC bits: the one rule by which a
-    transcendental value enters as a rational enclosure.
-
-    2^-width must lie at least _ENCLOSE_GUARD bits above v's last place at
-    PREC, taken no finer than 1's (every argument enters rounded to PREC
-    bits, which alone moves a logarithm by up to 2^-PREC), so the few
-    roundings of the evaluation stay far inside the enclosure; a narrower
-    one raises ValueError."""
+    transcendental value enters as a rational enclosure.  It holds the
+    exact value when 2^-width is at least the premise 2^error_exponent(top)
+    for v below 2^top (top = exp + bc of the raw mpf); a narrower enclosure
+    raises ValueError."""
     _, _, exp, bc = raw
-    if width + _ENCLOSE_GUARD > PREC - max(exp + bc, 0):
+    if -width < error_exponent(exp + bc):
         raise ValueError(f"an enclosure of width 2^-{width} is below the precision of {PREC} bits")
     v, guard = mpf_fraction(raw), Fraction(1, 1 << width)
     return v - guard, v + guard

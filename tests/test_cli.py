@@ -131,7 +131,8 @@ class TestByteIdentity:
     before sample_alpha multiplied its partial quotients in product-tree
     rounds.  The r = 11/10 and 4/3 find-alpha pins and the --seq pin were
     recorded before thin summed the parent's deltas and the postcondition
-    read keys."""
+    read keys, and the equal-field littlewood pin before the threshold was
+    walked in fixed point."""
 
     @pytest.mark.parametrize(
         "argv,code,sha",
@@ -264,6 +265,15 @@ class TestByteIdentity:
                 ("find-alpha", "--r", "4/3", "--n", "1024"),
                 0,
                 "8b7b06d78119228780c0b397daffc0dcdead6291c6fb0f1a08f9a0a553c1ac3b",
+            ),
+            (
+                # about 3,000 thresholds along the walk, one field for both factors
+                (
+                    "littlewood", "--alpha", "quad:-1,5,2", "--beta", "quad:-1,5,2",
+                    "--eta", "1/4", "--zeta", "1/4", "--brute-n", "1000000",
+                ),
+                0,
+                "5ff40de6db74ff269bcf24478afd229853dd76bf7e5fe95ac29a802e5b8c7788",
             ),
         ],
     )

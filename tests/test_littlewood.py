@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lacuna import littlewood
-from lacuna.cf import QuadraticReal
+from lacuna.cf import QuadraticReal, affine_dist_to_int
 from lacuna.errors import CzPoolExhaustedError, RationalBetaError
 from lacuna.littlewood import (
     _brute_candidates,
@@ -16,6 +17,7 @@ from lacuna.littlewood import (
     _confirm_solution,
     _peak_threshold,
     _product_at_most,
+    _view_at_most,
     cz_build,
     cz_recheck,
     exact_product,
@@ -26,6 +28,8 @@ from lacuna.sequences import mpf_fraction
 
 SQRT2 = QuadraticReal.sqrt(2)
 PHI = QuadraticReal(Fraction(1, 2), Fraction(1, 2), 5)
+EPS_VALUES = [Fraction(1, 20), Fraction(1, 10), Fraction(1)]
+WALK_ONE = 1 << littlewood._F  # the unit of the threshold walk's integers
 
 
 def upper_fraction(x: QuadraticReal, bits: int) -> Fraction:
@@ -358,3 +362,164 @@ class TestBrutePrefilter:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+
+def walk_sample(seed: int) -> list[int]:
+    """A sorted sample up to 10^9: 1000 n uniform in [3, 10^9] (mostly long
+    steps) and 2000 log-uniform n (mostly short ones)."""
+    rng = random.Random(seed)
+    ns = {rng.randrange(3, 10**9) for _ in range(1000)}
+    ns |= {int(math.exp(rng.uniform(math.log(3), math.log(10**9)))) for _ in range(2000)}
+    return sorted(n for n in ns if n >= 3)
+
+
+# equal and decreasing n, short steps at CZ-term sizes, and n that round to
+# 136 bits before their logarithm
+ODD_RUN = [10**6, 10**6, 10**6 + 1, 999_999, 8**300 + 7, 8**300 + 8, 8**300 + 9 + 8**299,
+           2**137 + 251, 2**137 + 252, 2**137 + 251 + 2**130, 5, 4, 3, 3, 20, 21]
+
+
+class TestThresholdWalk:
+    """The fixed-point walk of the threshold encloses thr_lo = v - 2^-50 of
+    the 136-bit chain, and every float it decides is float(thr_lo)."""
+
+    @pytest.mark.parametrize("epsilon", EPS_VALUES)
+    @pytest.mark.parametrize("run", ["every n to 20000", "sample to 10^9", "odd run"])
+    def test_encloses_the_chain(self, epsilon, run):
+        ns = {"every n to 20000": range(3, 20001), "sample to 10^9": walk_sample(1729),
+              "odd run": ODD_RUN}[run]
+        walk = littlewood._ThresholdWalk(epsilon)
+        walked = decided = 0
+        for n in ns:
+            lo, hi, thr = walk.at(n)
+            want = littlewood_threshold_bounds(n, epsilon)[0]
+            assert Fraction(lo, WALK_ONE) <= want <= Fraction(hi, WALK_ONE), n
+            if thr is not None:
+                assert thr == want
+                continue
+            walked += 1
+            if lo / WALK_ONE == hi / WALK_ONE:
+                decided += 1
+                assert lo / WALK_ONE == float(want), n
+        # the walk carries most of every run but the odd one, and decides
+        # the float wherever it walks
+        assert decided == walked
+        assert walked >= {"every n to 20000": 19990, "sample to 10^9": 1900, "odd run": 4}[run]
+
+    @pytest.mark.parametrize("widen", ["premise", "view", "float"])
+    def test_wide_margin_leaves_the_report_unchanged(self, monkeypatch, widen):
+        # premise: the walk's radius passes its cap, so every n re-anchors;
+        # view: the float view decides no product, so every walked n takes
+        # the chain and the exact rule; float: the walk's enclosure is 2^-52
+        # wide, so a solution's float comes from the chain
+        eps, q = Fraction(1, 10), Fraction(1, 4)
+        alpha = PHI - 1
+        cands = _brute_candidates(alpha, alpha, q, q, eps, 20000)
+        want = littlewood_scan(alpha, alpha, q, q, eps, n_values=cands)
+        brute = littlewood_scan(alpha, alpha, q, q, eps, n_limit=20000)
+        assert len(want.solutions) > 50
+        if widen == "premise":
+            monkeypatch.setattr(littlewood, "error_exponent", lambda top: 64)
+        elif widen == "view":
+            monkeypatch.setattr(littlewood, "_view_at_most",
+                                lambda da, pb, lo, hi: (float(da) * float(pb), None))
+        else:
+            bounds = littlewood._ThresholdWalk._bounds
+            pad = 1 << littlewood._F - 52
+
+            def wide(self):
+                lo, hi = bounds(self)
+                return lo - pad, hi + pad
+
+            monkeypatch.setattr(littlewood._ThresholdWalk, "_bounds", wide)
+        calls = count_chain(monkeypatch)
+        assert littlewood_scan(alpha, alpha, q, q, eps, n_values=cands) == want
+        if widen != "float":
+            assert calls[0] == len(cands)
+        assert littlewood_scan(alpha, alpha, q, q, eps, n_limit=20000) == brute
+
+
+def count_chain(monkeypatch) -> list[int]:
+    """Counts the calls of the libmp chain from now on."""
+    calls = [0]
+    chain = littlewood._threshold_chain
+
+    def spy(n, exponent):
+        calls[0] += 1
+        return chain(n, exponent)
+
+    monkeypatch.setattr(littlewood, "_threshold_chain", spy)
+    return calls
+
+
+def test_walk_spares_the_chain(monkeypatch):
+    # perfbench's (phi-1, phi-1) scan at eta = zeta = 1/4: about 3,000
+    # candidates, of which a few below 8 or after a long step re-anchor,
+    # and one chain per prefilter chunk
+    calls = count_chain(monkeypatch)
+    alpha, q = PHI - 1, Fraction(1, 4)
+    rep = littlewood_scan(alpha, alpha, q, q, Fraction(1, 10), n_limit=10**6)
+    assert rep.solution_count > 2500
+    assert calls[0] <= 48
+
+
+def approx(x, bits: int = 300) -> Fraction:
+    """x within 2^-bits, exact for a Fraction."""
+    return x.to_dyadic(bits).to_fraction() if isinstance(x, QuadraticReal) else Fraction(x)
+
+
+NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool)
+
+
+@st.composite
+def view_cases(draw):
+    """(da, pb, t): da = ||alpha n - eta|| and pb = n ||beta n - zeta|| with
+    alpha and beta in one field, in two fields, or alpha rational with
+    ||alpha n - eta|| = 0, and t within 2^-45 (relative) of da pb."""
+    kind = draw(st.sampled_from(["one field", "two fields", "zero"]))
+    n = draw(st.integers(3, 10**9))
+    d_a, d_b = draw(st.permutations([2, 3, 5, 13]))[:2]
+    if kind == "one field":
+        d_b = d_a
+    beta = QuadraticReal(draw(SMALL_RATIONALS), draw(NONZERO), d_b)
+    zeta = draw(st.fractions(0, 1, max_denominator=40))
+    if kind == "zero":
+        alpha = draw(st.fractions(-4, 4, max_denominator=50))
+        eta = alpha * n + draw(st.integers(-3, 3))
+    else:
+        alpha = QuadraticReal(draw(SMALL_RATIONALS), draw(NONZERO), d_a)
+        eta = draw(st.fractions(0, 1, max_denominator=40))
+    da = affine_dist_to_int(alpha, n, eta)
+    pb = affine_dist_to_int(beta, n, zeta) * n
+    # a relative offset of either sign at every scale from 2^-45 to 2^-64
+    scale = Fraction(draw(st.integers(1 << 20, (1 << 21) - 1)), 1 << (20 + draw(st.integers(45, 64))))
+    offset = draw(st.sampled_from([-1, 0, 1])) * scale
+    prod = approx(da) * approx(pb)
+    t = prod * (1 + offset) if prod else offset
+    return da, pb, t
+
+
+class TestFloatView:
+    """The float view of a product decides it only where its error bound
+    leaves nothing open, and then as the exact rule does."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(view_cases(), st.integers(0, 3), st.integers(0, 3))
+    def test_decisions_match_the_exact_rule(self, case, pad_lo, pad_hi):
+        da, pb, t = case
+        lo = math.floor(t * WALK_ONE) - pad_lo
+        hi = math.ceil(t * WALK_ONE) + pad_hi
+        view, ok = _view_at_most(da, pb, lo, hi)
+        assert view == float(da) * float(pb)
+        if ok is not None:
+            assert ok == _product_at_most(da, pb, t)
+
+    def test_decides_away_from_the_margin(self):
+        # a product 2^-45 below or above t is decided; one at t is not
+        da = affine_dist_to_int(PHI - 1, 10**6, Fraction(1, 4))
+        pb = affine_dist_to_int(SQRT2 - 1, 10**6, 0) * 10**6
+        prod = approx(da) * approx(pb)
+        for factor, want in ((1 + Fraction(1, 1 << 45), True), (1 - Fraction(1, 1 << 45), False),
+                             (1, None)):
+            t = prod * factor
+            assert _view_at_most(da, pb, math.floor(t * WALK_ONE), math.ceil(t * WALK_ONE))[1] == want
