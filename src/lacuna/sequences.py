@@ -675,27 +675,44 @@ def thin(seq: LacunarySequence, N: int, offset: int = 0) -> ThinnedSequence:
     return ThinnedSequence(seq, l, step, K, None, xi, offset)
 
 
+def _term_line(t: int) -> str:
+    """A term as one line of a sequence file: decimal, or 0x hex past
+    str(int)'s digit limit, which hex does not have."""
+    try:
+        return f"{t}\n"
+    except ValueError:
+        return f"{t:#x}\n"
+
+
+def _parse_term(line: str) -> int:
+    """A term line of either form _term_line writes; base 16 parses in
+    linear time and has no digit limit."""
+    text = line.strip()
+    return int(text, 16) if text[:2] in ("0x", "0X") else int(text)
+
+
 def save_sequence(path, seq: LacunarySequence) -> None:
+    """One '# r=p/q' header line, then one term per line (_term_line)."""
     r = seq.growth_factor_r
     with open(path, "w") as fh:
         fh.write(f"# r={r.numerator}/{r.denominator}\n")
         for t in seq.terms:
-            fh.write(f"{t}\n")
+            fh.write(_term_line(t))
 
 
 def load_sequence(path) -> LacunarySequence:
-    """Read a file written by save_sequence.  Raises MalformedSequenceFileError
-    when the file cannot be read (naming the OS reason) or the
-    '# r=<rational>' header or a term does not parse; LacunarySequence
-    raises NotLacunaryError unless the ratio exceeds 1 and the terms are
-    nonempty, positive and keep it."""
+    """Read a file written by save_sequence, its terms decimal or 0x hex.
+    Raises MalformedSequenceFileError when the file cannot be read (naming
+    the OS reason) or the '# r=<rational>' header or a term does not parse;
+    LacunarySequence raises NotLacunaryError unless the ratio exceeds 1 and
+    the terms are nonempty, positive and keep it."""
     try:
         with open(path) as fh:
             header = fh.readline().strip()
             if not header.startswith("# r="):
                 raise ValueError("missing '# r=<rational>' header")
             r = Fraction(header[4:])
-            terms = tuple(int(line) for line in fh if line.strip())
+            terms = tuple(_parse_term(line) for line in fh if line.strip())
     except (OSError, ValueError, ZeroDivisionError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise MalformedSequenceFileError(f"malformed-sequence-file: {path}: {reason}") from None

@@ -28,22 +28,35 @@ the ratio check, and the rounding of alpha adds at most 2^-64.  Every
 returned alpha is re-verified at full precision; nothing is trusted from
 the construction.
 
-Every decision is an integer comparison; no Fraction is built after the
-search's first step.
+Every decision is an integer comparison; no Fraction is built on the
+search interval's ends or on a term.
 
 - The ratio precondition a_{n+1}/a_n >= 1/eps + 2 is cross-multiplied:
   a_{n+1}*e_num >= a_n*(e_den + 2*e_num) for eps = e_num/e_den, a_n > 0.
   With the stored relation rho*a_{n+1} = P*a_n + d_n it reads d_n*e_num >=
   c*a_n for the short c = rho*(e_den + 2*e_num) - P*e_num, so the terms
   are walked only where c > 0 or some d_n < 0.  With a~_1 > 0 it makes
-  every term positive.
-- The band search carries c = u/(q*a) with x = p/q and u = p + j*q.  With
-  the relation rho*a' = P*a + d that the ThinnedSequence stores (P/rho is
+  every term positive.  The lattice gap bound is read from the same
+  relation where it decides it (_delta_from_relation), and walked
+  otherwise.
+- The band search carries only the integer j_n.  With x_n = p/q, the
+  relation rho*a' = P*a + d that the ThinnedSequence stores (P/rho is
   r^step for a thinning of a sequence of ratio r, 1 for a list of terms,
-  and d is of any sign), a'*c = P*u/(rho*q) + d*u/(rho*q*a): one division
-  by the short rho*q and one with the short quotient d*c/rho, O(B) for
-  B-bit terms, not the O(B^2) of the product a'*u.  j' is one floor
-  division of O(B)-bit integers, exact for every integer d.
+  and d is of any sign) gives a'*c = floor(P*j/rho) + (W + P*x + d*c)/rho
+  with W = P*j mod rho, so j' = floor(P*j/rho) + e, where e reads only W,
+  the two targets, the short d and c: one multiply of j by the short P
+  and one split by rho (a shift and a mask for rho = 2^s, one divmod
+  otherwise), O(B) for B-bit terms.  e is exact on short integers where
+  d = 0, as at every integer ratio.  Otherwise it comes from a view of c
+  frozen once a~_m is wide enough, c_m to F bits, which every later c_n
+  stays within 1/a~_(m+1) <= 2^-F of (each step moves c by at most
+  1/(2*a~_n), and every ratio exceeds 2).  Where that range straddles an
+  integer, and before the freeze, the step takes the exact rule with
+  c = (p + j*q)/(q*a~_n), reading a~_n from one exact walk of the terms,
+  so a list of terms (ratio 1, wide deltas) takes it at every step.  Only
+  a~_1, a~_K and those steps read a term, and the centre c_K is returned
+  as the unreduced pair (p + j_K*q, q*a~_K), which
+  DyadicReal.from_ratio rounds without a gcd.
 - The postcondition is decided from the 64-bit keys of the thinned
   residue walk, residues(alpha, thinned).keys(): for alpha = m*2^-P and
   res = m*a mod 2^P, key k puts {alpha*a} in [k/2^64, (k+1)/2^64), and
@@ -233,35 +246,109 @@ def delta_lower_bound(terms, M: int) -> int:
     return best
 
 
-def _greedy_band_search(seq: ThinnedSequence, targets, lo: Fraction, hi: Fraction) -> Fraction:
+def _below(lo: Fraction, hi: Fraction, num: int, den: int) -> bool:
+    """hi - lo < num/den for den > 0, cross-multiplied: no Fraction is
+    built on the interval's ends, whose denominators may be wide."""
+    width = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    return width * den < num * lo.denominator * hi.denominator
+
+
+_FREEZE_GUARD = 64  # bits by which the frozen view of c resolves d*c/rho
+
+
+def _delta_from_relation(thinned: ThinnedSequence, a1: int, dmin: int, M: int) -> int:
+    """delta_lower_bound(thinned, M) for a~_1 = a1 > 0 and dmin the least
+    delta_n, read from the relation rho*a~_(n+1) = P*a~_n + delta_n where
+    it decides the bound, and walked otherwise:
+    - with c' = rho*(M + 1) - P <= 0 <= dmin every ratio is at least M + 1,
+      so the margins a~_n - M*sum_(j<n) a~_j never fall (each rises by
+      a~_(n+1) - (M + 1)*a~_n >= 0) and the bound is a~_1;
+    - the margin at n = 2 is (P*a1 + delta_1)/rho - M*a1, so where
+      (P - rho*M)*a1 + delta_1 <= 0 the walk fails at n = 2, and so does
+      this, with the same DeltaUncertifiableError."""
+    P, rho = thinned.growth_factor_r.numerator, thinned.rho
+    if rho * (M + 1) - P <= 0 <= dmin:
+        return a1
+    if thinned.deltas and (P - rho * M) * a1 + thinned.deltas[0] <= 0:
+        raise DeltaUncertifiableError(2)
+    return delta_lower_bound(thinned, M)
+
+
+def _greedy_band_search(seq: ThinnedSequence, targets, lo: Fraction, hi: Fraction) -> tuple[int, int]:
     """The last band centre c_K of the recurrence c_0 = (lo + hi)/2,
     j_n = ceil(a~_n*c_(n-1) - x_n - 1/2), c_n = (x_n + j_n)/a~_n over the
-    terms of seq (see the module docstring).
+    terms of seq (see the module docstring), as the unreduced pair
+    (p + j_K*q, q*a~_K) for x_K = p/q.
 
     Under find_dilation's checks, hi - lo >= (1 + 2*eps)/a~_1 and
     a~_(n+1)/a~_n >= 1/eps + 2, every band lies strictly inside the one
     before, and the first inside [lo, hi]: c_K is the midpoint of the last
     band of the search that intersects them, and within eps/(2*(1 + eps))
-    of every constraint.  The first step is one Fraction evaluation; each
-    later one writes c = u/(q*a) and reads the stored relation
-    rho*a' = P*a + d: a'*c = P*u/(rho*q) + d*u/(rho*q*a) is an integer
-    A plus F/D, from a division by the short rho*q and one with a short
-    quotient, and j' = A + ceil(F/D - x' - 1/2) is one floor division."""
+    of every constraint.
+
+    Only j is carried.  The first step is cross-multiplied.  Each later one
+    reads the stored relation rho*a' = P*a + d: a'*c = floor(P*j/rho) + V
+    with V = (W + P*x + d*c)/rho and W = P*j mod rho, so
+    j' = floor(P*j/rho) + ceil(V - x' - 1/2), and the ceiling is taken on
+    short integers: exactly where d = 0; from the frozen view of c where
+    that decides it; and otherwise by the exact rule, which reads a~_n from
+    one exact walk of the terms (Recurrence._exact_at).  The view is
+    c_m = (x_m + j_m)/a~_m to F bits, F set so that it resolves d*c/rho to
+    _FREEZE_GUARD bits for the widest d, frozen at the first exact step
+    with bits(a~_m) >= F: every later c_n lies within
+    sum_(k>m) 1/(2*a~_k) <= 1/a~_(m+1) <= 2^-F of it, as each step moves c
+    by at most 1/(2*a~_k) and every ratio exceeds 2.  Where the two ends
+    of that range give different ceilings, the step takes the exact rule."""
     P, rho = seq.growth_factor_r.numerator, seq.growth_factor_r.denominator
-    terms, xs = iter(seq.terms), iter(targets)
-    a, x = next(terms), next(xs)
-    q = x.denominator
-    u = x.numerator + math.ceil(a * (lo + hi) / 2 - x - Fraction(1, 2)) * q
-    for a2, x, d in zip(terms, xs, seq.deltas):
-        D = rho * q * a
-        A, F = divmod(P * u, rho * q)
-        A2, F2 = divmod(d * u, D)
-        A, F = A + A2, F * a + F2
-        # ceil(F/D - p/q' - 1/2) = -floor(((2p + q')*D - 2q'*F) / (2q'*D))
-        p, q = x.numerator, x.denominator
-        j = A - ((2 * p + q) * D - 2 * q * F) // (2 * q * D)
-        u, a = p + j * q, a2
-    return Fraction(u, q * a)
+    s = rho.bit_length() - 1 if rho & (rho - 1) == 0 else None  # rho = 2^s
+    # the view's range for V is 3*|d|/(rho*2^F) < 2^(bits(d) + 3 - bits(rho) - F),
+    # below 2^-_FREEZE_GUARD for every d at this F
+    dbits = max(max(seq.deltas, default=0), -min(seq.deltas, default=0)).bit_length()
+    F = max(dbits + _FREEZE_GUARD + 3 - rho.bit_length(), 1)
+    exact = seq._exact_at(1, None)
+    a, read = exact(0), 0  # the last term read and its index
+    xs = iter(targets)
+    x = next(xs)
+    p, q = x.numerator, x.denominator
+    # j_1 = ceil(a~_1*(lo + hi)/2 - p/q - 1/2) over the denominator 2*L*q
+    L, S = lo.denominator * hi.denominator, lo.numerator * hi.denominator + hi.numerator * lo.denominator
+    j = -(((2 * p + q) * L - a * S * q) // (2 * L * q))
+    view = None  # the least and the greatest c_n*2^F once frozen
+    for i, (d, x) in enumerate(zip(seq.deltas, xs)):
+        p2, q2 = x.numerator, x.denominator
+        W = P * j
+        if rho == 1:  # no split: W >> 0 would copy W
+            A, W = W, 0
+        elif s is not None:
+            A, W = W >> s, W & (rho - 1)
+        else:
+            A, W = divmod(W, rho)
+        # V - x' - 1/2 = (Z + 2*q*q'*d*c) / den
+        Z = 2 * q2 * (W * q + P * p) - rho * q * (2 * p2 + q2)
+        den = 2 * rho * q * q2
+        if not d:
+            e = -(-Z // den)
+        else:
+            e = None
+            if view is not None:
+                c_lo, c_hi = view if d > 0 else view[::-1]
+                t, ZF, denF = 2 * q * q2 * d, Z << F, den << F
+                e = -(-(ZF + t * c_lo) // denF)
+                if e != -(-(ZF + t * c_hi) // denF):
+                    e = None
+            if e is None:
+                if read != i:
+                    a, read = exact(i), i
+                u = p + j * q
+                e = -(-(a * Z + 2 * q2 * d * u) // (den * a))
+                if view is None and a.bit_length() >= F:
+                    c = (u << F) // (q * a)  # c_i*2^F rounded down
+                    view = c - 1, c + 2
+        j = A + e
+        p, q = p2, q2
+    if read != len(seq) - 1:
+        a = exact(len(seq) - 1)
+    return p + j * q, q * a
 
 
 def find_dilation(
@@ -298,27 +385,27 @@ def find_dilation(
     # rho*a_{n+1} = P*a_n + d_n as d_n*e_num >= c*a_n; it holds without a
     # product where c <= 0 <= d_n, so then the terms are not walked
     en, ed = epsilon.numerator, epsilon.denominator
-    ratio = thinned.growth_factor_r
-    c = ratio.denominator * (ed + 2 * en) - ratio.numerator * en
-    if c > 0 or min(thinned.deltas, default=0) < 0:
+    dmin = min(thinned.deltas, default=0)
+    c = thinned.rho * (ed + 2 * en) - thinned.growth_factor_r.numerator * en
+    if c > 0 or dmin < 0:
         for n, (a, d) in enumerate(zip(terms, thinned.deltas), start=2):
             if d * en < c * a:
                 raise InfeasibleAtStepError(n, f"frequency ratio at step {n} below 1/eps + 2")
     M = turan_M(min(epsilon, Fraction(499, 1000)), thinned.K)
     try:
-        delta = delta_lower_bound(terms, M)
+        delta = _delta_from_relation(thinned, a1, dmin, M)
     except DeltaUncertifiableError:
         # below the domination threshold; the bands still nest
         delta = None
     lo, hi = Fraction(search_interval[0]), Fraction(search_interval[1])
-    if delta is not None and hi - lo < Fraction(4, delta):
+    if delta is not None and _below(lo, hi, 4, delta):
         raise IntervalTooShortError(f"interval length {hi - lo} below 4/delta = 4/{delta}")
-    if hi - lo < (1 + 2 * epsilon) / a1:
+    if _below(lo, hi, ed + 2 * en, ed * a1):
         raise IntervalTooShortError(f"interval length {hi - lo} below (1+2*eps)/a~_1")
     # the terms increase (the ratio precondition) and are parent terms
     parent = thinned.parent
     precision = alpha_precision(parent.terms if parent is not None else terms)
-    alpha = DyadicReal.from_fraction(_greedy_band_search(thinned, xs, lo, hi), precision)
+    alpha = DyadicReal.from_ratio(*_greedy_band_search(thinned, xs, lo, hi), precision)
     # postcondition from the keys: key k puts {alpha*a} in [k/2^64, (k+1)/2^64)
     # and ||. - x|| is 1-Lipschitz, so d = ||k/2^64 - x|| with d + 2^-64 <= eps
     # decides it; every other constraint takes the exact rule
@@ -380,7 +467,7 @@ def find_alpha(
     lo, hi = Fraction(search_interval[0]), Fraction(search_interval[1])
     if offset:
         a = seq.term(offset)
-        if hi - lo < Fraction(4, a):
+        if _below(lo, hi, 4, a):
             raise IntervalTooShortError(f"interval-below-4-over-aN: length {hi - lo} < 4/{a}")
     eps = block_epsilon(seq, N)
     targets = [Fraction(j, thinned.K) for j in range(thinned.K)]

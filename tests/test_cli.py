@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -13,6 +14,7 @@ from lacuna import bump as bump_mod
 from lacuna import cli
 from lacuna.cli import main
 from lacuna.dyadic import DyadicReal
+from lacuna.sequences import geometric_sequence, save_sequence
 
 
 def run(capsys, *argv):
@@ -57,6 +59,17 @@ class TestGaps:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error [not-lacunary]: a_3 < 2 * a_2")
+
+    def test_seq_file_past_the_int_to_str_limit(self, capsys, tmp_path):
+        # 3^n has more than 4300 decimal digits, str(int)'s default limit,
+        # from n = 9014 on: the file holds those terms as 0x hex lines, and
+        # gaps --seq reads them back to the bytes that --r 3 prints
+        path = tmp_path / "seq.txt"
+        save_sequence(path, geometric_sequence(Fraction(3), 9100))
+        with open(path) as fh:
+            assert fh.read().split("\n")[-2].startswith("0x")
+        argv = ["gaps", "--n", "9100", "--alpha", "7/10"]
+        assert run(capsys, *argv, "--seq", str(path)) == run(capsys, *argv, "--r", "3")
 
     @pytest.mark.parametrize(
         "text, code",

@@ -433,6 +433,29 @@ class TestSerialization:
             with pytest.raises(MalformedSequenceFileError, match=re.escape(f"{path}: {reason}")):
                 load_sequence(path)
 
+    def test_round_trip_past_the_int_to_str_limit(self, tmp_path):
+        # 3^n has more than 4300 decimal digits, str(int)'s default limit,
+        # from n = 9014 on: those terms are written as 0x hex lines
+        seq = geometric_sequence(Fraction(3), 2**14)
+        path = tmp_path / "seq.txt"
+        save_sequence(path, seq)
+        with open(path) as fh:
+            lines = fh.read().split("\n")[1:-1]
+        hex_from = next(n for n, line in enumerate(lines) if line.startswith("0x"))
+        assert all(line.startswith("0x") for line in lines[hex_from:])
+        assert not any(line.startswith("0x") for line in lines[:hex_from])
+        assert 9000 <= hex_from < 9100
+        back = load_sequence(path)
+        assert back == seq and back.growth_factor_r == 3
+
+    def test_hex_and_decimal_lines_mix(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("# r=2\n3\n0x7\n 0XF \n31\n")
+        assert list(load_sequence(path).terms) == [3, 7, 15, 31]
+        path.write_text("# r=2\n3\n0x7g\n")
+        with pytest.raises(MalformedSequenceFileError):
+            load_sequence(path)
+
 
 VIEW_RATIOS = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(3, 2), Fraction(11, 10)]
 

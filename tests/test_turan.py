@@ -122,7 +122,7 @@ def wide_band_search(frequencies, targets, epsilon, lo, hi):
 def greedy(freqs, xs, lo, hi, ratio=Fraction(1)):
     """_greedy_band_search over explicit frequencies, kept as their
     recurrence at ratio (any ratio describes any list of integers)."""
-    return _greedy_band_search(Recurrence(freqs, ratio), xs, lo, hi)
+    return Fraction(*_greedy_band_search(Recurrence(freqs, ratio), xs, lo, hi))
 
 
 def centre(interval):
@@ -457,7 +457,7 @@ class TestIntegerBandSearch:
         xs = [Fraction(j, th.K) for j in range(th.K)]
         eps = turan.block_epsilon(seq, N)
         lo, hi = Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2)
-        assert _greedy_band_search(th, xs, lo, hi) == centre(fraction_band_search(th.terms, xs, eps, lo, hi))
+        assert Fraction(*_greedy_band_search(th, xs, lo, hi)) == centre(fraction_band_search(th.terms, xs, eps, lo, hi))
 
 
 class TestRatioPrecondition:
@@ -542,7 +542,7 @@ class TestResiduePostcondition:
     def test_out_of_band_search_result_raises(self, monkeypatch):
         # a search that lands far from every band must fail the postcondition
         monkeypatch.setattr(
-            turan, "_greedy_band_search", lambda *args: Fraction(1, 7)
+            turan, "_greedy_band_search", lambda *args: (1, 7)
         )
         th = pseudo_thinned((1000, 10**6, 10**9))
         with pytest.raises(InfeasibleAtStepError) as exc:
@@ -581,7 +581,7 @@ class TestKeyPostcondition:
         th = pseudo_thinned(terms)
         bad = next((d for d in exact if d > eps), None)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(turan, "_greedy_band_search", lambda *args: av)
+            mp.setattr(turan, "_greedy_band_search", lambda *args: (av.numerator, av.denominator))
             if bad is None:
                 cert = find_dilation(th, xs, eps, (Fraction(0), Fraction(1 << 200)))
                 assert cert.alpha == alpha
@@ -708,7 +708,7 @@ class TestShortStep:
         assert th.rho == r.denominator ** th.step
         for lo, hi in [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(9, 14))]:
             want = wide_band_search(tuple(th.terms), xs, eps, lo, hi)
-            assert _greedy_band_search(th, xs, lo, hi) == centre(want)
+            assert Fraction(*_greedy_band_search(th, xs, lo, hi)) == centre(want)
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2), Fraction(3, 2)])
     def test_shifted_intervals_of_find_dilation_block(self, r, monkeypatch):
@@ -732,7 +732,7 @@ class TestShortStep:
         for (searched, xs, lo, hi), out in calls:
             assert searched.growth_factor_r == r**th.step
             assert searched.deltas == th.deltas
-            assert out == centre(wide_band_search(tuple(th.terms), xs, eps, lo, hi))
+            assert Fraction(*out) == centre(wide_band_search(tuple(th.terms), xs, eps, lo, hi))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -873,4 +873,160 @@ class TestThinnedRelation:
         xs = [data.draw(small_fractions) for _ in terms]
         eps = turan.block_epsilon(seq, n)
         want = wide_band_search(terms, xs, eps, lo, lo + Fraction(1, 2))
-        assert _greedy_band_search(th, xs, lo, lo + Fraction(1, 2)) == centre(want)
+        assert Fraction(*_greedy_band_search(th, xs, lo, lo + Fraction(1, 2))) == centre(want)
+
+
+class TestJStep:
+    """The band search carries j alone: j' = floor(P*j/rho) + e, with e
+    exact where d = 0, from the frozen view of c where that decides it, and
+    by the exact rule elsewhere.  Its centre is the midpoint of both
+    references' last band, at every rho, at the chain's own ratio (short
+    deltas) and at ratios that make the deltas wide, of either sign.  The
+    chains start at 2 to 40 bits with deltas up to 2^40, so the view is
+    frozen partway along most of them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 8, 1 << 40, 3, 10)),
+        st.integers(1, 40),
+        st.fractions(min_value=Fraction(1, 40), max_value=Fraction(1, 3), max_denominator=40),
+        st.fractions(min_value=Fraction(0), max_value=Fraction(1), max_denominator=30),
+        st.data(),
+    )
+    def test_matches_both_references(self, rho, K, eps, lo, data):
+        terms, P = short_chain(data, rho, data.draw(st.integers(2, 40)), K, eps)
+        xs = [data.draw(small_fractions) for _ in terms]
+        hi = lo + (1 + 2 * eps) / terms[0]
+        # the chain's own ratio (short deltas); 1, a list of terms (wide
+        # positive ones); 1/rho (wide positive) and (P + 1)/rho (wide negative)
+        ratio = data.draw(st.sampled_from([Fraction(P, rho), Fraction(1), Fraction(1, rho), Fraction(P + 1, rho)]))
+        got = greedy(terms, xs, lo, hi, ratio)
+        assert got == centre(wide_band_search(terms, xs, eps, lo, hi))
+        assert got == centre(fraction_band_search(terms, xs, eps, lo, hi))
+
+    @pytest.mark.parametrize("guard", [1 << 20, -(1 << 20)], ids=["never-frozen", "frozen-at-once"])
+    @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2), Fraction(4, 3), Fraction(11, 10), Fraction(2)])
+    def test_same_centres_without_the_frozen_view(self, r, guard, monkeypatch):
+        # never frozen: every step with d != 0 takes the exact rule; frozen
+        # at the first exact step and tried on every d: most steps straddle
+        # an integer and fall back
+        seq = geometric_sequence(r, 4096)
+        th = thin(seq, 4096)
+        xs = [Fraction(j, th.K) for j in range(th.K)]
+        lo, hi = Fraction(1, 7), Fraction(9, 14)
+        want = _greedy_band_search(th, xs, lo, hi)
+        monkeypatch.setattr(turan, "_FREEZE_GUARD", guard)
+        assert _greedy_band_search(th, xs, lo, hi) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 3, 10)),
+        st.integers(2, 30),
+        st.fractions(min_value=Fraction(1, 40), max_value=Fraction(1, 3), max_denominator=40),
+        st.sampled_from([1 << 20, -(1 << 20)]),
+        st.data(),
+    )
+    def test_chains_without_the_frozen_view(self, rho, K, eps, guard, data):
+        terms, P = short_chain(data, rho, data.draw(st.integers(2, 40)), K, eps)
+        xs = [data.draw(small_fractions) for _ in terms]
+        lo = Fraction(0)
+        hi = (1 + 2 * eps) / terms[0]
+        want = greedy(terms, xs, lo, hi, Fraction(P, rho))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(turan, "_FREEZE_GUARD", guard)
+            assert greedy(terms, xs, lo, hi, Fraction(P, rho)) == want
+
+
+def spy_term_walks(monkeypatch):
+    """Record, for every walk of a ThinnedSequence's terms (m = 1, no
+    mask), the indices it steps over from its checkpoint and those it
+    yields: (stepped, read) lists, filled as the walks run."""
+    stepped, read = [], []
+    real = Recurrence._stream
+
+    def spy(self, i, m=1, mask=None):
+        walk = real(self, i, m, mask)
+        if m != 1 or mask is not None:
+            return walk
+        stepped.extend(range(i - i % self.stride, i))
+
+        def recorded():
+            for n, y in enumerate(walk, i):
+                stepped.append(n)
+                read.append(n)
+                yield y
+
+        return recorded()
+
+    monkeypatch.setattr(ThinnedSequence, "_stream", spy)
+    return stepped, read
+
+
+class TestTermReads:
+    """find_alpha reads thinned terms only where a decision needs one."""
+
+    def test_integer_ratio_reads_the_first_and_last_term(self, monkeypatch):
+        seq = geometric_sequence(Fraction(3), 2**16)
+        stepped, read = spy_term_walks(monkeypatch)
+        cert = find_alpha(seq, 2**16)
+        # a~_1 by find_dilation's checks and by the search's first step
+        assert sorted(set(read)) == [0, cert.parameters.K - 1]
+        assert len(stepped) <= 2 + thin(seq, 2**16).stride
+        assert cert.parameters.delta_lower is None
+
+    def test_fallbacks_stay_within_one_walk(self, monkeypatch):
+        seq = geometric_sequence(Fraction(5, 2), 2**16)
+        K = thin(seq, 2**16).K
+        stepped, read = spy_term_walks(monkeypatch)
+        cert = find_alpha(seq, 2**16)
+        # a~_1, the few exact steps while a~ is short, and a~_K; the walks
+        # together step over fewer terms than one walk of the K terms
+        assert sorted(set(read))[0] == 0 and read[-1] == K - 1
+        assert len(read) <= 32
+        assert len(stepped) <= K
+        assert cert.parameters.delta_lower == thin(seq, 2**16).terms[0]
+
+
+def relation_chain(data, rho, M):
+    """Terms with rho*a_(k+1) = P*a_k + d_k for one drawn P, so that
+    c' = rho*(M + 1) - P takes either sign, and d_k of either sign."""
+    P = data.draw(st.integers(1, 3 * rho * (M + 1)))
+    terms = [data.draw(st.integers(1, 1 << 20))]
+    for _ in range(data.draw(st.integers(0, 6))):
+        d = data.draw(st.one_of(st.integers(0, 1 << 30), st.integers(-(1 << 30), 1 << 30)))
+        terms.append((P * terms[-1] + d) // rho)
+    return Recurrence(terms, Fraction(P, rho))
+
+
+def delta_outcome(f, *args):
+    try:
+        return f(*args)
+    except DeltaUncertifiableError as exc:
+        return ("uncertifiable", exc.index)
+
+
+class TestDeltaFromRelation:
+    """find_dilation reads delta_lower_bound from the relation where it
+    decides it: a~_1 where c' = rho*(M + 1) - P <= 0 <= min delta_n, the
+    failure at n = 2 where the relation puts the second margin at or below
+    0; the walk decides every other chain, and the outcome is the walk's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from((1, 2, 3, 10)), st.integers(1, 12), st.data())
+    def test_matches_the_walked_bound(self, rho, M, data):
+        seq = relation_chain(data, rho, M)
+        a1, dmin = seq.terms[0], min(seq.deltas, default=0)
+        got = delta_outcome(turan._delta_from_relation, seq, a1, dmin, M)
+        assert got == delta_outcome(delta_lower_bound, seq, M)
+
+    @pytest.mark.parametrize("r", [Fraction(2), Fraction(5, 2), Fraction(11, 10), Fraction(3), Fraction(4, 3)])
+    def test_find_alpha_thinnings(self, r, monkeypatch):
+        walked = []
+        monkeypatch.setattr(turan, "delta_lower_bound", lambda *args: walked.append(args) or delta_lower_bound(*args))
+        seq = geometric_sequence(r, 4096)
+        th = thin(seq, 4096)
+        M = turan_M(turan.block_epsilon(seq, 4096), th.K)
+        got = delta_outcome(turan._delta_from_relation, th, th.terms[0], min(th.deltas), M)
+        assert got == delta_outcome(delta_lower_bound, th, M)
+        # no thinning of a lacunary sequence here needs the walk
+        assert walked == []
