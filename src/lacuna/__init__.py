@@ -18,7 +18,6 @@ from .turan import (
     delta_lower_bound,
     find_alpha,
     find_dilation,
-    find_dilation_dense,
     turan_M,
 )
 from .nested import NestedChain, build_nested_alpha, interpolate_gap_bound

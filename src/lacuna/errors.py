@@ -1,5 +1,22 @@
 """Domain errors.  Every error carries a stable machine-readable code."""
 
+from fractions import Fraction
+
+
+def printable(value) -> str:
+    """str(value) where str() can print it; past str(int)'s digit limit, the
+    binary magnitude of the int or Fraction value, ~2^e with
+    2^e <= |value| < 2^(e+1), so that no message of a coded error raises."""
+    try:
+        return str(value)
+    except ValueError:
+        x = Fraction(value)
+        n, d = abs(x.numerator), x.denominator
+        e = n.bit_length() - d.bit_length()
+        if n << max(-e, 0) < d << max(e, 0):
+            e -= 1
+        return f"{'-' if x < 0 else ''}~2^{e}"
+
 
 class LacunaError(Exception):
     code = "lacuna-error"
@@ -64,10 +81,6 @@ class IntervalTooShortError(LacunaError):
     code = "interval-below-4-over-aN"
 
 
-class NotSuperLacunaryError(LacunaError):
-    code = "not-super-lacunary"
-
-
 class NestingViolatedError(LacunaError):
     code = "nesting-violated"
 
@@ -102,7 +115,7 @@ class QuadratureUnderresolvedError(LacunaError):
         self.required_points = required_points
         self.available_points = available_points
         super().__init__(
-            f"quadrature-underresolved: need {required_points} points, "
+            f"quadrature-underresolved: need {printable(required_points)} points, "
             f"have {available_points}"
         )
 

@@ -72,6 +72,11 @@ search interval's ends or on a term.
 find_alpha is the one search for every block of the existence theorem: the
 first N terms, and each translated block (N, 2N] (lacuna.nested), are the
 window of N terms after an offset, thinned and searched alike.
+
+A list of N terms with a_(n+1)/a_n >= N + 2 is certified by the same call,
+find_dilation(ThinnedSequence(None, 1, 1, N, terms, xi), [j/N for j < N],
+1/N, interval): at eps = 1/N the ratio precondition is that ratio bound,
+and the N targets j/N give a gap of at most 1/N + 2*eps = 3/N.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ from .errors import (
     EpsilonDomainError,
     InfeasibleAtStepError,
     IntervalTooShortError,
-    NotSuperLacunaryError,
+    printable,
 )
 from .sequences import (
     LacunarySequence,
@@ -399,9 +404,9 @@ def find_dilation(
         delta = None
     lo, hi = Fraction(search_interval[0]), Fraction(search_interval[1])
     if delta is not None and _below(lo, hi, 4, delta):
-        raise IntervalTooShortError(f"interval length {hi - lo} below 4/delta = 4/{delta}")
+        raise IntervalTooShortError(f"interval length {printable(hi - lo)} below 4/delta = 4/{printable(delta)}")
     if _below(lo, hi, ed + 2 * en, ed * a1):
-        raise IntervalTooShortError(f"interval length {hi - lo} below (1+2*eps)/a~_1")
+        raise IntervalTooShortError(f"interval length {printable(hi - lo)} below (1+2*eps)/a~_1")
     # the terms increase (the ratio precondition) and are parent terms
     parent = thinned.parent
     precision = alpha_precision(parent.terms if parent is not None else terms)
@@ -423,7 +428,7 @@ def find_dilation(
         c = constraints._at(xs[n], res)
         if c.achieved_num * ed > en * c.achieved_den:
             raise InfeasibleAtStepError(
-                0, f"postcondition violated: achieved {c.achieved} > eps {epsilon}"
+                0, f"postcondition violated: achieved {printable(c.achieved)} > eps {epsilon}"
             )
     bound = Fraction(1, thinned.K) + 2 * epsilon
     return DilationCertificate(
@@ -468,40 +473,7 @@ def find_alpha(
     if offset:
         a = seq.term(offset)
         if _below(lo, hi, 4, a):
-            raise IntervalTooShortError(f"interval-below-4-over-aN: length {hi - lo} < 4/{a}")
+            raise IntervalTooShortError(f"interval-below-4-over-aN: length {printable(hi - lo)} < 4/{printable(a)}")
     eps = block_epsilon(seq, N)
     targets = [Fraction(j, thinned.K) for j in range(thinned.K)]
     return find_dilation(thinned, targets, eps, (lo, hi))
-
-
-def find_dilation_dense(
-    terms,
-    N: int,
-    theta: Fraction,
-    search_interval: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
-) -> DilationCertificate:
-    """Super-lacunary case a_n >= N^theta * a_{n-1}: eps = 1/N, N equidistant
-    targets, no thinning; gap bound 3/N."""
-    theta = Fraction(theta)
-    if theta <= 1:
-        raise NotSuperLacunaryError(f"theta {theta} must exceed 1")
-    terms = [int(t) for t in terms][:N]
-    if len(terms) < N:
-        raise ValueError(f"need {N} terms, got {len(terms)}")
-    p, q = theta.numerator, theta.denominator
-    for n in range(1, len(terms)):
-        if terms[n] ** q < N**p * terms[n - 1] ** q:
-            raise NotSuperLacunaryError(
-                f"not-super-lacunary: a_{n + 1} < N^theta * a_{n}"
-            )
-    pseudo = ThinnedSequence(
-        parent=None, l=1, step=1, K=N, terms=tuple(terms), xi=float(theta)
-    )
-    eps = Fraction(1, N)
-    targets = [Fraction(j, N) for j in range(N)]
-    cert = find_dilation(pseudo, targets, eps, search_interval)
-    if cert.max_gap_bound != Fraction(3, N):
-        raise InfeasibleAtStepError(
-            0, f"postcondition violated: gap bound {cert.max_gap_bound} is not 3/{N}"
-        )
-    return cert

@@ -56,3 +56,29 @@ def test_only_sequences_reads_the_stored_recurrence_layout():
         if isinstance(node, ast.Attribute) and node.attr in layout
     ]
     assert offenders == []
+
+
+def test_every_error_code_has_a_raise_site():
+    """Each LacunaError subclass in lacuna.errors is named in some raise
+    statement of src/lacuna, so no error code outlives its last raise."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import lacuna
+    from lacuna import errors
+
+    raised = {
+        name.id if isinstance(name, ast.Name) else name.attr
+        for path in sorted(Path(lacuna.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for name in ast.walk(node.exc)
+        if isinstance(name, (ast.Name, ast.Attribute))
+    }
+    classes = {
+        name
+        for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.LacunaError) and cls is not errors.LacunaError
+    }
+    assert sorted(classes - raised) == []

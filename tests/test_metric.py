@@ -438,6 +438,18 @@ class TestExpMoment:
         assert exc.value.required_points == 8 * par.k_cut * th.terms[-1]
         assert th.terms[-1].bit_length() >= 62
 
+    def test_underresolved_message_past_the_int_to_str_limit(self, bump):
+        # at r = 3, N = 2^15 the point count 8*k_cut*a~_K passes str(int)'s
+        # digit limit; the message gives its binary magnitude
+        par = MetricParameters.for_n(2**15)
+        th = thin(geometric_sequence(Fraction(3), 2**15), 2**15)
+        with pytest.raises(QuadratureUnderresolvedError) as exc:
+            exp_moment_check(th, 0.0, par, bump, method="simpson")
+        required = 8 * par.k_cut * th.terms[-1]
+        assert exc.value.code == "quadrature-underresolved"
+        assert exc.value.required_points == required
+        assert f"need ~2^{required.bit_length() - 1} points" in str(exc.value)
+
     def test_dependent_terms_rejected_by_factorized(self, bump):
         from lacuna.sequences import ThinnedSequence
 

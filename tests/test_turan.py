@@ -2,8 +2,6 @@ import itertools
 import math
 import os
 import random
-import subprocess
-import sys
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
@@ -20,7 +18,6 @@ from lacuna.errors import (
     EpsilonDomainError,
     InfeasibleAtStepError,
     IntervalTooShortError,
-    NotSuperLacunaryError,
 )
 from lacuna.sequences import (
     LacunarySequence,
@@ -36,7 +33,6 @@ from lacuna.turan import (
     delta_lower_bound,
     find_alpha,
     find_dilation,
-    find_dilation_dense,
     turan_M,
 )
 
@@ -173,6 +169,10 @@ def pseudo_thinned(terms, K=None):
     )
 
 
+def dense_targets(N):
+    return [Fraction(j, N) for j in range(N)]
+
+
 class TestTuranM:
     def test_examples(self):
         assert turan_M(Fraction(1, 4), 4) == 12
@@ -286,6 +286,15 @@ class TestFindDilation:
             find_dilation(pseudo_thinned((10,)), [Fraction(0)], Fraction(2), (Fraction(0), Fraction(9, 20)))
         assert exc.value.code == "interval-below-4-over-aN"
 
+    def test_interval_message_past_the_int_to_str_limit(self):
+        # the length 2^-20000 and delta = 2^14300 pass str(int)'s digit
+        # limit, so the message gives their binary magnitudes
+        th = pseudo_thinned((1 << 14300, 1 << 14310, 1 << 14320))
+        with pytest.raises(IntervalTooShortError) as exc:
+            find_dilation(th, dense_targets(3), Fraction(1, 3), (Fraction(0), Fraction(1, 1 << 20000)))
+        assert exc.value.code == "interval-below-4-over-aN"
+        assert str(exc.value) == "interval length ~2^-20000 below 4/delta = 4/~2^14300"
+
 
 class TestFindAlpha:
     @pytest.mark.parametrize("r,N", [(2, 256), (2, 1024), (3, 256), (3, 1024)])
@@ -323,11 +332,23 @@ class TestFindDilationBlock:
         with pytest.raises(IntervalTooShortError, match="interval-below-4-over-aN"):
             find_alpha(seq, 256, (Fraction(0), Fraction(1, a_n)), 256)
 
+    def test_short_interval_message_past_the_int_to_str_limit(self):
+        # 3^-20000 and a_16384 = 3^16384 pass str(int)'s digit limit
+        seq = geometric_sequence(Fraction(3), 32768)
+        with pytest.raises(IntervalTooShortError) as exc:
+            find_alpha(seq, 16384, (Fraction(0), Fraction(1, 3**20000)), 16384)
+        assert exc.value.code == "interval-below-4-over-aN"
+        e_len, e_a = -(3**20000).bit_length(), (3**16384).bit_length() - 1
+        assert str(exc.value) == f"interval-below-4-over-aN: length ~2^{e_len} < 4/~2^{e_a}"
+
 
 class TestFindDilationDense:
+    """A list of N terms with ratios at least N + 2, certified as the turan
+    module docstring says: eps = 1/N, targets j/N, gap bound 3/N."""
+
     def test_squares_exponent_tail(self):
         terms = [2 ** (n * n) for n in range(3, 11)]  # ratios 2^7 .. 2^19
-        cert = find_dilation_dense(terms, 8, Fraction(7, 3))
+        cert = find_dilation(pseudo_thinned(terms), dense_targets(8), Fraction(1, 8))
         assert cert.max_gap_bound == Fraction(3, 8)
         alpha = cert.alpha.to_fraction()
         pts = [((alpha * t) % 1) for t in terms]
@@ -337,34 +358,8 @@ class TestFindDilationDense:
 
     def test_geometric_n_squared(self):
         terms = [256**n for n in range(1, 17)]
-        cert = find_dilation_dense(terms, 16, Fraction(2))
+        cert = find_dilation(pseudo_thinned(terms), dense_targets(16), Fraction(1, 16))
         assert cert.max_gap_bound == Fraction(3, 16)
-
-    def test_plain_powers_rejected(self):
-        with pytest.raises(NotSuperLacunaryError):
-            find_dilation_dense([2**n for n in range(1, 17)], 16, Fraction(2))
-
-    def test_bound_check_survives_optimized_mode(self):
-        # a certificate whose bound is not 3/N raises a coded error, also
-        # under python -O
-        code = (
-            "import dataclasses\n"
-            "from fractions import Fraction\n"
-            "from lacuna import turan\n"
-            "from lacuna.errors import InfeasibleAtStepError\n"
-            "real = turan.find_dilation\n"
-            "turan.find_dilation = lambda *a, **k: dataclasses.replace(\n"
-            "    real(*a, **k), max_gap_bound=Fraction(1))\n"
-            "try:\n"
-            "    turan.find_dilation_dense([256**n for n in range(1, 17)], 16, Fraction(2))\n"
-            "except InfeasibleAtStepError as exc:\n"
-            "    print(exc.code, exc.step)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "infeasible-at-step 0"
 
 
 small_fractions = st.fractions(
@@ -620,7 +615,8 @@ class TestCertificateJson:
     def test_frequencies_past_the_int_to_str_limit(self):
         # 2^14300 has 4305 decimal digits, past Python's default limit of
         # 4300 for str(int); so has the lattice gap delta
-        cert = find_dilation_dense([1 << 14300, 1 << 14310, 1 << 14320], 3, Fraction(2))
+        th = pseudo_thinned((1 << 14300, 1 << 14310, 1 << 14320))
+        cert = find_dilation(th, dense_targets(3), Fraction(1, 3))
         d = cert.to_json_dict()
         assert [row["index"] for row in d["constraints"]] == [1, 2, 3]
         delta = cert.parameters.delta_lower
