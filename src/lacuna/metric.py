@@ -40,11 +40,13 @@ import numpy as np
 from .bump import BumpFunction
 from .dyadic import DyadicReal, dyadic_to_float, key_gaps, residue_bits, residues
 from .errors import (
+    DeltaUncertifiableError,
     FitUnderdeterminedError,
     MeasureUnsupportedError,
     QuadratureUnderresolvedError,
 )
 from .sequences import LacunarySequence, ThinnedSequence, mpf_fraction
+from .turan import delta_lower_bound
 import mpmath as mp
 
 _TRUNC_SLACK = Fraction(1, 1 << 60)
@@ -410,16 +412,6 @@ def fourier_tail_bound(params: MetricParameters, bump: BumpFunction, k_max: int,
     return width * count * 2.0 * total
 
 
-def linear_independence_bound(thinned_terms, coeff: int) -> bool:
-    """Exact check that no +-coeff combination of earlier terms reaches a~_n."""
-    acc = 0
-    for a in thinned_terms:
-        if coeff * acc >= a:
-            return False
-        acc += a
-    return True
-
-
 # ---------------------------------------------------------------------------
 # exponential moment
 # ---------------------------------------------------------------------------
@@ -456,7 +448,7 @@ def exp_moment_check(
     sizes; past that cap the factorized path integrates the single-frequency
     profile once and raises it to the K-th power, which is exact in the limit
     where the thinned frequencies admit no small integer relations (checked
-    exactly below, never assumed).
+    exactly by lacuna.turan.delta_lower_bound at M = k_cut, never assumed).
     """
     weights = _omega_weights(params, bump)
     k_cut = params.k_cut
@@ -475,8 +467,10 @@ def exp_moment_check(
             raise QuadratureUnderresolvedError(required, quadrature_points)
         lhs = _moment_simpson(terms, t, weights, ten_r, quadrature_points)
     elif method == "factorized":
-        if not linear_independence_bound(terms, k_cut):
-            raise QuadratureUnderresolvedError(required, quadrature_points)
+        try:
+            delta_lower_bound(terms, k_cut)
+        except DeltaUncertifiableError:
+            raise QuadratureUnderresolvedError(required, quadrature_points) from None
         lhs = _moment_factorized(len(terms), weights, ten_r, k_cut)
     else:
         raise ValueError(f"unknown method {method!r}")

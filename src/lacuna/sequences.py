@@ -306,7 +306,7 @@ class Recurrence:
         each masked to its low P bits."""
         return Walk(self, range(len(self)), m, P)[start - 1 : stop]
 
-    def _exact_at(self, m: int, mask: int | None):
+    def exact_at(self, m: int, mask: int | None):
         """The function i -> y_(i+1) & mask (_stream) for increasing 0-based
         i: it continues one exact walk, and restarts it from the checkpoint
         at or below i only when that checkpoint lies past the walk, so the
@@ -352,7 +352,7 @@ class Recurrence:
         with dmax >= every delta_j (_carry_bounds).  So the key,
         floor((H_j + e_j) / 2^G) mod 2^64, is (H_j >> G) mod 2^64 whenever
         (H_j mod 2^G) + E_j < 2^G: no carry reaches bit G.  Any other key
-        is read from the exact walk at that index (_exact_at), so all of
+        is read from the exact walk at that index (exact_at), so all of
         them together cost at most one exact walk of the terms.
 
         Jump.  The first block starts at k0 from m times the checkpoint
@@ -371,7 +371,7 @@ class Recurrence:
         limits = [(1 << G) - e for e in E]
         jump = p**B
         deltas = self.deltas
-        exact = self._exact_at(m, pmask)
+        exact = self.exact_at(m, pmask)
         y = m * self.checkpoints[k0 // self.stride]
         for k in range(k0, n, B):
             if k > k0:
@@ -518,11 +518,11 @@ class Walk(Sequence):
 
     def at(self, positions) -> Iterator[int]:
         """The values at increasing 0-based positions of the window, one at
-        a time, all from one exact walk (_exact_at): together they cost at
+        a time, all from one exact walk (exact_at): together they cost at
         most one walk between the first and the last, and positions far
         apart cost about a stride each."""
         first = self._window().start
-        exact = self._seq._exact_at(self._m, self._mask)
+        exact = self._seq.exact_at(self._m, self._mask)
         return (exact(first + j) for j in positions)
 
     def __eq__(self, other):

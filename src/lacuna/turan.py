@@ -39,32 +39,36 @@ search interval's ends or on a term.
   every term positive.  The lattice gap bound is read from the same
   relation where it decides it (_delta_from_relation), and walked
   otherwise.
-- The band search carries only the integer j_n.  With x_n = p/q, the
-  relation rho*a' = P*a + d that the ThinnedSequence stores (P/rho is
-  r^step for a thinning of a sequence of ratio r, 1 for a list of terms,
-  and d is of any sign) gives a'*c = floor(P*j/rho) + (W + P*x + d*c)/rho
-  with W = P*j mod rho, so j' = floor(P*j/rho) + e, where e reads only W,
-  the two targets, the short d and c: one multiply of j by the short P
-  and one split by rho (a shift and a mask for rho = 2^s, one divmod
-  otherwise), O(B) for B-bit terms.  e is exact on short integers where
+- The band search carries only the integer j_n.  The targets are
+  x_n = p_n/D over one denominator D, and the relation rho*a' = P*a + d
+  that the ThinnedSequence stores (P/rho is r^step for a thinning of a
+  sequence of ratio r, 1 for a list of terms, and d is of any sign) gives
+  a'*c = floor(P*j/rho) + (W + P*x + d*c)/rho with W = P*j mod rho, so
+  j' = floor(P*j/rho) + e, where e reads only W, the two numerators, the
+  short d and c, over the one denominator 2*rho*D: one multiply of j by
+  the short P and one split by rho (a shift and a mask for rho = 2^s, one
+  divmod otherwise), O(B) for B-bit terms.  e is exact on short integers where
   d = 0, as at every integer ratio.  Otherwise it comes from a view of c
   frozen once a~_m is wide enough, c_m to F bits, which every later c_n
   stays within 1/a~_(m+1) <= 2^-F of (each step moves c by at most
   1/(2*a~_n), and every ratio exceeds 2).  Where that range straddles an
   integer, and before the freeze, the step takes the exact rule with
-  c = (p + j*q)/(q*a~_n), reading a~_n from one exact walk of the terms,
-  so a list of terms (ratio 1, wide deltas) takes it at every step.  Only
-  a~_1, a~_K and those steps read a term, and the centre c_K is returned
-  as the unreduced pair (p + j_K*q, q*a~_K), which
-  DyadicReal.from_ratio rounds without a gcd.
+  c = (p_n + j*D)/(D*a~_n), reading a~_n from one exact walk of the
+  terms, so a list of terms (ratio 1, wide deltas) takes it at every
+  step.  Only a~_1, a~_K and those steps read a term, and the centre c_K
+  is returned as the unreduced pair (p_K + j_K*D, D*a~_K), which
+  DyadicReal.from_ratio rounds without a gcd.  Scaling every p_n and D by
+  one factor leaves every ceiling at the same rational, so alpha depends
+  on the targets alone.
 - The postcondition is decided from the 64-bit keys of the thinned
   residue walk, residues(alpha, thinned).keys(): for alpha = m*2^-P and
   res = m*a mod 2^P, key k puts {alpha*a} in [k/2^64, (k+1)/2^64), and
   ||. - x|| is 1-Lipschitz, so with d = ||k/2^64 - x||, taken as integers
-  at q*2^64, d + 2^-64 <= eps proves ||alpha*a - x|| <= eps.  Every other
-  constraint is read exactly (Walk.at): {alpha*a - x} =
-  ((q*res - p*2^P) mod q*2^P) / (q*2^P), exact because q*m*a and q*res
-  agree mod q*2^P, and compared with eps by cross-multiplication.  For
+  at D*2^64, d + 2^-64 <= eps proves ||alpha*a - x|| <= eps.  Every other
+  constraint is read exactly (Walk.at): for x = p/q in lowest terms,
+  {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) / (q*2^P), exact because
+  q*m*a and q*res agree mod q*2^P, and compared with eps by
+  cross-multiplication.  For
   P < 64 the keys are the residues shifted up, so the same rule holds.
   The certificate's constraints are a view over the same walk
   (Constraints): each distance is derived when read, never stored.
@@ -74,9 +78,9 @@ first N terms, and each translated block (N, 2N] (lacuna.nested), are the
 window of N terms after an offset, thinned and searched alike.
 
 A list of N terms with a_(n+1)/a_n >= N + 2 is certified by the same call,
-find_dilation(ThinnedSequence(None, 1, 1, N, terms, xi), [j/N for j < N],
-1/N, interval): at eps = 1/N the ratio precondition is that ratio bound,
-and the N targets j/N give a gap of at most 1/N + 2*eps = 3/N.
+find_dilation(ThinnedSequence(None, 1, 1, N, terms, xi), range(N), N, 1/N,
+interval): at eps = 1/N the ratio precondition is that ratio bound, and
+the N targets j/N give a gap of at most 1/N + 2*eps = 3/N.
 """
 
 from __future__ import annotations
@@ -144,24 +148,27 @@ class Constraint:
 
 class Constraints(Sequence):
     """The constraints of a certificate, read-only and derived when read
-    from the targets x_n and the thinned residue walk, m*a~_n mod 2^P for
-    alpha = m*2^-P (a lacuna.sequences.Walk, which holds the short deltas
-    and about sqrt(K) checkpoints): len, indexing (stepped from the
-    checkpoint below), iteration in one exact walk, and forward slices, as
-    tuples.  No P-bit integer is held per constraint."""
+    from the target numerators p_n over the denominator D and the thinned
+    residue walk, m*a~_n mod 2^P for alpha = m*2^-P (a
+    lacuna.sequences.Walk, which holds the short deltas and about sqrt(K)
+    checkpoints): len, indexing (stepped from the checkpoint below),
+    iteration in one exact walk, and forward slices, as tuples.  No P-bit
+    integer is held per constraint, and a target's Fraction is built only
+    when its constraint is read."""
 
-    __slots__ = ("_targets", "_residues", "_bits")
+    __slots__ = ("_nums", "_den", "_residues", "_bits")
 
-    def __init__(self, targets, residues: Walk, bits: int):
-        self._targets, self._residues, self._bits = targets, residues, bits
+    def __init__(self, numerators, denominator: int, residues: Walk, bits: int):
+        self._nums, self._den, self._residues, self._bits = numerators, denominator, residues, bits
 
     def __len__(self):
-        return len(self._targets)
+        return len(self._nums)
 
-    def _at(self, x: Fraction, res: int) -> Constraint:
-        """The constraint of x = p/q at res = m*a mod 2^P: {alpha*a - x} =
-        ((q*res - p*2^P) mod q*2^P) / (q*2^P), exact because q*m*a and
-        q*res agree mod q*2^P."""
+    def _at(self, num: int, res: int) -> Constraint:
+        """The constraint of x = num/D = p/q, in lowest terms, at
+        res = m*a mod 2^P: {alpha*a - x} = ((q*res - p*2^P) mod q*2^P) /
+        (q*2^P), exact because q*m*a and q*res agree mod q*2^P."""
+        x = Fraction(num, self._den)
         p, q, P = x.numerator, x.denominator, self._bits
         den = q << P
         f = (q * res - (p << P)) % den
@@ -169,11 +176,11 @@ class Constraints(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self._at, self._targets[i], self._residues[i]))
-        return self._at(self._targets[i], self._residues[i])
+            return tuple(map(self._at, self._nums[i], self._residues[i]))
+        return self._at(self._nums[i], self._residues[i])
 
     def __iter__(self):
-        return map(self._at, self._targets, self._residues)
+        return map(self._at, self._nums, self._residues)
 
 
 @dataclass(frozen=True)
@@ -279,11 +286,11 @@ def _delta_from_relation(thinned: ThinnedSequence, a1: int, dmin: int, M: int) -
     return delta_lower_bound(thinned, M)
 
 
-def _greedy_band_search(seq: ThinnedSequence, targets, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+def _greedy_band_search(seq: ThinnedSequence, nums, D: int, lo: Fraction, hi: Fraction) -> tuple[int, int]:
     """The last band centre c_K of the recurrence c_0 = (lo + hi)/2,
     j_n = ceil(a~_n*c_(n-1) - x_n - 1/2), c_n = (x_n + j_n)/a~_n over the
-    terms of seq (see the module docstring), as the unreduced pair
-    (p + j_K*q, q*a~_K) for x_K = p/q.
+    terms of seq and the targets x_n = nums[n]/D (see the module
+    docstring), as the unreduced pair (p_K + j_K*D, D*a~_K).
 
     Under find_dilation's checks, hi - lo >= (1 + 2*eps)/a~_1 and
     a~_(n+1)/a~_n >= 1/eps + 2, every band lies strictly inside the one
@@ -295,32 +302,32 @@ def _greedy_band_search(seq: ThinnedSequence, targets, lo: Fraction, hi: Fractio
     reads the stored relation rho*a' = P*a + d: a'*c = floor(P*j/rho) + V
     with V = (W + P*x + d*c)/rho and W = P*j mod rho, so
     j' = floor(P*j/rho) + ceil(V - x' - 1/2), and the ceiling is taken on
-    short integers: exactly where d = 0; from the frozen view of c where
-    that decides it; and otherwise by the exact rule, which reads a~_n from
-    one exact walk of the terms (Recurrence._exact_at).  The view is
-    c_m = (x_m + j_m)/a~_m to F bits, F set so that it resolves d*c/rho to
-    _FREEZE_GUARD bits for the widest d, frozen at the first exact step
-    with bits(a~_m) >= F: every later c_n lies within
-    sum_(k>m) 1/(2*a~_k) <= 1/a~_(m+1) <= 2^-F of it, as each step moves c
-    by at most 1/(2*a~_k) and every ratio exceeds 2.  Where the two ends
-    of that range give different ceilings, the step takes the exact rule."""
+    short integers over the one denominator 2*rho*D: exactly where d = 0;
+    from the frozen view of c where that decides it; and otherwise by the
+    exact rule, which reads a~_n from one exact walk of the terms
+    (Recurrence.exact_at).  The view is c_m = (x_m + j_m)/a~_m to F bits,
+    F set so that it resolves d*c/rho to _FREEZE_GUARD bits for the widest
+    d, frozen at the first exact step with bits(a~_m) >= F: every later
+    c_n lies within sum_(k>m) 1/(2*a~_k) <= 1/a~_(m+1) <= 2^-F of it, as
+    each step moves c by at most 1/(2*a~_k) and every ratio exceeds 2.
+    Where the two ends of that range give different ceilings, the step
+    takes the exact rule."""
     P, rho = seq.growth_factor_r.numerator, seq.growth_factor_r.denominator
     s = rho.bit_length() - 1 if rho & (rho - 1) == 0 else None  # rho = 2^s
     # the view's range for V is 3*|d|/(rho*2^F) < 2^(bits(d) + 3 - bits(rho) - F),
     # below 2^-_FREEZE_GUARD for every d at this F
     dbits = max(max(seq.deltas, default=0), -min(seq.deltas, default=0)).bit_length()
     F = max(dbits + _FREEZE_GUARD + 3 - rho.bit_length(), 1)
-    exact = seq._exact_at(1, None)
+    exact = seq.exact_at(1, None)
     a, read = exact(0), 0  # the last term read and its index
-    xs = iter(targets)
-    x = next(xs)
-    p, q = x.numerator, x.denominator
-    # j_1 = ceil(a~_1*(lo + hi)/2 - p/q - 1/2) over the denominator 2*L*q
+    ps = iter(nums)
+    p = next(ps)
+    # j_1 = ceil(a~_1*(lo + hi)/2 - p/D - 1/2) over the denominator 2*L*D
     L, S = lo.denominator * hi.denominator, lo.numerator * hi.denominator + hi.numerator * lo.denominator
-    j = -(((2 * p + q) * L - a * S * q) // (2 * L * q))
+    j = -(((2 * p + D) * L - a * S * D) // (2 * L * D))
+    den = 2 * rho * D
     view = None  # the least and the greatest c_n*2^F once frozen
-    for i, (d, x) in enumerate(zip(seq.deltas, xs)):
-        p2, q2 = x.numerator, x.denominator
+    for i, (d, p2) in enumerate(zip(seq.deltas, ps)):
         W = P * j
         if rho == 1:  # no split: W >> 0 would copy W
             A, W = W, 0
@@ -328,41 +335,44 @@ def _greedy_band_search(seq: ThinnedSequence, targets, lo: Fraction, hi: Fractio
             A, W = W >> s, W & (rho - 1)
         else:
             A, W = divmod(W, rho)
-        # V - x' - 1/2 = (Z + 2*q*q'*d*c) / den
-        Z = 2 * q2 * (W * q + P * p) - rho * q * (2 * p2 + q2)
-        den = 2 * rho * q * q2
+        # V - x' - 1/2 = (Z + 2*D*d*c) / den
+        Z = 2 * (W * D + P * p) - rho * (2 * p2 + D)
         if not d:
             e = -(-Z // den)
         else:
             e = None
             if view is not None:
                 c_lo, c_hi = view if d > 0 else view[::-1]
-                t, ZF, denF = 2 * q * q2 * d, Z << F, den << F
+                t, ZF, denF = 2 * D * d, Z << F, den << F
                 e = -(-(ZF + t * c_lo) // denF)
                 if e != -(-(ZF + t * c_hi) // denF):
                     e = None
             if e is None:
                 if read != i:
                     a, read = exact(i), i
-                u = p + j * q
-                e = -(-(a * Z + 2 * q2 * d * u) // (den * a))
+                u = p + j * D
+                e = -(-(a * Z + 2 * d * u) // (den * a))
                 if view is None and a.bit_length() >= F:
-                    c = (u << F) // (q * a)  # c_i*2^F rounded down
+                    c = (u << F) // (D * a)  # c_i*2^F rounded down
                     view = c - 1, c + 2
         j = A + e
-        p, q = p2, q2
+        p = p2
     if read != len(seq) - 1:
         a = exact(len(seq) - 1)
-    return p + j * q, q * a
+    return p + j * D, D * a
 
 
 def find_dilation(
     thinned: ThinnedSequence,
-    targets,
+    numerators,
+    denominator: int,
     epsilon: Fraction,
     search_interval: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
 ) -> DilationCertificate:
-    """Nested band centres realizing ||alpha*a~_n - x_n|| <= eps for all n.
+    """Nested band centres realizing ||alpha*a~_n - x_n|| <= eps for all n,
+    for the targets x_n = numerators[n]/denominator: K integers over one
+    denominator D >= 1, which need not be in lowest terms (scaling both by
+    one factor gives the same certificate).
 
     Preconditions (checked, each a coded error): a~_1 > 0; consecutive
     ratios a~_(n+1)/a~_n >= 1/eps + 2, which with a~_1 > 0 makes every
@@ -372,15 +382,16 @@ def find_dilation(
     delta.  Under them the band centre c_K of _greedy_band_search is within
     eps/(2*(1 + eps)) of every constraint; alpha is c_K rounded to
     alpha_precision bits, and the residue postcondition, decided from
-    keys and exact where they leave it open, is the guard.  Targets that
-    are Fractions are kept as they are.
+    keys and exact where they leave it open, is the guard.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise EpsilonDomainError(f"epsilon-domain: {epsilon}")
-    xs = [t if isinstance(t, Fraction) else Fraction(t) for t in targets]
-    if len(xs) != thinned.K:
-        raise ValueError(f"need {thinned.K} targets, got {len(xs)}")
+    nums, D = numerators, denominator
+    if D < 1:
+        raise ValueError(f"target denominator must be at least 1, got {D}")
+    if len(nums) != thinned.K:
+        raise ValueError(f"need {thinned.K} targets, got {len(nums)}")
     terms = thinned.terms
     a1 = terms[0]
     if a1 <= 0:
@@ -410,22 +421,21 @@ def find_dilation(
     # the terms increase (the ratio precondition) and are parent terms
     parent = thinned.parent
     precision = alpha_precision(parent.terms if parent is not None else terms)
-    alpha = DyadicReal.from_ratio(*_greedy_band_search(thinned, xs, lo, hi), precision)
+    alpha = DyadicReal.from_ratio(*_greedy_band_search(thinned, nums, D, lo, hi), precision)
     # postcondition from the keys: key k puts {alpha*a} in [k/2^64, (k+1)/2^64)
     # and ||. - x|| is 1-Lipschitz, so d = ||k/2^64 - x|| with d + 2^-64 <= eps
     # decides it; every other constraint takes the exact rule
     P = residue_bits(alpha)
     walk = residues(alpha, thinned)
     undecided = []
-    for n, (x, k) in enumerate(zip(xs, walk.keys().tolist())):
-        p, q = x.numerator, x.denominator
-        den = q << 64
-        f = (q * k - (p << 64)) % den
-        if (min(f, den - f) + q) * ed > en * den:
+    den = D << 64
+    for n, (p, k) in enumerate(zip(nums, walk.keys().tolist())):
+        f = (D * k - (p << 64)) % den
+        if (min(f, den - f) + D) * ed > en * den:
             undecided.append(n)
-    constraints = Constraints(xs, walk, P)
+    constraints = Constraints(nums, D, walk, P)
     for n, res in zip(undecided, walk.at(undecided)):
-        c = constraints._at(xs[n], res)
+        c = constraints._at(nums[n], res)
         if c.achieved_num * ed > en * c.achieved_den:
             raise InfeasibleAtStepError(
                 0, f"postcondition violated: achieved {printable(c.achieved)} > eps {epsilon}"
@@ -474,6 +484,4 @@ def find_alpha(
         a = seq.term(offset)
         if _below(lo, hi, 4, a):
             raise IntervalTooShortError(f"interval-below-4-over-aN: length {printable(hi - lo)} < 4/{printable(a)}")
-    eps = block_epsilon(seq, N)
-    targets = [Fraction(j, thinned.K) for j in range(thinned.K)]
-    return find_dilation(thinned, targets, eps, (lo, hi))
+    return find_dilation(thinned, range(thinned.K), thinned.K, block_epsilon(seq, N), (lo, hi))

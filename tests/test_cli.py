@@ -144,8 +144,9 @@ class TestByteIdentity:
     before sample_alpha multiplied its partial quotients in product-tree
     rounds.  The r = 11/10 and 4/3 find-alpha pins and the --seq pin were
     recorded before thin summed the parent's deltas and the postcondition
-    read keys, and the equal-field littlewood pin before the threshold was
-    walked in fixed point."""
+    read keys, the equal-field littlewood pin before the threshold was
+    walked in fixed point, and the r = 3/2 find-alpha pin before
+    find_dilation took its targets as integers over one denominator."""
 
     @pytest.mark.parametrize(
         "argv,code,sha",
@@ -287,6 +288,12 @@ class TestByteIdentity:
                 ),
                 0,
                 "5ff40de6db74ff269bcf24478afd229853dd76bf7e5fe95ac29a802e5b8c7788",
+            ),
+            (
+                # l = 3 and rho = 2^24: the band search's split by a shift at l > 2
+                ("find-alpha", "--r", "3/2", "--n", "4096"),
+                0,
+                "4bc39aa3d2978c6497e545d272a8e3dad541b56e7036852ee60998527ffb6da2",
             ),
         ],
     )

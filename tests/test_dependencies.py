@@ -38,6 +38,39 @@ def test_no_private_names_imported_across_modules():
     assert offenders == []
 
 
+def test_no_private_attributes_read_across_modules():
+    """Every x._name read in a lacuna module names something that module
+    defines itself: a def, a class, an attribute assignment (x._name = ...)
+    or an annotated name (a dataclass field).  A private name defined only
+    in another module is that module's to read."""
+    import ast
+    from pathlib import Path
+
+    import lacuna
+
+    offenders = []
+    for path in sorted(Path(lacuna.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)  # a dataclass field
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(a.attr for t in targets for a in ast.walk(t) if isinstance(a, ast.Attribute))
+        offenders += [
+            f"{path.name}:{node.lineno}: .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+            and node.attr not in defined
+        ]
+    assert offenders == []
+
+
 def test_only_sequences_reads_the_stored_recurrence_layout():
     """The checkpoint layout of a stored recurrence stays in
     lacuna.sequences: no other module reads .checkpoints, .stride or

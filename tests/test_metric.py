@@ -30,7 +30,6 @@ from lacuna.metric import (
     exponent_fit,
     fourier_tail_bound,
     iid_baseline,
-    linear_independence_bound,
     sample_alpha,
     smooth_count_direct,
     smooth_count_fourier,
@@ -399,10 +398,6 @@ class TestSmoothCounts:
         alpha = sample_alpha("lebesgue", 13, 128)
         with pytest.raises(ValueError):
             smooth_count_fourier(alpha, th, 0.0, par, bump, par.k_cut - 1)
-
-    def test_linear_independence(self):
-        assert linear_independence_bound((1, 100, 100000), 10)
-        assert not linear_independence_bound((1, 5), 10)
 
 
 class TestExpMoment:

@@ -115,10 +115,17 @@ def wide_band_search(frequencies, targets, epsilon, lo, hi):
     return Fraction(L, Q), Fraction(H, Q)
 
 
+def over(xs):
+    """Fraction targets as (numerators, D) over their lcm D, the form
+    find_dilation and _greedy_band_search take."""
+    D = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (D // x.denominator) for x in xs], D
+
+
 def greedy(freqs, xs, lo, hi, ratio=Fraction(1)):
     """_greedy_band_search over explicit frequencies, kept as their
     recurrence at ratio (any ratio describes any list of integers)."""
-    return Fraction(*_greedy_band_search(Recurrence(freqs, ratio), xs, lo, hi))
+    return Fraction(*_greedy_band_search(Recurrence(freqs, ratio), *over(xs), lo, hi))
 
 
 def centre(interval):
@@ -147,11 +154,11 @@ def assert_rejected(freqs, xs, eps, lo, hi):
     step = first_ratio_failure(freqs, eps)
     if step is None:
         with pytest.raises(IntervalTooShortError) as exc:
-            find_dilation(pseudo_thinned(freqs), xs, eps, (lo, hi))
+            find_dilation(pseudo_thinned(freqs), *over(xs), eps, (lo, hi))
         assert exc.value.code == "interval-below-4-over-aN"
     else:
         with pytest.raises(InfeasibleAtStepError, match="frequency ratio") as exc:
-            find_dilation(pseudo_thinned(freqs), xs, eps, (lo, hi))
+            find_dilation(pseudo_thinned(freqs), *over(xs), eps, (lo, hi))
         assert exc.value.step == step
 
 
@@ -170,7 +177,8 @@ def pseudo_thinned(terms, K=None):
 
 
 def dense_targets(N):
-    return [Fraction(j, N) for j in range(N)]
+    """The N targets j/N as find_dilation takes them: (numerators, N)."""
+    return range(N), N
 
 
 class TestTuranM:
@@ -231,14 +239,14 @@ class TestDeltaLowerBound:
 
 class TestFindDilation:
     def test_single_frequency_exact_hit(self):
-        cert = find_dilation(pseudo_thinned((5,)), [Fraction(0)], Fraction(1, 10))
+        cert = find_dilation(pseudo_thinned((5,)), [0], 1, Fraction(1, 10))
         # band midpoint hits the target up to the dyadic rounding of alpha
         assert cert.constraints[0].achieved <= Fraction(1, 1 << 60)
 
     def test_three_decades(self):
         th = pseudo_thinned((1000, 10**6, 10**9))
         targets = [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
-        cert = find_dilation(th, targets, Fraction(1, 100))
+        cert = find_dilation(th, *over(targets), Fraction(1, 100))
         av = cert.alpha.to_fraction()
         for a, x in zip(th.terms, targets):
             f = av * a - x
@@ -250,7 +258,7 @@ class TestFindDilation:
         th = thin(seq, 1024)
         eps = Fraction(2) * Fraction(69, 10) / 1024  # ~ l ln N / (2N) scale
         cert = find_dilation(
-            th, [Fraction(j, th.K) for j in range(th.K)], eps
+            th, range(th.K), th.K, eps
         )
         assert all(c.achieved <= eps for c in cert.constraints)
         assert cert.max_gap_bound == Fraction(1, th.K) + 2 * eps
@@ -265,7 +273,7 @@ class TestFindDilation:
         th = pseudo_thinned((5,))
         with pytest.raises(IntervalTooShortError):
             find_dilation(
-                th, [Fraction(0)], Fraction(1, 10),
+                th, [0], 1, Fraction(1, 10),
                 (Fraction(0), Fraction(1, 100)),
             )
 
@@ -273,7 +281,7 @@ class TestFindDilation:
         th = pseudo_thinned((1000, 10**6, 10**9))
         lo, hi = Fraction(3, 10), Fraction(7, 10)
         cert = find_dilation(
-            th, [Fraction(0), Fraction(1, 3), Fraction(2, 3)],
+            th, [0, 1, 2], 3,
             Fraction(1, 100), (lo, hi),
         )
         assert lo <= cert.alpha.to_fraction() <= hi
@@ -283,7 +291,7 @@ class TestFindDilation:
         # 4/delta = 2/5 but not (1 + 2*eps)/a~_1 = 1/2, which puts the
         # first band inside it
         with pytest.raises(IntervalTooShortError, match=r"\(1\+2\*eps\)/a~_1") as exc:
-            find_dilation(pseudo_thinned((10,)), [Fraction(0)], Fraction(2), (Fraction(0), Fraction(9, 20)))
+            find_dilation(pseudo_thinned((10,)), [0], 1, Fraction(2), (Fraction(0), Fraction(9, 20)))
         assert exc.value.code == "interval-below-4-over-aN"
 
     def test_interval_message_past_the_int_to_str_limit(self):
@@ -291,7 +299,7 @@ class TestFindDilation:
         # limit, so the message gives their binary magnitudes
         th = pseudo_thinned((1 << 14300, 1 << 14310, 1 << 14320))
         with pytest.raises(IntervalTooShortError) as exc:
-            find_dilation(th, dense_targets(3), Fraction(1, 3), (Fraction(0), Fraction(1, 1 << 20000)))
+            find_dilation(th, *dense_targets(3), Fraction(1, 3), (Fraction(0), Fraction(1, 1 << 20000)))
         assert exc.value.code == "interval-below-4-over-aN"
         assert str(exc.value) == "interval length ~2^-20000 below 4/delta = 4/~2^14300"
 
@@ -348,7 +356,7 @@ class TestFindDilationDense:
 
     def test_squares_exponent_tail(self):
         terms = [2 ** (n * n) for n in range(3, 11)]  # ratios 2^7 .. 2^19
-        cert = find_dilation(pseudo_thinned(terms), dense_targets(8), Fraction(1, 8))
+        cert = find_dilation(pseudo_thinned(terms), *dense_targets(8), Fraction(1, 8))
         assert cert.max_gap_bound == Fraction(3, 8)
         alpha = cert.alpha.to_fraction()
         pts = [((alpha * t) % 1) for t in terms]
@@ -358,13 +366,54 @@ class TestFindDilationDense:
 
     def test_geometric_n_squared(self):
         terms = [256**n for n in range(1, 17)]
-        cert = find_dilation(pseudo_thinned(terms), dense_targets(16), Fraction(1, 16))
+        cert = find_dilation(pseudo_thinned(terms), *dense_targets(16), Fraction(1, 16))
         assert cert.max_gap_bound == Fraction(3, 16)
 
 
 small_fractions = st.fractions(
     min_value=Fraction(-3, 2), max_value=Fraction(5, 2), max_denominator=12
 )
+
+
+class TestTargetsOverOneDenominator:
+    """find_dilation takes its targets as numerators over one denominator
+    D; scaling both by a factor g leaves every decision at the same
+    rational, so the certificate is the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 40), max_value=Fraction(1, 3), max_denominator=40),
+        st.integers(2, 1 << 40),
+        st.lists(st.tuples(st.integers(0, 30), st.integers(0, 1 << 40)), max_size=5),
+        st.integers(1, 64),
+        st.data(),
+    )
+    def test_scaled_denominator_gives_the_same_certificate(self, eps, first, steps, g, data):
+        terms = [first]
+        for f, e in steps:  # every ratio at least 1/eps + 2
+            terms.append(terms[-1] * (math.ceil(1 / eps) + 2 + f) + e)
+        # a certified delta is at least 1, so an interval of length 4 passes
+        lo = data.draw(small_fractions)
+        iv = (lo, lo + 4)
+        assert passes_checks(terms, eps, *iv)
+        nums, D = over([data.draw(small_fractions) for _ in terms])
+        th = pseudo_thinned(terms)
+        want = find_dilation(th, nums, D, eps, iv)
+        got = find_dilation(th, [g * p for p in nums], g * D, eps, iv)
+        assert got.alpha == want.alpha
+        assert got.max_gap_bound == want.max_gap_bound
+        rows = [(c.target, c.achieved) for c in got.constraints]
+        assert rows == [(c.target, c.achieved) for c in want.constraints]
+
+    @pytest.mark.parametrize("D", [0, -1])
+    def test_denominator_below_one_rejected(self, D):
+        with pytest.raises(ValueError, match="denominator"):
+            find_dilation(pseudo_thinned((10, 1000)), [0, 1], D, Fraction(1, 10))
+
+    @pytest.mark.parametrize("nums", [[0], [0, 1, 2]])
+    def test_numerator_count_other_than_K_rejected(self, nums):
+        with pytest.raises(ValueError, match="need 2 targets"):
+            find_dilation(pseudo_thinned((10, 1000)), nums, 3, Fraction(1, 10))
 
 
 class TestIntegerBandSearch:
@@ -452,7 +501,7 @@ class TestIntegerBandSearch:
         xs = [Fraction(j, th.K) for j in range(th.K)]
         eps = turan.block_epsilon(seq, N)
         lo, hi = Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2)
-        assert Fraction(*_greedy_band_search(th, xs, lo, hi)) == centre(fraction_band_search(th.terms, xs, eps, lo, hi))
+        assert Fraction(*_greedy_band_search(th, *over(xs), lo, hi)) == centre(fraction_band_search(th.terms, xs, eps, lo, hi))
 
 
 class TestRatioPrecondition:
@@ -461,21 +510,21 @@ class TestRatioPrecondition:
         # a_2/a_1 against 1/eps + 2 = 12 exactly, for eps = 1/10
         th = pseudo_thinned((10, second))
         if ok:
-            find_dilation(th, [Fraction(0), Fraction(1, 2)], Fraction(1, 10))
+            find_dilation(th, [0, 1], 2, Fraction(1, 10))
         else:
             with pytest.raises(InfeasibleAtStepError, match="frequency ratio") as exc:
-                find_dilation(th, [Fraction(0), Fraction(1, 2)], Fraction(1, 10))
+                find_dilation(th, [0, 1], 2, Fraction(1, 10))
             assert exc.value.step == 2
 
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
-            find_dilation(pseudo_thinned((0, 100)), [Fraction(0)] * 2, Fraction(1, 10))
+            find_dilation(pseudo_thinned((0, 100)), [0] * 2, 1, Fraction(1, 10))
 
     def test_later_nonpositive_term_fails_the_ratio_check(self):
         # only a~_1 is checked for sign: with a~_1 > 0 the ratio check makes
         # every later term positive, and a non-positive one fails it
         with pytest.raises(InfeasibleAtStepError, match="frequency ratio") as exc:
-            find_dilation(pseudo_thinned((5, 100, -1)), [Fraction(0)] * 3, Fraction(1, 10))
+            find_dilation(pseudo_thinned((5, 100, -1)), [0] * 3, 1, Fraction(1, 10))
         assert exc.value.step == 3
 
 
@@ -503,7 +552,7 @@ class TestRatioPreconditionFromRelation:
         pairs = zip(terms, terms[1:])
         want = next((n for n, (a, b) in enumerate(pairs, start=2) if b * en < a * (ed + 2 * en)), None)
         try:
-            find_dilation(th, [Fraction(0)] * len(terms), eps)
+            find_dilation(th, [0] * len(terms), 1, eps)
             got = None
         except InfeasibleAtStepError as exc:
             got = exc.step if "frequency ratio" in str(exc) else None
@@ -528,7 +577,7 @@ class TestResiduePostcondition:
     @given(st.lists(small_fractions, min_size=3, max_size=3))
     def test_arbitrary_targets(self, xs):
         th = pseudo_thinned((1000, 10**6, 10**9))
-        cert = find_dilation(th, xs, Fraction(1, 100))
+        cert = find_dilation(th, *over(xs), Fraction(1, 100))
         av = cert.alpha.to_fraction()
         for c, a, x in zip(cert.constraints, th.terms, xs):
             assert c.target == x
@@ -541,7 +590,7 @@ class TestResiduePostcondition:
         )
         th = pseudo_thinned((1000, 10**6, 10**9))
         with pytest.raises(InfeasibleAtStepError) as exc:
-            find_dilation(th, [Fraction(0), Fraction(1, 3), Fraction(2, 3)], Fraction(1, 100))
+            find_dilation(th, [0, 1, 2], 3, Fraction(1, 100))
         assert exc.value.step == 0 and "postcondition violated" in str(exc.value)
 
 
@@ -578,12 +627,12 @@ class TestKeyPostcondition:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(turan, "_greedy_band_search", lambda *args: (av.numerator, av.denominator))
             if bad is None:
-                cert = find_dilation(th, xs, eps, (Fraction(0), Fraction(1 << 200)))
+                cert = find_dilation(th, *over(xs), eps, (Fraction(0), Fraction(1 << 200)))
                 assert cert.alpha == alpha
                 assert [(c.target, c.achieved) for c in cert.constraints] == list(zip(xs, exact))
             else:
                 with pytest.raises(InfeasibleAtStepError) as exc:
-                    find_dilation(th, xs, eps, (Fraction(0), Fraction(1 << 200)))
+                    find_dilation(th, *over(xs), eps, (Fraction(0), Fraction(1 << 200)))
                 assert str(exc.value).endswith(f"postcondition violated: achieved {bad} > eps {eps}")
 
     def test_constraints_view(self):
@@ -616,7 +665,7 @@ class TestCertificateJson:
         # 2^14300 has 4305 decimal digits, past Python's default limit of
         # 4300 for str(int); so has the lattice gap delta
         th = pseudo_thinned((1 << 14300, 1 << 14310, 1 << 14320))
-        cert = find_dilation(th, dense_targets(3), Fraction(1, 3))
+        cert = find_dilation(th, *dense_targets(3), Fraction(1, 3))
         d = cert.to_json_dict()
         assert [row["index"] for row in d["constraints"]] == [1, 2, 3]
         delta = cert.parameters.delta_lower
@@ -704,7 +753,7 @@ class TestShortStep:
         assert th.rho == r.denominator ** th.step
         for lo, hi in [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(9, 14))]:
             want = wide_band_search(tuple(th.terms), xs, eps, lo, hi)
-            assert Fraction(*_greedy_band_search(th, xs, lo, hi)) == centre(want)
+            assert Fraction(*_greedy_band_search(th, *over(xs), lo, hi)) == centre(want)
 
     @pytest.mark.parametrize("r", [Fraction(3), Fraction(5, 2), Fraction(3, 2)])
     def test_shifted_intervals_of_find_dilation_block(self, r, monkeypatch):
@@ -712,9 +761,9 @@ class TestShortStep:
         calls = []
         real = turan._greedy_band_search
 
-        def spy(*args):
-            out = real(*args)
-            calls.append((args, out))
+        def spy(searched, nums, D, lo, hi):
+            out = real(searched, nums, D, lo, hi)
+            calls.append(((searched, [Fraction(p, D) for p in nums], lo, hi), out))
             return out
 
         monkeypatch.setattr(turan, "_greedy_band_search", spy)
@@ -783,7 +832,7 @@ class TestShortStep:
         assert bumped.deltas[k - 1] == 1 << 100
         assert bumped.deltas[k] == -ratio.numerator << 100
         # and the certificate of the bumped list passes its postcondition
-        cert = find_dilation(bumped, xs, eps)
+        cert = find_dilation(bumped, *over(xs), eps)
         assert all(c.achieved <= eps for c in cert.constraints)
 
 
@@ -869,7 +918,7 @@ class TestThinnedRelation:
         xs = [data.draw(small_fractions) for _ in terms]
         eps = turan.block_epsilon(seq, n)
         want = wide_band_search(terms, xs, eps, lo, lo + Fraction(1, 2))
-        assert Fraction(*_greedy_band_search(th, xs, lo, lo + Fraction(1, 2))) == centre(want)
+        assert Fraction(*_greedy_band_search(th, *over(xs), lo, lo + Fraction(1, 2))) == centre(want)
 
 
 class TestJStep:
@@ -910,9 +959,9 @@ class TestJStep:
         th = thin(seq, 4096)
         xs = [Fraction(j, th.K) for j in range(th.K)]
         lo, hi = Fraction(1, 7), Fraction(9, 14)
-        want = _greedy_band_search(th, xs, lo, hi)
+        want = _greedy_band_search(th, *over(xs), lo, hi)
         monkeypatch.setattr(turan, "_FREEZE_GUARD", guard)
-        assert _greedy_band_search(th, xs, lo, hi) == want
+        assert _greedy_band_search(th, *over(xs), lo, hi) == want
 
     @settings(max_examples=60, deadline=None)
     @given(
